@@ -160,6 +160,8 @@ class ClassGroup:
                 f: i for i, cyc in enumerate(self.cycles) for f in cyc
             }
         self._dlog = self._build_dlog()
+        # the coefficient table of the field, made and grown by lseries.get_table
+        self.count_table = None
 
     # -- construction ---------------------------------------------------
 
@@ -222,9 +224,6 @@ class ClassGroup:
     def dlog(self, I: QfIdeal) -> int:
         """Discrete log of the narrow class of I w.r.t. the chosen generator."""
         return self._dlog[self.class_index(I)]
-
-    def dlog_of_class(self, class_index: int) -> int:
-        return self._dlog[class_index]
 
     def compose(self, i: int, j: int) -> int:
         """Class index of the product of classes i and j."""

@@ -61,9 +61,6 @@ class HeckeCharacter:
     def __call__(self, I: QfIdeal) -> complex:
         return root_of_unity(self.exponent(I))
 
-    def exponent_of_class(self, class_index: int) -> Fraction:
-        return Fraction(self.index * self.classgroup.dlog_of_class(class_index), self.h)
-
     def conjugate(self) -> "HeckeCharacter":
         return HeckeCharacter(self.classgroup, -self.index, self.infinity)
 

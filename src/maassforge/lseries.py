@@ -15,7 +15,6 @@ Abel-smoothed direct sum accelerated by Richardson extrapolation.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import exp1
@@ -26,24 +25,40 @@ from .quadfield import _primes_up_to
 from .special import incomplete_k_mellin
 
 
+# rows sieved per pass: bounds the temporaries of a table extension
+SIEVE_CHUNK = 1 << 14
+
+
 class ClassCountTable:
-    """counts[n][j] = number of integral ideals of norm n in narrow class j."""
+    """counts[n, j] = number of integral ideals of norm n in narrow class j.
+
+    Rows are filled by a multiplicative sieve: with p the smallest prime
+    factor of n and p^e its full power in n, row n is the group-ring product
+    of the prime-power row (p^e) and row n/p^e.  extend() sieves only the rows
+    above the current n_max, so a table grows in place."""
 
     def __init__(self, classgroup: ClassGroup, n_max: int):
+        if n_max < 0:
+            raise ValueError(f"n_max must be non-negative, got {n_max}")
         self.classgroup = classgroup
         self.field = classgroup.field
         self.h = classgroup.h_narrow
-        self.n_max = n_max
-        self.rows = self._build(n_max)
+        self._prime_classes: dict[int, int] = {}
+        self.counts = np.zeros((1, self.h), dtype=np.int32)
+        self.n_max = 0
+        self.extend(n_max)
 
     # -- local data -----------------------------------------------------
 
     def prime_class(self, p: int) -> int:
         """dlog of a chosen prime ideal above p (split/ramified p only)."""
-        ps = self.field.split_prime(p)
-        if ps.chi == -1:
-            raise ValueError("inert prime has no degree-one prime ideal")
-        return self.classgroup.dlog(ps.primes[0])
+        k = self._prime_classes.get(p)
+        if k is None:
+            ps = self.field.split_prime(p)
+            if ps.chi == -1:
+                raise ValueError("inert prime has no degree-one prime ideal")
+            k = self._prime_classes[p] = self.classgroup.dlog(ps.primes[0])
+        return k
 
     def prime_power_vector(self, p: int, e: int) -> tuple[int, ...]:
         """Group-ring element of ideals of norm p^e supported at powers of p."""
@@ -74,48 +89,73 @@ class ClassCountTable:
                         out[(j + k) % h] += uj * vk
         return tuple(out)
 
-    def _build(self, N: int) -> list[tuple[int, ...]]:
+    def row(self, n: int) -> tuple[int, ...]:
+        """Counts of the ideals of norm n per class, as exact integers."""
+        return tuple(self.counts[n].tolist())
+
+    # -- growth ---------------------------------------------------------
+
+    def extend(self, n_max: int) -> None:
+        """Grow the table to exactly n = n_max, keeping the rows it has."""
+        lo = self.n_max
+        if n_max <= lo:
+            return
+        counts = np.zeros((n_max + 1, self.h), dtype=np.int32)
+        counts[: lo + 1] = self.counts
+        self.counts = counts
+        if lo == 0:
+            counts[1, 0] = 1  # the unit ideal
+            lo = 1
+        small_primes = np.array(_primes_up_to(math.isqrt(n_max)), dtype=np.int64)
+        while lo < n_max:
+            # n/p^e <= n/2 <= lo, so every row a pass reads is already filled
+            hi = min(n_max, 2 * lo, lo + SIEVE_CHUNK)
+            self._sieve(lo + 1, hi, small_primes)
+            lo = hi
+        self.n_max = n_max
+
+    def _sieve(self, a: int, b: int, small_primes: np.ndarray) -> None:
+        """Fill rows a..b from rows below a (requires b <= 2(a - 1))."""
         h = self.h
-        zero = tuple([0] * h)
-        one = tuple([1] + [0] * (h - 1))
-        rows: list[tuple[int, ...]] = [zero, one] + [zero] * (N - 1)
-        if N < 2:
-            return rows[: N + 1]
-        spf = np.zeros(N + 1, dtype=np.int64)
-        for p in _primes_up_to(N):
-            sl = spf[p::p]
-            sl[sl == 0] = p
-        spf_l = spf.tolist()
-        ppvec: dict[int, tuple[int, ...]] = {}
-        pepart = [0] * (N + 1)  # largest power of spf(n) dividing n
-        cache: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
-        for n in range(2, N + 1):
-            p = spf_l[n]
-            m = n // p
-            pe = p if m % p else pepart[m] * p
-            pepart[n] = pe
-            rest = n // pe
-            if pe not in ppvec:
-                e = 0
-                q = pe
-                while q > 1:
-                    q //= p
-                    e += 1
-                ppvec[pe] = self.prime_power_vector(p, e)
-            u = ppvec[pe]
-            if rest == 1:
-                rows[n] = u
-                continue
-            v = rows[rest]
-            if u == zero or v == zero:
-                continue
-            key = (u, v)
-            w = cache.get(key)
-            if w is None:
-                w = self.convolve(u, v)
-                cache[key] = w
-            rows[n] = w
-        return rows
+        n = np.arange(a, b + 1, dtype=np.int64)
+        p = np.zeros_like(n)  # smallest prime factor
+        for q in small_primes[small_primes * small_primes <= b].tolist():
+            sl = p[-a % q :: q]
+            sl[sl == 0] = q
+        p = np.where(p == 0, n, p)
+        m = n // p  # n / p^e once the loop below is done
+        e = np.ones_like(n)
+        idx = np.flatnonzero(m % p == 0)
+        while idx.size:
+            m[idx] //= p[idx]
+            e[idx] += 1
+            idx = idx[m[idx] % p[idx] == 0]
+        # splitting type and class of each distinct smallest prime factor
+        primes, inv = np.unique(p, return_inverse=True)
+        chi_p = [self.field.chi(q) for q in primes.tolist()]
+        k_p = [0 if c == -1 else self.prime_class(q) for q, c in zip(primes.tolist(), chi_p)]
+        chi, k = np.array(chi_p)[inv], np.array(k_p)[inv]
+        # row (p^e) = sum_{j < terms} [class base + j step]: split p gives
+        # e + 1 terms k(2j - e), ramified p the one term k e, inert p the
+        # principal class when e is even and nothing when e is odd
+        split = chi == 1
+        terms = np.where(split, e + 1, np.where(chi == 0, 1, 1 - e % 2))
+        base = np.where(split, -k * e, np.where(chi == 0, k * e, 0))
+        step = np.where(split, 2 * k, 0)
+        # adding class s to row m moves count j to class j + s: out[n, j] +=
+        # counts[m, (j - s) % h], gathered from the flat table
+        cols = np.arange(h)
+        shifted = (cols - cols[:, None]) % h  # shifted[s] = (cols - s) % h
+        flat = self.counts.reshape(-1)
+        out = np.zeros((len(n), h), dtype=self.counts.dtype)
+        idx = np.flatnonzero(terms > 0)
+        j = 0
+        while idx.size:
+            s = (base[idx] + j * step[idx]) % h
+            out[idx] += flat[(m[idx] * h)[:, None] + shifted[s]]
+            j += 1
+            idx = idx[terms[idx] > j]
+        self.counts[a : b + 1] = out
 
     # -- realizations ---------------------------------------------------
 
@@ -127,24 +167,18 @@ class ClassCountTable:
             raise ValueError("table too small")
         h = self.h
         zeta = np.exp(2j * np.pi * index * np.arange(h) / h)
-        mat = np.array(self.rows[: n_max + 1], dtype=np.float64)
+        mat = self.counts[: n_max + 1].astype(np.float64)
         return mat @ zeta
-
-    def exact_coefficient(self, index: int, n: int) -> tuple[int, ...]:
-        """Counts vector of norm-n ideals per class (character-independent)."""
-        return self.rows[n]
-
-
-_tables: dict[int, ClassCountTable] = {}
 
 
 def get_table(classgroup: ClassGroup, n_max: int) -> ClassCountTable:
-    """Shared, growing coefficient table per class group."""
-    key = id(classgroup)
-    t = _tables.get(key)
-    if t is None or t.n_max < n_max:
-        t = ClassCountTable(classgroup, n_max)
-        _tables[key] = t
+    """The class group's coefficient table, built on first use and grown in
+    place to at least n_max rows."""
+    t = classgroup.count_table
+    if t is None:
+        t = classgroup.count_table = ClassCountTable(classgroup, n_max)
+    else:
+        t.extend(n_max)
     return t
 
 
@@ -218,7 +252,7 @@ def multiplicativity_failures(character: HeckeCharacter, n_max: int = 200) -> in
         for n in range(2, n_max // m + 1):
             if math.gcd(m, n) != 1:
                 continue
-            if table.rows[m * n] != table.convolve(table.rows[m], table.rows[n]):
+            if table.row(m * n) != table.convolve(table.row(m), table.row(n)):
                 fails += 1
     return fails
 

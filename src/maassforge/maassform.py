@@ -85,7 +85,10 @@ class ThetaForm:
 
     def tail_bound(self, y: float, n_cut: int) -> float:
         """Crude bound sum_{n>n_cut} d(n) sqrt(y) e^(-2 pi n y) for the
-        dropped terms, using d(n) <= n and K_nu(t) <= e^-t for t > 1."""
+        dropped terms, using d(n) <= n and K_nu(t) <= sqrt(pi/(2t)) e^-t <= e^-t
+        for |nu| <= 1/2 and t >= pi/2 (not for all t > 1: K_0(1.2) = 0.318 >
+        e^-1.2 = 0.301).  With n_cut = truncation_index(y) the dropped terms
+        have t = 2 pi n y > TRUNCATION_EXPONENT = 45."""
         q = math.exp(-2 * math.pi * y)
         # sum n q^n from n_cut+1: q^(n+1) ((n+1)(1-q) + q)/(1-q)^2
         n = n_cut + 1
@@ -122,14 +125,21 @@ class ThetaForm:
         for a, b, c, d in gammas:
             if a * d - b * c != 1 or c % self.level != 0:
                 raise ValueError(f"({a},{b},{c},{d}) is not in Gamma_0({self.level})")
-        tasks = [(g, z) for g in gammas for z in points]
+        tasks = []
+        for a, b, c, d in gammas:
+            for x, y in points:
+                den = complex(c * (x + 1j * y) + d)
+                w = (a * (x + 1j * y) + b) / den
+                tasks.append((w, (x, y), self.nebentypus(d)))
+        # size the coefficients for both sides of every residual first, so the
+        # evaluations only read shared state and may run in threads
+        ys = [w.imag for w, _, _ in tasks] + [y for _, (_, y), _ in tasks if y >= MIN_Y]
+        self.ensure_coeffs(max((self.truncation_index(y) for y in ys if y > 0), default=0))
 
         def residual(task):
-            (a, b, c, d), (x, y) = task
-            den = complex(c * (x + 1j * y) + d)
-            w = (a * (x + 1j * y) + b) / den
+            w, (x, y), chi_d = task
             lhs = self.eval(w.real, w.imag, allow_low_y=True)
-            rhs = self.nebentypus(d) * self.eval(x, y)
+            rhs = chi_d * self.eval(x, y)
             return abs(lhs - rhs)
 
         n_threads = threads or int(os.environ.get("MAASSFORGE_THREADS", "1"))

@@ -178,14 +178,6 @@ class QuadField:
         # equals Z*a + Z*(b' + omega) with b' = -(b+s) mod a
         return QfIdeal.make(self, I.k, I.a, (-(I.b + self.s)) % I.a)
 
-    def ideal_pow(self, I: "QfIdeal", e: int) -> "QfIdeal":
-        if e < 0:
-            raise ValueError("negative ideal powers are not supported")
-        out = self.unit_ideal()
-        for _ in range(e):
-            out = self.ideal_mul(out, I)
-        return out
-
     # -- prime splitting ------------------------------------------------
 
     @lru_cache(maxsize=None)
@@ -301,9 +293,6 @@ class QfIdeal:
 
     def norm(self) -> int:
         return self.k * self.k * self.a
-
-    def is_primitive(self) -> bool:
-        return self.k == 1
 
     def conj(self) -> "QfIdeal":
         return self.field.ideal_conj(self)

@@ -27,7 +27,45 @@ def test_count_table_matches_ideal_enumeration(cg229):
     for I in F.enumerate_ideals(500):
         ref.setdefault(I.norm(), [0] * 3)[cg229.dlog(I)] += 1
     for n in range(1, 501):
-        assert tuple(ref.get(n, [0, 0, 0])) == table.rows[n]
+        assert tuple(ref.get(n, [0, 0, 0])) == table.row(n)
+
+
+@pytest.mark.parametrize("D, h", [(40, 2), (229, 3), (445, 4), (401, 5), (505, 8), (3305, 12)])
+def test_grown_table_equals_one_shot_build(D, h):
+    cg = ClassGroup(QuadField(D))
+    assert cg.h_narrow == h
+    grown = ls.ClassCountTable(cg, 1000)
+    for n_max in (5000, 20000):
+        grown.extend(n_max)
+    whole = ls.ClassCountTable(cg, 20000)
+    assert grown.n_max == whole.n_max == 20000
+    assert np.array_equal(grown.counts, whole.counts)
+    # rows across the first growth step against enumerated ideals per class
+    ref = np.zeros((1501, h), dtype=np.int64)
+    for I in cg.field.enumerate_ideals(1500):
+        ref[I.norm(), cg.dlog(I)] += 1
+    assert np.array_equal(grown.counts[:1501], ref)
+    # and far rows against the ideal count sum_{d|n} chi_D(d)
+    for n in (19999, 20000):
+        total = sum(cg.field.chi(d) for d in range(1, n + 1) if n % d == 0)
+        assert sum(grown.row(n)) == total, (D, n)
+
+
+def test_one_table_per_class_group_across_growing_callers(monkeypatch):
+    built = []
+    init = ls.ClassCountTable.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ls.ClassCountTable, "__init__", counting_init)
+    cg = ClassGroup(QuadField(229))
+    psi = make_class_character(cg, 1)
+    for X in (12500, 25000, 50000, 100000):
+        ls.rankin_euler_identity_residual(psi, 2.0, X)
+    assert len(built) == 1
+    assert cg.count_table.n_max == 100000
 
 
 def test_coefficients_pinned_values(psi229):

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import sys
 
 import pytest
 
@@ -68,6 +69,31 @@ def test_tail_bound_dominates_truncation(theta229):
 def test_automorphy_small(theta229):
     rep = theta229.check_automorphy([(1, 0, 229, 1)], [(-1 / 229, 0.3), (0.05 - 1 / 229, 0.45)])
     assert rep.residual < 1e-10
+
+
+def test_threaded_automorphy_matches_serial():
+    # The coefficients are sized for every task before any evaluation, so the
+    # threaded evaluations only read shared state.  The largest truncation
+    # comes first: a thread still growing to a smaller one must not undo it.
+    psi = make_class_character(ClassGroup(QuadField(229)), 1)
+    mats = gamma0_matrices(229, count=1)
+    _, _, c, d = mats[0]
+    points = [(-d / c, 0.8), (0.05 - d / c, 0.3), (-0.05 - d / c, 0.4)]
+    serial = build_theta(psi, n_max=2000).check_automorphy(mats, points, threads=1)
+    th = build_theta(psi, n_max=2000)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = th.check_automorphy(mats, points, threads=2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded.residual == serial.residual
+    assert serial.residual < 1e-8
+    for a, b, c, d in mats:
+        for x, y in points:
+            w = (a * complex(x, y) + b) / (c * complex(x, y) + d)
+            assert th.n_max >= th.truncation_index(w.imag)
+            assert th.n_max >= th.truncation_index(y)
 
 
 def test_automorphy_rejects_non_gamma0(theta229):
