@@ -225,11 +225,6 @@ class ClassGroup:
         """Discrete log of the narrow class of I w.r.t. the chosen generator."""
         return self._dlog[self.class_index(I)]
 
-    def compose(self, i: int, j: int) -> int:
-        """Class index of the product of classes i and j."""
-        I = self.field.ideal_mul(self._cycle_rep_ideal(i), self._cycle_rep_ideal(j))
-        return self.class_index(I)
-
     def residue_zeta(self) -> float:
         """Residue at s=1 of the Dedekind zeta function: 2*h*R/sqrt(D)."""
         import math

@@ -25,7 +25,7 @@ from .heckechar import (
 )
 from .maassform import build_theta, gamma0_matrices
 from .petersson import PAPER_VALUES, NormInducedError, petersson_norm
-from .quadfield import QuadField
+from .quadfield import QuadField, prime_factors
 from . import lseries
 from . import petersson as pt
 
@@ -52,6 +52,24 @@ def _emit(data: dict, args) -> None:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     print(text)
+
+
+def _finite_float(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return n
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _field_and_group(disc: int) -> tuple[QuadField, ClassGroup]:
@@ -266,6 +284,9 @@ def cmd_petersson(args) -> int:
 def cmd_gauss_check(args) -> int:
     F, _ = _field_and_group(args.disc)
     p = args.p
+    if p < 3 or prime_factors(p) != [p]:
+        print(f"error: p={p} is not an odd prime", file=sys.stderr)
+        return EXIT_INVALID
     if F.chi(p) != -1:
         print(f"error: p={p} is not inert in Q(sqrt{F.D})", file=sys.stderr)
         return EXIT_INVALID
@@ -306,33 +327,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ideals", help="enumerate integral ideals by norm")
     add_common(p, index=False)
-    p.add_argument("--max-norm", type=int, required=True)
+    p.add_argument("--max-norm", type=_int_at_least(0), required=True)
     p.add_argument("--cap", type=int, default=10**7)
     p.set_defaults(func=cmd_ideals)
 
     p = sub.add_parser("coeffs", help="Fourier/Dirichlet coefficients a'(n)")
     add_common(p)
-    p.add_argument("--n-max", type=int, default=100)
+    p.add_argument("--n-max", type=_int_at_least(0), default=100)
     p.add_argument("--csv", type=str, default=None)
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("theta-eval", help="evaluate the theta form at a point")
     add_common(p)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
+    p.add_argument("--x", type=_finite_float, required=True)
+    p.add_argument("--y", type=_finite_float, required=True)
     p.set_defaults(func=cmd_theta_eval)
 
     p = sub.add_parser("check-automorphy", help="automorphy residuals on Gamma_0(D)")
     add_common(p)
     p.add_argument("--c", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
-    p.add_argument("--samples", type=int, default=3)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--samples", type=_int_at_least(1), default=3)
+    p.add_argument("--tol", type=_finite_float, default=1e-8)
     p.set_defaults(func=cmd_check_automorphy)
 
     p = sub.add_parser("lvalue", help="L(s, psi); dual-route L(1) report")
     add_common(p)
-    p.add_argument("--s", type=float, default=1.0)
+    p.add_argument("--s", type=_finite_float, default=1.0)
     p.set_defaults(func=cmd_lvalue)
 
     p = sub.add_parser("petersson", help="closed-form Petersson norm report")
@@ -348,12 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> None:
-    ap = build_parser()
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        # argparse uses exit 2 for usage errors, which matches EXIT_INVALID
-        raise
+    # argparse exits 2 on usage errors and invalid numbers, which is EXIT_INVALID
+    args = build_parser().parse_args(argv)
     raise SystemExit(args.func(args))
 
 

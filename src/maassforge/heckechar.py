@@ -19,10 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy import primitive_root
-
 from .classforms import ClassGroup
-from .quadfield import QfIdeal, QuadField, kronecker
+from .quadfield import QfIdeal, QuadField, prime_factors
 
 
 def root_of_unity(exponent: Fraction | float) -> complex:
@@ -30,23 +28,21 @@ def root_of_unity(exponent: Fraction | float) -> complex:
     return cmath.exp(2j * math.pi * float(exponent))
 
 
-@dataclass(frozen=True)
-class InfinityType:
-    """Infinity type (eps, eps, nu/i, -nu/i): sign exponent and spectral parameter."""
-
-    epsilon: int = 0
-    nu: float = 0.0
-
-
 class HeckeCharacter:
-    """Character of the narrow class group, with trivial conductor (1)."""
+    """Character of the narrow class group, with trivial conductor (1).
 
-    def __init__(self, classgroup: ClassGroup, index: int, infinity: InfinityType = InfinityType()):
+    Its infinity type is fixed by psi: on principal ideals a class character
+    is psi((alpha)) = sgn(N(alpha))^epsilon, and (sqrt(D)) has negative norm,
+    so the sign exponent epsilon is 1 exactly when psi((sqrt(D))) = -1.  Odd
+    characters exist only when the fundamental unit has norm +1; otherwise
+    (sqrt(D)) is narrowly principal.  A class character has finite order, so
+    its spectral parameter is 0."""
+
+    def __init__(self, classgroup: ClassGroup, index: int):
         self.classgroup = classgroup
         self.field = classgroup.field
         self.h = classgroup.h_narrow
         self.index = index % self.h
-        self.infinity = infinity
 
     def __repr__(self) -> str:
         return f"HeckeCharacter(D={self.field.D}, index={self.index}/{self.h})"
@@ -61,11 +57,17 @@ class HeckeCharacter:
     def __call__(self, I: QfIdeal) -> complex:
         return root_of_unity(self.exponent(I))
 
+    @property
+    def epsilon(self) -> int:
+        """Sign exponent: 1 if psi((sqrt(D))) = -1, else 0 (sqrt(D) = 2 omega - s)."""
+        sqrt_d = self.field.principal_ideal(-self.field.s, 2)
+        return 1 if self.exponent(sqrt_d) % 1 == Fraction(1, 2) else 0
+
     def conjugate(self) -> "HeckeCharacter":
-        return HeckeCharacter(self.classgroup, -self.index, self.infinity)
+        return HeckeCharacter(self.classgroup, -self.index)
 
     def power(self, e: int) -> "HeckeCharacter":
-        return HeckeCharacter(self.classgroup, self.index * e, self.infinity)
+        return HeckeCharacter(self.classgroup, self.index * e)
 
     def is_trivial(self) -> bool:
         return self.index == 0
@@ -82,14 +84,12 @@ class HeckeCharacter:
         return True
 
     def root_number(self) -> complex:
-        """T(psi) = i^(-2*eps) * tau(psi)/sqrt(N f); for conductor (1) this is 1."""
-        if self.infinity.epsilon % 2 == 0:
-            return 1.0 + 0.0j
-        return -1.0 + 0.0j
+        """T(psi) = i^(-2*eps) * tau(psi)/sqrt(N f); for conductor (1) this is (-1)^eps."""
+        return -1.0 + 0.0j if self.epsilon else 1.0 + 0.0j
 
 
-def make_class_character(classgroup: ClassGroup, index: int, epsilon: int = 0, nu: float = 0.0) -> HeckeCharacter:
-    return HeckeCharacter(classgroup, index, InfinityType(epsilon, nu))
+def make_class_character(classgroup: ClassGroup, index: int) -> HeckeCharacter:
+    return HeckeCharacter(classgroup, index)
 
 
 # -- rational Dirichlet characters and Gauss sums -----------------------
@@ -102,7 +102,9 @@ class DirichletCharacterModP:
     def __init__(self, p: int, k: int):
         self.p = p
         self.k = k % (p - 1)
-        self.g = primitive_root(p)
+        # the smallest primitive root: g^((p-1)/q) != 1 for every prime q | p - 1
+        qs = prime_factors(p - 1)
+        self.g = next(g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
         self._dlog = [0] * p
         x = 1
         for j in range(p - 1):

@@ -21,7 +21,7 @@ from scipy.special import exp1
 
 from .classforms import ClassGroup
 from .heckechar import HeckeCharacter
-from .quadfield import _primes_up_to
+from .quadfield import _primes_up_to, prime_factors
 from .special import incomplete_k_mellin
 
 
@@ -319,11 +319,9 @@ def rankin_residue(character: HeckeCharacter) -> float:
             "psi^2 is trivial (psi trivial or norm-induced): the Rankin-Selberg "
             "series has a double pole at s = 1"
         )
-    D = character.field.D
     local = 1.0
-    for p in _primes_up_to(D):
-        if D % p == 0:
-            local *= p / (p + 1)
+    for p in prime_factors(character.field.D):
+        local *= p / (p + 1)
     l_chi_d = character.classgroup.residue_zeta()
     l_psi2 = l_value_at_1_afe(character.power(2))
     return l_chi_d * l_psi2 * 6 / math.pi**2 * local
@@ -431,11 +429,3 @@ def l_value_at_1(character: HeckeCharacter, agree_tol: float = 1e-9) -> dict:
         "oracle_agreement": abs(v1 - oracle),
     }
 
-
-def dirichlet_l1_real(d: int) -> float:
-    """L(1, chi_d) for a fundamental discriminant d > 0, by the class number
-    formula 2 h(d) log(eps_d) / sqrt(d)."""
-    from .quadfield import QuadField
-
-    cg = ClassGroup(QuadField(d))
-    return 2 * cg.h_wide * cg.regulator / math.sqrt(d)

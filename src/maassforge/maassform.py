@@ -1,13 +1,15 @@
 """The theta cusp form of a class character: evaluation and verification.
 
-Theta(z) = sum over ideals of psi(a) sqrt(y) K_nu(2 pi N(a) y) cos(2 pi N(a) x)
-(cosine for even sign exponent, sine for odd), collected by norm:
+Theta(z) = sum over ideals of psi(a) sqrt(y) K_0(2 pi N(a) y) cos(2 pi N(a) x)
+(cosine for even sign exponent, sine for odd; see HeckeCharacter.epsilon),
+collected by norm:
 
-    Theta(z) = sum_{n>=1} a'(n) sqrt(y) K_nu(2 pi n y) cos(2 pi n x)
+    Theta(z) = sum_{n>=1} a'(n) sqrt(y) K_0(2 pi n y) cos(2 pi n x)
 
 with a'(n) the Hecke L-coefficients.  It is an eigenfunction of the
-hyperbolic Laplacian with eigenvalue 1/4 - nu^2 on Gamma_0(D) with
-nebentypus chi_D, and satisfies Theta_psi(z) = T(psi) Theta_psibar(-1/(Dz)).
+hyperbolic Laplacian with eigenvalue 1/4 on Gamma_0(D) with nebentypus
+chi_D, and satisfies Theta_psi(z) = T(psi) Theta_psibar(-1/(Dz)) with
+T(psi) = (-1)^epsilon.
 
 Verification is numerical: automorphy and functional-equation residuals,
 a finite-difference eigenvalue check with Richardson ratio, and decay at
@@ -16,8 +18,6 @@ the cusps.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -26,10 +26,11 @@ import numpy as np
 
 from .heckechar import HeckeCharacter
 from .lseries import hecke_l_coeffs
-from .special import bessel_k, bessel_k0_array
+from .special import bessel_k0_array
 
 MIN_Y = 0.05
 TRUNCATION_EXPONENT = 45.0  # keep terms with 2 pi n y <= this
+EIGENVALUE = 0.25  # 1/4 - nu^2 with spectral parameter nu = 0
 
 
 class ThetaForm:
@@ -39,9 +40,7 @@ class ThetaForm:
         self.character = character
         self.field = character.field
         self.level = self.field.D  # conductor (1): level D * N(f) = D
-        self.epsilon = character.infinity.epsilon % 2
-        self.nu = character.infinity.nu
-        self.eigenvalue = 0.25 - self.nu * self.nu
+        self.epsilon = character.epsilon
         self.n_max = n_max
         self.coeffs = hecke_l_coeffs(character, n_max)  # a'(n) at index n
 
@@ -56,28 +55,6 @@ class ThetaForm:
             self.coeffs = hecke_l_coeffs(self.character, n_max)
             self.n_max = n_max
 
-    def export_coeffs_csv(self, path: str, n_max: int) -> None:
-        self.ensure_coeffs(n_max)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "re", "im"])
-            for n in range(1, n_max + 1):
-                c = self.coeffs[n]
-                w.writerow([n, f"{c.real:.15g}", f"{c.imag:.15g}"])
-
-    def export_coeffs_json(self, path: str, n_max: int) -> None:
-        self.ensure_coeffs(n_max)
-        data = {
-            "D": self.field.D,
-            "index": self.character.index,
-            "coefficients": [
-                {"n": n, "re": self.coeffs[n].real, "im": self.coeffs[n].imag}
-                for n in range(1, n_max + 1)
-            ],
-        }
-        with open(path, "w") as fh:
-            json.dump(data, fh, indent=1, sort_keys=True)
-
     # -- evaluation -----------------------------------------------------
 
     def truncation_index(self, y: float) -> int:
@@ -85,10 +62,10 @@ class ThetaForm:
 
     def tail_bound(self, y: float, n_cut: int) -> float:
         """Crude bound sum_{n>n_cut} d(n) sqrt(y) e^(-2 pi n y) for the
-        dropped terms, using d(n) <= n and K_nu(t) <= sqrt(pi/(2t)) e^-t <= e^-t
-        for |nu| <= 1/2 and t >= pi/2 (not for all t > 1: K_0(1.2) = 0.318 >
-        e^-1.2 = 0.301).  With n_cut = truncation_index(y) the dropped terms
-        have t = 2 pi n y > TRUNCATION_EXPONENT = 45."""
+        dropped terms, using d(n) <= n and K_0(t) <= sqrt(pi/(2t)) e^-t <= e^-t
+        for t >= pi/2 (not for all t > 1: K_0(1.2) = 0.318 > e^-1.2 = 0.301).
+        With n_cut = truncation_index(y) the dropped terms have
+        t = 2 pi n y > TRUNCATION_EXPONENT = 45."""
         q = math.exp(-2 * math.pi * y)
         # sum n q^n from n_cut+1: q^(n+1) ((n+1)(1-q) + q)/(1-q)^2
         n = n_cut + 1
@@ -107,10 +84,7 @@ class ThetaForm:
         self.ensure_coeffs(n_cut)
         n = np.arange(1, n_cut + 1)
         a = self.coeffs[1 : n_cut + 1]
-        if self.nu == 0.0:
-            kv = bessel_k0_array(2 * math.pi * y * n)
-        else:
-            kv = np.array([bessel_k(self.nu, 2 * math.pi * y * k) for k in n])
+        kv = bessel_k0_array(2 * math.pi * y * n)
         osc = np.cos(2 * math.pi * x * n) if self.epsilon == 0 else np.sin(2 * math.pi * x * n)
         return complex(math.sqrt(y) * np.sum(a * kv * osc))
 
@@ -153,7 +127,7 @@ class ThetaForm:
         return CheckReport("automorphy", max(residuals), {"count": len(tasks)})
 
     def check_eigenvalue(self, x: float, y: float, h: float = 0.04) -> "CheckReport":
-        """-y^2 (five-point Laplacian) vs (1/4 - nu^2); Richardson ratio of
+        """-y^2 (five-point Laplacian) vs 1/4; Richardson ratio of
         successive halvings should be ~4 for the O(h^2) stencil."""
 
         def fd_eigen(hh: float) -> float:
@@ -169,24 +143,27 @@ class ThetaForm:
 
         e1, e2, e3 = fd_eigen(h), fd_eigen(h / 2), fd_eigen(h / 4)
         ratio = (e1 - e2) / (e2 - e3)
-        err = abs(e3 - self.eigenvalue)
+        err = abs(e3 - EIGENVALUE)
         return CheckReport(
             "eigenvalue",
             err,
-            {"richardson_ratio": ratio, "fd_values": [e1, e2, e3], "target": self.eigenvalue},
+            {"richardson_ratio": ratio, "fd_values": [e1, e2, e3], "target": EIGENVALUE},
         )
 
-    def check_functional_equation(self, dual: "ThetaForm", ys) -> "CheckReport":
-        """max over y of |Theta_psi(iy) - (+-T) Theta_psibar(i/(D y))|."""
+    def check_functional_equation(self, dual: "ThetaForm", points) -> "CheckReport":
+        """max over z = x + iy of |Theta_psi(z) - T Theta_psibar(-1/(D z))|.
+
+        Points off the imaginary axis are needed for odd psi: the sine series
+        vanishes on it."""
         T = self.character.root_number()
-        sign = -1.0 if self.epsilon == 1 else 1.0
         res = []
-        for y in ys:
-            lhs = self.eval(0.0, y, allow_low_y=True)
-            rhs = sign * T * dual.eval(0.0, 1.0 / (self.level * y), allow_low_y=True)
+        for x, y in points:
+            w = -1.0 / (self.level * complex(x, y))
+            lhs = self.eval(x, y, allow_low_y=True)
+            rhs = T * dual.eval(w.real, w.imag, allow_low_y=True)
             res.append(abs(lhs - rhs))
         return CheckReport(
-            "functional_equation", max(res), {"ys": list(ys), "root_number": T}
+            "functional_equation", max(res), {"points": list(points), "root_number": T}
         )
 
     def check_cuspidal_decay(self, ys) -> "CheckReport":

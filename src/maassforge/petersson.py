@@ -5,7 +5,7 @@
 with, for conductor f = (1) and level N = D:
 
     C1 = N^2 / (4 pi phi(N))
-    C2 = Gamma((1+2 nu)/2) * Gamma((1-2 nu)/2)          (= pi at nu = 0)
+    C2 = Gamma(1/2)^2                                   (= pi; spectral parameter nu = 0)
     C3 = prod_{p | N} (1 - 1/p)(1 - chi_D(p)/p)
 
 and Res zeta_F = 2 h R / sqrt(D).  For a class character psi the twisted
@@ -16,16 +16,13 @@ psi of order <= 2) give a non-cuspidal theta series and are refused.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-
-from scipy.special import gamma as _gamma
-from sympy import factorint
 
 from .classforms import ClassGroup
 from .heckechar import HeckeCharacter
 from .lseries import l_value_at_1
+from .quadfield import prime_factors
 
 
 class NormInducedError(ValueError):
@@ -57,20 +54,18 @@ class PeterssonReport:
         }
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=1, sort_keys=True)
-
 
 def constant_c1(D: int, conductor_norm: int = 1) -> float:
     N = D * conductor_norm
-    phi = 1
-    for p, e in factorint(N).items():
-        phi *= p ** (e - 1) * (p - 1)
+    phi = N
+    for p in prime_factors(N):
+        phi = phi // p * (p - 1)
     return N * N / (4 * math.pi * phi)
 
 
-def constant_c2(nu: float = 0.0) -> float:
-    return float(_gamma((1 + 2 * nu) / 2) * _gamma((1 - 2 * nu) / 2))
+def constant_c2() -> float:
+    """Gamma(1/2)^2, which rounds to 1 ulp below math.pi."""
+    return math.gamma(0.5) ** 2
 
 
 def constant_c3(classgroup: ClassGroup) -> float:
@@ -78,14 +73,9 @@ def constant_c3(classgroup: ClassGroup) -> float:
     the split-prime product over primes dividing N(f) is empty."""
     D = classgroup.field.D
     out = 1.0
-    for p in factorint(D):
+    for p in prime_factors(D):
         out *= (1 - 1 / p) * (1 - classgroup.field.chi(p) / p)
     return out
-
-
-def residue_zeta_f(classgroup: ClassGroup) -> float:
-    """Res_{s=1} zeta_F(s) = 2 h R / sqrt(D) (two real places, w = 2)."""
-    return classgroup.residue_zeta()
 
 
 def petersson_norm(character: HeckeCharacter, paper_value: float | None = None) -> PeterssonReport:
@@ -98,9 +88,9 @@ def petersson_norm(character: HeckeCharacter, paper_value: float | None = None) 
     twisted = character.power(2)  # psi * (psibar o sigma) for class characters
     ldata = l_value_at_1(twisted)
     c1 = constant_c1(cg.field.D)
-    c2 = constant_c2(character.infinity.nu)
+    c2 = constant_c2()
     c3 = constant_c3(cg)
-    res = residue_zeta_f(cg)
+    res = cg.residue_zeta()
     total = c1 * c2 * c3 * res * ldata["value"]
     rel = abs(total / paper_value - 1) if paper_value else None
     return PeterssonReport(c1, c2, c3, res, ldata["value"], total, paper_value, rel, ldata)

@@ -15,10 +15,7 @@ as a Z-module in the basis (1, omega).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd, isqrt
-
-from sympy import factorint
 
 
 def kronecker(a: int, n: int) -> int:
@@ -54,8 +51,23 @@ def kronecker(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
+def prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def is_squarefree(n: int) -> bool:
-    return all(e == 1 for e in factorint(n).values())
+    return all(n % (p * p) for p in prime_factors(n))
 
 
 def is_fundamental_discriminant(D: int) -> bool:
@@ -125,10 +137,6 @@ class QuadField:
         """Norm of x + y*omega."""
         return x * x + self.s * x * y + self.omega_norm * y * y
 
-    def elt_trace(self, x: int, y: int) -> int:
-        """Trace of x + y*omega."""
-        return 2 * x + self.s * y
-
     def omega_image_norm(self, b: int) -> int:
         """N(b + omega) = b^2 + s*b + (s^2 - D)/4."""
         return b * b + self.s * b + self.omega_norm
@@ -180,7 +188,6 @@ class QuadField:
 
     # -- prime splitting ------------------------------------------------
 
-    @lru_cache(maxsize=None)
     def split_prime(self, p: int) -> "PrimeSplit":
         """Decompose the rational prime p in the ring of integers."""
         chi = self.chi(p)
@@ -214,6 +221,7 @@ class QuadField:
         if max_norm > cap:
             raise ValueError(f"max_norm {max_norm} exceeds cap {cap}")
         primes = _primes_up_to(max_norm)
+        splits = [self.split_prime(p) for p in primes]
         out: list[QfIdeal] = []
 
         def rec(idx: int, cur: QfIdeal, cur_norm: int) -> None:
@@ -222,7 +230,7 @@ class QuadField:
                 p = primes[j]
                 if cur_norm * p > max_norm:
                     break
-                ps = self.split_prime(p)
+                ps = splits[j]
                 if ps.chi == -1:
                     q = p * p
                     I, n = cur, cur_norm

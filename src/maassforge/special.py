@@ -1,11 +1,9 @@
-"""K-Bessel functions of imaginary order, Mellin moments, smoothing weights.
+"""K-Bessel functions, their Mellin moments, and smoothing weights.
 
-K_{it}(y) is real for real t, y > 0 and is computed from the cosine-transform
-integral K_{it}(y) = int_0^inf exp(-y*cosh(u)) cos(t*u) du by trapezoidal
-quadrature with step halving; the integrand is even with all odd derivatives
-vanishing at 0 and decays double-exponentially, so the trapezoid rule
-converges geometrically.  The vectorized order-zero fast path delegates to
-scipy's K_0, which the quadrature route cross-checks in the test suite.
+The theta forms of class characters need only K_0, taken vectorized from
+scipy; the test suite cross-checks it against mpmath and against trapezoidal
+quadrature of the cosine-transform integral.  The Mellin moments are closed
+Gamma products, stated for imaginary order it.
 """
 
 from __future__ import annotations
@@ -16,32 +14,6 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import k0 as _scipy_k0
 from scipy.special import loggamma
-
-
-def bessel_k(t: float, y: float, rtol: float = 1e-13) -> float:
-    """K_{it}(y) for real t (t = 0 gives K_0), real-valued, y > 0."""
-    if y <= 0:
-        raise ValueError("y must be positive")
-    # choose u_max so exp(-y*cosh(u_max)) is negligible against K's size ~ exp(-y)
-    target = y + 50.0
-    u_max = math.acosh(max(target / y, 2.0)) + 1.0
-    n = 64
-    prev = _trapezoid_k(t, y, u_max, n)
-    for _ in range(12):
-        n *= 2
-        cur = _trapezoid_k(t, y, u_max, n)
-        if abs(cur - prev) <= rtol * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-    return prev
-
-
-def _trapezoid_k(t: float, y: float, u_max: float, n: int) -> float:
-    u = np.linspace(0.0, u_max, n + 1)
-    w = np.exp(-y * np.cosh(u)) * np.cos(t * u)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return float(w.sum() * (u_max / n))
 
 
 def bessel_k0_array(y: np.ndarray) -> np.ndarray:

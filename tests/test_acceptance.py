@@ -101,7 +101,8 @@ def test_a7_functional_equation(theta229):
     dual = build_theta(theta229.character.conjugate(), n_max=10**5)
     y0 = 1 / math.sqrt(229)
     ys = [0.85 * y0, 0.95 * y0, y0, 1.05 * y0, 1.15 * y0]
-    rep = theta229.check_functional_equation(dual, ys)
+    points = [(x * y0, y) for x, y in zip((0.3, -0.2, 0.0, 0.1, -0.4), ys)]
+    rep = theta229.check_functional_equation(dual, points)
     assert rep.details["root_number"] == 1
     assert rep.residual < 1e-8
 

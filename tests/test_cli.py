@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -69,6 +70,59 @@ def test_coeffs_command(capsys, tmp_path):
     data = json.loads(out)
     assert data["coefficients"][2] == {"n": 3, "re": -1.0, "im": float(f"{data['coefficients'][2]['im']:.15g}")}
     assert csv_path.read_text().splitlines()[0] == "n,re,im"
+    validate(out)
+
+
+def test_coeffs_csv_and_json_export(capsys, tmp_path):
+    csv_path, json_path = tmp_path / "coeffs.csv", tmp_path / "coeffs.json"
+    code, out = run_cli(
+        capsys, "coeffs", "--disc", "229", "--index", "1", "--n-max", "50",
+        "--csv", str(csv_path), "--out", str(json_path),
+    )
+    assert code == 0
+    rows = list(csv.reader(csv_path.read_text().splitlines()))
+    assert rows[0] == ["n", "re", "im"]
+    assert len(rows) == 51
+    assert float(rows[3][1]) == -1.0  # a'(3)
+    data = json.loads(json_path.read_text())
+    assert json_path.read_text() == out
+    assert data["D"] == 229 and len(data["coefficients"]) == 50
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("coeffs", "--disc", "229", "--n-max", "-5"),
+        ("ideals", "--disc", "229", "--max-norm", "-5"),
+        ("lvalue", "--disc", "229", "--s", "inf"),
+        ("lvalue", "--disc", "229", "--s", "nan"),
+        ("theta-eval", "--disc", "229", "--x", "nan", "--y", "0.5"),
+        ("theta-eval", "--disc", "229", "--x", "0.2", "--y", "nan"),
+        ("theta-eval", "--disc", "229", "--x", "0.2", "--y", "inf"),
+        ("check-automorphy", "--disc", "229", "--samples", "0"),
+        ("check-automorphy", "--disc", "229", "--tol", "nan"),
+        ("gauss-check", "--disc", "5", "--p", "2"),
+        ("gauss-check", "--disc", "229", "--p", "15"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_invalid_numbers_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("disc,samples", [(136, "3"), (505, "1")])
+def test_check_automorphy_odd_character(capsys, disc, samples):
+    # N(unit) = +1 and psi((sqrt D)) = -1: the form is a sine series
+    code, out = run_cli(
+        capsys, "check-automorphy", "--disc", str(disc), "--index", "1", "--samples", samples
+    )
+    assert code == 0
+    assert json.loads(out)["max_residual"] < 1e-8
     validate(out)
 
 

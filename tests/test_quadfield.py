@@ -2,12 +2,14 @@ import random
 from collections import Counter
 
 import pytest
-from sympy import jacobi_symbol
+from sympy import factorint, jacobi_symbol
 
 from maassforge.quadfield import (
     QuadField,
     is_fundamental_discriminant,
+    is_squarefree,
     kronecker,
+    prime_factors,
     tonelli_shanks,
 )
 
@@ -18,6 +20,13 @@ def test_kronecker_against_jacobi_oracle():
         a = random.randint(-300, 300)
         n = random.choice(range(1, 300, 2))  # odd n: Jacobi symbol applies
         assert kronecker(a, n) == int(jacobi_symbol(a, n))
+
+
+def test_prime_factors_against_factorint_oracle():
+    random.seed(2)
+    for n in list(range(1, 2000)) + [random.randint(1, 10**9) for _ in range(200)]:
+        assert prime_factors(n) == sorted(factorint(n))
+        assert is_squarefree(n) == all(e == 1 for e in factorint(n).values())
 
 
 def test_kronecker_multiplicative_in_bottom():
