@@ -10,6 +10,7 @@ D = 1 mod 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, isqrt
 
 import mpmath as mp
@@ -159,7 +160,6 @@ class ClassGroup:
             self._form_to_cycle = {
                 f: i for i, cyc in enumerate(self.cycles) for f in cyc
             }
-        self._dlog = self._build_dlog()
         # the coefficient table of the field, made and grown by lseries.get_table
         self.count_table = None
 
@@ -193,8 +193,10 @@ class ClassGroup:
         cycles.sort(key=lambda cyc: min((f.A, f.B, f.C) for f in cyc))
         return cycles
 
-    def _build_dlog(self) -> dict[int, int]:
-        """Discrete logs of all classes w.r.t. a generator (groups here are cyclic)."""
+    @cached_property
+    def _dlog(self) -> dict[int, int]:
+        """Discrete logs of all classes w.r.t. a generator, built on first use:
+        only class characters need them, and only a cyclic group has them."""
         h = self.h_narrow
         reps = [self._cycle_rep_ideal(i) for i in range(h)]
         for g in range(h):
@@ -207,7 +209,6 @@ class ClassGroup:
                 table[c] = e
                 I = self.field.ideal_mul(I, reps[g])
             if len(table) == h:
-                self.generator_class = g
                 return table
         raise ArithmeticError("narrow class group is not cyclic; unsupported")
 
@@ -220,6 +221,13 @@ class ClassGroup:
         """Index of the rho-cycle containing the reduction of the form of I."""
         f = ideal_to_form(self.field, I).reduce()
         return self._form_to_cycle[f]
+
+    def is_cyclic(self) -> bool:
+        try:
+            self._dlog
+        except ArithmeticError:
+            return False
+        return True
 
     def dlog(self, I: QfIdeal) -> int:
         """Discrete log of the narrow class of I w.r.t. the chosen generator."""

@@ -34,6 +34,12 @@ EXIT_TOLERANCE = 1
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 
+# Largest coefficient table check-automorphy may build.  For D = 229 (h = 3)
+# the peak RSS is about 90 MB plus 76 bytes per row (180 MB at 1.22e6 rows,
+# 297 MB at 2.75e6, the default --samples); 4 h of those bytes are the int32
+# table, so at this budget a field with h = 12 stays near 0.6 GB.
+AUTOMORPHY_ROW_BUDGET = 4_000_000
+
 
 def _fmt(x) -> float:
     """Round-trip through 15 significant digits for deterministic output."""
@@ -83,6 +89,10 @@ def _field_and_group(disc: int) -> tuple[QuadField, ClassGroup]:
 
 def _character(args):
     F, cg = _field_and_group(args.disc)
+    if not cg.is_cyclic():
+        print(f"error: the narrow class group of D={F.D} is not cyclic; "
+              "class characters are indexed by a generator", file=sys.stderr)
+        raise SystemExit(EXIT_INVALID)
     if not 0 <= args.index < cg.h_narrow:
         print(f"error: character index must be in [0, {cg.h_narrow})", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
@@ -178,7 +188,7 @@ def cmd_coeffs(args) -> int:
 def cmd_theta_eval(args) -> int:
     cg, psi = _character(args)
     try:
-        th = build_theta(psi, n_max=10**4)
+        th = build_theta(psi)
         v = th.eval(args.x, args.y)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -202,7 +212,7 @@ def cmd_check_automorphy(args) -> int:
     if psi.is_norm_induced():
         print("error: norm-induced character; theta is not cuspidal", file=sys.stderr)
         return EXIT_INVALID
-    th = build_theta(psi, n_max=10**4)
+    th = build_theta(psi)
     if args.c is not None and args.d is not None:
         if args.c % cg.field.D != 0 or math.gcd(args.c, args.d) != 1:
             print("error: need c = 0 mod D and gcd(c, d) = 1", file=sys.stderr)
@@ -213,10 +223,16 @@ def cmd_check_automorphy(args) -> int:
         mats = [(a, -mb, args.c, args.d)]
     else:
         mats = gamma0_matrices(cg.field.D, count=args.samples)
+    offsets = ((0.0, 0.3), (0.05, 0.4), (-0.05, 0.5), (0.1, 0.65), (-0.1, 0.8))
+    checks = [(m, [(-m[3] / m[2] + off, y) for off, y in offsets]) for m in mats]
+    rows = max(th.automorphy_rows([m], pts) for m, pts in checks)
+    if rows > AUTOMORPHY_ROW_BUDGET:
+        print(f"error: the check needs a'(n) up to n = {rows}, over the budget of "
+              f"{AUTOMORPHY_ROW_BUDGET} rows", file=sys.stderr)
+        return EXIT_RESOURCE
     worst = 0.0
-    for (a, b, c, d) in mats:
-        pts = [(-d / c + off, y) for off, y in ((0.0, 0.3), (0.05, 0.4), (-0.05, 0.5), (0.1, 0.65), (-0.1, 0.8))]
-        rep = th.check_automorphy([(a, b, c, d)], pts)
+    for m, pts in checks:
+        rep = th.check_automorphy([m], pts)
         worst = max(worst, rep.residual)
     _emit(
         {
@@ -371,7 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> None:
     # argparse exits 2 on usage errors and invalid numbers, which is EXIT_INVALID
     args = build_parser().parse_args(argv)
-    raise SystemExit(args.func(args))
+    try:
+        code = args.func(args)
+    except lseries.SplitPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_TOLERANCE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -27,6 +27,12 @@ from .special import incomplete_k_mellin
 
 # rows sieved per pass: bounds the temporaries of a table extension
 SIEVE_CHUNK = 1 << 14
+# table entries (rows x h) read per pass when a character's coefficients are
+# realised: OpenBLAS runs a matrix-vector product of fewer than 4096 entries
+# on one thread.  Passes of 16384 rows ran on two, and the idle worker's spin
+# after each product cost check-automorphy --disc 229 about 10% more CPU time
+# at the same wall time.
+REALISE_ENTRIES = 4095
 
 
 class ClassCountTable:
@@ -159,16 +165,21 @@ class ClassCountTable:
 
     # -- realizations ---------------------------------------------------
 
-    def coefficients(self, index: int, n_max: int | None = None) -> np.ndarray:
+    def coefficients(self, index: int, n_max: int) -> np.ndarray:
         """Complex array b with b[n] = sum over ideals of norm n of psi(ideal),
         for psi the class character of the given index."""
-        n_max = self.n_max if n_max is None else n_max
         if n_max > self.n_max:
             raise ValueError("table too small")
         h = self.h
         zeta = np.exp(2j * np.pi * index * np.arange(h) / h)
-        mat = self.counts[: n_max + 1].astype(np.float64)
-        return mat @ zeta
+        b = np.empty(n_max + 1, dtype=np.complex128)
+        # a pass at a time, so the complex copy of the counts that the product
+        # casts to is one pass, not the table
+        rows = max(1, REALISE_ENTRIES // h)
+        for lo in range(0, n_max + 1, rows):
+            hi = min(lo + rows, n_max + 1)
+            np.matmul(self.counts[lo:hi], zeta, out=b[lo:hi])
+        return b
 
 
 def get_table(classgroup: ClassGroup, n_max: int) -> ClassCountTable:
@@ -353,20 +364,46 @@ def rankin_euler_identity_residual_corrected(
 # -- L(1) ----------------------------------------------------------------
 
 
+class SplitPointError(ArithmeticError):
+    """The approximate functional equation gave different L(1) at two split
+    points."""
+
+
 def l_value_at_1_afe(character: HeckeCharacter, cutoff: float = 1.0) -> float:
     """L(1, psi) by the completed-L split-integral identity.
 
-    With gamma factor pi^(-s) D^(s/2) Gamma(s/2)^2, root number 1 and real
-    self-dual completion, for any split point Y > 0:
+    With G_s(x) = int_x^oo K_0(u) u^(s-1) du the incomplete K_0-Mellin
+    transform, epsilon the sign exponent of psi and Y' = 1/(D Y), for any
+    split point Y > 0:
 
-        L(1) = 4 sum_n b(n) G_1(2 pi n Y)/(2 pi n)
-             + 4 D^(-1/2) sum_n conj(b(n)) G_0(2 pi n Y')
+        L(1) = c [sum_n b(n) G_(1+eps)(2 pi n Y)/(2 pi n)
+                  + D^(-1/2) sum_n conj(b(n)) G_eps(2 pi n Y')],
 
-    where Y' = 1/(D*Y) and G_s is the incomplete K_0-Mellin transform.
+    with c = 4 for even psi and c = 2 pi for odd psi.  For odd psi that is
+    sum b(n) G_2(2 pi n Y)/n + (2 pi/sqrt(D)) sum conj(b(n)) G_1(2 pi n Y').
+
+    Even psi: F(y) = Theta(iy)/sqrt(y) = sum b(n) K_0(2 pi n y) has Mellin
+    transform (2 pi)^(-s) 2^(s-2) Gamma(s/2)^2 L(s, psi), which is L(1)/4 at
+    s = 1.  The Fricke relation with T = 1 gives F_psi(y) =
+    (D y^2)^(-1/2) F_psibar(1/(D y)), so int_Y^oo F dy =
+    sum b(n) G_1(2 pi n Y)/(2 pi n) and int_0^Y F dy =
+    D^(-1/2) int_Y'^oo F_psibar(t) dt/t = D^(-1/2) sum conj(b(n)) G_0(2 pi n Y').
+
+    Odd psi: the sine series vanishes on the imaginary axis, so take
+    F(y) = d_x Theta(iy)/(2 pi sqrt(y)) = sum n b(n) K_0(2 pi n y), whose
+    Mellin transform at s + 1 is (2 pi)^(-s-1) 2^(s-1) Gamma((s+1)/2)^2
+    L(s, psi): at s = 1 that is L(1)/(4 pi^2).  Differentiating
+    Theta_psi(z) = T Theta_psibar(-1/(D z)) in x at z = iy, where the map
+    has real derivative -1/(D y^2), gives with T = -1
+    F_psi(y) = D^(-3/2) y^(-3) F_psibar(1/(D y)).  Hence int_Y^oo F y dy =
+    sum b(n) G_2(2 pi n Y)/(2 pi n)^2 and int_0^Y F y dy =
+    D^(-1/2) int_Y'^oo F_psibar dy = D^(-1/2) sum conj(b(n)) G_1(2 pi n Y')/(2 pi).
+
     cutoff rescales Y = cutoff/sqrt(D); the value is cutoff-independent.
     """
     if character.is_trivial():
         raise ValueError("L(s, trivial) has a pole at s = 1")
+    eps = character.epsilon
     D = character.field.D
     Y = cutoff / math.sqrt(D)
     Yp = 1.0 / (D * Y)
@@ -377,12 +414,12 @@ def l_value_at_1_afe(character: HeckeCharacter, cutoff: float = 1.0) -> float:
     total = 0.0 + 0.0j
     for n in range(1, n1 + 1):
         if b[n] != 0:
-            total += b[n] * incomplete_k_mellin(1.0, 2 * math.pi * n * Y) / (2 * math.pi * n)
+            total += b[n] * incomplete_k_mellin(1.0 + eps, 2 * math.pi * n * Y) / (2 * math.pi * n)
     dual = 0.0 + 0.0j
     for n in range(1, n2 + 1):
         if b[n] != 0:
-            dual += np.conj(b[n]) * incomplete_k_mellin(0.0, 2 * math.pi * n * Yp)
-    val = 4 * (total + dual / math.sqrt(D))
+            dual += np.conj(b[n]) * incomplete_k_mellin(float(eps), 2 * math.pi * n * Yp)
+    val = (2 * math.pi if eps else 4) * (total + dual / math.sqrt(D))
     return float(val.real)
 
 
@@ -418,7 +455,7 @@ def l_value_at_1(character: HeckeCharacter, agree_tol: float = 1e-9) -> dict:
     v2 = l_value_at_1_afe(character, cutoff=2.0)
     oracle = l_value_at_1_direct(character)
     if abs(v1 - v2) > agree_tol:
-        raise ArithmeticError(
+        raise SplitPointError(
             f"split-point instability in L(1): {v1!r} vs {v2!r}"
         )
     return {

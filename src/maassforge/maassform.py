@@ -19,13 +19,12 @@ the cusps.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .heckechar import HeckeCharacter
-from .lseries import hecke_l_coeffs
+from .lseries import get_table, hecke_l_coeffs
 from .special import bessel_k0_array
 
 MIN_Y = 0.05
@@ -36,24 +35,11 @@ EIGENVALUE = 0.25  # 1/4 - nu^2 with spectral parameter nu = 0
 class ThetaForm:
     """Maass cusp form attached to a non-norm-induced class character."""
 
-    def __init__(self, character: HeckeCharacter, n_max: int = 10**5):
+    def __init__(self, character: HeckeCharacter):
         self.character = character
         self.field = character.field
         self.level = self.field.D  # conductor (1): level D * N(f) = D
         self.epsilon = character.epsilon
-        self.n_max = n_max
-        self.coeffs = hecke_l_coeffs(character, n_max)  # a'(n) at index n
-
-    # -- coefficients ---------------------------------------------------
-
-    def coefficient(self, n: int) -> complex:
-        """a'(n) = sum over ideals of norm n of psi; a(n) = a'(n)/2."""
-        return complex(self.coeffs[n])
-
-    def ensure_coeffs(self, n_max: int) -> None:
-        if n_max > self.n_max:
-            self.coeffs = hecke_l_coeffs(self.character, n_max)
-            self.n_max = n_max
 
     # -- evaluation -----------------------------------------------------
 
@@ -81,9 +67,8 @@ class ThetaForm:
         if y <= 0:
             raise ValueError("y must be positive")
         n_cut = self.truncation_index(y)
-        self.ensure_coeffs(n_cut)
+        a = hecke_l_coeffs(self.character, n_cut)[1:]  # a'(n), n = 1..n_cut
         n = np.arange(1, n_cut + 1)
-        a = self.coeffs[1 : n_cut + 1]
         kv = bessel_k0_array(2 * math.pi * y * n)
         osc = np.cos(2 * math.pi * x * n) if self.epsilon == 0 else np.sin(2 * math.pi * x * n)
         return complex(math.sqrt(y) * np.sum(a * kv * osc))
@@ -93,9 +78,8 @@ class ThetaForm:
     def nebentypus(self, d: int) -> int:
         return self.field.chi(d)
 
-    def check_automorphy(self, gammas, points, threads: int | None = None) -> "CheckReport":
-        """max |Theta(gamma z) - chi_D(d) Theta(z)| over the given gamma in
-        Gamma_0(D) and points z."""
+    def _automorphy_tasks(self, gammas, points) -> list:
+        """(gamma z, z, chi_D(d)) for every gamma in Gamma_0(D) and point z."""
         for a, b, c, d in gammas:
             if a * d - b * c != 1 or c % self.level != 0:
                 raise ValueError(f"({a},{b},{c},{d}) is not in Gamma_0({self.level})")
@@ -105,26 +89,26 @@ class ThetaForm:
                 den = complex(c * (x + 1j * y) + d)
                 w = (a * (x + 1j * y) + b) / den
                 tasks.append((w, (x, y), self.nebentypus(d)))
-        # size the coefficients for both sides of every residual first, so the
-        # evaluations only read shared state and may run in threads
+        return tasks
+
+    def automorphy_rows(self, gammas, points) -> int:
+        """Coefficient rows check_automorphy needs: the largest truncation
+        index over both sides of every residual."""
+        tasks = self._automorphy_tasks(gammas, points)
         ys = [w.imag for w, _, _ in tasks] + [y for _, (_, y), _ in tasks if y >= MIN_Y]
-        self.ensure_coeffs(max((self.truncation_index(y) for y in ys if y > 0), default=0))
+        return max((self.truncation_index(y) for y in ys if y > 0), default=0)
 
-        def residual(task):
-            w, (x, y), chi_d = task
-            lhs = self.eval(w.real, w.imag, allow_low_y=True)
-            rhs = chi_d * self.eval(x, y)
-            return abs(lhs - rhs)
-
-        n_threads = threads or int(os.environ.get("MAASSFORGE_THREADS", "1"))
-        if n_threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=n_threads) as ex:
-                residuals = list(ex.map(residual, tasks))
-        else:
-            residuals = [residual(t) for t in tasks]
-        return CheckReport("automorphy", max(residuals), {"count": len(tasks)})
+    def check_automorphy(self, gammas, points) -> "CheckReport":
+        """max |Theta(gamma z) - chi_D(d) Theta(z)| over the given gamma in
+        Gamma_0(D) and points z."""
+        # grow the table once to its final size: growing it eval by eval keeps
+        # each superseded array alive while its larger copy is filled
+        get_table(self.character.classgroup, self.automorphy_rows(gammas, points))
+        residuals = [
+            abs(self.eval(w.real, w.imag, allow_low_y=True) - chi_d * self.eval(x, y))
+            for w, (x, y), chi_d in self._automorphy_tasks(gammas, points)
+        ]
+        return CheckReport("automorphy", max(residuals), {"count": len(residuals)})
 
     def check_eigenvalue(self, x: float, y: float, h: float = 0.04) -> "CheckReport":
         """-y^2 (five-point Laplacian) vs 1/4; Richardson ratio of
@@ -189,12 +173,12 @@ class CheckReport:
         return self.residual < tol
 
 
-def build_theta(character: HeckeCharacter, n_max: int = 10**5) -> ThetaForm:
+def build_theta(character: HeckeCharacter) -> ThetaForm:
     if character.is_norm_induced():
         raise ValueError(
             "character is norm-induced: the theta series is not cuspidal"
         )
-    return ThetaForm(character, n_max)
+    return ThetaForm(character)
 
 
 def gamma0_matrices(level: int, count: int = 10, c_mult_max: int = 3) -> list[tuple[int, int, int, int]]:

@@ -41,7 +41,7 @@ def cg229():
 
 @pytest.fixture(scope="module")
 def theta229(cg229):
-    return build_theta(make_class_character(cg229, 1), n_max=10**5)
+    return build_theta(make_class_character(cg229, 1))
 
 
 def test_a1_reproduce_229(cg229):
@@ -98,7 +98,7 @@ def test_a6_eigenvalue_richardson(theta229):
 
 
 def test_a7_functional_equation(theta229):
-    dual = build_theta(theta229.character.conjugate(), n_max=10**5)
+    dual = build_theta(theta229.character.conjugate())
     y0 = 1 / math.sqrt(229)
     ys = [0.85 * y0, 0.95 * y0, y0, 1.05 * y0, 1.15 * y0]
     points = [(x * y0, y) for x, y in zip((0.3, -0.2, 0.0, 0.1, -0.4), ys)]

@@ -5,6 +5,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from maassforge import lseries
+
 from maassforge.cli import main
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "schemas" / "report.json").read_text())
@@ -126,6 +128,25 @@ def test_check_automorphy_odd_character(capsys, disc, samples):
     validate(out)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-automorphy", "--disc", "505", "--index", "1"),  # 1.34e7 rows
+        ("check-automorphy", "--disc", "3305", "--index", "1", "--samples", "1"),  # 6.36e7 rows
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_check_automorphy_over_row_budget_exits_3(capsys, monkeypatch, argv):
+    built = []
+    monkeypatch.setattr(lseries.ClassCountTable, "__init__", lambda *a: built.append(a))
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 3
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert built == []  # refused before any table row is built
+
+
 def test_theta_eval_command(capsys):
     code, out = run_cli(capsys, "theta-eval", "--disc", "229", "--index", "1", "--x", "0.2", "--y", "0.5")
     assert code == 0
@@ -144,6 +165,55 @@ def test_lvalue_command(capsys):
     data = json.loads(out)
     assert data["cutoff_agreement"] < 1e-9
     validate(out)
+
+
+def test_lvalue_odd_character(capsys):
+    code, out = run_cli(capsys, "lvalue", "--disc", "136", "--index", "1")
+    assert code == 0
+    data = json.loads(out)
+    assert abs(data["value"] - 1.6926231907031) < 1e-12
+    assert data["oracle_agreement"] < 1e-9
+    validate(out)
+
+
+def test_lvalue_split_point_disagreement_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(lseries, "l_value_at_1_afe", lambda psi, cutoff=1.0: cutoff)
+    with pytest.raises(SystemExit) as exc:
+        main(["lvalue", "--disc", "229", "--index", "1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: split-point instability")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_field_of_non_cyclic_group(capsys):
+    # Q(sqrt 1105): three prime discriminant factors, so C+ has 2-rank 2
+    code, out = run_cli(capsys, "field", "--disc", "1105")
+    assert code == 0
+    assert json.loads(out)["h_narrow"] % 4 == 0
+    validate(out)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("petersson",),
+        ("lvalue",),
+        ("coeffs",),
+        ("theta-eval", "--x", "0.2", "--y", "0.5"),
+        ("check-automorphy",),
+    ],
+    ids=lambda command: command[0],
+)
+def test_character_of_non_cyclic_group_exits_2(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], "--disc", "1105", "--index", "1", *command[1:]])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "not cyclic" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_lvalue_trivial_invalid(capsys):

@@ -51,6 +51,19 @@ def test_grown_table_equals_one_shot_build(D, h):
         assert sum(grown.row(n)) == total, (D, n)
 
 
+@pytest.mark.parametrize("D", [40, 229, 445, 401, 505, 3305])
+def test_chunked_coefficients_equal_one_shot_product(D):
+    # h = 2, 3, 4, 5, 8, 12; reads of many passes, and of one pass and a part
+    cg = ClassGroup(QuadField(D))
+    table = ls.ClassCountTable(cg, 20000)
+    h = cg.h_narrow
+    for n_max in (table.n_max, ls.REALISE_ENTRIES // h + 5):
+        for index in range(h):
+            zeta = np.exp(2j * np.pi * index * np.arange(h) / h)
+            one_shot = table.counts[: n_max + 1].astype(np.float64) @ zeta
+            assert np.array_equal(table.coefficients(index, n_max), one_shot), (D, n_max, index)
+
+
 def test_one_table_per_class_group_across_growing_callers(monkeypatch):
     built = []
     init = ls.ClassCountTable.__init__
@@ -180,6 +193,16 @@ def test_l_value_split_point_invariance(psi229):
     psi2 = psi229.power(2)
     v = [ls.l_value_at_1_afe(psi2, cutoff=c) for c in (0.5, 1.0, 2.0, 4.0)]
     assert max(v) - min(v) < 1e-11
+
+
+@pytest.mark.parametrize("D, index", [(136, 1), (505, 1), (505, 3)])
+def test_l_value_of_odd_character_matches_direct_oracle(D, index):
+    # N(unit) = +1 and psi((sqrt D)) = -1: gamma factor Gamma((s+1)/2)^2
+    psi = make_class_character(ClassGroup(QuadField(D)), index)
+    assert psi.epsilon == 1
+    v1, v2 = ls.l_value_at_1_afe(psi, cutoff=1.0), ls.l_value_at_1_afe(psi, cutoff=2.0)
+    assert abs(v1 - v2) < 1e-12
+    assert abs(v1 - ls.l_value_at_1_direct(psi)) < 1e-9
 
 
 def test_l_value_trivial_character_rejected(cg229):

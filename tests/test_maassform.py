@@ -1,9 +1,10 @@
 import math
-import sys
 
+import numpy as np
 import pytest
 
 from maassforge.classforms import ClassGroup
+from maassforge import lseries as ls
 from maassforge.heckechar import make_class_character
 from maassforge.maassform import ThetaForm, build_theta, gamma0_matrices
 from maassforge.quadfield import QuadField
@@ -12,19 +13,13 @@ from maassforge.quadfield import QuadField
 @pytest.fixture(scope="module")
 def theta229():
     cg = ClassGroup(QuadField(229))
-    return build_theta(make_class_character(cg, 1), n_max=2000)
+    return build_theta(make_class_character(cg, 1))
 
 
 def test_build_refuses_norm_induced():
     cg = ClassGroup(QuadField(40))
     with pytest.raises(ValueError, match="norm-induced"):
         build_theta(make_class_character(cg, 1))
-
-
-def test_coefficient_convention(theta229):
-    # a'(n) doubles a(n); a'(3) = -1 for the nontrivial cubic character
-    assert abs(theta229.coefficient(3) - (-1)) < 1e-12
-    assert abs(theta229.coefficient(1) - 1) < 1e-12
 
 
 def test_eval_refuses_low_y(theta229):
@@ -53,14 +48,13 @@ def test_tail_bound_dominates_truncation(theta229):
     # halving the truncation must stay within the corresponding bound
     full = theta229.eval(0.1, y)
     loose_cut = n_cut // 2
-    import numpy as np
-
     from maassforge.special import bessel_k0_array
 
     n = np.arange(1, loose_cut + 1)
     kv = bessel_k0_array(2 * math.pi * y * n)
     osc = np.cos(2 * math.pi * 0.1 * n)
-    partial = complex(math.sqrt(y) * np.sum(theta229.coeffs[1 : loose_cut + 1] * kv * osc))
+    a = ls.hecke_l_coeffs(theta229.character, loose_cut)[1:]
+    partial = complex(math.sqrt(y) * np.sum(a * kv * osc))
     assert abs(full - partial) <= theta229.tail_bound(y, loose_cut) + 1e-15
 
 
@@ -69,29 +63,30 @@ def test_automorphy_small(theta229):
     assert rep.residual < 1e-10
 
 
-def test_threaded_automorphy_matches_serial():
-    # The coefficients are sized for every task before any evaluation, so the
-    # threaded evaluations only read shared state.  The largest truncation
-    # comes first: a thread still growing to a smaller one must not undo it.
+def test_build_theta_builds_no_table_and_eval_grows_it_to_its_truncation():
+    cg = ClassGroup(QuadField(229))
+    th = build_theta(make_class_character(cg, 1))
+    assert cg.count_table is None
+    y = 1e-3
+    th.eval(0.1, y, allow_low_y=True)
+    assert cg.count_table.n_max == th.truncation_index(y) == 7162
+
+
+def test_functional_equation_pair_shares_one_table(monkeypatch):
+    built = []
+    init = ls.ClassCountTable.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ls.ClassCountTable, "__init__", counting_init)
     psi = make_class_character(ClassGroup(QuadField(229)), 1)
-    mats = gamma0_matrices(229, count=1)
-    _, _, c, d = mats[0]
-    points = [(-d / c, 0.8), (0.05 - d / c, 0.3), (-0.05 - d / c, 0.4)]
-    serial = build_theta(psi, n_max=2000).check_automorphy(mats, points, threads=1)
-    th = build_theta(psi, n_max=2000)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = th.check_automorphy(mats, points, threads=2)
-    finally:
-        sys.setswitchinterval(interval)
-    assert threaded.residual == serial.residual
-    assert serial.residual < 1e-8
-    for a, b, c, d in mats:
-        for x, y in points:
-            w = (a * complex(x, y) + b) / (c * complex(x, y) + d)
-            assert th.n_max >= th.truncation_index(w.imag)
-            assert th.n_max >= th.truncation_index(y)
+    th, dual = build_theta(psi), build_theta(psi.conjugate())
+    y0 = 1 / math.sqrt(229)
+    rep = th.check_functional_equation(dual, [(0.1 * y0, 0.9 * y0), (-0.2 * y0, 1.1 * y0)])
+    assert rep.residual < 1e-10
+    assert len(built) == 1
 
 
 def test_automorphy_rejects_non_gamma0(theta229):
@@ -106,7 +101,7 @@ def test_eigenvalue_richardson(theta229):
 
 
 def test_functional_equation(theta229):
-    dual = build_theta(theta229.character.conjugate(), n_max=2000)
+    dual = build_theta(theta229.character.conjugate())
     ys = [0.055, 0.06, 1 / math.sqrt(229), 0.07, 0.08]
     points = [(x, y) for x, y in zip((0.02, -0.01, 0.0, 0.015, -0.03), ys)]
     rep = theta229.check_functional_equation(dual, points)
@@ -135,8 +130,8 @@ def test_functional_equation_off_axis_505(index, epsilon):
     # Theta_psi(z) = (-1)^epsilon Theta_psibar(-1/(Dz)) near the Fricke circle;
     # the odd form is a sine series, so the points lie off the imaginary axis
     psi = make_class_character(ClassGroup(QuadField(505)), index)
-    th = build_theta(psi, n_max=2000)
-    dual = build_theta(psi.conjugate(), n_max=2000)
+    th = build_theta(psi)
+    dual = build_theta(psi.conjugate())
     y0 = 1 / math.sqrt(505)
     points = [(0.3 * y0, 0.9 * y0), (-0.2 * y0, y0), (0.5 * y0, 1.1 * y0)]
     assert th.epsilon == epsilon
