@@ -2,18 +2,16 @@
 
 Forms (A, B, C) of discriminant B^2 - 4AC = D > 0 represent narrow ideal
 classes: the classes are the rho-reduction cycles of reduced forms.  The
-fundamental unit comes from the continued fraction of sqrt(D) (respectively
-sqrt(D/4)), refined by a cube-root test to catch half-integral units when
-D = 1 mod 4.
+fundamental unit comes from one period of the continued fraction of the
+ring generator (s + sqrt(D))/2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from functools import cached_property
 from math import gcd, isqrt
-
-import mpmath as mp
 
 from .quadfield import QfIdeal, QuadField
 
@@ -87,55 +85,32 @@ class FundamentalUnit:
     def norm(self) -> int:
         return (self.x * self.x - self.D * self.y * self.y) // 4
 
-    def regulator(self, dps: int | None = None) -> float:
-        with mp.workdps(dps or max(30, len(str(self.x)) + 20)):
-            val = mp.log((self.x + self.y * mp.sqrt(self.D)) / 2)
-            return float(val)
-
-
-def _sqrt_cf_unit(N: int) -> tuple[int, int, int]:
-    """Minimal (x, y, norm) with x^2 - N*y^2 = norm in {+-1}, x, y > 0,
-    from the continued fraction of sqrt(N)."""
-    a0 = isqrt(N)
-    if a0 * a0 == N:
-        raise ValueError("N must not be a perfect square")
-    p_prev, q_prev = 1, 0
-    p, q = a0, 1
-    P, Q = a0, N - a0 * a0
-    while Q != 1:
-        a = (a0 + P) // Q
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-        P = a * Q - P
-        Q = (N - P * P) // Q
-    norm = p * p - N * q * q
-    assert norm in (1, -1)
-    return p, q, norm
+    def regulator(self) -> float:
+        """ln((x + y sqrt(D))/2), in decimal with 20 digits beyond those of x."""
+        with localcontext() as ctx:
+            ctx.prec = len(str(self.x)) + 20
+            return float(((self.x + self.y * Decimal(self.D).sqrt()) / 2).ln())
 
 
 def fundamental_unit(D: int) -> FundamentalUnit:
-    """Fundamental unit of the ring of integers of discriminant D."""
-    if D % 4 == 0:
-        x, y, _ = _sqrt_cf_unit(D // 4)
-        return FundamentalUnit(D, 2 * x, y)
-    x, y, norm = _sqrt_cf_unit(D)
-    big = FundamentalUnit(D, 2 * x, 2 * y)
-    # the unit group of Z[sqrt(D)] has index 1 or 3; test for a cube root
-    with mp.workdps(max(40, len(str(x)) + 25)):
-        sD = mp.sqrt(D)
-        eta = x + y * sD
-        eps = mp.cbrt(eta)
-        for n0 in (1, -1):
-            u = int(mp.nint(eps + n0 / eps))
-            v = int(mp.nint((2 * eps - u) / sD))
-            if u <= 0 or v <= 0 or (u * u - D * v * v) != 4 * n0:
-                continue
-            # verify ((u + v*sqrt(D))/2)^3 = x + y*sqrt(D) exactly
-            xs = u * (u * u + 3 * D * v * v)
-            ys = v * (3 * u * u + D * v * v)
-            if xs == 8 * x and ys == 8 * y:
-                return FundamentalUnit(D, u, v)
-    return big
+    """Fundamental unit of the ring of integers of discriminant D.
+
+    omega = (s + sqrt(D))/2 with s = D mod 2 generates the ring; its complete
+    quotients (P + sqrt(D))/Q run through one period of the continued
+    fraction until Q = 2 returns, and the convergent p/q before that point
+    gives the unit p - q conj(omega) = (2p - qs + q sqrt(D))/2."""
+    s = D % 2
+    r = isqrt(D)
+    p, p1, q, q1 = 1, 0, 0, 1  # convergents p_k/q_k and p_(k-1)/q_(k-1), k = -1
+    P, Q = s, 2
+    while True:
+        a = (P + r) // Q
+        p, p1 = a * p + p1, p
+        q, q1 = a * q + q1, q
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        if Q == 2:
+            return FundamentalUnit(D, 2 * p - q * s, q)
 
 
 class ClassGroup:

@@ -19,7 +19,6 @@ from .classforms import ClassGroup
 from .heckechar import (
     DirichletCharacterModP,
     check_gauss_norm_lemma,
-    check_gauss_twisting,
     gauss_sum_rational,
     make_class_character,
 )
@@ -39,6 +38,11 @@ EXIT_RESOURCE = 3
 # 297 MB at 2.75e6, the default --samples); 4 h of those bytes are the int32
 # table, so at this budget a field with h = 12 stays near 0.6 GB.
 AUTOMORPHY_ROW_BUDGET = 4_000_000
+# Largest --n-max coeffs may print.  Its JSON list of dicts costs about 1.09 KB
+# of resident memory per row (D = 229: 213 MB at 1.5e5 rows, 370 MB at 3e5),
+# on about 56 MB at start, so at this budget the peak is 577 MB for D = 229
+# and 601 MB for D = 3305 (h = 12).
+COEFFS_ROW_BUDGET = 500_000
 
 
 def _fmt(x) -> float:
@@ -162,6 +166,10 @@ def cmd_ideals(args) -> int:
 
 def cmd_coeffs(args) -> int:
     cg, psi = _character(args)
+    if args.n_max > COEFFS_ROW_BUDGET:
+        print(f"error: --n-max {args.n_max} is over the budget of {COEFFS_ROW_BUDGET} rows",
+              file=sys.stderr)
+        return EXIT_RESOURCE
     b = lseries.hecke_l_coeffs(psi, args.n_max)
     if args.csv:
         import csv as _csv
@@ -208,12 +216,15 @@ def cmd_theta_eval(args) -> int:
 
 
 def cmd_check_automorphy(args) -> int:
+    if (args.c is None) != (args.d is None):
+        print("error: --c and --d give one matrix and must be used together", file=sys.stderr)
+        return EXIT_INVALID
     cg, psi = _character(args)
     if psi.is_norm_induced():
         print("error: norm-induced character; theta is not cuspidal", file=sys.stderr)
         return EXIT_INVALID
     th = build_theta(psi)
-    if args.c is not None and args.d is not None:
+    if args.c is not None:
         if args.c % cg.field.D != 0 or math.gcd(args.c, args.d) != 1:
             print("error: need c = 0 mod D and gcd(c, d) = 1", file=sys.stderr)
             return EXIT_INVALID

@@ -6,10 +6,11 @@ n and determined at prime powers by the splitting type.  Applying a
 character is a lazy linear map from these integer vectors to complex
 numbers, so every character of the same field shares one table.
 
-L(1) is computed two independent ways: a smoothed approximate functional
-equation built from incomplete K_0-Mellin weights (exact for any choice of
-the split point, which provides an internal consistency dial), and an
-Abel-smoothed direct sum accelerated by Richardson extrapolation.
+L(1) is computed two independent ways: an approximate functional equation
+whose terms are weighted by incomplete K_0-Mellin transforms, summed as
+arrays (exact for any choice of the split point, which provides an internal
+consistency dial), and an Abel-smoothed direct sum accelerated by Richardson
+extrapolation.
 """
 
 from __future__ import annotations
@@ -205,22 +206,7 @@ def rankin_coeffs(character: HeckeCharacter, n_max: int) -> np.ndarray:
     return (b * b.conj()).real
 
 
-# -- Euler factors and Satake parameters --------------------------------
-
-
-def satake_params(character: HeckeCharacter, p: int) -> tuple[complex, ...]:
-    """Satake parameters at p: {psi(P), psi(P')} split; {i sqrt(psi((p))),
-    -i sqrt(..)} packaged as the inert pair; single psi(P) ramified."""
-    field = character.field
-    ps = field.split_prime(p)
-    if ps.chi == 1:
-        return (character(ps.primes[0]), character(ps.primes[1]))
-    if ps.chi == 0:
-        return (character(ps.primes[0]),)
-    # inert: Euler factor 1 - psi(pO_F) p^(-2s), and (p) is stored with k = p
-    val = character(ps.primes[0])
-    root = complex(val) ** 0.5
-    return (root, -root)
+# -- Euler factors ------------------------------------------------------
 
 
 def euler_factor(character: HeckeCharacter, p: int, s: complex) -> complex:
@@ -411,14 +397,9 @@ def l_value_at_1_afe(character: HeckeCharacter, cutoff: float = 1.0) -> float:
     n1 = max(4, int(tail / (2 * math.pi * Y)) + 1)
     n2 = max(4, int(tail / (2 * math.pi * Yp)) + 1)
     b = hecke_l_coeffs(character, max(n1, n2))
-    total = 0.0 + 0.0j
-    for n in range(1, n1 + 1):
-        if b[n] != 0:
-            total += b[n] * incomplete_k_mellin(1.0 + eps, 2 * math.pi * n * Y) / (2 * math.pi * n)
-    dual = 0.0 + 0.0j
-    for n in range(1, n2 + 1):
-        if b[n] != 0:
-            dual += np.conj(b[n]) * incomplete_k_mellin(float(eps), 2 * math.pi * n * Yp)
+    x = 2 * math.pi * np.arange(1, max(n1, n2) + 1)  # 2 pi n
+    total = np.sum(b[1 : n1 + 1] * incomplete_k_mellin(1.0 + eps, x[:n1] * Y) / x[:n1])
+    dual = np.sum(np.conj(b[1 : n2 + 1]) * incomplete_k_mellin(float(eps), x[:n2] * Yp))
     val = (2 * math.pi if eps else 4) * (total + dual / math.sqrt(D))
     return float(val.real)
 

@@ -11,7 +11,7 @@ from maassforge.classforms import (
     fundamental_unit,
     ideal_to_form,
 )
-from maassforge.quadfield import QuadField
+from maassforge.quadfield import QuadField, is_fundamental_discriminant
 
 
 def test_reduction_produces_reduced_forms():
@@ -70,6 +70,59 @@ def test_regulator_value():
     u = fundamental_unit(229)
     ref = float(mp.log((15 + mp.sqrt(229)) / 2))
     assert abs(u.regulator() - ref) < 1e-14
+
+
+def _sqrt_cf_unit(N: int) -> tuple[int, int]:
+    """Least x, y > 0 with x^2 - N y^2 = +-1, from the continued fraction of
+    sqrt(N)."""
+    a0 = math.isqrt(N)
+    p_prev, q_prev, p, q = 1, 0, a0, 1
+    P, Q = a0, N - a0 * a0
+    while Q != 1:
+        a = (a0 + P) // Q
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        P = a * Q - P
+        Q = (N - P * P) // Q
+    return p, q
+
+
+def _unit_by_cube_root(D: int) -> tuple[int, int, float]:
+    """(x, y, regulator) of the fundamental unit the independent way: the unit
+    of Z[sqrt(D)] (of Z[sqrt(D/4)] when 4 | D), then, for D = 1 mod 4, a search
+    for a cube root in the full ring, where the unit group has index 1 or 3."""
+    if D % 4 == 0:
+        x, y = _sqrt_cf_unit(D // 4)
+        x, y = 2 * x, y
+    else:
+        x, y = _sqrt_cf_unit(D)
+        with mp.workdps(max(40, len(str(x)) + 25)):
+            sD = mp.sqrt(D)
+            eps = mp.cbrt(x + y * sD)
+            for n0 in (1, -1):
+                u = int(mp.nint(eps + n0 / eps))
+                v = int(mp.nint((2 * eps - u) / sD))
+                if u <= 0 or v <= 0 or u * u - D * v * v != 4 * n0:
+                    continue
+                # ((u + v sqrt(D))/2)^3 = x + y sqrt(D), exactly
+                if u * (u * u + 3 * D * v * v) == 8 * x and v * (3 * u * u + D * v * v) == 8 * y:
+                    x, y = u, v
+                    break
+            else:
+                x, y = 2 * x, 2 * y
+    with mp.workdps(max(30, len(str(x)) + 20)):
+        reg = float(mp.log((x + y * mp.sqrt(D)) / 2))
+    return x, y, reg
+
+
+def test_fundamental_unit_matches_cube_root_oracle():
+    for D in range(5, 5000):
+        if not is_fundamental_discriminant(D):
+            continue
+        u = fundamental_unit(D)
+        x, y, reg = _unit_by_cube_root(D)
+        assert (u.x, u.y) == (x, y), D
+        assert u.regulator() == reg, D
 
 
 def test_residue_zeta_f():

@@ -1,13 +1,17 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import maassforge
 from maassforge import lseries
 
-from maassforge.cli import main
+from maassforge.cli import COEFFS_ROW_BUDGET, main
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "schemas" / "report.json").read_text())
 
@@ -115,6 +119,40 @@ def test_invalid_numbers_exit_2(capsys, argv):
     assert exc.value.code == 2
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("half", [("--c", "458"), ("--d", "3")], ids=lambda half: half[0])
+def test_check_automorphy_half_a_matrix_exits_2(capsys, half):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-automorphy", "--disc", "229", "--index", "1", *half, "--samples", "1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_coeffs_over_row_budget_exits_3(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(lseries.ClassCountTable, "__init__", lambda *a: built.append(a))
+    with pytest.raises(SystemExit) as exc:
+        main(["coeffs", "--disc", "229", "--n-max", str(COEFFS_ROW_BUDGET + 1)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 3
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    assert built == []  # refused before any table row is built
+
+
+def test_cli_import_loads_no_optional_package():
+    src = str(Path(maassforge.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, maassforge.cli\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('mpmath', 'sympy') or m.startswith('scipy.integrate')))"
+    )
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("disc,samples", [(136, "3"), (505, "1")])

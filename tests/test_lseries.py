@@ -112,20 +112,6 @@ def test_hecke_recursion_exact_all_fields():
             assert ls.hecke_recursion_residual(psi, p, r_max=4) == 0, (D, p)
 
 
-def test_satake_parameters(psi229):
-    F = psi229.field
-    # split p: unit-modulus parameters multiplying to psi((p)) = 1
-    a, b = ls.satake_params(psi229, 3)
-    assert abs(abs(a) - 1) < 1e-12 and abs(abs(b) - 1) < 1e-12
-    assert abs(a * b - 1) < 1e-12
-    # inert p: alpha + beta = 0, alpha*beta = -psi(pO_F) = -1
-    a, b = ls.satake_params(psi229, 2)
-    assert abs(a + b) < 1e-12 and abs(a * b + 1) < 1e-12
-    # ramified: single parameter
-    (a,) = ls.satake_params(psi229, 229)
-    assert abs(abs(a) - 1) < 1e-12
-
-
 def test_euler_factor_matches_coefficients(psi229):
     # partial Euler product approximates partial Dirichlet sum at s = 3
     s = 3.0

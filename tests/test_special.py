@@ -6,18 +6,12 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import k0
 
-from maassforge.special import (
-    bessel_k0_array,
-    incomplete_k_mellin,
-    mellin_k,
-    mellin_k_squared,
-    smoothing_weight,
-)
+from maassforge.special import bessel_k0_array, incomplete_k_mellin
 
 
 def bessel_k(t: float, y: float, rtol: float = 1e-13) -> float:
     """K_{it}(y) for real t (t = 0 gives K_0), real-valued, y > 0: the oracle
-    for scipy's K_0 and for the Mellin moments of K_{it}.
+    for scipy's K_0 and for K_{it} at imaginary order.
 
     Trapezoidal quadrature, with step halving, of the cosine-transform integral
     K_{it}(y) = int_0^inf exp(-y*cosh(u)) cos(t*u) du; the integrand is even
@@ -88,34 +82,39 @@ def test_bessel_rejects_nonpositive_y():
         bessel_k(0.0, 0.0)
 
 
-def test_mellin_k_closed_form():
-    # nu=0, s=1: 2^(-1) Gamma(1/2)^2 = pi/2
-    assert abs(mellin_k(0.0, 1.0) - math.pi / 2) < 1e-12
-    # quadrature oracle
-    val, _ = quad(lambda y: k0(y) * y**0.7, 0, 80, limit=300)
-    assert abs(mellin_k(0.0, 1.7) - val) < 1e-9
+def _incomplete_k_mellin_quad(s: float, x: float) -> float:
+    """G_s(x) by adaptive quadrature, with breakpoints so that each piece
+    spans at most one scale of K_0: near 0 it behaves like -ln u, beyond 1 like
+    e^(-u)/sqrt(u)."""
+    breaks = (1e-3, 1e-2, 0.1, 0.5, 1.0, 2.5, 5.0, 10.0, 20.0, 40.0, 80.0)
+    edges = [x, *(e for e in breaks if e > x), max(x, 80.0) + 80.0]
+    return sum(
+        quad(lambda u: k0(u) * u ** (s - 1), a, b, epsabs=0, epsrel=1e-13, limit=400)[0]
+        for a, b in zip(edges, edges[1:])
+    )
 
 
-def test_mellin_k_squared_pinned_values():
-    assert abs(mellin_k_squared(0.0, 1.0) - math.pi**2 / 4) < 1e-12
-    assert abs(mellin_k_squared(0.0, 2.0) - 0.5) < 1e-12
-
-
-def test_mellin_k_squared_quadrature_oracle():
-    for t, s in [(0.0, 1.3), (1.7, 1.5), (3.0, 2.0)]:
-        val, _ = quad(lambda y: bessel_k(t, y) ** 2 * y ** (s - 1), 1e-10, 80, limit=400)
-        assert abs(mellin_k_squared(t, s).real - val) < 1e-8
+def test_incomplete_k_mellin_against_quad():
+    xs = np.geomspace(1e-4, 45.0, 31)
+    for s in (0.0, 1.0, 2.0):
+        got = incomplete_k_mellin(s, xs)
+        ref = np.array([_incomplete_k_mellin_quad(s, float(x)) for x in xs])
+        assert np.max(np.abs(got / ref - 1)) <= 1e-13, s
 
 
 def test_incomplete_k_mellin_limits():
-    full = mellin_k(0.0, 1.0).real
-    assert abs(incomplete_k_mellin(1.0, 1e-12) - full) < 1e-9
+    # G_s(0) = int_0^oo K_0(u) u^(s-1) du = 2^(s-2) Gamma(s/2)^2
+    for s in (1.0, 2.0, 3.0):
+        full = 2.0 ** (s - 2) * math.gamma(s / 2) ** 2
+        assert abs(incomplete_k_mellin(s, 1e-12) / full - 1) < 1e-9, s
     assert incomplete_k_mellin(1.0, 40.0) < 1e-15
+    # decreasing in x, and no larger than e^(-x) G_1(0) = e^(-x) pi/2
+    xs = np.array([0.1, 0.5, 1.0, 2.0, 2.5, 5.0, 10.0])
+    ws = incomplete_k_mellin(1.0, xs)
+    assert np.all(np.diff(ws) < 0)
+    assert np.all(ws < np.exp(-xs) * math.pi / 2)
 
 
-def test_smoothing_weight_properties():
-    assert abs(smoothing_weight(1.0, 1e-12) - 1.0) < 1e-9
-    xs = [0.1, 0.5, 1.0, 2.0, 5.0, 10.0]
-    ws = [smoothing_weight(1.0, x) for x in xs]
-    assert all(w1 > w2 for w1, w2 in zip(ws, ws[1:]))
-    assert ws[-1] < math.exp(-xs[-1])  # decays at least like e^-x
+def test_incomplete_k_mellin_rejects_nonpositive_x():
+    with pytest.raises(ValueError):
+        incomplete_k_mellin(1.0, np.array([1.0, 0.0]))
