@@ -1,7 +1,9 @@
 """Indefinite binary quadratic forms, narrow class groups, fundamental units.
 
 Forms (A, B, C) of discriminant B^2 - 4AC = D > 0 represent narrow ideal
-classes: the classes are the rho-reduction cycles of reduced forms.  The
+classes: the classes are the rho-reduction cycles of reduced forms, and the
+classes of many prime ideals are found at once by reducing their forms as
+int64 arrays.  The
 fundamental unit comes from one period of the continued fraction of the
 ring generator (s + sqrt(D))/2.
 """
@@ -13,7 +15,7 @@ from decimal import Decimal, localcontext
 from functools import cached_property
 from math import gcd, isqrt
 
-from .quadfield import QfIdeal, QuadField
+from .quadfield import QfIdeal, QuadField, powmod_array, tonelli_shanks_array
 
 
 @dataclass(frozen=True)
@@ -187,6 +189,20 @@ class ClassGroup:
                 return table
         raise ArithmeticError("narrow class group is not cyclic; unsupported")
 
+    @cached_property
+    def _form_keys(self):
+        """Ascending int64 keys (A + r + 1)(r + 1) + B of the forms of all
+        cycles, r = isqrt(D), and the cycle of each: a reduced form has
+        0 < B <= r and |A| <= r, so the key is one-to-one."""
+        import numpy as np
+
+        r = isqrt(self.field.D)
+        pairs = sorted(
+            ((f.A + r + 1) * (r + 1) + f.B, i) for i, cyc in enumerate(self.cycles) for f in cyc
+        )
+        keys, cycle = np.array(pairs, dtype=np.int64).T
+        return keys.copy(), cycle.copy()
+
     def _cycle_rep_ideal(self, i: int) -> QfIdeal:
         return form_to_ideal(self.field, self.cycles[i][0])
 
@@ -207,6 +223,65 @@ class ClassGroup:
     def dlog(self, I: QfIdeal) -> int:
         """Discrete log of the narrow class of I w.r.t. the chosen generator."""
         return self._dlog[self.class_index(I)]
+
+    def prime_classes(self, p):
+        """chi_D(p), and the discrete log of the class of a prime ideal above p
+        (0 for inert p), for an int64 array of primes p < 2^31.
+
+        Odd p take chi_D(p) from Euler's criterion.  The ideal is the first
+        of split_prime, (p, b) with b the least root of N(b + omega) = 0 mod p,
+        b = (-s +- sqrt(D))/2 from tonelli_shanks_array.  The forms
+        (p, B, (B^2 - D)/4p), B = 2b + s moved into (-p, p] so that B^2 fits,
+        are rho-reduced together under a mask, and each is looked up among
+        the forms of the cycles.  The cycle index maps to its log last, so a
+        group that is not cyclic raises ArithmeticError there."""
+        import numpy as np
+
+        D, s = self.field.D, self.field.s
+        r = isqrt(D)
+        # D^((p-1)/2) mod p is 1 (split), p - 1 (inert) or 0 (p | D) for odd p
+        euler = powmod_array(np.full_like(p, D), (p - 1) // 2, p)
+        chi = np.where(euler == 1, 1, np.where(euler == 0, 0, -1))
+        chi[p == 2] = 0 if D % 2 == 0 else 1 if D % 8 == 1 else -1
+        k = np.zeros_like(p)
+        idx = np.flatnonzero(chi >= 0)
+        if not idx.size:
+            return chi, k
+        P = p[idx]
+        root = np.zeros_like(P)
+        split = np.flatnonzero((chi[idx] == 1) & (P > 2))
+        root[split] = tonelli_shanks_array(D % P[split], P[split])
+        half = (P + 1) // 2  # the inverse of 2 mod odd p
+        b = np.minimum((root - s) * half % P, (-root - s) * half % P)
+        # mod 2 the least root is N(omega) mod 2
+        b[P == 2] = self.field.omega_image_norm(0) % 2
+        A, B = P.copy(), 2 * b + s
+        B = np.where(B > P, B - 2 * P, B)
+        C = (B * B - D) // (4 * P)
+        todo = np.arange(P.size)
+        for _ in range(10 * len(str(D)) + 64):
+            # reduced: 0 < B < sqrt(D) and sqrt(D) - B < 2|A| < sqrt(D) + B
+            t, Bt = 2 * np.abs(A[todo]), B[todo]
+            todo = todo[~((Bt > 0) & (Bt <= r) & (t > r - Bt) & (t <= r + Bt))]
+            if not todo.size:
+                break
+            # one rho step, as IndefiniteForm.rho
+            Ct = C[todo]
+            ca = np.abs(Ct)
+            c2 = 2 * ca
+            m = -B[todo] % c2
+            Bp = np.where(ca > r, np.where(m <= ca, m, m - c2), m + c2 * ((r - m) // c2))
+            A[todo], B[todo], C[todo] = Ct, Bp, (Bp * Bp - D) // (4 * Ct)
+        else:
+            raise ArithmeticError("reduction of the prime forms did not terminate")
+        keys, cycle = self._form_keys
+        key = (A + r + 1) * (r + 1) + B
+        at = np.minimum(np.searchsorted(keys, key), keys.size - 1)
+        if not np.array_equal(keys[at], key):
+            raise ArithmeticError("a reduced prime form lies on no cycle")
+        logs = np.array([self._dlog[i] for i in range(self.h_narrow)], dtype=np.int64)
+        k[idx] = logs[cycle[at]]
+        return chi, k
 
     def residue_zeta(self) -> float:
         """Residue at s=1 of the Dedekind zeta function: 2*h*R/sqrt(D)."""

@@ -2,7 +2,9 @@
 
 Coefficients are computed exactly first: for each n the vector of counts of
 ideals of norm n per narrow class is a group-ring element, multiplicative in
-n and determined at prime powers by the splitting type.  Applying a
+n and determined at prime powers by the splitting type and the class of a
+prime above p.  The table's sieve finds those for each pass's primes as
+arrays (ClassGroup.prime_classes), with no Python call per prime.  Applying a
 character is a lazy linear map from these integer vectors to complex
 numbers, so every character of the same field shares one table.
 
@@ -34,6 +36,14 @@ SIEVE_CHUNK = 1 << 14
 # after each product cost check-automorphy --disc 229 about 10% more CPU time
 # at the same wall time.
 REALISE_ENTRIES = 4095
+# every prime p below this many rows has p^2 < 2^62, so the int64 arithmetic
+# of ClassGroup.prime_classes cannot overflow
+ROW_LIMIT = 1 << 31
+
+
+def _check_row_limit(n_max: int) -> None:
+    if n_max >= ROW_LIMIT:
+        raise ValueError(f"n_max must be below 2^31, got {n_max}")
 
 
 class ClassCountTable:
@@ -42,45 +52,39 @@ class ClassCountTable:
     Rows are filled by a multiplicative sieve: with p the smallest prime
     factor of n and p^e its full power in n, row n is the group-ring product
     of the prime-power row (p^e) and row n/p^e.  extend() sieves only the rows
-    above the current n_max, so a table grows in place."""
+    above the current n_max, so a table grows in place.
+
+    The row (p^e) needs chi_D(p) and the class of a prime above p.  Both come
+    from ClassGroup.prime_classes, called on arrays: once per extension for
+    the primes up to sqrt(n_max), which are the smallest prime factors of
+    composite rows, and once per pass for the primes of the pass, the rows
+    whose smallest prime factor is the row itself.  Nothing about primes is
+    kept between extensions.  Its int64 arithmetic bounds n_max below 2^31."""
 
     def __init__(self, classgroup: ClassGroup, n_max: int):
         if n_max < 0:
             raise ValueError(f"n_max must be non-negative, got {n_max}")
+        _check_row_limit(n_max)
         self.classgroup = classgroup
-        self.field = classgroup.field
         self.h = classgroup.h_narrow
-        self._prime_classes: dict[int, int] = {}
         self.counts = np.zeros((1, self.h), dtype=np.int32)
         self.n_max = 0
         self.extend(n_max)
 
     # -- local data -----------------------------------------------------
 
-    def prime_class(self, p: int) -> int:
-        """dlog of a chosen prime ideal above p (split/ramified p only)."""
-        k = self._prime_classes.get(p)
-        if k is None:
-            ps = self.field.split_prime(p)
-            if ps.chi == -1:
-                raise ValueError("inert prime has no degree-one prime ideal")
-            k = self._prime_classes[p] = self.classgroup.dlog(ps.primes[0])
-        return k
-
     def prime_power_vector(self, p: int, e: int) -> tuple[int, ...]:
         """Group-ring element of ideals of norm p^e supported at powers of p."""
         h = self.h
         v = [0] * h
-        chi = self.field.chi(p)
+        chi, k = (int(x[0]) for x in self.classgroup.prime_classes(np.array([p], dtype=np.int64)))
         if chi == -1:
             if e % 2 == 0:
                 # (p)^(e/2) is principal and totally positive
                 v[0] = 1
         elif chi == 0:
-            k = self.prime_class(p)
             v[(k * e) % h] = 1
         else:
-            k = self.prime_class(p)
             # the two primes above p lie in inverse classes
             for j in range(e + 1):
                 v[(k * (2 * j - e)) % h] += 1
@@ -107,22 +111,27 @@ class ClassCountTable:
         lo = self.n_max
         if n_max <= lo:
             return
+        _check_row_limit(n_max)
         counts = np.zeros((n_max + 1, self.h), dtype=np.int32)
         counts[: lo + 1] = self.counts
         self.counts = counts
         if lo == 0:
             counts[1, 0] = 1  # the unit ideal
             lo = 1
+        # a composite n has its smallest prime factor below sqrt(n_max)
         small_primes = np.array(_primes_up_to(math.isqrt(n_max)), dtype=np.int64)
+        small_classes = self.classgroup.prime_classes(small_primes)
         while lo < n_max:
             # n/p^e <= n/2 <= lo, so every row a pass reads is already filled
             hi = min(n_max, 2 * lo, lo + SIEVE_CHUNK)
-            self._sieve(lo + 1, hi, small_primes)
+            self._sieve(lo + 1, hi, small_primes, small_classes)
             lo = hi
         self.n_max = n_max
 
-    def _sieve(self, a: int, b: int, small_primes: np.ndarray) -> None:
-        """Fill rows a..b from rows below a (requires b <= 2(a - 1))."""
+    def _sieve(self, a: int, b: int, small_primes: np.ndarray,
+               small_classes: tuple[np.ndarray, np.ndarray]) -> None:
+        """Fill rows a..b from rows below a (requires b <= 2(a - 1)), given
+        chi_D and the class log of each of the small primes."""
         h = self.h
         n = np.arange(a, b + 1, dtype=np.int64)
         p = np.zeros_like(n)  # smallest prime factor
@@ -137,11 +146,13 @@ class ClassCountTable:
             m[idx] //= p[idx]
             e[idx] += 1
             idx = idx[m[idx] % p[idx] == 0]
-        # splitting type and class of each distinct smallest prime factor
-        primes, inv = np.unique(p, return_inverse=True)
-        chi_p = [self.field.chi(q) for q in primes.tolist()]
-        k_p = [0 if c == -1 else self.prime_class(q) for q, c in zip(primes.tolist(), chi_p)]
-        chi, k = np.array(chi_p)[inv], np.array(k_p)[inv]
+        # splitting type and class of each smallest prime factor: the primes
+        # of the pass (p == n) are new, the others are small primes
+        chi, k = np.empty_like(n), np.empty_like(n)
+        prime = p == n
+        chi[prime], k[prime] = self.classgroup.prime_classes(n[prime])
+        at = np.searchsorted(small_primes, p[~prime])
+        chi[~prime], k[~prime] = small_classes[0][at], small_classes[1][at]
         # row (p^e) = sum_{j < terms} [class base + j step]: split p gives
         # e + 1 terms k(2j - e), ramified p the one term k e, inert p the
         # principal class when e is even and nothing when e is odd

@@ -19,7 +19,11 @@ from math import gcd, isqrt
 
 
 def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a|n), defined for all integers n."""
+    """Kronecker symbol (a|n), defined for all integers n.
+
+    The scalar route to chi_D(p) (QuadField.chi, split_prime) for
+    euler_factor, rankin_local_factor and enumerate_ideals; the coefficient
+    table takes chi_D(p) from ClassGroup.prime_classes."""
     if n == 0:
         return 1 if a in (1, -1) else 0
     sign = 1
@@ -83,7 +87,11 @@ def is_fundamental_discriminant(D: int) -> bool:
 
 
 def tonelli_shanks(n: int, p: int) -> int | None:
-    """A square root of n modulo an odd prime p, or None if none exists."""
+    """A square root of n modulo an odd prime p, or None if none exists.
+
+    The scalar route (split_prime) for euler_factor, rankin_local_factor and
+    enumerate_ideals; the coefficient table takes its roots from
+    tonelli_shanks_array."""
     n %= p
     if n == 0:
         return 0
@@ -113,6 +121,74 @@ def tonelli_shanks(n: int, p: int) -> int | None:
         c = b * b % p
         t = t * c % p
         m = i
+    return r
+
+
+def powmod_array(x, e, p):
+    """x^e mod p elementwise, by square-and-multiply on int64 arrays.
+
+    Needs p < 2^31, so that every product of two residues fits in int64."""
+    import numpy as np
+
+    x, e = x % p, e.copy()
+    r = np.ones_like(p)
+    while True:
+        r = np.where(e & 1, r * x % p, r)
+        e >>= 1
+        if not e.any():
+            return r
+        x = x * x % p
+
+
+def tonelli_shanks_array(n, p):
+    """A square root of each n modulo the odd prime p (int64 arrays, p < 2^31).
+
+    Every n must be a nonzero square mod its p.  The steps are those of the
+    scalar tonelli_shanks, with z the least non-residue, run together over the
+    primes whose t = n^q is not yet 1 (p - 1 = q 2^s, q odd)."""
+    import numpy as np
+
+    s = np.log2((p - 1) & (1 - p)).astype(p.dtype)  # the lowest set bit of p - 1
+    q = (p - 1) >> s
+    r = powmod_array(n, (q + 1) // 2, p)
+    t = powmod_array(n, q, p)
+    act = np.flatnonzero(t != 1)
+    if not act.size:
+        return r
+    # c = z^q for the least non-residue z of each p that needs it.  z is a
+    # prime below sqrt(p) + 1, and these p are 1 mod 4 (t = 1 at once when
+    # s = 1), so (2|p) = -1 iff p = 5 mod 8 and (z|p) = (p|z) for odd z
+    P, Q, m = p[act], q[act], s[act]
+    z = np.where(P % 8 == 5, 2, 0)
+    todo = np.flatnonzero(z == 0)
+    for y in _primes_up_to(isqrt(int(P.max())) + 1)[1:]:
+        if not todo.size:
+            break
+        square = np.zeros(y, dtype=bool)
+        square[np.arange(y) ** 2 % y] = True
+        nonres = ~square[P[todo] % y]
+        z[todo[nonres]] = y
+        todo = todo[~nonres]
+    c = powmod_array(z, Q, P)
+    R, T = r[act], t[act]
+    live = np.arange(act.size)
+    while live.size:
+        # least i with T^(2^i) = 1, then b = c^(2^(m - i - 1))
+        i = np.zeros_like(live)
+        sq = T[live]
+        todo = np.arange(live.size)
+        while todo.size:
+            sq[todo] = sq[todo] * sq[todo] % P[live[todo]]
+            i[todo] += 1
+            todo = todo[sq[todo] != 1]
+        Pl = P[live]
+        b = powmod_array(c[live], 1 << (m[live] - i - 1), Pl)
+        R[live] = R[live] * b % Pl
+        c[live] = b * b % Pl
+        T[live] = T[live] * c[live] % Pl
+        m[live] = i
+        live = live[T[live] != 1]
+    r[act] = R
     return r
 
 
@@ -189,7 +265,11 @@ class QuadField:
     # -- prime splitting ------------------------------------------------
 
     def split_prime(self, p: int) -> "PrimeSplit":
-        """Decompose the rational prime p in the ring of integers."""
+        """Decompose the rational prime p in the ring of integers.
+
+        The scalar route, for euler_factor, rankin_local_factor and
+        enumerate_ideals; the coefficient table classifies its primes as
+        arrays with ClassGroup.prime_classes."""
         chi = self.chi(p)
         if chi == -1:
             return PrimeSplit(p, chi, (QfIdeal.make(self, p, 1, 0),))

@@ -7,7 +7,8 @@ import pytest
 from maassforge import lseries as ls
 from maassforge.classforms import ClassGroup
 from maassforge.heckechar import make_class_character
-from maassforge.quadfield import QuadField, _primes_up_to
+from maassforge.cli import AUTOMORPHY_ROW_BUDGET
+from maassforge.quadfield import QuadField, _primes_up_to, tonelli_shanks, tonelli_shanks_array
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +31,67 @@ def test_count_table_matches_ideal_enumeration(cg229):
         assert tuple(ref.get(n, [0, 0, 0])) == table.row(n)
 
 
-@pytest.mark.parametrize("D, h", [(40, 2), (229, 3), (445, 4), (401, 5), (505, 8), (3305, 12)])
+def prime_class_oracle(cg, p):
+    """chi_D(p) and the class log of split_prime's first ideal above p, one
+    Python call per prime: the route the table took before prime_classes."""
+    chi = cg.field.chi(p)
+    return chi, 0 if chi == -1 else cg.dlog(cg.field.split_prime(p).primes[0])
+
+
+@pytest.mark.parametrize("D", [40, 229, 445, 401, 505, 3305, 14165])
+def test_prime_classes_match_per_prime_oracle(D):
+    # 2 ramified (40), inert (229, 445, 14165) and split (401, 505, 3305), every p | D
+    cg = ClassGroup(QuadField(D))
+    primes = _primes_up_to(200000)
+    chi, k = cg.prime_classes(np.array(primes, dtype=np.int64))
+    got = list(zip(chi.tolist(), k.tolist()))
+    assert got == [prime_class_oracle(cg, p) for p in primes]
+    assert {c for c, _ in got} == {-1, 0, 1}
+
+
+def _check_sqrt_against_scalar(n, p):
+    r = tonelli_shanks_array(np.array(n, dtype=np.int64), np.array(p, dtype=np.int64))
+    assert r.tolist() == [tonelli_shanks(a, q) for a, q in zip(n, p)]
+
+
+@pytest.mark.parametrize("p", [65537, 786433])  # 2^16 + 1 and 3 * 2^18 + 1
+def test_tonelli_shanks_array_at_high_two_adic_valuation(p):
+    # z^(2j) for a non-residue z: t = n^q has order 2^(s - 1 - v2(j)), so the
+    # inner loop runs for every length up to its longest
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    n = sorted({pow(z, 2 * j, p) for j in range(1, 600)} | {D % p for D in (5, 229, 14165)})
+    n = [a for a in n if tonelli_shanks(a, p) is not None]
+    _check_sqrt_against_scalar(n, [p] * len(n))
+
+
+def test_tonelli_shanks_array_below_automorphy_row_budget():
+    divisors = _primes_up_to(math.isqrt(AUTOMORPHY_ROW_BUDGET))
+    primes = [q for q in range(AUTOMORPHY_ROW_BUDGET - 3000, AUTOMORPHY_ROW_BUDGET)
+              if all(q % d for d in divisors)]
+    assert len(primes) > 150
+    pairs = [(a, q) for q in primes for a in (229, 14165, q - 1, q - 4, (q + 1) // 2, 7**5 % q)
+             if tonelli_shanks(a, q) not in (None, 0)]
+    _check_sqrt_against_scalar(*zip(*pairs))
+
+
+def test_count_table_rejects_n_max_out_of_range_before_allocating(cg229, monkeypatch):
+    table = ls.ClassCountTable(cg229, 10)
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    monkeypatch.setattr(ls.np, "zeros", no_allocation)
+    for n_max in (-1, 2**31):
+        with pytest.raises(ValueError):
+            ls.ClassCountTable(cg229, n_max)
+    with pytest.raises(ValueError):
+        table.extend(2**31)
+    assert table.n_max == 10 and table.counts.shape == (11, 3)
+
+
+@pytest.mark.parametrize(
+    "D, h", [(40, 2), (229, 3), (445, 4), (401, 5), (505, 8), (3305, 12), (14165, 6)]
+)
 def test_grown_table_equals_one_shot_build(D, h):
     cg = ClassGroup(QuadField(D))
     assert cg.h_narrow == h
