@@ -15,7 +15,7 @@ from decimal import Decimal, localcontext
 from functools import cached_property
 from math import gcd, isqrt
 
-from .quadfield import QfIdeal, QuadField, powmod_array, tonelli_shanks_array
+from .quadfield import QfIdeal, QuadField
 
 
 @dataclass(frozen=True)
@@ -127,16 +127,11 @@ class ClassGroup:
         self.cycles = self._all_cycles()
         self.h_narrow = len(self.cycles)
         self.h_wide = self.h_narrow if self.unit_norm == -1 else self.h_narrow // 2
-        self._form_to_cycle = {
-            f: i for i, cyc in enumerate(self.cycles) for f in cyc
-        }
         # relabel so that the identity class is index 0
-        ident = self._form_to_cycle[self._principal_form().reduce()]
-        if ident != 0:
-            self.cycles[0], self.cycles[ident] = self.cycles[ident], self.cycles[0]
-            self._form_to_cycle = {
-                f: i for i, cyc in enumerate(self.cycles) for f in cyc
-            }
+        principal = self._principal_form().reduce()
+        ident = next(i for i, cyc in enumerate(self.cycles) if principal in cyc)
+        self.cycles[0], self.cycles[ident] = self.cycles[ident], self.cycles[0]
+        self._form_to_cycle = {f: i for i, cyc in enumerate(self.cycles) for f in cyc}
         # the coefficient table of the field, made and grown by lseries.get_table
         self.count_table = None
 
@@ -225,37 +220,26 @@ class ClassGroup:
         return self._dlog[self.class_index(I)]
 
     def prime_classes(self, p):
-        """chi_D(p), and the discrete log of the class of a prime ideal above p
-        (0 for inert p), for an int64 array of primes p < 2^31.
+        """chi_D(p), and the discrete log of the class of the prime ideal
+        (p, b) above p (0 for inert p), for an int64 array of primes p < 2^31.
 
-        Odd p take chi_D(p) from Euler's criterion.  The ideal is the first
-        of split_prime, (p, b) with b the least root of N(b + omega) = 0 mod p,
-        b = (-s +- sqrt(D))/2 from tonelli_shanks_array.  The forms
-        (p, B, (B^2 - D)/4p), B = 2b + s moved into (-p, p] so that B^2 fits,
-        are rho-reduced together under a mask, and each is looked up among
-        the forms of the cycles.  The cycle index maps to its log last, so a
-        group that is not cyclic raises ArithmeticError there."""
+        chi_D(p) and b, the least root of N(b + omega) = 0 mod p, come from
+        QuadField.prime_roots.  The forms (p, B, (B^2 - D)/4p), B = 2b + s
+        moved into (-p, p] so that B^2 fits, are rho-reduced together under a
+        mask, and each is looked up among the forms of the cycles.  The cycle
+        index maps to its log last, so a group that is not cyclic raises
+        ArithmeticError there."""
         import numpy as np
 
         D, s = self.field.D, self.field.s
         r = isqrt(D)
-        # D^((p-1)/2) mod p is 1 (split), p - 1 (inert) or 0 (p | D) for odd p
-        euler = powmod_array(np.full_like(p, D), (p - 1) // 2, p)
-        chi = np.where(euler == 1, 1, np.where(euler == 0, 0, -1))
-        chi[p == 2] = 0 if D % 2 == 0 else 1 if D % 8 == 1 else -1
+        chi, b = self.field.prime_roots(p)
         k = np.zeros_like(p)
         idx = np.flatnonzero(chi >= 0)
         if not idx.size:
             return chi, k
         P = p[idx]
-        root = np.zeros_like(P)
-        split = np.flatnonzero((chi[idx] == 1) & (P > 2))
-        root[split] = tonelli_shanks_array(D % P[split], P[split])
-        half = (P + 1) // 2  # the inverse of 2 mod odd p
-        b = np.minimum((root - s) * half % P, (-root - s) * half % P)
-        # mod 2 the least root is N(omega) mod 2
-        b[P == 2] = self.field.omega_image_norm(0) % 2
-        A, B = P.copy(), 2 * b + s
+        A, B = P.copy(), 2 * b[idx] + s
         B = np.where(B > P, B - 2 * P, B)
         C = (B * B - D) // (4 * P)
         todo = np.arange(P.size)

@@ -43,6 +43,10 @@ AUTOMORPHY_ROW_BUDGET = 4_000_000
 # on about 56 MB at start, so at this budget the peak is 577 MB for D = 229
 # and 601 MB for D = 3305 (h = 12).
 COEFFS_ROW_BUDGET = 500_000
+# Largest --p gauss-check may take.  Its Gauss sums over O_F/(p) make 3 p^2
+# Python iterations, about 1.5 us each: D = 229 took 0.38 s at p = 101, 5.0 s
+# at p = 1009 and 18.4 s at p = 1973, each with 0.34 s of start-up.
+GAUSS_PRIME_BUDGET = 2_000
 
 
 def _fmt(x) -> float:
@@ -146,7 +150,7 @@ def cmd_reproduce(args) -> int:
 def cmd_ideals(args) -> int:
     F, _ = _field_and_group(args.disc)
     try:
-        ids = F.enumerate_ideals(args.max_norm, cap=args.cap)
+        ids = F.enumerate_ideals(args.max_norm)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -218,6 +222,9 @@ def cmd_theta_eval(args) -> int:
 def cmd_check_automorphy(args) -> int:
     if (args.c is None) != (args.d is None):
         print("error: --c and --d give one matrix and must be used together", file=sys.stderr)
+        return EXIT_INVALID
+    if args.c == 0:
+        print("error: --c must be nonzero: the points are placed around x = -d/c", file=sys.stderr)
         return EXIT_INVALID
     cg, psi = _character(args)
     if psi.is_norm_induced():
@@ -311,6 +318,9 @@ def cmd_petersson(args) -> int:
 def cmd_gauss_check(args) -> int:
     F, _ = _field_and_group(args.disc)
     p = args.p
+    if p > GAUSS_PRIME_BUDGET:
+        print(f"error: --p {p} is over the budget of {GAUSS_PRIME_BUDGET}", file=sys.stderr)
+        return EXIT_RESOURCE
     if p < 3 or prime_factors(p) != [p]:
         print(f"error: p={p} is not an odd prime", file=sys.stderr)
         return EXIT_INVALID
@@ -355,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ideals", help="enumerate integral ideals by norm")
     add_common(p, index=False)
     p.add_argument("--max-norm", type=_int_at_least(0), required=True)
-    p.add_argument("--cap", type=int, default=10**7)
     p.set_defaults(func=cmd_ideals)
 
     p = sub.add_parser("coeffs", help="Fourier/Dirichlet coefficients a'(n)")

@@ -3,10 +3,11 @@
 Coefficients are computed exactly first: for each n the vector of counts of
 ideals of norm n per narrow class is a group-ring element, multiplicative in
 n and determined at prime powers by the splitting type and the class of a
-prime above p.  The table's sieve finds those for each pass's primes as
-arrays (ClassGroup.prime_classes), with no Python call per prime.  Applying a
-character is a lazy linear map from these integer vectors to complex
-numbers, so every character of the same field shares one table.
+prime above p.  The table's sieve and the Euler factors find those for
+arrays of primes (ClassGroup.prime_classes, on QuadField.prime_roots), with
+no Python call per prime.  Applying a character is a lazy linear map from
+these integer vectors to complex numbers, so every character of the same
+field shares one table.
 
 L(1) is computed two independent ways: an approximate functional equation
 whose terms are weighted by incomplete K_0-Mellin transforms, summed as
@@ -220,17 +221,25 @@ def rankin_coeffs(character: HeckeCharacter, n_max: int) -> np.ndarray:
 # -- Euler factors ------------------------------------------------------
 
 
-def euler_factor(character: HeckeCharacter, p: int, s: complex) -> complex:
-    """Local factor of L(s, psi) at p."""
-    field = character.field
-    ps = field.split_prime(p)
-    x = p ** (-s)
-    if ps.chi == 1:
-        a, b = character(ps.primes[0]), character(ps.primes[1])
-        return 1.0 / ((1 - a * x) * (1 - b * x))
-    if ps.chi == 0:
-        return 1.0 / (1 - character(ps.primes[0]) * x)
-    return 1.0 / (1 - character(ps.primes[0]) * x * x)
+def _prime_values(character: HeckeCharacter, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """chi_D(p), and psi(P) for the prime ideal P = (p, b) above each p of an
+    int64 array of primes; psi((p)) = 1 for inert p, as (p) is principal and
+    totally positive.  At split p the other prime P' has psi(P') = conj psi(P),
+    since P P' = (p)."""
+    chi, k = character.classgroup.prime_classes(p)
+    h = character.h
+    return chi, np.exp(2j * np.pi * (character.index * k % h) / h)
+
+
+def euler_factor(character: HeckeCharacter, p: np.ndarray, s: complex) -> np.ndarray:
+    """Local factors of L(s, psi) at an int64 array of primes p."""
+    chi, a = _prime_values(character, p)
+    x = p.astype(np.float64) ** (-s)
+    return np.where(
+        chi == 1,
+        1.0 / ((1 - a * x) * (1 - a.conj() * x)),
+        np.where(chi == 0, 1.0 / (1 - a * x), 1.0 / (1 - x * x)),
+    )
 
 
 def hecke_recursion_residual(character: HeckeCharacter, p: int, r_max: int = 4) -> int:
@@ -268,17 +277,14 @@ def multiplicativity_failures(character: HeckeCharacter, n_max: int = 200) -> in
 # -- Rankin-Selberg identity --------------------------------------------
 
 
-def rankin_local_factor(character: HeckeCharacter, p: int, s: float) -> float:
-    """Local factor at p of sum |a'(n)|^2 n^(-s), for conductor (1)."""
-    field = character.field
-    ps = field.split_prime(p)
-    x = p ** (-s)
-    if ps.chi == 1:
-        alpha = character(ps.primes[0]) * character(ps.primes[1]).conjugate()
-        return (1 - x * x) / ((1 - x) ** 2 * abs(1 - alpha * x) ** 2)
-    if ps.chi == 0:
-        return 1.0 / (1 - x)
-    return 1.0 / (1 - x * x)
+def rankin_local_factor(character: HeckeCharacter, p: np.ndarray, s: float) -> np.ndarray:
+    """Local factors at an int64 array of primes p of sum |a'(n)|^2 n^(-s),
+    for conductor (1)."""
+    chi, a = _prime_values(character, p)
+    x = p.astype(np.float64) ** (-s)
+    # alpha = psi(P) conj(psi(P')) = psi(P)^2 at split p
+    split = (1 - x * x) / ((1 - x) ** 2 * np.abs(1 - a * a * x) ** 2)
+    return np.where(chi == 1, split, np.where(chi == 0, 1.0 / (1 - x), 1.0 / (1 - x * x)))
 
 
 def _rankin_partials(character: HeckeCharacter, s: float, X: int) -> tuple[float, float]:
@@ -287,10 +293,8 @@ def _rankin_partials(character: HeckeCharacter, s: float, X: int) -> tuple[float
     n = np.arange(X + 1, dtype=np.float64)
     n[0] = 1.0
     partial_sum = float(np.sum(b2[1:] / n[1:] ** s))
-    partial_prod = 1.0
-    for p in _primes_up_to(X):
-        partial_prod *= rankin_local_factor(character, p, s)
-    return partial_sum, partial_prod
+    primes = np.array(_primes_up_to(X), dtype=np.int64)
+    return partial_sum, float(np.prod(rankin_local_factor(character, primes, s)))
 
 
 def rankin_euler_identity_residual(character: HeckeCharacter, s: float, X: int) -> float:

@@ -17,13 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
+# Largest max_norm enumerate_ideals accepts.  The ideals command costs about
+# 1.35 KB of resident memory per ideal, on 55 MB at start: at this budget the
+# peak RSS was 202 MB for D = 229 (107,520 ideals), 305 MB for D = 401 and
+# 587 MB for D = 8089 (396,463 ideals; chi_D(p) = 1 for every p <= 13), and
+# twice the budget took D = 8089 to 1.1 GB.
+IDEALS_NORM_BUDGET = 100_000
+
 
 def kronecker(a: int, n: int) -> int:
     """Kronecker symbol (a|n), defined for all integers n.
 
-    The scalar route to chi_D(p) (QuadField.chi, split_prime) for
-    euler_factor, rankin_local_factor and enumerate_ideals; the coefficient
-    table takes chi_D(p) from ClassGroup.prime_classes."""
+    QuadField.chi, one n at a time; arrays of primes take chi_D(p) from
+    QuadField.prime_roots."""
     if n == 0:
         return 1 if a in (1, -1) else 0
     sign = 1
@@ -86,44 +92,6 @@ def is_fundamental_discriminant(D: int) -> bool:
     return False
 
 
-def tonelli_shanks(n: int, p: int) -> int | None:
-    """A square root of n modulo an odd prime p, or None if none exists.
-
-    The scalar route (split_prime) for euler_factor, rankin_local_factor and
-    enumerate_ideals; the coefficient table takes its roots from
-    tonelli_shanks_array."""
-    n %= p
-    if n == 0:
-        return 0
-    if pow(n, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    # write p - 1 = q * 2^s with q odd
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c = pow(z, q, p)
-    r = pow(n, (q + 1) // 2, p)
-    t = pow(n, q, p)
-    m = s
-    while t != 1:
-        i, sq = 0, t
-        while sq != 1:
-            sq = sq * sq % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        r = r * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
-    return r
-
-
 def powmod_array(x, e, p):
     """x^e mod p elementwise, by square-and-multiply on int64 arrays.
 
@@ -143,9 +111,9 @@ def powmod_array(x, e, p):
 def tonelli_shanks_array(n, p):
     """A square root of each n modulo the odd prime p (int64 arrays, p < 2^31).
 
-    Every n must be a nonzero square mod its p.  The steps are those of the
-    scalar tonelli_shanks, with z the least non-residue, run together over the
-    primes whose t = n^q is not yet 1 (p - 1 = q 2^s, q odd)."""
+    Every n must be a nonzero square mod its p.  The steps of Tonelli-Shanks,
+    with z the least non-residue, run together over the primes whose t = n^q
+    is not yet 1 (p - 1 = q 2^s, q odd)."""
     import numpy as np
 
     s = np.log2((p - 1) & (1 - p)).astype(p.dtype)  # the lowest set bit of p - 1
@@ -264,85 +232,66 @@ class QuadField:
 
     # -- prime splitting ------------------------------------------------
 
-    def split_prime(self, p: int) -> "PrimeSplit":
-        """Decompose the rational prime p in the ring of integers.
+    def prime_roots(self, p):
+        """chi_D(p), and the least root b of N(b + omega) = 0 mod p (0 for inert
+        p), for an int64 array of primes p < 2^31.
 
-        The scalar route, for euler_factor, rankin_local_factor and
-        enumerate_ideals; the coefficient table classifies its primes as
-        arrays with ClassGroup.prime_classes."""
-        chi = self.chi(p)
-        if chi == -1:
-            return PrimeSplit(p, chi, (QfIdeal.make(self, p, 1, 0),))
-        roots = self._prime_roots(p)
-        primes = tuple(QfIdeal.make(self, 1, p, b) for b in roots)
-        return PrimeSplit(p, chi, primes)
+        The prime ideals above p are then (p) when p is inert, (p, b) when it
+        is ramified, and (p, b) and (p, -s - b) when it splits, since the two
+        roots sum to -s.  Odd p take chi_D(p) from Euler's criterion and
+        b = (-s +- sqrt(D))/2 from tonelli_shanks_array; mod 2 the least root
+        is N(omega) mod 2."""
+        import numpy as np
 
-    def _prime_roots(self, p: int) -> list[int]:
-        """Roots b mod p of N(b + omega) = 0, for p split or ramified."""
-        if p == 2:
-            roots = [b for b in (0, 1) if self.omega_image_norm(b) % 2 == 0]
-            if self.chi(2) == 0:
-                roots = roots[:1]
-            return roots
-        if self.D % p == 0:
-            return [(-self.s * pow(2, p - 2, p)) % p]
-        r = tonelli_shanks(self.D % p, p)
-        if r is None:
-            raise ArithmeticError(f"{p} is inert; no root exists")
-        inv2 = pow(2, p - 2, p)
-        b1 = ((-self.s + r) * inv2) % p
-        b2 = ((-self.s - r) * inv2) % p
-        return sorted({b1, b2})
+        D, s = self.D, self.s
+        # D^((p-1)/2) mod p is 1 (split), p - 1 (inert) or 0 (p | D) for odd p
+        euler = powmod_array(np.full_like(p, D), (p - 1) // 2, p)
+        chi = np.where(euler == 1, 1, np.where(euler == 0, 0, -1))
+        chi[p == 2] = 0 if D % 2 == 0 else 1 if D % 8 == 1 else -1
+        root = np.zeros_like(p)
+        split = np.flatnonzero((chi == 1) & (p > 2))
+        root[split] = tonelli_shanks_array(D % p[split], p[split])
+        half = (p + 1) // 2  # the inverse of 2 mod odd p
+        b = np.minimum((root - s) * half % p, (-root - s) * half % p)
+        b[p == 2] = self.omega_image_norm(0) % 2
+        b[chi == -1] = 0
+        return chi, b
 
     # -- enumeration ----------------------------------------------------
 
-    def enumerate_ideals(self, max_norm: int, cap: int = 10**7) -> list["QfIdeal"]:
-        """All integral ideals of norm <= max_norm, sorted by (norm, k, a, b)."""
-        if max_norm > cap:
-            raise ValueError(f"max_norm {max_norm} exceeds cap {cap}")
+    def enumerate_ideals(self, max_norm: int) -> list["QfIdeal"]:
+        """All integral ideals of norm <= max_norm, sorted by (norm, k, a, b).
+
+        Each is a product of powers of distinct prime ideals, taken in the
+        order of their rational primes."""
+        import numpy as np
+
+        if max_norm > IDEALS_NORM_BUDGET:
+            raise ValueError(f"max_norm {max_norm} is over the budget of {IDEALS_NORM_BUDGET}")
         primes = _primes_up_to(max_norm)
-        splits = [self.split_prime(p) for p in primes]
+        chi, root = self.prime_roots(np.array(primes, dtype=np.int64))
+        # (p, prime ideal above p, its norm)
+        prime_ideals: list[tuple[int, QfIdeal, int]] = []
+        for p, c, b in zip(primes, chi.tolist(), root.tolist()):
+            if c == -1:
+                prime_ideals.append((p, QfIdeal.make(self, p, 1, 0), p * p))
+                continue
+            prime_ideals.append((p, QfIdeal.make(self, 1, p, b), p))
+            if c == 1:
+                prime_ideals.append((p, QfIdeal.make(self, 1, p, -self.s - b), p))
         out: list[QfIdeal] = []
 
         def rec(idx: int, cur: QfIdeal, cur_norm: int) -> None:
             out.append(cur)
-            for j in range(idx, len(primes)):
-                p = primes[j]
+            for j in range(idx, len(prime_ideals)):
+                p, P, q = prime_ideals[j]
                 if cur_norm * p > max_norm:
                     break
-                ps = splits[j]
-                if ps.chi == -1:
-                    q = p * p
-                    I, n = cur, cur_norm
-                    while n * q <= max_norm:
-                        I = self.ideal_mul(I, ps.primes[0])
-                        n *= q
-                        rec(j + 1, I, n)
-                elif ps.chi == 0:
-                    I, n = cur, cur_norm
-                    while n * p <= max_norm:
-                        I = self.ideal_mul(I, ps.primes[0])
-                        n *= p
-                        rec(j + 1, I, n)
-                else:
-                    P1, P2 = ps.primes
-                    I1, n1, e1 = cur, cur_norm, 0
-                    while n1 * p <= max_norm:
-                        I1 = self.ideal_mul(I1, P1)
-                        n1 *= p
-                        e1 += 1
-                        I2, n2 = I1, n1
-                        rec(j + 1, I2, n2)
-                        while n2 * p <= max_norm:
-                            I2 = self.ideal_mul(I2, P2)
-                            n2 *= p
-                            rec(j + 1, I2, n2)
-                    # pure powers of P2
-                    I2, n2 = cur, cur_norm
-                    while n2 * p <= max_norm:
-                        I2 = self.ideal_mul(I2, P2)
-                        n2 *= p
-                        rec(j + 1, I2, n2)
+                I, n = cur, cur_norm
+                while n * q <= max_norm:
+                    I = self.ideal_mul(I, P)
+                    n *= q
+                    rec(j + 1, I, n)
 
         rec(0, self.unit_ideal(), 1)
         out.sort(key=lambda I: (I.norm(), I.k, I.a, I.b))
@@ -449,12 +398,3 @@ def _primes_up_to(n: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = b"\x00" * len(range(p * p, n + 1, p))
     return [i for i in range(2, n + 1) if sieve[i]]
-
-
-@dataclass(frozen=True)
-class PrimeSplit:
-    """Splitting data of a rational prime: chi = +1 split, -1 inert, 0 ramified."""
-
-    p: int
-    chi: int
-    primes: tuple[QfIdeal, ...]

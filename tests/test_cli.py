@@ -9,9 +9,10 @@ import jsonschema
 import pytest
 
 import maassforge
-from maassforge import lseries
+from maassforge import cli, lseries
 
-from maassforge.cli import COEFFS_ROW_BUDGET, main
+from maassforge.cli import COEFFS_ROW_BUDGET, GAUSS_PRIME_BUDGET, main
+from maassforge.quadfield import IDEALS_NORM_BUDGET
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "schemas" / "report.json").read_text())
 
@@ -63,7 +64,7 @@ def test_ideals_command(capsys):
 
 
 def test_ideals_cap_exceeded(capsys):
-    code, _ = run_cli(capsys, "ideals", "--disc", "229", "--max-norm", "100", "--cap", "10")
+    code, _ = run_cli(capsys, "ideals", "--disc", "229", "--max-norm", str(IDEALS_NORM_BUDGET + 1))
     assert code == 3
 
 
@@ -100,6 +101,7 @@ def test_coeffs_csv_and_json_export(capsys, tmp_path):
     [
         ("coeffs", "--disc", "229", "--n-max", "-5"),
         ("ideals", "--disc", "229", "--max-norm", "-5"),
+        ("ideals", "--disc", "229", "--max-norm", "100", "--cap", "10"),  # --cap is gone
         ("lvalue", "--disc", "229", "--s", "inf"),
         ("lvalue", "--disc", "229", "--s", "nan"),
         ("theta-eval", "--disc", "229", "--x", "nan", "--y", "0.5"),
@@ -129,6 +131,35 @@ def test_check_automorphy_half_a_matrix_exits_2(capsys, half):
     assert exc.value.code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("d", ["1", "-1"])
+def test_check_automorphy_c_zero_exits_2(capsys, monkeypatch, d):
+    # c = 0 passes c = 0 mod D and gcd(c, d) = 1, but the points sit around -d/c
+    built = []
+    monkeypatch.setattr(lseries.ClassCountTable, "__init__", lambda *a: built.append(a))
+    with pytest.raises(SystemExit) as exc:
+        main(["check-automorphy", "--disc", "229", "--index", "1", "--c", "0", "--d", d])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert built == []  # refused before any table row is built
+
+
+def test_gauss_check_over_prime_budget_exits_3(capsys, monkeypatch):
+    summed = []
+    monkeypatch.setattr(cli, "check_gauss_norm_lemma", lambda *a: summed.append(a))
+    monkeypatch.setattr(cli, "gauss_sum_rational", lambda *a: summed.append(a))
+    # 2011 is prime and inert in Q(sqrt 229)
+    with pytest.raises(SystemExit) as exc:
+        main(["gauss-check", "--disc", "229", "--p", "2011"])
+    captured = capsys.readouterr()
+    assert 2011 > GAUSS_PRIME_BUDGET
+    assert exc.value.code == 3
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    assert summed == []  # refused before any Gauss sum
 
 
 def test_coeffs_over_row_budget_exits_3(capsys, monkeypatch):

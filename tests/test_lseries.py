@@ -8,7 +8,8 @@ from maassforge import lseries as ls
 from maassforge.classforms import ClassGroup
 from maassforge.heckechar import make_class_character
 from maassforge.cli import AUTOMORPHY_ROW_BUDGET
-from maassforge.quadfield import QuadField, _primes_up_to, tonelli_shanks, tonelli_shanks_array
+from maassforge.quadfield import QuadField, _primes_up_to, tonelli_shanks_array
+from oracles import split_prime, tonelli_shanks
 
 
 @pytest.fixture(scope="module")
@@ -32,10 +33,10 @@ def test_count_table_matches_ideal_enumeration(cg229):
 
 
 def prime_class_oracle(cg, p):
-    """chi_D(p) and the class log of split_prime's first ideal above p, one
-    Python call per prime: the route the table took before prime_classes."""
-    chi = cg.field.chi(p)
-    return chi, 0 if chi == -1 else cg.dlog(cg.field.split_prime(p).primes[0])
+    """chi_D(p) and the class log of the oracle split's first ideal above p,
+    one Python call per prime: the route the table took before prime_classes."""
+    chi, ideals = split_prime(cg.field, p)
+    return chi, 0 if chi == -1 else cg.dlog(ideals[0])
 
 
 @pytest.mark.parametrize("D", [40, 229, 445, 401, 505, 3305, 14165])
@@ -173,18 +174,17 @@ def test_hecke_recursion_exact_all_fields():
             assert ls.hecke_recursion_residual(psi, p, r_max=4) == 0, (D, p)
 
 
-def test_euler_factor_matches_coefficients(psi229):
-    # partial Euler product approximates partial Dirichlet sum at s = 3
+@pytest.mark.parametrize("D, index", [(229, 1), (40, 1), (401, 1), (505, 1)])
+def test_euler_factor_matches_coefficients(D, index):
+    # partial Euler product approximates partial Dirichlet sum at s = 3;
+    # the character of (505, 1) is odd
+    psi = make_class_character(ClassGroup(QuadField(D)), index)
     s = 3.0
-    b = ls.hecke_l_coeffs(psi229, 5000)
+    b = ls.hecke_l_coeffs(psi, 5000)
     n = np.arange(5001, dtype=np.float64)
     n[0] = 1
     lhs = complex(np.sum(b[1:] / n[1:] ** s))
-    prod = 1.0 + 0j
-    from maassforge.quadfield import _primes_up_to
-
-    for p in _primes_up_to(5000):
-        prod *= ls.euler_factor(psi229, p, s)
+    prod = complex(np.prod(ls.euler_factor(psi, np.array(_primes_up_to(5000), dtype=np.int64), s)))
     assert abs(lhs - prod) < 1e-9
 
 
@@ -197,7 +197,7 @@ def test_rankin_local_factor_matches_prime_power_series(cg229, psi229):
             abs(complex(np.dot(table.prime_power_vector(p, e), zeta))) ** 2 * p ** (-s * e)
             for e in range(0, 80)
         )
-        assert abs(brute - ls.rankin_local_factor(psi229, p, s)) < 1e-12
+        assert abs(brute - ls.rankin_local_factor(psi229, np.array([p]), s)[0]) < 1e-12
 
 
 def test_rankin_residual_decreases(psi229):

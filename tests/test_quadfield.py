@@ -1,16 +1,18 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from sympy import factorint, jacobi_symbol
 
+import oracles
 from maassforge.quadfield import (
     QuadField,
+    _primes_up_to,
     is_fundamental_discriminant,
     is_squarefree,
     kronecker,
     prime_factors,
-    tonelli_shanks,
 )
 
 
@@ -58,31 +60,49 @@ def test_tonelli_shanks():
     for p in (3, 5, 13, 17, 97, 101, 229, 65537):
         for _ in range(20):
             x = random.randint(0, p - 1)
-            r = tonelli_shanks(x * x % p, p)
+            r = oracles.tonelli_shanks(x * x % p, p)
             assert r is not None and r * r % p == x * x % p
         # non-residues return None
         nr = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
-        assert tonelli_shanks(nr, p) is None
+        assert oracles.tonelli_shanks(nr, p) is None
 
 
 def test_splitting_229():
     F = QuadField(229)
     assert F.chi(2) == -1 and F.chi(3) == 1 and F.chi(229) == 0
-    ps = F.split_prime(3)
-    assert ps.chi == 1 and len(ps.primes) == 2
-    for P in ps.primes:
+    chi, b = F.prime_roots(np.array([2, 3, 229], dtype=np.int64))
+    assert chi.tolist() == [-1, 1, 0]
+    # split: two distinct prime ideals of norm 3
+    above_3 = {F.ideal(1, 3, int(b[1])), F.ideal(1, 3, -F.s - int(b[1]))}
+    assert len(above_3) == 2
+    for P in above_3:
         assert P.norm() == 3
-    assert F.split_prime(2).primes[0].norm() == 4  # inert
-    assert F.split_prime(229).primes[0].norm() == 229  # ramified
+    assert F.ideal(2, 1, 0).norm() == 4  # inert
+    assert F.ideal(1, 229, int(b[2])).norm() == 229  # ramified
 
 
 def test_prime_ideals_divide_norm_poly():
-    for D in (229, 445, 401, 40):
+    primes = _primes_up_to(10**4)
+    for D in (40, 229, 445, 401, 505, 3305, 14165):
         F = QuadField(D)
-        for p in (2, 3, 5, 7, 11, 13):
-            ps = F.split_prime(p)
-            for P in ps.primes:
-                assert F.omega_image_norm(P.b) % P.a == 0
+        chi, b = F.prime_roots(np.array(primes, dtype=np.int64))
+        assert chi.tolist() == [F.chi(p) for p in primes]
+        for p, c, r in zip(primes, chi.tolist(), b.tolist()):
+            if c == -1:
+                continue
+            # the least root, and for split p the other root -s - b
+            roots = [r] if c == 0 else [r, (-F.s - r) % p]
+            assert roots == oracles.prime_roots(F, p), (D, p)
+            for root in roots:
+                assert F.omega_image_norm(root) % p == 0
+
+
+@pytest.mark.parametrize("D", [5, 8, 17, 40, 229, 401, 1105, 14165])
+def test_enumeration_matches_oracle_split(D):
+    # 2 inert (5, 229, 14165), ramified (8, 40) and split (17, 401, 1105);
+    # 1105 has a non-cyclic narrow class group
+    F = QuadField(D)
+    assert F.enumerate_ideals(2000) == oracles.enumerate_ideals(F, 2000)
 
 
 def test_ideal_counts_match_divisor_sum():
