@@ -34,9 +34,10 @@ EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 
 # Largest coefficient table check-automorphy may build.  For D = 229 (h = 3)
-# the peak RSS is about 90 MB plus 76 bytes per row (180 MB at 1.22e6 rows,
-# 297 MB at 2.75e6, the default --samples); 4 h of those bytes are the int32
-# table, so at this budget a field with h = 12 stays near 0.6 GB.
+# the peak RSS is about 33 MB plus 43 bytes per row (46 MB at 3.1e5 rows,
+# 82 MB at 1.22e6, 146 MB at 2.75e6, the default --samples); 4 h of those
+# bytes are the int32 table, so at this budget a field with h = 12 should stay
+# near 0.4 GB.
 AUTOMORPHY_ROW_BUDGET = 4_000_000
 # Largest --n-max coeffs may print.  Its JSON list of dicts costs about 1.09 KB
 # of resident memory per row (D = 229: 213 MB at 1.5e5 rows, 370 MB at 3e5),
@@ -213,6 +214,7 @@ def cmd_theta_eval(args) -> int:
             "y": args.y,
             "re": _fmt(v.real),
             "im": _fmt(v.imag),
+            **_round_floats(th.truncation_report([args.y])),
         },
         args,
     )
@@ -243,7 +245,8 @@ def cmd_check_automorphy(args) -> int:
         mats = gamma0_matrices(cg.field.D, count=args.samples)
     offsets = ((0.0, 0.3), (0.05, 0.4), (-0.05, 0.5), (0.1, 0.65), (-0.1, 0.8))
     checks = [(m, [(-m[3] / m[2] + off, y) for off, y in offsets]) for m in mats]
-    rows = max(th.automorphy_rows([m], pts) for m, pts in checks)
+    ys = [y for m, pts in checks for y in th.automorphy_heights([m], pts)]
+    rows = max(map(th.truncation_index, ys))
     if rows > AUTOMORPHY_ROW_BUDGET:
         print(f"error: the check needs a'(n) up to n = {rows}, over the budget of "
               f"{AUTOMORPHY_ROW_BUDGET} rows", file=sys.stderr)
@@ -259,6 +262,7 @@ def cmd_check_automorphy(args) -> int:
             "matrices": [list(m) for m in mats],
             "max_residual": _fmt(worst),
             "tolerance": args.tol,
+            **_round_floats(th.truncation_report(ys)),
         },
         args,
     )

@@ -136,10 +136,6 @@ class GaussSumResult:
     value: complex
     modulus_norm: int
 
-    def abs_sq_residual(self) -> float:
-        """| |tau|^2 - N(f) |, which vanishes for primitive characters."""
-        return abs(abs(self.value) ** 2 - self.modulus_norm)
-
 
 def gauss_sum_quadratic_field(field: QuadField, chi_fin, m: int, delta: int = 0) -> GaussSumResult:
     """Gauss sum of a finite character on (O_F / m*O_F), modulus f = m*O_F.

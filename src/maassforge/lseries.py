@@ -21,12 +21,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import exp1
 
 from .classforms import ClassGroup
 from .heckechar import HeckeCharacter
 from .quadfield import _primes_up_to, prime_factors
-from .special import incomplete_k_mellin
+from .special import exp1, incomplete_k_mellin
 
 
 # rows sieved per pass: bounds the temporaries of a table extension
@@ -358,7 +357,7 @@ def rankin_euler_identity_residual_corrected(
     kappa = rankin_residue(character)
     partial_sum, partial_prod = _rankin_partials(character, s, X)
     sum_tail = kappa * X ** (1 - s) / (s - 1)
-    prod_tail = math.expm1(float(exp1((s - 1) * math.log(X))))
+    prod_tail = math.expm1(exp1((s - 1) * math.log(X)))
     return abs(partial_sum + sum_tail - partial_prod * (1 + prod_tail))
 
 

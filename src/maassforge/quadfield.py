@@ -297,18 +297,6 @@ class QuadField:
         out.sort(key=lambda I: (I.norm(), I.k, I.a, I.b))
         return out
 
-    def ideal_count(self, n: int) -> int:
-        """Number of integral ideals of norm n, via sum of chi over divisors."""
-        count = 0
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                count += self.chi(d)
-                if d != n // d:
-                    count += self.chi(n // d)
-            d += 1
-        return count
-
 
 @dataclass(frozen=True)
 class QfIdeal:

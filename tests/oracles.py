@@ -2,11 +2,14 @@
 
 QuadField.prime_roots splits arrays of rational primes with numpy; these
 functions split one prime at a time by the older scalar route, and enumerate
-ideals from that split, so that the tests can compare the two.
+ideals from that split, so that the tests can compare the two.  ideal_count
+and gauss_abs_sq_residual are closed forms the tests check the library
+against.
 """
 
 from __future__ import annotations
 
+from maassforge.heckechar import GaussSumResult
 from maassforge.quadfield import QfIdeal, QuadField, _primes_up_to
 
 
@@ -117,3 +120,22 @@ def enumerate_ideals(F: QuadField, max_norm: int) -> list[QfIdeal]:
     rec(0, F.unit_ideal(), 1)
     out.sort(key=lambda I: (I.norm(), I.k, I.a, I.b))
     return out
+
+
+def ideal_count(F: QuadField, n: int) -> int:
+    """Number of integral ideals of norm n, via the sum of chi_D over the
+    divisors of n."""
+    count = 0
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            count += F.chi(d)
+            if d != n // d:
+                count += F.chi(n // d)
+        d += 1
+    return count
+
+
+def gauss_abs_sq_residual(res: GaussSumResult) -> float:
+    """| |tau|^2 - N(f) |, which vanishes for primitive characters."""
+    return abs(abs(res.value) ** 2 - res.modulus_norm)

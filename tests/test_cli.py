@@ -180,7 +180,7 @@ def test_cli_import_loads_no_optional_package():
     code = (
         "import sys, maassforge.cli\n"
         "print(sorted(m for m in sys.modules\n"
-        "             if m.split('.')[0] in ('mpmath', 'sympy') or m.startswith('scipy.integrate')))"
+        "             if m.split('.')[0] in ('mpmath', 'scipy', 'sympy')))"
     )
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert res.stdout.strip() == "[]"
@@ -220,6 +220,37 @@ def test_theta_eval_command(capsys):
     code, out = run_cli(capsys, "theta-eval", "--disc", "229", "--index", "1", "--x", "0.2", "--y", "0.5")
     assert code == 0
     assert abs(json.loads(out)["re"] - 0.00646672755076132) < 1e-12
+    validate(out)
+
+
+@pytest.mark.parametrize("x", ["1e17", "1e12", "-3.0"])
+def test_theta_eval_reduces_x_mod_1(capsys, x):
+    # Theta has period 1 in x; every x here is an integer
+    _, at_zero = run_cli(capsys, "theta-eval", "--disc", "229", "--index", "1", "--x", "0", "--y", "0.05")
+    code, out = run_cli(capsys, "theta-eval", "--disc", "229", "--index", "1", "--x", x, "--y", "0.05")
+    assert code == 0
+    assert json.loads(out)["re"] == json.loads(at_zero)["re"] == 0.210563943139103
+
+
+def test_theta_eval_reports_truncation(capsys):
+    code, out = run_cli(capsys, "theta-eval", "--disc", "229", "--index", "1", "--x", "0.2", "--y", "0.05")
+    assert code == 0
+    data = json.loads(out)
+    # 45 / (2 pi 0.05) = 143.2; 50 of the a'(n), n <= 144, are nonzero
+    assert (data["truncation"], data["terms"]) == (144, 50)
+    assert 0 < data["tail_bound"] < 1e-17
+    validate(out)
+
+
+def test_check_automorphy_reports_worst_truncation(capsys):
+    code, out = run_cli(capsys, "check-automorphy", "--disc", "229", "--index", "2", "--c", "229", "--d", "3")
+    assert code == 0
+    data = json.loads(out)
+    # the smallest height is Im(gamma z) = y / |cz + d|^2 at z = -3/229 - 0.1 + 0.8i
+    y = 0.8 / (229**2 * (0.1**2 + 0.8**2))
+    assert data["truncation"] == int(45 / (2 * 3.141592653589793 * y)) + 1 == 305160
+    assert data["terms"] == 62650
+    assert 0 < data["tail_bound"] < 1e-12
     validate(out)
 
 

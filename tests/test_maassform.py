@@ -8,6 +8,7 @@ from maassforge import lseries as ls
 from maassforge.heckechar import make_class_character
 from maassforge.maassform import ThetaForm, build_theta, gamma0_matrices
 from maassforge.quadfield import QuadField
+from maassforge.special import bessel_k0_array
 
 
 @pytest.fixture(scope="module")
@@ -48,8 +49,6 @@ def test_tail_bound_dominates_truncation(theta229):
     # halving the truncation must stay within the corresponding bound
     full = theta229.eval(0.1, y)
     loose_cut = n_cut // 2
-    from maassforge.special import bessel_k0_array
-
     n = np.arange(1, loose_cut + 1)
     kv = bessel_k0_array(2 * math.pi * y * n)
     osc = np.cos(2 * math.pi * 0.1 * n)
@@ -152,3 +151,34 @@ def test_gamma0_matrices_valid():
     for a, b, c, d in mats:
         assert a * d - b * c == 1
         assert c % 229 == 0 and abs(c) <= 3 * 229
+
+
+def dense_theta(th: ThetaForm, x: float, y: float) -> complex:
+    """Theta(x + iy) summed over every n up to the truncation, zeros included."""
+    n_cut = th.truncation_index(y)
+    n = np.arange(1, n_cut + 1)
+    a = ls.hecke_l_coeffs(th.character, n_cut)[1:]
+    trig = np.cos if th.epsilon == 0 else np.sin
+    return complex(math.sqrt(y) * np.sum(a * bessel_k0_array(2 * math.pi * y * n) * trig(2 * math.pi * x * n)))
+
+
+@pytest.mark.parametrize("D", [229, 136, 505])  # 136 and 505: sine series
+def test_eval_on_the_support_equals_the_dense_sum(D):
+    th = build_theta(make_class_character(ClassGroup(QuadField(D)), 1))
+    for x, y in [(0.13, 0.02), (0.37, 0.06), (-0.21, 0.3), (0.44, 1.0)]:
+        ref = dense_theta(th, x, y)
+        assert abs(th.eval(x, y, allow_low_y=True) - ref) <= 1e-14 * abs(ref), (x, y)
+    # the support drops exact zeros only
+    n_cut = th.truncation_index(0.02)
+    n, a = th.support(n_cut)
+    full = ls.hecke_l_coeffs(th.character, n_cut)
+    assert np.all(a != 0) and np.array_equal(a, full[n]) and len(n) < n_cut
+    assert not np.any(np.delete(full, n))
+
+
+def test_truncation_report_takes_the_worst_height(theta229):
+    ys = [0.5, 0.05, 0.3]
+    rep = theta229.truncation_report(ys)
+    assert rep["truncation"] == theta229.truncation_index(0.05) == 144
+    assert rep["terms"] == len(theta229.support(144)[0]) == 50
+    assert rep["tail_bound"] == max(theta229.tail_bound(y, theta229.truncation_index(y)) for y in ys)

@@ -4,14 +4,19 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import k0
+from scipy.special import exp1 as scipy_exp1
+from scipy.special import k0, k0e
 
-from maassforge.special import bessel_k0_array, incomplete_k_mellin
+from maassforge.special import K0_SPLIT, bessel_k0_array, bessel_k0e_array, exp1, incomplete_k_mellin
+
+# a geometric grid, and the switch from the power series to the Hermite sum,
+# where the Hermite rule is least accurate
+K0_GRID = np.unique(np.append(np.geomspace(1e-8, 700.0, 241), K0_SPLIT))
 
 
 def bessel_k(t: float, y: float, rtol: float = 1e-13) -> float:
     """K_{it}(y) for real t (t = 0 gives K_0), real-valued, y > 0: the oracle
-    for scipy's K_0 and for K_{it} at imaginary order.
+    for the numpy K_0 and for K_{it} at imaginary order.
 
     Trapezoidal quadrature, with step halving, of the cosine-transform integral
     K_{it}(y) = int_0^inf exp(-y*cosh(u)) cos(t*u) du; the integrand is even
@@ -69,6 +74,51 @@ def test_bessel_k0_array_matches_scalar():
     arr = bessel_k0_array(ys)
     for y, v in zip(ys, arr):
         assert abs(v - bessel_k(0.0, float(y))) < 1e-12 * abs(v)
+
+
+@pytest.fixture(scope="module")
+def k0_mpmath():
+    """K_0 and e^t K_0 on K0_GRID at 30 digits."""
+    with mp.workdps(30):
+        pairs = [(mp.besselk(0, t), mp.exp(t)) for t in map(mp.mpf, K0_GRID.tolist())]
+        return np.array([float(k) for k, _ in pairs]), np.array([float(k * e) for k, e in pairs])
+
+
+def test_k0_and_k0e_against_mpmath(k0_mpmath):
+    k, ke = k0_mpmath
+    assert np.max(np.abs(bessel_k0_array(K0_GRID) / k - 1)) <= 2e-15
+    assert np.max(np.abs(bessel_k0e_array(K0_GRID) / ke - 1)) <= 2e-15
+
+
+def test_k0_and_k0e_against_scipy():
+    assert np.max(np.abs(bessel_k0_array(K0_GRID) / k0(K0_GRID) - 1)) <= 3e-15
+    assert np.max(np.abs(bessel_k0e_array(K0_GRID) / k0e(K0_GRID) - 1)) <= 3e-15
+
+
+def test_k0_keeps_the_shape_of_its_argument():
+    assert bessel_k0_array(0.5).shape == ()
+    assert float(bessel_k0_array(0.5)) == pytest.approx(0.9244190712276659, rel=1e-15)
+    t = np.array([[0.1, 2.0, 30.0], [1.9, 2.1, 5.0]])
+    assert np.array_equal(bessel_k0_array(t), bessel_k0_array(t.ravel()).reshape(t.shape))
+
+
+@pytest.mark.parametrize("x", [0.1, 1.0, 1.5, 11.5, 30.0])
+def test_exp1_against_scipy(x):
+    assert abs(exp1(x) / scipy_exp1(x) - 1) <= 4e-15
+
+
+def test_exp1_against_mpmath():
+    # the series up to x = 1, the continued fraction above
+    for x in np.geomspace(1e-10, 700.0, 121).tolist() + [1.0, np.nextafter(1.0, 2.0)]:
+        with mp.workdps(30):
+            ref = float(mp.e1(x))
+        assert abs(exp1(x) / ref - 1) <= 1e-14, x
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, float("nan")])
+def test_exp1_rejects_nonpositive_x(x):
+    with pytest.raises(ValueError):
+        exp1(x)
 
 
 def test_bessel_exponential_bound():
