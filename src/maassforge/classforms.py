@@ -15,6 +15,8 @@ from decimal import Decimal, localcontext
 from functools import cached_property
 from math import gcd, isqrt
 
+import numpy as np
+
 from .quadfield import QfIdeal, QuadField
 
 
@@ -189,8 +191,6 @@ class ClassGroup:
         """Ascending int64 keys (A + r + 1)(r + 1) + B of the forms of all
         cycles, r = isqrt(D), and the cycle of each: a reduced form has
         0 < B <= r and |A| <= r, so the key is one-to-one."""
-        import numpy as np
-
         r = isqrt(self.field.D)
         pairs = sorted(
             ((f.A + r + 1) * (r + 1) + f.B, i) for i, cyc in enumerate(self.cycles) for f in cyc
@@ -229,8 +229,6 @@ class ClassGroup:
         mask, and each is looked up among the forms of the cycles.  The cycle
         index maps to its log last, so a group that is not cyclic raises
         ArithmeticError there."""
-        import numpy as np
-
         D, s = self.field.D, self.field.s
         r = isqrt(D)
         chi, b = self.field.prime_roots(p)

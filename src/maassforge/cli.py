@@ -34,10 +34,10 @@ EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 
 # Largest coefficient table check-automorphy may build.  For D = 229 (h = 3)
-# the peak RSS is about 33 MB plus 43 bytes per row (46 MB at 3.1e5 rows,
-# 82 MB at 1.22e6, 146 MB at 2.75e6, the default --samples); 4 h of those
+# the peak RSS is about 33 MB plus 28 bytes per row (42 MB at 3.1e5 rows,
+# 67 MB at 1.22e6, 110 MB at 2.75e6, the default --samples); 4 h of those
 # bytes are the int32 table, so at this budget a field with h = 12 should stay
-# near 0.4 GB.
+# near 0.3 GB.
 AUTOMORPHY_ROW_BUDGET = 4_000_000
 # Largest --n-max coeffs may print.  Its JSON list of dicts costs about 1.09 KB
 # of resident memory per row (D = 229: 213 MB at 1.5e5 rows, 370 MB at 3e5),
@@ -251,6 +251,7 @@ def cmd_check_automorphy(args) -> int:
         print(f"error: the check needs a'(n) up to n = {rows}, over the budget of "
               f"{AUTOMORPHY_ROW_BUDGET} rows", file=sys.stderr)
         return EXIT_RESOURCE
+    lseries.get_table(cg, rows)  # one table for every matrix
     worst = 0.0
     for m, pts in checks:
         rep = th.check_automorphy([m], pts)

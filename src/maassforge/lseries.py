@@ -1,13 +1,13 @@
 """Hecke and Rankin-Selberg Dirichlet series for class characters.
 
 Coefficients are computed exactly first: for each n the vector of counts of
-ideals of norm n per narrow class is a group-ring element, multiplicative in
-n and determined at prime powers by the splitting type and the class of a
-prime above p.  The table's sieve and the Euler factors find those for
-arrays of primes (ClassGroup.prime_classes, on QuadField.prime_roots), with
-no Python call per prime.  Applying a character is a lazy linear map from
-these integer vectors to complex numbers, so every character of the same
-field shares one table.
+ideals of norm n per narrow class is a group-ring element, given by the
+Hecke recursion at the smallest prime factor p of n from the splitting type
+and the class of a prime above p.  The table's sieve and the Euler factors
+find those for arrays of primes (ClassGroup.prime_classes, on
+QuadField.prime_roots), with no Python call per prime.  Applying a character
+is a lazy linear map from these integer vectors to complex numbers, so every
+character of the same field shares one table.
 
 L(1) is computed two independent ways: an approximate functional equation
 whose terms are weighted by incomplete K_0-Mellin transforms, summed as
@@ -49,17 +49,15 @@ def _check_row_limit(n_max: int) -> None:
 class ClassCountTable:
     """counts[n, j] = number of integral ideals of norm n in narrow class j.
 
-    Rows are filled by a multiplicative sieve: with p the smallest prime
-    factor of n and p^e its full power in n, row n is the group-ring product
-    of the prime-power row (p^e) and row n/p^e.  extend() sieves only the rows
-    above the current n_max, so a table grows in place.
-
-    The row (p^e) needs chi_D(p) and the class of a prime above p.  Both come
-    from ClassGroup.prime_classes, called on arrays: once per extension for
-    the primes up to sqrt(n_max), which are the smallest prime factors of
-    composite rows, and once per pass for the primes of the pass, the rows
-    whose smallest prime factor is the row itself.  Nothing about primes is
-    kept between extensions.  Its int64 arithmetic bounds n_max below 2^31."""
+    Row n is filled by the Hecke recursion at its smallest prime factor p,
+    row(n) = v_p * row(n/p) - chi_D(p) row(n/p^2) in the group ring, the last
+    term only when p^2 | n: v_p is [k] + [-k] at split p, [k] at ramified p
+    and 0 at inert p, for k the class of a prime above p, and (p) is
+    principal and totally positive.  extend() sieves only the rows above the
+    current n_max, so a table grows in place, and classifies the primes of
+    the new rows and those up to sqrt(n_max) in one ClassGroup.prime_classes
+    call, whose int64 arithmetic bounds n_max below 2^31.  support() keeps
+    each character's nonzero coefficients."""
 
     def __init__(self, classgroup: ClassGroup, n_max: int):
         if n_max < 0:
@@ -69,6 +67,8 @@ class ClassCountTable:
         self.h = classgroup.h_narrow
         self.counts = np.zeros((1, self.h), dtype=np.int32)
         self.n_max = 0
+        # character index -> (rows realised, n with b(n) != 0, those b(n))
+        self._supports: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
         self.extend(n_max)
 
     # -- local data -----------------------------------------------------
@@ -119,79 +119,84 @@ class ClassCountTable:
             counts[1, 0] = 1  # the unit ideal
             lo = 1
         # a composite n has its smallest prime factor below sqrt(n_max)
-        small_primes = np.array(_primes_up_to(math.isqrt(n_max)), dtype=np.int64)
-        small_classes = self.classgroup.prime_classes(small_primes)
+        primes = _primes_up_to(n_max)
+        primes = primes[(primes > lo) | (primes <= math.isqrt(n_max))]
+        chi, k = self.classgroup.prime_classes(primes)
         while lo < n_max:
-            # n/p^e <= n/2 <= lo, so every row a pass reads is already filled
+            # n/p <= n/2 <= lo, so every row a pass reads is already filled
             hi = min(n_max, 2 * lo, lo + SIEVE_CHUNK)
-            self._sieve(lo + 1, hi, small_primes, small_classes)
+            self._sieve(lo + 1, hi, primes, chi, k)
             lo = hi
         self.n_max = n_max
 
-    def _sieve(self, a: int, b: int, small_primes: np.ndarray,
-               small_classes: tuple[np.ndarray, np.ndarray]) -> None:
+    def _sieve(self, a: int, b: int, primes: np.ndarray, chi: np.ndarray, k: np.ndarray) -> None:
         """Fill rows a..b from rows below a (requires b <= 2(a - 1)), given
-        chi_D and the class log of each of the small primes."""
+        chi_D and the class log of each of the ascending primes, which hold
+        every prime in [a, b] and up to sqrt(b)."""
         h = self.h
         n = np.arange(a, b + 1, dtype=np.int64)
-        p = np.zeros_like(n)  # smallest prime factor
-        for q in small_primes[small_primes * small_primes <= b].tolist():
-            sl = p[-a % q :: q]
-            sl[sl == 0] = q
-        p = np.where(p == 0, n, p)
-        m = n // p  # n / p^e once the loop below is done
-        e = np.ones_like(n)
-        idx = np.flatnonzero(m % p == 0)
-        while idx.size:
-            m[idx] //= p[idx]
-            e[idx] += 1
-            idx = idx[m[idx] % p[idx] == 0]
-        # splitting type and class of each smallest prime factor: the primes
-        # of the pass (p == n) are new, the others are small primes
-        chi, k = np.empty_like(n), np.empty_like(n)
-        prime = p == n
-        chi[prime], k[prime] = self.classgroup.prime_classes(n[prime])
-        at = np.searchsorted(small_primes, p[~prime])
-        chi[~prime], k[~prime] = small_classes[0][at], small_classes[1][at]
-        # row (p^e) = sum_{j < terms} [class base + j step]: split p gives
-        # e + 1 terms k(2j - e), ramified p the one term k e, inert p the
-        # principal class when e is even and nothing when e is odd
-        split = chi == 1
-        terms = np.where(split, e + 1, np.where(chi == 0, 1, 1 - e % 2))
-        base = np.where(split, -k * e, np.where(chi == 0, k * e, 0))
-        step = np.where(split, 2 * k, 0)
+        at = np.full_like(n, -1)  # where the smallest prime factor is in primes
+        for j, q in enumerate(primes[: np.searchsorted(primes, math.isqrt(b) + 1)].tolist()):
+            sl = at[-a % q :: q]
+            sl[sl < 0] = j
+        # the rows left are the primes of the pass, in order
+        new = np.flatnonzero(at < 0)
+        at[new] = np.searchsorted(primes, a) + np.arange(new.size)
+        p = primes[at]
+        chi, k, m = chi[at], k[at], n // p
         # adding class s to row m moves count j to class j + s: out[n, j] +=
         # counts[m, (j - s) % h], gathered from the flat table
-        cols = np.arange(h)
-        shifted = (cols - cols[:, None]) % h  # shifted[s] = (cols - s) % h
+        shifted = (np.arange(h) - np.arange(h)[:, None]) % h  # shifted[s, j] = (j - s) % h
         flat = self.counts.reshape(-1)
         out = np.zeros((len(n), h), dtype=self.counts.dtype)
-        idx = np.flatnonzero(terms > 0)
-        j = 0
-        while idx.size:
-            s = (base[idx] + j * step[idx]) % h
-            out[idx] += flat[(m[idx] * h)[:, None] + shifted[s]]
-            j += 1
-            idx = idx[terms[idx] > j]
+        idx = np.flatnonzero(chi >= 0)  # v_p * row(n/p): [k] at split and ramified p
+        mh = (m[idx] * h)[:, None]
+        out[idx] = flat[mh + shifted[k[idx]]]
+        split = chi[idx] == 1  # and [-k] at split p
+        out[idx[split]] += flat[mh[split] + shifted[-k[idx[split]] % h]]
+        idx = np.flatnonzero(m % p == 0)  # - chi_D(p) row(n/p^2)
+        out[idx] -= chi[idx, None] * self.counts[m[idx] // p[idx]]
         self.counts[a : b + 1] = out
 
     # -- realizations ---------------------------------------------------
+
+    def _realise(self, index: int, lo: int, hi: int):
+        """(a, b[a:a + rows]) for each pass over the rows lo <= n < hi, so that
+        the complex copy of the counts the product casts to is one pass."""
+        h = self.h
+        zeta = np.exp(2j * np.pi * index * np.arange(h) / h)
+        rows = max(1, REALISE_ENTRIES // h)
+        for a in range(lo, hi, rows):
+            yield a, self.counts[a : min(a + rows, hi)] @ zeta
 
     def coefficients(self, index: int, n_max: int) -> np.ndarray:
         """Complex array b with b[n] = sum over ideals of norm n of psi(ideal),
         for psi the class character of the given index."""
         if n_max > self.n_max:
             raise ValueError("table too small")
-        h = self.h
-        zeta = np.exp(2j * np.pi * index * np.arange(h) / h)
         b = np.empty(n_max + 1, dtype=np.complex128)
-        # a pass at a time, so the complex copy of the counts that the product
-        # casts to is one pass, not the table
-        rows = max(1, REALISE_ENTRIES // h)
-        for lo in range(0, n_max + 1, rows):
-            hi = min(lo + rows, n_max + 1)
-            np.matmul(self.counts[lo:hi], zeta, out=b[lo:hi])
+        for a, c in self._realise(index, 0, n_max + 1):
+            b[a : a + c.size] = c
         return b
+
+    def support(self, index: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+        """The n <= n_max with b(n) != 0, ascending, and those b(n), as
+        read-only arrays.  Rows are realised once per character: a call
+        realises only those above the rows realised before."""
+        if n_max > self.n_max:
+            raise ValueError("table too small")
+        done, n, b = self._supports.get(index, (0, np.zeros(0, np.int64), np.zeros(0, complex)))
+        if n_max > done:
+            ns, bs = [n], [b]
+            for a, c in self._realise(index, done + 1, n_max + 1):
+                nz = np.flatnonzero(c)
+                ns.append(a + nz)
+                bs.append(c[nz])
+            n, b = np.concatenate(ns), np.concatenate(bs)
+            n.flags.writeable = b.flags.writeable = False
+            self._supports[index] = n_max, n, b
+        cut = np.searchsorted(n, n_max, side="right")
+        return n[:cut], b[:cut]
 
 
 def get_table(classgroup: ClassGroup, n_max: int) -> ClassCountTable:
@@ -292,7 +297,7 @@ def _rankin_partials(character: HeckeCharacter, s: float, X: int) -> tuple[float
     n = np.arange(X + 1, dtype=np.float64)
     n[0] = 1.0
     partial_sum = float(np.sum(b2[1:] / n[1:] ** s))
-    primes = np.array(_primes_up_to(X), dtype=np.int64)
+    primes = _primes_up_to(X)
     return partial_sum, float(np.prod(rankin_local_factor(character, primes, s)))
 
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
+import numpy as np
+
 # Largest max_norm enumerate_ideals accepts.  The ideals command costs about
 # 1.35 KB of resident memory per ideal, on 55 MB at start: at this budget the
 # peak RSS was 202 MB for D = 229 (107,520 ideals), 305 MB for D = 401 and
@@ -96,8 +98,6 @@ def powmod_array(x, e, p):
     """x^e mod p elementwise, by square-and-multiply on int64 arrays.
 
     Needs p < 2^31, so that every product of two residues fits in int64."""
-    import numpy as np
-
     x, e = x % p, e.copy()
     r = np.ones_like(p)
     while True:
@@ -114,12 +114,12 @@ def tonelli_shanks_array(n, p):
     Every n must be a nonzero square mod its p.  The steps of Tonelli-Shanks,
     with z the least non-residue, run together over the primes whose t = n^q
     is not yet 1 (p - 1 = q 2^s, q odd)."""
-    import numpy as np
-
     s = np.log2((p - 1) & (1 - p)).astype(p.dtype)  # the lowest set bit of p - 1
     q = (p - 1) >> s
-    r = powmod_array(n, (q + 1) // 2, p)
-    t = powmod_array(n, q, p)
+    # r = n^((q + 1)/2) and t = n^q from the one power x = n^((q - 1)/2)
+    x = powmod_array(n, (q - 1) // 2, p)
+    r = x * (n % p) % p
+    t = x * r % p
     act = np.flatnonzero(t != 1)
     if not act.size:
         return r
@@ -129,7 +129,7 @@ def tonelli_shanks_array(n, p):
     P, Q, m = p[act], q[act], s[act]
     z = np.where(P % 8 == 5, 2, 0)
     todo = np.flatnonzero(z == 0)
-    for y in _primes_up_to(isqrt(int(P.max())) + 1)[1:]:
+    for y in _primes_up_to(isqrt(int(P.max())) + 1)[1:].tolist():
         if not todo.size:
             break
         square = np.zeros(y, dtype=bool)
@@ -241,8 +241,6 @@ class QuadField:
         roots sum to -s.  Odd p take chi_D(p) from Euler's criterion and
         b = (-s +- sqrt(D))/2 from tonelli_shanks_array; mod 2 the least root
         is N(omega) mod 2."""
-        import numpy as np
-
         D, s = self.D, self.s
         # D^((p-1)/2) mod p is 1 (split), p - 1 (inert) or 0 (p | D) for odd p
         euler = powmod_array(np.full_like(p, D), (p - 1) // 2, p)
@@ -264,15 +262,13 @@ class QuadField:
 
         Each is a product of powers of distinct prime ideals, taken in the
         order of their rational primes."""
-        import numpy as np
-
         if max_norm > IDEALS_NORM_BUDGET:
             raise ValueError(f"max_norm {max_norm} is over the budget of {IDEALS_NORM_BUDGET}")
         primes = _primes_up_to(max_norm)
-        chi, root = self.prime_roots(np.array(primes, dtype=np.int64))
+        chi, root = self.prime_roots(primes)
         # (p, prime ideal above p, its norm)
         prime_ideals: list[tuple[int, QfIdeal, int]] = []
-        for p, c, b in zip(primes, chi.tolist(), root.tolist()):
+        for p, c, b in zip(primes.tolist(), chi.tolist(), root.tolist()):
             if c == -1:
                 prime_ideals.append((p, QfIdeal.make(self, p, 1, 0), p * p))
                 continue
@@ -377,12 +373,13 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _primes_up_to(n: int) -> list[int]:
+def _primes_up_to(n: int) -> np.ndarray:
+    """The primes p <= n, ascending, as an int64 array."""
     if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
+        return np.zeros(0, dtype=np.int64)
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
     for p in range(2, isqrt(n) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(range(p * p, n + 1, p))
-    return [i for i in range(2, n + 1) if sieve[i]]
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve).astype(np.int64)

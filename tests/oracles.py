@@ -74,7 +74,7 @@ def split_prime(F: QuadField, p: int) -> tuple[int, tuple[QfIdeal, ...]]:
 def enumerate_ideals(F: QuadField, max_norm: int) -> list[QfIdeal]:
     """All integral ideals of norm <= max_norm from split_prime, one rational
     prime at a time, sorted by (norm, k, a, b)."""
-    primes = _primes_up_to(max_norm)
+    primes = _primes_up_to(max_norm).tolist()
     splits = [split_prime(F, p) for p in primes]
     out: list[QfIdeal] = []
 

@@ -110,7 +110,7 @@ def test_a7_functional_equation(theta229):
 def test_a8_gauss_sum_suite():
     # |tau(chi)|^2 = p for 20 primitive characters mod odd primes <= 100
     checked = 0
-    for p in _primes_up_to(100):
+    for p in _primes_up_to(100).tolist():
         if p == 2:
             continue
         for k in (1, 2):
@@ -127,7 +127,7 @@ def test_a8_gauss_sum_suite():
     assert checked >= 20
 
     F = QuadField(229)
-    inert = [p for p in _primes_up_to(50) if p > 2 and F.chi(p) == -1][:3]
+    inert = [p for p in _primes_up_to(50).tolist() if p > 2 and F.chi(p) == -1][:3]
     assert len(inert) == 3
     for p in inert:
         assert check_gauss_norm_lemma(F, p, 1) < 1e-9
@@ -168,5 +168,5 @@ def test_a10_norm_induced_negative_control():
 def test_a11_exact_multiplicativity_and_recursion(cg229):
     psi = make_class_character(cg229, 1)
     assert multiplicativity_failures(psi, 1000) == 0
-    for p in _primes_up_to(50):
+    for p in _primes_up_to(50).tolist():
         assert hecke_recursion_residual(psi, p, r_max=4) == 0, p

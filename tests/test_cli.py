@@ -10,6 +10,7 @@ import pytest
 
 import maassforge
 from maassforge import cli, lseries
+from maassforge.classforms import ClassGroup
 
 from maassforge.cli import COEFFS_ROW_BUDGET, GAUSS_PRIME_BUDGET, main
 from maassforge.quadfield import IDEALS_NORM_BUDGET
@@ -252,6 +253,32 @@ def test_check_automorphy_reports_worst_truncation(capsys):
     assert data["terms"] == 62650
     assert 0 < data["tail_bound"] < 1e-12
     validate(out)
+
+
+def test_check_automorphy_builds_its_table_in_one_extension(capsys, monkeypatch):
+    extensions, inside, classified = [], [], []
+    extend, prime_classes = lseries.ClassCountTable.extend, ClassGroup.prime_classes
+
+    def recording_extend(self, n_max):
+        if n_max > self.n_max:
+            extensions.append((self.n_max, n_max))
+        inside.append(n_max)
+        try:
+            extend(self, n_max)
+        finally:
+            inside.pop()
+
+    def counting_prime_classes(self, p):
+        classified.append((len(extensions), bool(inside)))
+        return prime_classes(self, p)
+
+    monkeypatch.setattr(lseries.ClassCountTable, "extend", recording_extend)
+    monkeypatch.setattr(ClassGroup, "prime_classes", counting_prime_classes)
+    code, out = run_cli(capsys, "check-automorphy", "--disc", "229", "--index", "1", "--samples", "2")
+    assert code == 0 and json.loads(out)["truncation"] == 1220639
+    assert extensions == [(0, 1220639)]
+    # every classification happens inside that one extension, at most twice
+    assert 1 <= len(classified) <= 2 and set(classified) == {(1, True)}
 
 
 def test_theta_eval_low_y_invalid(capsys):

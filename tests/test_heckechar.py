@@ -54,7 +54,7 @@ def test_norm_induced_detection():
 
 
 def test_primitive_root_is_sympys_smallest():
-    for p in _primes_up_to(1000)[1:]:
+    for p in _primes_up_to(1000)[1:].tolist():
         assert DirichletCharacterModP(p, 1).g == primitive_root(p)
 
 
@@ -90,7 +90,7 @@ def test_quadratic_field_gauss_sum_magnitude():
 
 def test_gauss_norm_lemma_inert_primes():
     F = QuadField(229)
-    inert = [p for p in _primes_up_to(50) if p > 2 and F.chi(p) == -1]
+    inert = [p for p in _primes_up_to(50).tolist() if p > 2 and F.chi(p) == -1]
     assert len(inert) >= 3
     for p in inert[:3]:
         for k in (1, 2):

@@ -44,9 +44,9 @@ def test_prime_classes_match_per_prime_oracle(D):
     # 2 ramified (40), inert (229, 445, 14165) and split (401, 505, 3305), every p | D
     cg = ClassGroup(QuadField(D))
     primes = _primes_up_to(200000)
-    chi, k = cg.prime_classes(np.array(primes, dtype=np.int64))
+    chi, k = cg.prime_classes(primes)
     got = list(zip(chi.tolist(), k.tolist()))
-    assert got == [prime_class_oracle(cg, p) for p in primes]
+    assert got == [prime_class_oracle(cg, p) for p in primes.tolist()]
     assert {c for c, _ in got} == {-1, 0, 1}
 
 
@@ -66,7 +66,7 @@ def test_tonelli_shanks_array_at_high_two_adic_valuation(p):
 
 
 def test_tonelli_shanks_array_below_automorphy_row_budget():
-    divisors = _primes_up_to(math.isqrt(AUTOMORPHY_ROW_BUDGET))
+    divisors = _primes_up_to(math.isqrt(AUTOMORPHY_ROW_BUDGET)).tolist()
     primes = [q for q in range(AUTOMORPHY_ROW_BUDGET - 3000, AUTOMORPHY_ROW_BUDGET)
               if all(q % d for d in divisors)]
     assert len(primes) > 150
@@ -90,17 +90,24 @@ def test_count_table_rejects_n_max_out_of_range_before_allocating(cg229, monkeyp
     assert table.n_max == 10 and table.counts.shape == (11, 3)
 
 
+GROWN_ROWS = 70001
+
+
 @pytest.mark.parametrize(
     "D, h", [(40, 2), (229, 3), (445, 4), (401, 5), (505, 8), (3305, 12), (14165, 6)]
 )
 def test_grown_table_equals_one_shot_build(D, h):
     cg = ClassGroup(QuadField(D))
     assert cg.h_narrow == h
+    # extensions from rows 1001, 5001, 20001 and 47778: their passes do not
+    # line up with the one-shot build's, at powers of 2 and then every
+    # SIEVE_CHUNK rows
     grown = ls.ClassCountTable(cg, 1000)
-    for n_max in (5000, 20000):
+    for n_max in (5000, 20000, 47777, GROWN_ROWS):
         grown.extend(n_max)
-    whole = ls.ClassCountTable(cg, 20000)
-    assert grown.n_max == whole.n_max == 20000
+    whole = ls.ClassCountTable(cg, GROWN_ROWS)
+    assert GROWN_ROWS > 4 * ls.SIEVE_CHUNK
+    assert grown.n_max == whole.n_max == GROWN_ROWS
     assert np.array_equal(grown.counts, whole.counts)
     # rows across the first growth step against enumerated ideals per class
     ref = np.zeros((1501, h), dtype=np.int64)
@@ -108,9 +115,34 @@ def test_grown_table_equals_one_shot_build(D, h):
         ref[I.norm(), cg.dlog(I)] += 1
     assert np.array_equal(grown.counts[:1501], ref)
     # and far rows against the ideal count sum_{d|n} chi_D(d)
-    for n in (19999, 20000):
+    for n in (GROWN_ROWS - 1, GROWN_ROWS):
         total = sum(cg.field.chi(d) for d in range(1, n + 1) if n % d == 0)
         assert sum(grown.row(n)) == total, (D, n)
+    _check_prime_power_route(grown)
+
+
+def _check_prime_power_route(table, every=10**4):
+    """Rows against the prime-power route the sieve took before the Hecke
+    recursion: row(p^e) = prime_power_vector(p, e) for every p^e <= every,
+    and row(n) = prime_power_vector(p, e) * row(n/p^e) for each p^e exactly
+    dividing n, over a fixed sample of the table's n."""
+    for p in _primes_up_to(every).tolist():
+        q, e = p, 1
+        while q <= every:
+            assert table.row(q) == table.prime_power_vector(p, e), (p, e)
+            q, e = q * p, e + 1
+    for n in np.random.default_rng(10).integers(2, table.n_max + 1, 300).tolist():
+        m, p = n, 2
+        while m > 1:
+            if p * p > m:
+                p = m
+            e = 0
+            while m % p == 0:
+                m, e = m // p, e + 1
+            if e:
+                u = table.prime_power_vector(p, e)
+                assert table.row(n) == table.convolve(u, table.row(n // p**e)), (n, p, e)
+            p += 1
 
 
 @pytest.mark.parametrize("D", [40, 229, 445, 401, 505, 3305])
@@ -184,7 +216,7 @@ def test_euler_factor_matches_coefficients(D, index):
     n = np.arange(5001, dtype=np.float64)
     n[0] = 1
     lhs = complex(np.sum(b[1:] / n[1:] ** s))
-    prod = complex(np.prod(ls.euler_factor(psi, np.array(_primes_up_to(5000), dtype=np.int64), s)))
+    prod = complex(np.prod(ls.euler_factor(psi, _primes_up_to(5000), s)))
     assert abs(lhs - prod) < 1e-9
 
 
@@ -214,7 +246,7 @@ def test_rankin_residue_matches_paper_norm(D):
     from maassforge.petersson import PAPER_VALUES
 
     psi = make_class_character(ClassGroup(QuadField(D)), 1)
-    index_factor = math.prod(1 + 1 / p for p in _primes_up_to(D) if D % p == 0)
+    index_factor = math.prod(1 + 1 / p for p in _primes_up_to(D).tolist() if D % p == 0)
     norm = math.pi**2 / 24 * D * index_factor * ls.rankin_residue(psi)
     assert abs(norm / PAPER_VALUES[D] - 1) < 1e-6
 

@@ -182,3 +182,36 @@ def test_truncation_report_takes_the_worst_height(theta229):
     assert rep["truncation"] == theta229.truncation_index(0.05) == 144
     assert rep["terms"] == len(theta229.support(144)[0]) == 50
     assert rep["tail_bound"] == max(theta229.tail_bound(y, theta229.truncation_index(y)) for y in ys)
+
+
+@pytest.mark.parametrize("D", [229, 136])  # 229: cosine series, 136: sine series
+def test_support_is_kept_and_realised_once(D, monkeypatch):
+    realised = []
+    realise = ls.ClassCountTable._realise
+
+    def recording_realise(self, index, lo, hi):
+        realised.append((index, lo, hi))
+        return realise(self, index, lo, hi)
+
+    monkeypatch.setattr(ls.ClassCountTable, "_realise", recording_realise)
+    cg = ClassGroup(QuadField(D))
+    th = build_theta(make_class_character(cg, 1))
+    other = make_class_character(cg, 2)
+
+    def check(n_cut):
+        n, a = th.support(n_cut)
+        full = ls.hecke_l_coeffs(th.character, n_cut)
+        assert np.array_equal(n, np.flatnonzero(full)) and np.array_equal(a, full[n]), n_cut
+
+    # below, at and above an earlier call, then after another character's
+    # caller grew the shared table
+    for n_cut in (5000, 1200, 5000, 13001):
+        check(n_cut)
+    ls.hecke_l_coeffs(other, 40000)
+    assert cg.count_table.n_max == 40000
+    for n_cut in (13001, 20000, 40000):
+        check(n_cut)
+    # the support realised each row of its character once, in order (the
+    # dense coefficients that check reads are realised from row 0)
+    kept = [(lo, hi) for index, lo, hi in realised if index == 1 and lo > 0]
+    assert kept == [(1, 5001), (5001, 13002), (13002, 20001), (20001, 40001)]

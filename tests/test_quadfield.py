@@ -85,9 +85,9 @@ def test_prime_ideals_divide_norm_poly():
     primes = _primes_up_to(10**4)
     for D in (40, 229, 445, 401, 505, 3305, 14165):
         F = QuadField(D)
-        chi, b = F.prime_roots(np.array(primes, dtype=np.int64))
-        assert chi.tolist() == [F.chi(p) for p in primes]
-        for p, c, r in zip(primes, chi.tolist(), b.tolist()):
+        chi, b = F.prime_roots(primes)
+        assert chi.tolist() == [F.chi(p) for p in primes.tolist()]
+        for p, c, r in zip(primes.tolist(), chi.tolist(), b.tolist()):
             if c == -1:
                 continue
             # the least root, and for split p the other root -s - b
@@ -156,3 +156,11 @@ def test_principal_ideal_norm():
         if (x, y) == (0, 0):
             continue
         assert F.principal_ideal(x, y).norm() == abs(F.elt_norm(x, y))
+
+
+def test_primes_up_to_is_an_int64_sieve():
+    for n in (-3, 0, 1, 2, 3, 4, 97, 1000):
+        primes = _primes_up_to(n)
+        assert primes.dtype == np.int64
+        assert primes.tolist() == [p for p in range(2, n + 1) if all(p % d for d in range(2, p))]
+    assert _primes_up_to(10**6).size == 78498
