@@ -12,4 +12,11 @@ petersson   closed-form Petersson norm assembly
 cli         command-line interface
 """
 
+import os
+
+# numpy's OpenBLAS starts a worker thread per CPU as it loads; on 2 vCPUs its
+# spin cost each process 0.07-0.12 s of CPU time, and as much wall time when no
+# vCPU was free.  maassforge's products are small; set before numpy loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"

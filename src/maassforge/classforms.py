@@ -90,9 +90,10 @@ class FundamentalUnit:
         return (self.x * self.x - self.D * self.y * self.y) // 4
 
     def regulator(self) -> float:
-        """ln((x + y sqrt(D))/2), in decimal with 20 digits beyond those of x."""
+        """ln((x + y sqrt(D))/2), in 40-digit decimal: x + y sqrt(D) adds two
+        positive terms, so no digits cancel, whatever the size of x."""
         with localcontext() as ctx:
-            ctx.prec = len(str(self.x)) + 20
+            ctx.prec = 40
             return float(((self.x + self.y * Decimal(self.D).sqrt()) / 2).ln())
 
 

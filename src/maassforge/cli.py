@@ -111,6 +111,11 @@ def _character(args):
 def cmd_field(args) -> int:
     F, cg = _field_and_group(args.disc)
     u = cg.unit
+    limit = sys.get_int_max_str_digits()  # 0 is no limit; x > y > 0
+    if limit and u.x >= 10**limit:
+        print(f"error: the fundamental unit has more than {limit} digits, the most "
+              "Python prints of an integer (sys.get_int_max_str_digits())", file=sys.stderr)
+        return EXIT_RESOURCE
     _emit(
         {
             "D": F.D,
@@ -313,10 +318,7 @@ def cmd_petersson(args) -> int:
     except NormInducedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    data = {"D": cg.field.D, "index": psi.index, **rep.to_json_dict()}
-    for k in ("c1", "c2", "c3", "res_zeta_f", "l_value", "total"):
-        data[k] = _fmt(data[k])
-    _emit(data, args)
+    _emit(_round_floats({"D": cg.field.D, "index": psi.index, **rep.to_json_dict()}), args)
     return EXIT_OK
 
 

@@ -28,14 +28,8 @@ from .quadfield import _primes_up_to, prime_factors
 from .special import exp1, incomplete_k_mellin
 
 
-# rows sieved per pass: bounds the temporaries of a table extension
+# rows sieved or realised per pass: bounds the temporaries of either
 SIEVE_CHUNK = 1 << 14
-# table entries (rows x h) read per pass when a character's coefficients are
-# realised: OpenBLAS runs a matrix-vector product of fewer than 4096 entries
-# on one thread.  Passes of 16384 rows ran on two, and the idle worker's spin
-# after each product cost check-automorphy --disc 229 about 10% more CPU time
-# at the same wall time.
-REALISE_ENTRIES = 4095
 # every prime p below this many rows has p^2 < 2^62, so the int64 arithmetic
 # of ClassGroup.prime_classes cannot overflow
 ROW_LIMIT = 1 << 31
@@ -161,13 +155,13 @@ class ClassCountTable:
     # -- realizations ---------------------------------------------------
 
     def _realise(self, index: int, lo: int, hi: int):
-        """(a, b[a:a + rows]) for each pass over the rows lo <= n < hi, so that
-        the complex copy of the counts the product casts to is one pass."""
+        """(a, b[a:a + SIEVE_CHUNK]) for each pass over the rows lo <= n < hi,
+        so that the complex copy of the counts the product casts to is one
+        pass, SIEVE_CHUNK x h values."""
         h = self.h
         zeta = np.exp(2j * np.pi * index * np.arange(h) / h)
-        rows = max(1, REALISE_ENTRIES // h)
-        for a in range(lo, hi, rows):
-            yield a, self.counts[a : min(a + rows, hi)] @ zeta
+        for a in range(lo, hi, SIEVE_CHUNK):
+            yield a, self.counts[a : min(a + SIEVE_CHUNK, hi)] @ zeta
 
     def coefficients(self, index: int, n_max: int) -> np.ndarray:
         """Complex array b with b[n] = sum over ideals of norm n of psi(ideal),

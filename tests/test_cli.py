@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import mpmath as mp
 import pytest
 
 import maassforge
@@ -13,7 +14,7 @@ from maassforge import cli, lseries
 from maassforge.classforms import ClassGroup
 
 from maassforge.cli import COEFFS_ROW_BUDGET, GAUSS_PRIME_BUDGET, main
-from maassforge.quadfield import IDEALS_NORM_BUDGET
+from maassforge.quadfield import IDEALS_NORM_BUDGET, QuadField
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "schemas" / "report.json").read_text())
 
@@ -175,16 +176,63 @@ def test_coeffs_over_row_budget_exits_3(capsys, monkeypatch):
     assert built == []  # refused before any table row is built
 
 
-def test_cli_import_loads_no_optional_package():
+def run_child(code: str, **env_set) -> str:
+    """stdout of a fresh interpreter running code, with OPENBLAS_NUM_THREADS
+    removed from the environment unless it is given."""
     src = str(Path(maassforge.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(env_set, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return res.stdout.strip()
+
+
+def test_cli_import_loads_no_optional_package():
     code = (
         "import sys, maassforge.cli\n"
         "print(sorted(m for m in sys.modules\n"
         "             if m.split('.')[0] in ('mpmath', 'scipy', 'sympy')))"
     )
-    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert res.stdout.strip() == "[]"
+    assert run_child(code) == "[]"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cli_import_runs_one_blas_thread():
+    # OpenBLAS would start one thread per CPU as numpy loads
+    code = "import os, maassforge.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))"
+    assert run_child(code) == "1 1"
+
+
+def test_users_openblas_threads_are_kept():
+    code = "import os, maassforge.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert run_child(code, OPENBLAS_NUM_THREADS="2") == "2"
+
+
+@pytest.fixture
+def int_str_limit_640():
+    """Python's lowest limit on the digits of str(int), so that the unit of
+    D = 351289, x of 653 digits, stands for units past the default 4300."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_regulator_of_a_unit_too_long_to_print(capsys, int_str_limit_640):
+    # the regulator read len(str(x)), so ClassGroup, and every command, failed
+    cg = ClassGroup(QuadField(351289))
+    u = cg.unit
+    with mp.workdps(40):
+        assert cg.regulator == float(mp.log((u.x + u.y * mp.sqrt(u.D)) / 2))
+    code, out = run_cli(capsys, "ideals", "--disc", "351289", "--max-norm", "5")
+    assert code == 0 and json.loads(out)["count"] == 10
+
+
+def test_field_of_a_unit_too_long_to_print_exits_3(capsys, int_str_limit_640):
+    with pytest.raises(SystemExit) as exc:
+        main(["field", "--disc", "351289"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("disc,samples", [(136, "3"), (505, "1")])

@@ -149,9 +149,10 @@ def _check_prime_power_route(table, every=10**4):
 def test_chunked_coefficients_equal_one_shot_product(D):
     # h = 2, 3, 4, 5, 8, 12; reads of many passes, and of one pass and a part
     cg = ClassGroup(QuadField(D))
-    table = ls.ClassCountTable(cg, 20000)
+    table = ls.ClassCountTable(cg, 70001)
+    assert table.n_max > 4 * ls.SIEVE_CHUNK
     h = cg.h_narrow
-    for n_max in (table.n_max, ls.REALISE_ENTRIES // h + 5):
+    for n_max in (table.n_max, ls.SIEVE_CHUNK + 5):
         for index in range(h):
             zeta = np.exp(2j * np.pi * index * np.arange(h) / h)
             one_shot = table.counts[: n_max + 1].astype(np.float64) @ zeta

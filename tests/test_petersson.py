@@ -54,7 +54,10 @@ def test_petersson_report_json_fields():
     cg = ClassGroup(QuadField(229))
     rep = petersson_norm(make_class_character(cg, 1))
     d = rep.to_json_dict()
-    assert set(d) == {"c1", "c2", "c3", "res_zeta_f", "l_value", "total", "paper_value", "rel_err"}
+    assert set(d) == {"c1", "c2", "c3", "res_zeta_f", "l_value", "total", "paper_value", "rel_err",
+                      "cutoff_agreement", "direct_oracle", "oracle_agreement"}
+    assert d["cutoff_agreement"] < 1e-9 and d["oracle_agreement"] < 1e-6
+    assert d["oracle_agreement"] == abs(d["l_value"] - d["direct_oracle"])
 
 
 def test_petersson_conjugate_character_same_norm():
