@@ -34,10 +34,11 @@ EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 
 # Largest coefficient table check-automorphy may build.  For D = 229 (h = 3)
-# the peak RSS is about 33 MB plus 28 bytes per row (42 MB at 3.1e5 rows,
-# 67 MB at 1.22e6, 110 MB at 2.75e6, the default --samples); 4 h of those
-# bytes are the int32 table, so at this budget a field with h = 12 should stay
-# near 0.3 GB.
+# the peak RSS is about 33 MB plus 24 bytes per row (41 MB at 3.1e5 rows,
+# 63 MB at 1.22e6, 98 MB at 2.75e6, the default --samples); 2 h of those
+# bytes are the int16 table, and its build holds 4 more per new row, the
+# index of each row's smallest prime factor.  D = 3305 (h = 12) peaked at
+# 0.23 GB evaluating Theta once on 4.07e6 rows.
 AUTOMORPHY_ROW_BUDGET = 4_000_000
 # Largest --n-max coeffs may print.  Its JSON list of dicts costs about 1.09 KB
 # of resident memory per row (D = 229: 213 MB at 1.5e5 rows, 370 MB at 3e5),
@@ -48,6 +49,11 @@ COEFFS_ROW_BUDGET = 500_000
 # Python iterations, about 1.5 us each: D = 229 took 0.38 s at p = 101, 5.0 s
 # at p = 1009 and 18.4 s at p = 1973, each with 0.34 s of start-up.
 GAUSS_PRIME_BUDGET = 2_000
+# Largest --disc any command takes.  The class group's search for reduced
+# forms is linear in D: 0.24 s at D = 1e7, 0.91 s at 4e7 and 2.3 s at 1e8 (h =
+# 720), while D = 1000000009 took 31 s.  Checked first, so that no D above it
+# costs even the trial division that tells whether it is fundamental.
+DISC_BUDGET = 100_000_000
 
 
 def _fmt(x) -> float:
@@ -88,6 +94,9 @@ def _int_at_least(low: int):
 
 
 def _field_and_group(disc: int) -> tuple[QuadField, ClassGroup]:
+    if disc > DISC_BUDGET:
+        print(f"error: --disc {disc} is over the budget of {DISC_BUDGET}", file=sys.stderr)
+        raise SystemExit(EXIT_RESOURCE)
     try:
         F = QuadField(disc)
     except ValueError as exc:

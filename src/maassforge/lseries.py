@@ -48,10 +48,17 @@ class ClassCountTable:
     term only when p^2 | n: v_p is [k] + [-k] at split p, [k] at ramified p
     and 0 at inert p, for k the class of a prime above p, and (p) is
     principal and totally positive.  extend() sieves only the rows above the
-    current n_max, so a table grows in place, and classifies the primes of
+    current n_max, so a table grows in place; it classifies the primes of
     the new rows and those up to sqrt(n_max) in one ClassGroup.prime_classes
-    call, whose int64 arithmetic bounds n_max below 2^31.  support() keeps
-    each character's nonzero coefficients."""
+    call, whose int64 arithmetic bounds n_max below 2^31, and finds the
+    smallest prime factor of every new row once.  support() keeps each
+    character's nonzero coefficients.
+
+    The counts are int16.  Row n sums to the number of ideals of norm n,
+    sum_{d | n} chi_D(d) <= d(n), and d(n) <= 1600 for n < 2^31 (the most,
+    at n = 2095133040).  The largest value a pass holds, v_p * row(n/p) at
+    split p before row(n/p^2) is taken off, is at most 2 d(n/p) <= 3200,
+    far below 2^15."""
 
     def __init__(self, classgroup: ClassGroup, n_max: int):
         if n_max < 0:
@@ -59,7 +66,7 @@ class ClassCountTable:
         _check_row_limit(n_max)
         self.classgroup = classgroup
         self.h = classgroup.h_narrow
-        self.counts = np.zeros((1, self.h), dtype=np.int32)
+        self.counts = np.zeros((1, self.h), dtype=np.int16)
         self.n_max = 0
         # character index -> (rows realised, n with b(n) != 0, those b(n))
         self._supports: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
@@ -106,36 +113,42 @@ class ClassCountTable:
         if n_max <= lo:
             return
         _check_row_limit(n_max)
-        counts = np.zeros((n_max + 1, self.h), dtype=np.int32)
+        counts = np.zeros((n_max + 1, self.h), dtype=np.int16)
         counts[: lo + 1] = self.counts
         self.counts = counts
         if lo == 0:
             counts[1, 0] = 1  # the unit ideal
             lo = 1
         # a composite n has its smallest prime factor below sqrt(n_max)
+        root = math.isqrt(n_max)
         primes = _primes_up_to(n_max)
-        primes = primes[(primes > lo) | (primes <= math.isqrt(n_max))]
+        primes = primes[(primes > lo) | (primes <= root)]
         chi, k = self.classgroup.prime_classes(primes)
+        # at[i] = where the smallest prime factor of row lo + 1 + i is in
+        # primes: the primes up to sqrt(n_max) mark their multiples, the
+        # smallest last, and the rows none marks are the primes above it
+        at = np.full(n_max - lo, -1, dtype=np.int32)
+        for j in range(np.searchsorted(primes, root, side="right") - 1, -1, -1):
+            q = int(primes[j])
+            at[-(lo + 1) % q :: q] = j
+        new = np.flatnonzero(at < 0)
+        at[new] = np.searchsorted(primes, new + (lo + 1))
+        start = lo
         while lo < n_max:
             # n/p <= n/2 <= lo, so every row a pass reads is already filled
             hi = min(n_max, 2 * lo, lo + SIEVE_CHUNK)
-            self._sieve(lo + 1, hi, primes, chi, k)
+            self._sieve(lo + 1, hi, at[lo - start : hi - start], primes, chi, k)
             lo = hi
         self.n_max = n_max
 
-    def _sieve(self, a: int, b: int, primes: np.ndarray, chi: np.ndarray, k: np.ndarray) -> None:
+    def _sieve(
+        self, a: int, b: int, at: np.ndarray, primes: np.ndarray, chi: np.ndarray, k: np.ndarray
+    ) -> None:
         """Fill rows a..b from rows below a (requires b <= 2(a - 1)), given
-        chi_D and the class log of each of the ascending primes, which hold
-        every prime in [a, b] and up to sqrt(b)."""
+        for each row the index at of its smallest prime factor in the
+        ascending primes, and chi_D and the class log of each prime."""
         h = self.h
         n = np.arange(a, b + 1, dtype=np.int64)
-        at = np.full_like(n, -1)  # where the smallest prime factor is in primes
-        for j, q in enumerate(primes[: np.searchsorted(primes, math.isqrt(b) + 1)].tolist()):
-            sl = at[-a % q :: q]
-            sl[sl < 0] = j
-        # the rows left are the primes of the pass, in order
-        new = np.flatnonzero(at < 0)
-        at[new] = np.searchsorted(primes, a) + np.arange(new.size)
         p = primes[at]
         chi, k, m = chi[at], k[at], n // p
         # adding class s to row m moves count j to class j + s: out[n, j] +=

@@ -12,9 +12,17 @@ K_0(t) = e^(-t) int_0^oo e^(-s) (s (s + 2t))^(-1/2) ds gives
     e^t K_0(t) = int_-oo^oo e^(-w^2) (2t + w^2)^(-1/2) dw,
 
 a Gauss-Hermite sum.  Its integrand has poles at w = +-i sqrt(2t), nearest
-the real axis at t = 2: there 60 nodes agree with mpmath to 8e-16 relative
-and 40 only to 1.1e-14.  The test suite checks both routes against mpmath
-and scipy on [1e-8, 700].
+the real axis at t = 2, where 60 nodes are needed (40 agree with mpmath only
+to 1.1e-14).  As the poles recede, fewer nodes do, so each t takes the rule
+of its band; the largest relative error of e^t K_0 against mpmath on 600
+points of each band and its lower edge, where the rule is weakest:
+
+    t        [2, 5)   [5, 8)   [8, 12)  [12, 20)  [20, 700]
+    nodes    60       24       20       16        14
+    error    1.0e-15  1.0e-15  4.4e-16  5.6e-16   6.7e-16
+
+The test suite checks both routes against mpmath and scipy on [1e-8, 700]
+and at each band's lower edge and the float below it.
 
 The approximate functional equation for L(1) weighs its terms by the
 incomplete Mellin transform G_s(x) = int_x^oo K_0(u) u^(s-1) du, computed
@@ -39,9 +47,18 @@ _FACTORIAL_SQ = [math.factorial(k) ** 2 for k in range(_SERIES_TERMS)]
 _HARMONIC = [sum(Fraction(1, j) for j in range(1, k + 1)) for k in range(_SERIES_TERMS)]
 _I0_COEFFS = [1.0 / f for f in _FACTORIAL_SQ]
 _K0_COEFFS = [float(h - Fraction(EULER_GAMMA)) / f for h, f in zip(_HARMONIC, _FACTORIAL_SQ)]
-# the rule is symmetric: sum each pair of nodes +-w once, at w^2
-_w, _wt = np.polynomial.hermite.hermgauss(60)
-_HERMITE = list(zip(_w[_w > 0] ** 2, 2 * _wt[_w > 0]))
+# (lower edge of a band of t, nodes of the Gauss-Hermite rule used in it)
+K0_HERMITE_BANDS = ((K0_SPLIT, 60), (5.0, 24), (8.0, 20), (12.0, 16), (20.0, 14))
+_BAND_EDGES = np.array([edge for edge, _ in K0_HERMITE_BANDS[1:]])
+
+
+def _hermite_rule(nodes: int) -> list[tuple[float, float]]:
+    """The rule is symmetric: each pair of nodes +-w once, at w^2."""
+    w, wt = np.polynomial.hermite.hermgauss(nodes)
+    return list(zip(w[w > 0] ** 2, 2 * wt[w > 0]))
+
+
+_HERMITE = [_hermite_rule(nodes) for _, nodes in K0_HERMITE_BANDS]
 
 # G_s is split at u = SPLIT.  Above it, K_0(u) = e^(-u) (e^u K_0(u)) with
 # e^u K_0(u) smooth and slowly varying, which Gauss-Laguerre integrates
@@ -68,17 +85,27 @@ def _k0_series(t: np.ndarray) -> np.ndarray:
     return _horner(_K0_COEFFS, q) - np.log(t / 2) * _horner(_I0_COEFFS, q)
 
 
-def _k0e_hermite(t: np.ndarray) -> np.ndarray:
-    """e^t K_0(t) for t >= K0_SPLIT."""
+def _hermite_sum(t: np.ndarray, rule: list[tuple[float, float]]) -> np.ndarray:
     two_t = 2 * t
     acc = np.zeros_like(t)
     tmp = np.empty_like(t)
-    for w2, wt in _HERMITE:  # in place: one pass and no temporary per node
+    for w2, wt in rule:  # in place: one pass and no temporary per node
         np.add(two_t, w2, out=tmp)
         np.sqrt(tmp, out=tmp)
         np.divide(wt, tmp, out=tmp)
         acc += tmp
     return acc
+
+
+def _k0e_hermite(t: np.ndarray) -> np.ndarray:
+    """e^t K_0(t) for t >= K0_SPLIT, each t by the rule of its band."""
+    flat = t.ravel()
+    band = np.searchsorted(_BAND_EDGES, flat, side="right")
+    out = np.empty_like(flat)
+    for j, rule in enumerate(_HERMITE):
+        idx = np.flatnonzero(band == j)
+        out[idx] = _hermite_sum(flat[idx], rule)
+    return out.reshape(t.shape)
 
 
 def _by_range(t, below, above) -> np.ndarray:

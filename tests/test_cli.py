@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -13,7 +14,7 @@ import maassforge
 from maassforge import cli, lseries
 from maassforge.classforms import ClassGroup
 
-from maassforge.cli import COEFFS_ROW_BUDGET, GAUSS_PRIME_BUDGET, main
+from maassforge.cli import COEFFS_ROW_BUDGET, DISC_BUDGET, GAUSS_PRIME_BUDGET, main
 from maassforge.quadfield import IDEALS_NORM_BUDGET, QuadField
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "schemas" / "report.json").read_text())
@@ -233,6 +234,35 @@ def test_field_of_a_unit_too_long_to_print_exits_3(capsys, int_str_limit_640):
     out, err = capsys.readouterr()
     assert exc.value.code == 3 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("field",),
+        ("ideals", "--max-norm", "5"),
+        ("coeffs",),
+        ("theta-eval", "--x", "0", "--y", "1"),
+        ("check-automorphy",),
+        ("lvalue",),
+        ("petersson",),
+        ("gauss-check", "--p", "13"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_disc_over_budget_exits_3(capsys, monkeypatch, argv):
+    # D = 1000000009 is prime, 1 mod 4, and its class group search took 31 s
+    built = []
+    monkeypatch.setattr(cli, "ClassGroup", lambda *a: built.append(a))
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--disc", "1000000009", *argv[1:]])
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert 1000000009 > DISC_BUDGET
+    assert exc.value.code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert built == []  # refused before the class group search
 
 
 @pytest.mark.parametrize("disc,samples", [(136, "3"), (505, "1")])

@@ -109,6 +109,12 @@ def test_grown_table_equals_one_shot_build(D, h):
     assert GROWN_ROWS > 4 * ls.SIEVE_CHUNK
     assert grown.n_max == whole.n_max == GROWN_ROWS
     assert np.array_equal(grown.counts, whole.counts)
+    # the extension from row 61 to 5000 holds 61 and 67, primes up to
+    # isqrt(5000) = 70 that mark their own rows
+    small = ls.ClassCountTable(cg, 10)
+    for n_max in (60, 5000, GROWN_ROWS):
+        small.extend(n_max)
+    assert np.array_equal(small.counts, whole.counts)
     # rows across the first growth step against enumerated ideals per class
     ref = np.zeros((1501, h), dtype=np.int64)
     for I in cg.field.enumerate_ideals(1500):

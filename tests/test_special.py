@@ -7,11 +7,13 @@ from scipy.integrate import quad
 from scipy.special import exp1 as scipy_exp1
 from scipy.special import k0, k0e
 
-from maassforge.special import K0_SPLIT, bessel_k0_array, bessel_k0e_array, exp1, incomplete_k_mellin
+from maassforge.special import K0_HERMITE_BANDS, bessel_k0_array, bessel_k0e_array, exp1, incomplete_k_mellin
 
-# a geometric grid, and the switch from the power series to the Hermite sum,
-# where the Hermite rule is least accurate
-K0_GRID = np.unique(np.append(np.geomspace(1e-8, 700.0, 241), K0_SPLIT))
+# a geometric grid, and the lower edge of each band of t, where its rule is
+# least accurate, with the float below it, the top of the band before (the
+# first edge is the switch from the power series to the Hermite sum)
+_EDGES = np.array([edge for edge, _ in K0_HERMITE_BANDS])
+K0_GRID = np.unique(np.concatenate([np.geomspace(1e-8, 700.0, 241), _EDGES, np.nextafter(_EDGES, 0)]))
 
 
 def bessel_k(t: float, y: float, rtol: float = 1e-13) -> float:
