@@ -7,7 +7,7 @@ classforms  indefinite binary quadratic forms, class groups, fundamental units
 heckechar   class-group Hecke characters and Gauss sums
 special     K_0 and its incomplete Mellin transform (the AFE weights)
 maassform   the theta cusp form: coefficients, evaluation, verification checks
-lseries     Hecke and Rankin-Selberg Dirichlet series, L(1) evaluation
+lseries     the Hecke L-series coefficient table, L(1) by two routes
 petersson   closed-form Petersson norm assembly
 cli         command-line interface
 """

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import cached_property
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 

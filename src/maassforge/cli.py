@@ -22,24 +22,16 @@ from .heckechar import (
     gauss_sum_rational,
     make_class_character,
 )
-from .maassform import build_theta, gamma0_matrices
+from .maassform import AUTOMORPHY_SAMPLE_BUDGET, RowBudgetError, build_theta, gamma0_matrices
 from .petersson import PAPER_VALUES, NormInducedError, petersson_norm
 from .quadfield import QuadField, prime_factors
 from . import lseries
-from . import petersson as pt
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 
-# Largest coefficient table check-automorphy may build.  For D = 229 (h = 3)
-# the peak RSS is about 33 MB plus 24 bytes per row (41 MB at 3.1e5 rows,
-# 63 MB at 1.22e6, 98 MB at 2.75e6, the default --samples); 2 h of those
-# bytes are the int16 table, and its build holds 4 more per new row, the
-# index of each row's smallest prime factor.  D = 3305 (h = 12) peaked at
-# 0.23 GB evaluating Theta once on 4.07e6 rows.
-AUTOMORPHY_ROW_BUDGET = 4_000_000
 # Largest --n-max coeffs may print.  Its JSON list of dicts costs about 1.09 KB
 # of resident memory per row (D = 229: 213 MB at 1.5e5 rows, 370 MB at 3e5),
 # on about 56 MB at start, so at this budget the peak is 577 MB for D = 229
@@ -255,33 +247,31 @@ def cmd_check_automorphy(args) -> int:
 
         _, a, mb = _xgcd(args.d, args.c)
         mats = [(a, -mb, args.c, args.d)]
+    elif args.samples > AUTOMORPHY_SAMPLE_BUDGET:
+        print(f"error: --samples {args.samples} is over the budget of {AUTOMORPHY_SAMPLE_BUDGET}",
+              file=sys.stderr)
+        return EXIT_RESOURCE
     else:
         mats = gamma0_matrices(cg.field.D, count=args.samples)
     offsets = ((0.0, 0.3), (0.05, 0.4), (-0.05, 0.5), (0.1, 0.65), (-0.1, 0.8))
     checks = [(m, [(-m[3] / m[2] + off, y) for off, y in offsets]) for m in mats]
-    ys = [y for m, pts in checks for y in th.automorphy_heights([m], pts)]
-    rows = max(map(th.truncation_index, ys))
-    if rows > AUTOMORPHY_ROW_BUDGET:
-        print(f"error: the check needs a'(n) up to n = {rows}, over the budget of "
-              f"{AUTOMORPHY_ROW_BUDGET} rows", file=sys.stderr)
+    try:
+        rep = th.check_automorphy(checks)
+    except RowBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    lseries.get_table(cg, rows)  # one table for every matrix
-    worst = 0.0
-    for m, pts in checks:
-        rep = th.check_automorphy([m], pts)
-        worst = max(worst, rep.residual)
     _emit(
         {
             "D": cg.field.D,
             "index": psi.index,
             "matrices": [list(m) for m in mats],
-            "max_residual": _fmt(worst),
+            "max_residual": _fmt(rep.residual),
             "tolerance": args.tol,
-            **_round_floats(th.truncation_report(ys)),
+            **_round_floats({k: rep.details[k] for k in ("truncation", "terms", "tail_bound")}),
         },
         args,
     )
-    return EXIT_OK if worst < args.tol else EXIT_TOLERANCE
+    return EXIT_OK if rep.residual < args.tol else EXIT_TOLERANCE
 
 
 def cmd_lvalue(args) -> int:

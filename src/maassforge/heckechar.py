@@ -75,13 +75,11 @@ class HeckeCharacter:
     def is_norm_induced(self) -> bool:
         """True when psi factors through the norm, i.e. psi is Galois-invariant.
 
-        Checked directly: psi(I) == psi(sigma I) on every narrow class."""
-        cg = self.classgroup
-        for i in range(self.h):
-            I = cg._cycle_rep_ideal(i)
-            if self.exponent(I) % 1 != self.exponent(I.conj()) % 1:
-                return False
-        return True
+        I sigma(I) = (N(I)) is principal with the totally positive generator
+        N(I), so sigma(I) lies in the inverse narrow class of I: sigma inverts
+        the narrow class group, and psi o sigma = conj(psi).  Hence psi is
+        Galois-invariant exactly when psi = conj(psi), that is psi^2 = 1."""
+        return self.power(2).is_trivial()
 
     def root_number(self) -> complex:
         """T(psi) = i^(-2*eps) * tau(psi)/sqrt(N f); for conductor (1) this is (-1)^eps."""
@@ -177,18 +175,4 @@ def check_gauss_norm_lemma(field: QuadField, p: int, k: int = 1) -> float:
         field, norm_composed_character(field, sigma), p, delta=sigma.parity()
     ).value
     rhs = sigma(field.D) * field.chi(p) * gauss_sum_rational(sigma, p) ** 2
-    return abs(lhs - rhs)
-
-
-def check_gauss_twisting(p: int, kp: int, q: int, kq: int) -> float:
-    """Residual of tau(chi1*chi2) = chi1(q) chi2(p) tau(chi1) tau(chi2)
-    for primitive chi1 mod p, chi2 mod q with p != q prime."""
-    chi1 = DirichletCharacterModP(p, kp)
-    chi2 = DirichletCharacterModP(q, kq)
-
-    def prod(x: int) -> complex:
-        return chi1(x) * chi2(x)
-
-    lhs = gauss_sum_rational(prod, p * q)
-    rhs = chi1(q) * chi2(p) * gauss_sum_rational(chi1, p) * gauss_sum_rational(chi2, q)
     return abs(lhs - rhs)

@@ -30,6 +30,22 @@ from .special import bessel_k0_array
 MIN_Y = 0.05
 TRUNCATION_EXPONENT = 45.0  # keep terms with 2 pi n y <= this
 EIGENVALUE = 0.25  # 1/4 - nu^2 with spectral parameter nu = 0
+# Largest coefficient table check_automorphy may build.  For D = 229 (h = 3)
+# the peak RSS is about 33 MB plus 24 bytes per row (41 MB at 3.1e5 rows,
+# 63 MB at 1.22e6, 98 MB at 2.75e6, the CLI's default of 3 matrices); 2 h of
+# those bytes are the int16 table, and its build holds 4 more per new row, the
+# index of each row's smallest prime factor.  D = 3305 (h = 12) peaked at
+# 0.23 GB evaluating Theta once on 4.07e6 rows.
+AUTOMORPHY_ROW_BUDGET = 4_000_000
+# Most matrices check-automorphy --samples may ask for.  Each takes ten
+# evaluations of Theta on up to the whole table, and the table stops growing
+# at 3 samples: D = 229 took 0.94 s at 3 samples, 3.3 s at 30 and 10.5 s at
+# 100 (98 MB each); D = 257, 3.46e6 rows, took 13.8 s at 100 (117 MB).
+AUTOMORPHY_SAMPLE_BUDGET = 100
+
+
+class RowBudgetError(ValueError):
+    """A check needs more coefficient rows than AUTOMORPHY_ROW_BUDGET."""
 
 
 class ThetaForm:
@@ -95,45 +111,50 @@ class ThetaForm:
 
     # -- verifications --------------------------------------------------
 
-    def nebentypus(self, d: int) -> int:
-        return self.field.chi(d)
-
-    def _automorphy_tasks(self, gammas, points) -> list:
-        """(gamma z, z, chi_D(d)) for every gamma in Gamma_0(D) and point z."""
-        for a, b, c, d in gammas:
+    def _automorphy_tasks(self, checks) -> list:
+        """(gamma z, z, chi_D(d)) for every (gamma, points) pair of checks,
+        gamma in Gamma_0(D), and every z in its points."""
+        for (a, b, c, d), _ in checks:
             if a * d - b * c != 1 or c % self.level != 0:
                 raise ValueError(f"({a},{b},{c},{d}) is not in Gamma_0({self.level})")
         tasks = []
-        for a, b, c, d in gammas:
+        for (a, b, c, d), points in checks:
             for x, y in points:
                 den = complex(c * (x + 1j * y) + d)
                 w = (a * (x + 1j * y) + b) / den
-                tasks.append((w, (x, y), self.nebentypus(d)))
+                tasks.append((w, (x, y), self.field.chi(d)))
         return tasks
 
-    def automorphy_heights(self, gammas, points) -> list[float]:
+    def automorphy_heights(self, checks) -> list[float]:
         """The heights of the evaluations check_automorphy makes: Im(gamma z)
-        and y, for every gamma and z."""
-        tasks = self._automorphy_tasks(gammas, points)
+        and y, for every (gamma, points) pair of checks and z in its points."""
+        tasks = self._automorphy_tasks(checks)
         ys = [w.imag for w, _, _ in tasks] + [y for _, (_, y), _ in tasks if y >= MIN_Y]
         return [y for y in ys if y > 0]
 
-    def automorphy_rows(self, gammas, points) -> int:
-        """Coefficient rows check_automorphy needs: the largest truncation
-        index over both sides of every residual."""
-        return max(map(self.truncation_index, self.automorphy_heights(gammas, points)), default=0)
-
-    def check_automorphy(self, gammas, points) -> "CheckReport":
-        """max |Theta(gamma z) - chi_D(d) Theta(z)| over the given gamma in
-        Gamma_0(D) and points z."""
+    def check_automorphy(self, checks) -> "CheckReport":
+        """max |Theta(gamma z) - chi_D(d) Theta(z)| over the (gamma, points)
+        pairs of checks, gamma in Gamma_0(D), and the points z of each; the
+        details add the truncation_report of every evaluation.  Raises
+        RowBudgetError, before any row is built, if the evaluations need more
+        than AUTOMORPHY_ROW_BUDGET coefficient rows."""
+        ys = self.automorphy_heights(checks)
+        rows = max(map(self.truncation_index, ys), default=0)
+        if rows > AUTOMORPHY_ROW_BUDGET:
+            raise RowBudgetError(
+                f"the check needs a'(n) up to n = {rows}, over the budget of "
+                f"{AUTOMORPHY_ROW_BUDGET} rows"
+            )
         # grow the table once to its final size: growing it eval by eval keeps
         # each superseded array alive while its larger copy is filled
-        get_table(self.character.classgroup, self.automorphy_rows(gammas, points))
+        get_table(self.character.classgroup, rows)
         residuals = [
             abs(self.eval(w.real, w.imag, allow_low_y=True) - chi_d * self.eval(x, y))
-            for w, (x, y), chi_d in self._automorphy_tasks(gammas, points)
+            for w, (x, y), chi_d in self._automorphy_tasks(checks)
         ]
-        return CheckReport("automorphy", max(residuals), {"count": len(residuals)})
+        return CheckReport(
+            "automorphy", max(residuals), {"count": len(residuals), **self.truncation_report(ys)}
+        )
 
     def check_eigenvalue(self, x: float, y: float, h: float = 0.04) -> "CheckReport":
         """-y^2 (five-point Laplacian) vs 1/4; Richardson ratio of

@@ -1,4 +1,4 @@
-"""K_0, e^t K_0, E_1 and the incomplete Mellin transform of K_0, in numpy.
+"""K_0, e^t K_0 and the incomplete Mellin transform of K_0, in numpy.
 
 The theta forms of class characters need only K_0.  Below t = 2 it is the
 power series
@@ -26,14 +26,12 @@ and at each band's lower edge and the float below it.
 
 The approximate functional equation for L(1) weighs its terms by the
 incomplete Mellin transform G_s(x) = int_x^oo K_0(u) u^(s-1) du, computed
-here by one fixed pair of Gauss rules.  The tail-corrected Rankin-Selberg
-residual needs the exponential integral E_1 at one point, in plain Python.
+here by one fixed pair of Gauss rules.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -125,37 +123,6 @@ def bessel_k0_array(t) -> np.ndarray:
 def bessel_k0e_array(t) -> np.ndarray:
     """e^t K_0(t), elementwise over t > 0."""
     return _by_range(t, lambda u: np.exp(u) * _k0_series(u), _k0e_hermite)
-
-
-def exp1(x: float) -> float:
-    """The exponential integral E_1(x) = int_x^oo e^(-t)/t dt for x > 0.
-
-    Up to 1 the series -gamma - ln x - sum_k (-x)^k / (k k!); above 1 the
-    continued fraction e^(-x) / (x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...))),
-    evaluated by the modified Lentz method."""
-    if not x > 0:
-        raise ValueError(f"E_1 needs x > 0, got {x!r}")
-    if x <= 1:
-        total, term, k = 0.0, 1.0, 0
-        while abs(term) > 1e-17:  # E_1(x) >= E_1(1) = 0.219 here
-            k += 1
-            term *= -x / k
-            total += term / k
-        return -EULER_GAMMA - math.log(x) - total
-    tiny = 1e-300
-    b = x + 1
-    c, d = 1 / tiny, 1 / b
-    h = d
-    for i in range(1, 1000):
-        an = -i * i
-        b += 2
-        d = 1 / (an * d + b)
-        c = b + an / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1) <= sys.float_info.epsilon:
-            return h * math.exp(-x)
-    raise ArithmeticError(f"E_1 continued fraction did not converge at x = {x!r}")
 
 
 def incomplete_k_mellin(s: float, x) -> np.ndarray:

@@ -1,16 +1,33 @@
-"""Scalar oracles for the array routes: one prime at a time, in plain Python.
+"""Oracles the tests check the library against, and checks only tests run.
 
 QuadField.prime_roots splits arrays of rational primes with numpy; these
 functions split one prime at a time by the older scalar route, and enumerate
 ideals from that split, so that the tests can compare the two.  ideal_count
 and gauss_abs_sq_residual are closed forms the tests check the library
-against.
+against, and is_norm_induced compares psi with psi o sigma class by class.
+
+The rest checks the coefficient table and the Gauss sums by routes the CLI
+does not take: the exact group-ring identities (prime_power_vector,
+convolve, hecke_recursion_residual, multiplicativity_failures), the Euler
+factors of L(s, psi), the Rankin-Selberg identity for sum |a'(n)|^2 n^(-s)
+with its closed-form residue, and the twisting lemma for rational Gauss sums.
 """
 
 from __future__ import annotations
 
-from maassforge.heckechar import GaussSumResult
-from maassforge.quadfield import QfIdeal, QuadField, _primes_up_to
+import math
+
+import numpy as np
+from scipy.special import exp1
+
+from maassforge.heckechar import (
+    DirichletCharacterModP,
+    GaussSumResult,
+    HeckeCharacter,
+    gauss_sum_rational,
+)
+from maassforge.lseries import ClassCountTable, get_table, hecke_l_coeffs, l_value_at_1_afe
+from maassforge.quadfield import QfIdeal, QuadField, _primes_up_to, prime_factors
 
 
 def tonelli_shanks(n: int, p: int) -> int | None:
@@ -139,3 +156,215 @@ def ideal_count(F: QuadField, n: int) -> int:
 def gauss_abs_sq_residual(res: GaussSumResult) -> float:
     """| |tau|^2 - N(f) |, which vanishes for primitive characters."""
     return abs(abs(res.value) ** 2 - res.modulus_norm)
+
+
+def is_norm_induced(character: HeckeCharacter) -> bool:
+    """psi(I) == psi(sigma I) on a representative of every narrow class."""
+    cg = character.classgroup
+    for i in range(character.h):
+        I = cg._cycle_rep_ideal(i)
+        if character.exponent(I) % 1 != character.exponent(I.conj()) % 1:
+            return False
+    return True
+
+
+def check_gauss_twisting(p: int, kp: int, q: int, kq: int) -> float:
+    """Residual of tau(chi1*chi2) = chi1(q) chi2(p) tau(chi1) tau(chi2)
+    for primitive chi1 mod p, chi2 mod q with p != q prime."""
+    chi1 = DirichletCharacterModP(p, kp)
+    chi2 = DirichletCharacterModP(q, kq)
+
+    def prod(x: int) -> complex:
+        return chi1(x) * chi2(x)
+
+    lhs = gauss_sum_rational(prod, p * q)
+    rhs = chi1(q) * chi2(p) * gauss_sum_rational(chi1, p) * gauss_sum_rational(chi2, q)
+    return abs(lhs - rhs)
+
+
+# -- exact group-ring checks of the coefficient table --------------------
+
+
+def prime_power_vector(table: ClassCountTable, p: int, e: int) -> tuple[int, ...]:
+    """Group-ring element of ideals of norm p^e supported at powers of p."""
+    h = table.h
+    v = [0] * h
+    chi, k = (int(x[0]) for x in table.classgroup.prime_classes(np.array([p], dtype=np.int64)))
+    if chi == -1:
+        if e % 2 == 0:
+            # (p)^(e/2) is principal and totally positive
+            v[0] = 1
+    elif chi == 0:
+        v[(k * e) % h] = 1
+    else:
+        # the two primes above p lie in inverse classes
+        for j in range(e + 1):
+            v[(k * (2 * j - e)) % h] += 1
+    return tuple(v)
+
+
+def convolve(table: ClassCountTable, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    """The product of u and v in the group ring of the table's class group."""
+    h = table.h
+    out = [0] * h
+    for j, uj in enumerate(u):
+        if uj:
+            for k, vk in enumerate(v):
+                if vk:
+                    out[(j + k) % h] += uj * vk
+    return tuple(out)
+
+
+def row(table: ClassCountTable, n: int) -> tuple[int, ...]:
+    """Counts of the ideals of norm n per class, as exact integers."""
+    return tuple(table.counts[n].tolist())
+
+
+def hecke_recursion_residual(character: HeckeCharacter, p: int, r_max: int = 4) -> int:
+    """Exact check of a'(p^(r+1)) = a'(p) a'(p^r) - chi_D(p) a'(p^(r-1)) for
+    p coprime to the level, in the group ring (returns number of failures)."""
+    field = character.field
+    if field.D % p == 0:
+        raise ValueError("p must not divide the level")
+    table = get_table(character.classgroup, 1)
+    vecs = [prime_power_vector(table, p, e) for e in range(r_max + 2)]
+    chi = field.chi(p)
+    fails = 0
+    for r in range(1, r_max + 1):
+        lhs = vecs[r + 1]
+        prod = convolve(table, vecs[1], vecs[r])
+        rhs = tuple(a - chi * b for a, b in zip(prod, vecs[r - 1]))
+        if lhs != rhs:
+            fails += 1
+    return fails
+
+
+def multiplicativity_failures(character: HeckeCharacter, n_max: int = 200) -> int:
+    """Exact check of a'(mn) = a'(m) a'(n) for coprime m, n (group ring)."""
+    table = get_table(character.classgroup, n_max)
+    fails = 0
+    for m in range(2, n_max):
+        for n in range(2, n_max // m + 1):
+            if math.gcd(m, n) != 1:
+                continue
+            if row(table, m * n) != convolve(table, row(table, m), row(table, n)):
+                fails += 1
+    return fails
+
+
+# -- Euler factors -------------------------------------------------------
+
+
+def rankin_coeffs(character: HeckeCharacter, n_max: int) -> np.ndarray:
+    """|a'(n)|^2 for the doubled coefficients a'(n) of the theta form."""
+    b = hecke_l_coeffs(character, n_max)
+    return (b * b.conj()).real
+
+
+def _prime_values(character: HeckeCharacter, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """chi_D(p), and psi(P) for the prime ideal P = (p, b) above each p of an
+    int64 array of primes; psi((p)) = 1 for inert p, as (p) is principal and
+    totally positive.  At split p the other prime P' has psi(P') = conj psi(P),
+    since P P' = (p)."""
+    chi, k = character.classgroup.prime_classes(p)
+    h = character.h
+    return chi, np.exp(2j * np.pi * (character.index * k % h) / h)
+
+
+def euler_factor(character: HeckeCharacter, p: np.ndarray, s: complex) -> np.ndarray:
+    """Local factors of L(s, psi) at an int64 array of primes p."""
+    chi, a = _prime_values(character, p)
+    x = p.astype(np.float64) ** (-s)
+    return np.where(
+        chi == 1,
+        1.0 / ((1 - a * x) * (1 - a.conj() * x)),
+        np.where(chi == 0, 1.0 / (1 - a * x), 1.0 / (1 - x * x)),
+    )
+
+
+# -- Rankin-Selberg identity ---------------------------------------------
+
+
+def rankin_local_factor(character: HeckeCharacter, p: np.ndarray, s: float) -> np.ndarray:
+    """Local factors at an int64 array of primes p of sum |a'(n)|^2 n^(-s),
+    for conductor (1)."""
+    chi, a = _prime_values(character, p)
+    x = p.astype(np.float64) ** (-s)
+    # alpha = psi(P) conj(psi(P')) = psi(P)^2 at split p
+    split = (1 - x * x) / ((1 - x) ** 2 * np.abs(1 - a * a * x) ** 2)
+    return np.where(chi == 1, split, np.where(chi == 0, 1.0 / (1 - x), 1.0 / (1 - x * x)))
+
+
+def _rankin_partials(character: HeckeCharacter, s: float, X: int) -> tuple[float, float]:
+    """(sum_{n<=X} |a'(n)|^2 n^(-s), prod_{p<=X} local factor)."""
+    b2 = rankin_coeffs(character, X)
+    n = np.arange(X + 1, dtype=np.float64)
+    n[0] = 1.0
+    partial_sum = float(np.sum(b2[1:] / n[1:] ** s))
+    primes = _primes_up_to(X)
+    return partial_sum, float(np.prod(rankin_local_factor(character, primes, s)))
+
+
+def rankin_euler_identity_residual(character: HeckeCharacter, s: float, X: int) -> float:
+    """| sum_{n<=X} |a'(n)|^2 n^(-s)  -  prod_{p<=X} (local factor) |.
+
+    This equals the sum of |a'(n)|^2 n^(-s) over X-smooth n > X: the sum's
+    tail ~ kappa X^(1-s)/(s-1) less the product's tail, so it decays only like
+    X^(1-s); rankin_euler_identity_residual_corrected adds both tails back."""
+    partial_sum, partial_prod = _rankin_partials(character, s, X)
+    return abs(partial_sum - partial_prod)
+
+
+def rankin_residue(character: HeckeCharacter) -> float:
+    """kappa = Res_{s=1} sum |a'(n)|^2 n^(-s), in closed form.
+
+    The local factors of rankin_local_factor multiply to
+
+        F(s) = zeta(s) L(s, chi_D) L(s, psi^2) zeta(2s)^(-1) prod_{p|D} (1 + p^(-s))^(-1):
+
+    at split p, alpha = psi(P) conj(psi(P')) = psi^2(P) and
+    (1 - x^2)/((1 - x)^2 |1 - alpha x|^2) is the zeta(s) L(s, chi_D),
+    L(s, psi^2) and zeta(2s)^(-1) factors; at inert p, 1/(1 - x^2) is
+    1/(1 - x^2) * 1/(1 - x^2) * (1 - x^2), since (p) is principal and totally
+    positive; at ramified p, psi^2(P) = psi((p)) = 1 so the three factors give
+    (1 + x)/(1 - x), and 1/(1 - x) needs the extra (1 + x)^(-1).  With
+    Res zeta = 1, zeta(2) = pi^2/6 and L(1, chi_D) = Res zeta_F:
+
+        kappa = L(1, chi_D) L(1, psi^2) (6/pi^2) prod_{p|D} p/(p + 1).
+
+    Requires psi^2 nontrivial; otherwise L(s, psi^2) = zeta(s) and F has a
+    double pole."""
+    if character.power(2).is_trivial():
+        raise ValueError(
+            "psi^2 is trivial (psi trivial or norm-induced): the Rankin-Selberg "
+            "series has a double pole at s = 1"
+        )
+    local = 1.0
+    for p in prime_factors(character.field.D):
+        local *= p / (p + 1)
+    l_chi_d = character.classgroup.residue_zeta()
+    l_psi2 = l_value_at_1_afe(character.power(2))
+    return l_chi_d * l_psi2 * 6 / math.pi**2 * local
+
+
+def rankin_euler_identity_residual_corrected(
+    character: HeckeCharacter, s: float, X: int
+) -> float:
+    """Tail-corrected Rankin-Selberg residual, for s > 1 and psi^2 nontrivial:
+
+        | (sum_{n<=X} + kappa X^(1-s)/(s-1))
+          - prod_{p<=X} * (1 + expm1(E_1((s-1) ln X))) |.
+
+    The sum's tail sum_{n>X} |a'(n)|^2 n^(-s) ~ integral_X^oo kappa t^(-s) dt
+    with kappa = rankin_residue(psi).  The product's tail is
+    exp(sum_{p>X} |a'(p)|^2 p^(-s)) to first order; |a'(p)|^2 = 2 + 2 Re psi^2(P)
+    at split p and 0 at inert p has mean 1 over primes when psi^2 is
+    nontrivial, and by the prime number theorem
+    sum_{p>X} p^(-s) ~ integral_X^oo t^(-s)/ln t dt = E_1((s-1) ln X)."""
+    if not s > 1:
+        raise ValueError(f"the tail correction needs s > 1, got s = {s!r}")
+    kappa = rankin_residue(character)
+    partial_sum, partial_prod = _rankin_partials(character, s, X)
+    sum_tail = kappa * X ** (1 - s) / (s - 1)
+    prod_tail = math.expm1(float(exp1((s - 1) * math.log(X))))
+    return abs(partial_sum + sum_tail - partial_prod * (1 + prod_tail))

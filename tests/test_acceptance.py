@@ -15,15 +15,8 @@ from maassforge.classforms import ClassGroup, fundamental_unit
 from maassforge.heckechar import (
     DirichletCharacterModP,
     check_gauss_norm_lemma,
-    check_gauss_twisting,
     gauss_sum_rational,
     make_class_character,
-)
-from maassforge.lseries import (
-    hecke_recursion_residual,
-    multiplicativity_failures,
-    rankin_euler_identity_residual,
-    rankin_euler_identity_residual_corrected,
 )
 from maassforge.maassform import build_theta, gamma0_matrices
 from maassforge.petersson import (
@@ -32,6 +25,13 @@ from maassforge.petersson import (
     petersson_norm,
 )
 from maassforge.quadfield import QuadField, _primes_up_to
+from oracles import (
+    check_gauss_twisting,
+    hecke_recursion_residual,
+    multiplicativity_failures,
+    rankin_euler_identity_residual,
+    rankin_euler_identity_residual_corrected,
+)
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +86,7 @@ def test_a5_automorphy_suite(theta229):
     for m in mats:
         _, _, c, d = m
         points = [(-d / c + dx, y) for dx, y in offsets]
-        rep = theta229.check_automorphy([m], points)
+        rep = theta229.check_automorphy([(m, points)])
         worst = max(worst, rep.residual)
     assert worst < 1e-8
     assert time.monotonic() - t0 < 300

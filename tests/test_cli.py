@@ -13,8 +13,8 @@ import pytest
 import maassforge
 from maassforge import cli, lseries
 from maassforge.classforms import ClassGroup
-
 from maassforge.cli import COEFFS_ROW_BUDGET, DISC_BUDGET, GAUSS_PRIME_BUDGET, main
+from maassforge.maassform import AUTOMORPHY_SAMPLE_BUDGET
 from maassforge.quadfield import IDEALS_NORM_BUDGET, QuadField
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "schemas" / "report.json").read_text())
@@ -293,6 +293,22 @@ def test_check_automorphy_over_row_budget_exits_3(capsys, monkeypatch, argv):
     assert exc.value.code == 3
     assert captured.out == "" and captured.err.startswith("error:")
     assert built == []  # refused before any table row is built
+
+
+@pytest.mark.parametrize("samples", [AUTOMORPHY_SAMPLE_BUDGET + 1, 10**9])
+def test_check_automorphy_over_sample_budget_exits_3(capsys, monkeypatch, samples):
+    assert AUTOMORPHY_SAMPLE_BUDGET >= 10
+
+    def no_matrices(*args, **kwargs):
+        raise AssertionError("sampled the matrices")
+
+    monkeypatch.setattr(cli, "gamma0_matrices", no_matrices)
+    with pytest.raises(SystemExit) as exc:
+        main(["check-automorphy", "--disc", "229", "--index", "1", "--samples", str(samples)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 3
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
 def test_theta_eval_command(capsys):

@@ -8,13 +8,12 @@ from maassforge.classforms import ClassGroup
 from maassforge.heckechar import (
     DirichletCharacterModP,
     check_gauss_norm_lemma,
-    check_gauss_twisting,
     gauss_sum_quadratic_field,
     gauss_sum_rational,
     make_class_character,
     norm_composed_character,
 )
-from maassforge.quadfield import QuadField, _primes_up_to
+from maassforge.quadfield import QuadField, _primes_up_to, is_fundamental_discriminant
 
 
 def test_character_values_are_exact_roots_of_unity():
@@ -51,6 +50,18 @@ def test_norm_induced_detection():
         cg = ClassGroup(QuadField(D))
         got = [make_class_character(cg, i).is_norm_induced() for i in range(cg.h_narrow)]
         assert got == expected, D
+    # psi^2 = 1 against psi(I) = psi(sigma I) class by class, for every
+    # character of every field with a cyclic narrow class group and D < 2000
+    checked = 0
+    for D in filter(is_fundamental_discriminant, range(5, 2000)):
+        cg = ClassGroup(QuadField(D))
+        if not cg.is_cyclic():
+            continue
+        for i in range(cg.h_narrow):
+            psi = make_class_character(cg, i)
+            assert psi.is_norm_induced() == oracles.is_norm_induced(psi), (D, i)
+            checked += 1
+    assert checked == 1062
 
 
 def test_primitive_root_is_sympys_smallest():
@@ -106,7 +117,7 @@ def test_gauss_norm_lemma_rejects_split():
 def test_gauss_twisting():
     pairs = [(5, 1, 7, 2), (5, 2, 11, 3), (7, 1, 13, 5), (3, 1, 5, 1), (11, 4, 13, 6)]
     for p, kp, q, kq in pairs:
-        assert check_gauss_twisting(p, kp, q, kq) < 1e-9
+        assert oracles.check_gauss_twisting(p, kp, q, kq) < 1e-9
 
 
 def test_root_number_trivial_conductor():

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -7,9 +6,23 @@ import pytest
 from maassforge import lseries as ls
 from maassforge.classforms import ClassGroup
 from maassforge.heckechar import make_class_character
-from maassforge.cli import AUTOMORPHY_ROW_BUDGET
+from maassforge.maassform import AUTOMORPHY_ROW_BUDGET
 from maassforge.quadfield import QuadField, _primes_up_to, tonelli_shanks_array
-from oracles import split_prime, tonelli_shanks
+from oracles import (
+    convolve,
+    euler_factor,
+    hecke_recursion_residual,
+    multiplicativity_failures,
+    prime_power_vector,
+    rankin_coeffs,
+    rankin_euler_identity_residual,
+    rankin_euler_identity_residual_corrected,
+    rankin_local_factor,
+    rankin_residue,
+    row,
+    split_prime,
+    tonelli_shanks,
+)
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +42,7 @@ def test_count_table_matches_ideal_enumeration(cg229):
     for I in F.enumerate_ideals(500):
         ref.setdefault(I.norm(), [0] * 3)[cg229.dlog(I)] += 1
     for n in range(1, 501):
-        assert tuple(ref.get(n, [0, 0, 0])) == table.row(n)
+        assert tuple(ref.get(n, [0, 0, 0])) == row(table, n)
 
 
 def prime_class_oracle(cg, p):
@@ -123,7 +136,7 @@ def test_grown_table_equals_one_shot_build(D, h):
     # and far rows against the ideal count sum_{d|n} chi_D(d)
     for n in (GROWN_ROWS - 1, GROWN_ROWS):
         total = sum(cg.field.chi(d) for d in range(1, n + 1) if n % d == 0)
-        assert sum(grown.row(n)) == total, (D, n)
+        assert sum(row(grown, n)) == total, (D, n)
     _check_prime_power_route(grown)
 
 
@@ -135,7 +148,7 @@ def _check_prime_power_route(table, every=10**4):
     for p in _primes_up_to(every).tolist():
         q, e = p, 1
         while q <= every:
-            assert table.row(q) == table.prime_power_vector(p, e), (p, e)
+            assert row(table, q) == prime_power_vector(table, p, e), (p, e)
             q, e = q * p, e + 1
     for n in np.random.default_rng(10).integers(2, table.n_max + 1, 300).tolist():
         m, p = n, 2
@@ -146,8 +159,8 @@ def _check_prime_power_route(table, every=10**4):
             while m % p == 0:
                 m, e = m // p, e + 1
             if e:
-                u = table.prime_power_vector(p, e)
-                assert table.row(n) == table.convolve(u, table.row(n // p**e)), (n, p, e)
+                u = prime_power_vector(table, p, e)
+                assert row(table, n) == convolve(table, u, row(table, n // p**e)), (n, p, e)
             p += 1
 
 
@@ -177,7 +190,7 @@ def test_one_table_per_class_group_across_growing_callers(monkeypatch):
     cg = ClassGroup(QuadField(229))
     psi = make_class_character(cg, 1)
     for X in (12500, 25000, 50000, 100000):
-        ls.rankin_euler_identity_residual(psi, 2.0, X)
+        rankin_euler_identity_residual(psi, 2.0, X)
     assert len(built) == 1
     assert cg.count_table.n_max == 100000
 
@@ -192,7 +205,7 @@ def test_coefficients_pinned_values(psi229):
 
 
 def test_rankin_coeffs(psi229):
-    b2 = ls.rankin_coeffs(psi229, 20)
+    b2 = rankin_coeffs(psi229, 20)
     assert b2[1] == 1.0
     assert abs(b2[2]) < 1e-24
     assert abs(b2[9]) < 1e-24
@@ -200,7 +213,7 @@ def test_rankin_coeffs(psi229):
 
 
 def test_multiplicativity_exact(psi229):
-    assert ls.multiplicativity_failures(psi229, 200) == 0
+    assert multiplicativity_failures(psi229, 200) == 0
 
 
 def test_hecke_recursion_exact_all_fields():
@@ -210,7 +223,7 @@ def test_hecke_recursion_exact_all_fields():
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
             if D % p == 0:
                 continue
-            assert ls.hecke_recursion_residual(psi, p, r_max=4) == 0, (D, p)
+            assert hecke_recursion_residual(psi, p, r_max=4) == 0, (D, p)
 
 
 @pytest.mark.parametrize("D, index", [(229, 1), (40, 1), (401, 1), (505, 1)])
@@ -223,7 +236,7 @@ def test_euler_factor_matches_coefficients(D, index):
     n = np.arange(5001, dtype=np.float64)
     n[0] = 1
     lhs = complex(np.sum(b[1:] / n[1:] ** s))
-    prod = complex(np.prod(ls.euler_factor(psi, _primes_up_to(5000), s)))
+    prod = complex(np.prod(euler_factor(psi, _primes_up_to(5000), s)))
     assert abs(lhs - prod) < 1e-9
 
 
@@ -233,16 +246,16 @@ def test_rankin_local_factor_matches_prime_power_series(cg229, psi229):
     for p in (2, 3, 5, 7, 11, 229):
         s = 2.0
         brute = sum(
-            abs(complex(np.dot(table.prime_power_vector(p, e), zeta))) ** 2 * p ** (-s * e)
+            abs(complex(np.dot(prime_power_vector(table, p, e), zeta))) ** 2 * p ** (-s * e)
             for e in range(0, 80)
         )
-        assert abs(brute - ls.rankin_local_factor(psi229, np.array([p]), s)[0]) < 1e-12
+        assert abs(brute - rankin_local_factor(psi229, np.array([p]), s)[0]) < 1e-12
 
 
 def test_rankin_residual_decreases(psi229):
-    r1 = ls.rankin_euler_identity_residual(psi229, 2.0, 1000)
-    r2 = ls.rankin_euler_identity_residual(psi229, 2.0, 2000)
-    r3 = ls.rankin_euler_identity_residual(psi229, 2.0, 8000)
+    r1 = rankin_euler_identity_residual(psi229, 2.0, 1000)
+    r2 = rankin_euler_identity_residual(psi229, 2.0, 2000)
+    r3 = rankin_euler_identity_residual(psi229, 2.0, 8000)
     assert r1 > r2 > r3
     assert r2 < 0.75 * r1  # doubling X reduces the residual
 
@@ -254,7 +267,7 @@ def test_rankin_residue_matches_paper_norm(D):
 
     psi = make_class_character(ClassGroup(QuadField(D)), 1)
     index_factor = math.prod(1 + 1 / p for p in _primes_up_to(D).tolist() if D % p == 0)
-    norm = math.pi**2 / 24 * D * index_factor * ls.rankin_residue(psi)
+    norm = math.pi**2 / 24 * D * index_factor * rankin_residue(psi)
     assert abs(norm / PAPER_VALUES[D] - 1) < 1e-6
 
 
@@ -262,11 +275,11 @@ def test_rankin_residue_refuses_where_derivation_fails(psi229):
     psi40 = make_class_character(ClassGroup(QuadField(40)), 1)
     assert psi40.power(2).is_trivial()
     with pytest.raises(ValueError):
-        ls.rankin_residue(psi40)
+        rankin_residue(psi40)
     with pytest.raises(ValueError):
-        ls.rankin_euler_identity_residual_corrected(psi40, 2.0, 1000)
+        rankin_euler_identity_residual_corrected(psi40, 2.0, 1000)
     with pytest.raises(ValueError):
-        ls.rankin_euler_identity_residual_corrected(psi229, 1.0, 1000)
+        rankin_euler_identity_residual_corrected(psi229, 1.0, 1000)
 
 
 def test_l_value_dual_routes_agree(psi229):

@@ -6,7 +6,8 @@ import pytest
 from maassforge.classforms import ClassGroup
 from maassforge import lseries as ls
 from maassforge.heckechar import make_class_character
-from maassforge.maassform import ThetaForm, build_theta, gamma0_matrices
+from maassforge import maassform
+from maassforge.maassform import RowBudgetError, ThetaForm, build_theta, gamma0_matrices
 from maassforge.quadfield import QuadField
 from maassforge.special import bessel_k0_array
 
@@ -58,7 +59,7 @@ def test_tail_bound_dominates_truncation(theta229):
 
 
 def test_automorphy_small(theta229):
-    rep = theta229.check_automorphy([(1, 0, 229, 1)], [(-1 / 229, 0.3), (0.05 - 1 / 229, 0.45)])
+    rep = theta229.check_automorphy([((1, 0, 229, 1), [(-1 / 229, 0.3), (0.05 - 1 / 229, 0.45)])])
     assert rep.residual < 1e-10
 
 
@@ -89,8 +90,19 @@ def test_functional_equation_pair_shares_one_table(monkeypatch):
 
 
 def test_automorphy_rejects_non_gamma0(theta229):
-    with pytest.raises(ValueError):
-        theta229.check_automorphy([(1, 0, 1, 1)], [(0.0, 0.5)])
+    with pytest.raises(ValueError) as exc:
+        theta229.check_automorphy([((1, 0, 1, 1), [(0.0, 0.5)])])
+    assert not isinstance(exc.value, RowBudgetError)
+
+
+def test_automorphy_over_row_budget_raises_before_building(theta229, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("built the table")
+
+    monkeypatch.setattr(maassform, "get_table", no_table)
+    # Im(gamma z) = 0.3 / (2290 * 0.3)^2 at z = -1/2290 + 0.3i needs 1.13e7 rows
+    with pytest.raises(RowBudgetError):
+        theta229.check_automorphy([((1, 0, 2290, 1), [(-1 / 2290, 0.3)])])
 
 
 def test_eigenvalue_richardson(theta229):

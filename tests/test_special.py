@@ -4,10 +4,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import exp1 as scipy_exp1
 from scipy.special import k0, k0e
 
-from maassforge.special import K0_HERMITE_BANDS, bessel_k0_array, bessel_k0e_array, exp1, incomplete_k_mellin
+from maassforge.special import K0_HERMITE_BANDS, bessel_k0_array, bessel_k0e_array, incomplete_k_mellin
 
 # a geometric grid, and the lower edge of each band of t, where its rule is
 # least accurate, with the float below it, the top of the band before (the
@@ -102,25 +101,6 @@ def test_k0_keeps_the_shape_of_its_argument():
     assert float(bessel_k0_array(0.5)) == pytest.approx(0.9244190712276659, rel=1e-15)
     t = np.array([[0.1, 2.0, 30.0], [1.9, 2.1, 5.0]])
     assert np.array_equal(bessel_k0_array(t), bessel_k0_array(t.ravel()).reshape(t.shape))
-
-
-@pytest.mark.parametrize("x", [0.1, 1.0, 1.5, 11.5, 30.0])
-def test_exp1_against_scipy(x):
-    assert abs(exp1(x) / scipy_exp1(x) - 1) <= 4e-15
-
-
-def test_exp1_against_mpmath():
-    # the series up to x = 1, the continued fraction above
-    for x in np.geomspace(1e-10, 700.0, 121).tolist() + [1.0, np.nextafter(1.0, 2.0)]:
-        with mp.workdps(30):
-            ref = float(mp.e1(x))
-        assert abs(exp1(x) / ref - 1) <= 1e-14, x
-
-
-@pytest.mark.parametrize("x", [0.0, -1.0, float("nan")])
-def test_exp1_rejects_nonpositive_x(x):
-    with pytest.raises(ValueError):
-        exp1(x)
 
 
 def test_bessel_exponential_bound():
