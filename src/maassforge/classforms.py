@@ -182,7 +182,9 @@ class ClassGroup:
                 if c in table:
                     break
                 table[c] = e
-                I = self.field.ideal_mul(I, reps[g])
+                # the class's reduced representative, not I, keeps the norm
+                # bounded: I's grows like N(g)^e, past what reduce() allows
+                I = self.field.ideal_mul(reps[c], reps[g])
             if len(table) == h:
                 return table
         raise ArithmeticError("narrow class group is not cyclic; unsupported")

@@ -1,9 +1,12 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 tolerance failure, 2 invalid input (including
-norm-induced characters, whose theta series is not cuspidal), 3 resource cap
-exceeded.  All floats are printed with 15 significant digits and JSON output
-is byte-deterministic for fixed flags.
+Exit codes: 0 success, 1 tolerance failure (lseries.SplitPointError), 2
+invalid input (quadfield.InvalidInputError, such as a norm-induced character,
+whose theta series is not cuspidal), 3 resource cap exceeded
+(quadfield.BudgetError).  Each is raised where its limit is known; main alone
+prints it as one "error:" line and picks the code.  Anything else raised is a
+bug and keeps its traceback.  All floats are printed with 15 significant
+digits and JSON output is byte-deterministic for fixed flags.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from .heckechar import (
     gauss_sum_rational,
     make_class_character,
 )
-from .maassform import AUTOMORPHY_SAMPLE_BUDGET, RowBudgetError, build_theta, gamma0_matrices
-from .petersson import PAPER_VALUES, NormInducedError, petersson_norm
-from .quadfield import QuadField, prime_factors
+from .maassform import AUTOMORPHY_SAMPLE_BUDGET, ThetaForm, gamma0_matrix, gamma0_matrices
+from .petersson import PAPER_VALUES, petersson_norm
+from .quadfield import BudgetError, InvalidInputError, QuadField, prime_factors
 from . import lseries
 
 EXIT_OK = 0
@@ -46,6 +49,9 @@ GAUSS_PRIME_BUDGET = 2_000
 # 720), while D = 1000000009 took 31 s.  Checked first, so that no D above it
 # costs even the trial division that tells whether it is fundamental.
 DISC_BUDGET = 100_000_000
+# Lowest --y theta-eval takes, so that the inputs it accepts stay fixed;
+# ThetaForm.eval itself takes any y > 0, on about 7.2/y coefficient rows
+THETA_EVAL_MIN_Y = 0.05
 
 
 def _fmt(x) -> float:
@@ -87,25 +93,18 @@ def _int_at_least(low: int):
 
 def _field_and_group(disc: int) -> tuple[QuadField, ClassGroup]:
     if disc > DISC_BUDGET:
-        print(f"error: --disc {disc} is over the budget of {DISC_BUDGET}", file=sys.stderr)
-        raise SystemExit(EXIT_RESOURCE)
-    try:
-        F = QuadField(disc)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
+        raise BudgetError(f"--disc {disc} is over the budget of {DISC_BUDGET}")
+    F = QuadField(disc)
     return F, ClassGroup(F)
 
 
 def _character(args):
     F, cg = _field_and_group(args.disc)
     if not cg.is_cyclic():
-        print(f"error: the narrow class group of D={F.D} is not cyclic; "
-              "class characters are indexed by a generator", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
+        raise InvalidInputError(f"the narrow class group of D={F.D} is not cyclic; "
+                                "class characters are indexed by a generator")
     if not 0 <= args.index < cg.h_narrow:
-        print(f"error: character index must be in [0, {cg.h_narrow})", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
+        raise InvalidInputError(f"character index must be in [0, {cg.h_narrow})")
     return cg, make_class_character(cg, args.index)
 
 
@@ -114,9 +113,8 @@ def cmd_field(args) -> int:
     u = cg.unit
     limit = sys.get_int_max_str_digits()  # 0 is no limit; x > y > 0
     if limit and u.x >= 10**limit:
-        print(f"error: the fundamental unit has more than {limit} digits, the most "
-              "Python prints of an integer (sys.get_int_max_str_digits())", file=sys.stderr)
-        return EXIT_RESOURCE
+        raise BudgetError(f"the fundamental unit has more than {limit} digits, the most "
+                          "Python prints of an integer (sys.get_int_max_str_digits())")
     _emit(
         {
             "D": F.D,
@@ -156,11 +154,7 @@ def cmd_reproduce(args) -> int:
 
 def cmd_ideals(args) -> int:
     F, _ = _field_and_group(args.disc)
-    try:
-        ids = F.enumerate_ideals(args.max_norm)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    ids = F.enumerate_ideals(args.max_norm)
     _emit(
         {
             "D": F.D,
@@ -178,9 +172,7 @@ def cmd_ideals(args) -> int:
 def cmd_coeffs(args) -> int:
     cg, psi = _character(args)
     if args.n_max > COEFFS_ROW_BUDGET:
-        print(f"error: --n-max {args.n_max} is over the budget of {COEFFS_ROW_BUDGET} rows",
-              file=sys.stderr)
-        return EXIT_RESOURCE
+        raise BudgetError(f"--n-max {args.n_max} is over the budget of {COEFFS_ROW_BUDGET} rows")
     b = lseries.hecke_l_coeffs(psi, args.n_max)
     if args.csv:
         import csv as _csv
@@ -206,12 +198,10 @@ def cmd_coeffs(args) -> int:
 
 def cmd_theta_eval(args) -> int:
     cg, psi = _character(args)
-    try:
-        th = build_theta(psi)
-        v = th.eval(args.x, args.y)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    th = ThetaForm(psi)
+    if args.y < THETA_EVAL_MIN_Y:
+        raise InvalidInputError(f"--y {args.y} is below the lowest height {THETA_EVAL_MIN_Y}")
+    v = th.eval(args.x, args.y)
     _emit(
         {
             "D": cg.field.D,
@@ -229,37 +219,22 @@ def cmd_theta_eval(args) -> int:
 
 def cmd_check_automorphy(args) -> int:
     if (args.c is None) != (args.d is None):
-        print("error: --c and --d give one matrix and must be used together", file=sys.stderr)
-        return EXIT_INVALID
+        raise InvalidInputError("--c and --d give one matrix and must be used together")
     if args.c == 0:
-        print("error: --c must be nonzero: the points are placed around x = -d/c", file=sys.stderr)
-        return EXIT_INVALID
+        raise InvalidInputError("--c must be nonzero: the points are placed around x = -d/c")
     cg, psi = _character(args)
-    if psi.is_norm_induced():
-        print("error: norm-induced character; theta is not cuspidal", file=sys.stderr)
-        return EXIT_INVALID
-    th = build_theta(psi)
+    th = ThetaForm(psi)
     if args.c is not None:
         if args.c % cg.field.D != 0 or math.gcd(args.c, args.d) != 1:
-            print("error: need c = 0 mod D and gcd(c, d) = 1", file=sys.stderr)
-            return EXIT_INVALID
-        from .quadfield import _xgcd
-
-        _, a, mb = _xgcd(args.d, args.c)
-        mats = [(a, -mb, args.c, args.d)]
+            raise InvalidInputError("need c = 0 mod D and gcd(c, d) = 1")
+        mats = [gamma0_matrix(args.c, args.d)]
     elif args.samples > AUTOMORPHY_SAMPLE_BUDGET:
-        print(f"error: --samples {args.samples} is over the budget of {AUTOMORPHY_SAMPLE_BUDGET}",
-              file=sys.stderr)
-        return EXIT_RESOURCE
+        raise BudgetError(f"--samples {args.samples} is over the budget of {AUTOMORPHY_SAMPLE_BUDGET}")
     else:
         mats = gamma0_matrices(cg.field.D, count=args.samples)
     offsets = ((0.0, 0.3), (0.05, 0.4), (-0.05, 0.5), (0.1, 0.65), (-0.1, 0.8))
     checks = [(m, [(-m[3] / m[2] + off, y) for off, y in offsets]) for m in mats]
-    try:
-        rep = th.check_automorphy(checks)
-    except RowBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    rep = th.check_automorphy(checks)
     _emit(
         {
             "D": cg.field.D,
@@ -277,8 +252,7 @@ def cmd_check_automorphy(args) -> int:
 def cmd_lvalue(args) -> int:
     cg, psi = _character(args)
     if psi.is_trivial():
-        print("error: L(s, trivial) has a pole at s = 1", file=sys.stderr)
-        return EXIT_INVALID
+        raise InvalidInputError("L(s, trivial) has a pole at s = 1")
     if args.s == 1.0:
         rep = lseries.l_value_at_1(psi)
         data = {
@@ -292,8 +266,7 @@ def cmd_lvalue(args) -> int:
         }
     else:
         if args.s <= 1.0:
-            print("error: only s = 1 or s > 1 supported", file=sys.stderr)
-            return EXIT_INVALID
+            raise InvalidInputError("only s = 1 or s > 1 supported")
         n_max = 10**5
         b = lseries.hecke_l_coeffs(psi, n_max)
         n = np.arange(1, n_max + 1, dtype=np.float64)
@@ -312,11 +285,7 @@ def cmd_lvalue(args) -> int:
 
 def cmd_petersson(args) -> int:
     cg, psi = _character(args)
-    try:
-        rep = petersson_norm(psi)
-    except NormInducedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    rep = petersson_norm(psi)
     _emit(_round_floats({"D": cg.field.D, "index": psi.index, **rep.to_json_dict()}), args)
     return EXIT_OK
 
@@ -325,14 +294,11 @@ def cmd_gauss_check(args) -> int:
     F, _ = _field_and_group(args.disc)
     p = args.p
     if p > GAUSS_PRIME_BUDGET:
-        print(f"error: --p {p} is over the budget of {GAUSS_PRIME_BUDGET}", file=sys.stderr)
-        return EXIT_RESOURCE
+        raise BudgetError(f"--p {p} is over the budget of {GAUSS_PRIME_BUDGET}")
     if p < 3 or prime_factors(p) != [p]:
-        print(f"error: p={p} is not an odd prime", file=sys.stderr)
-        return EXIT_INVALID
+        raise InvalidInputError(f"p={p} is not an odd prime")
     if F.chi(p) != -1:
-        print(f"error: p={p} is not inert in Q(sqrt{F.D})", file=sys.stderr)
-        return EXIT_INVALID
+        raise InvalidInputError(f"p={p} is not inert in Q(sqrt{F.D})")
     residuals = {}
     for k in range(1, min(p - 1, 4)):
         residuals[k] = _fmt(check_gauss_norm_lemma(F, p, k))
@@ -415,9 +381,10 @@ def main(argv=None) -> None:
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
-    except lseries.SplitPointError as exc:
+    except (lseries.SplitPointError, InvalidInputError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_TOLERANCE
+        code = (EXIT_TOLERANCE if isinstance(exc, lseries.SplitPointError)
+                else EXIT_INVALID if isinstance(exc, InvalidInputError) else EXIT_RESOURCE)
     raise SystemExit(code)
 
 

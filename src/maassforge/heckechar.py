@@ -20,12 +20,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classforms import ClassGroup
-from .quadfield import QfIdeal, QuadField, prime_factors
+from .quadfield import InvalidInputError, QfIdeal, QuadField, prime_factors
 
 
 def root_of_unity(exponent: Fraction | float) -> complex:
     """e^(2*pi*i*exponent)."""
     return cmath.exp(2j * math.pi * float(exponent))
+
+
+class NormInducedError(InvalidInputError):
+    """The character factors through the norm; theta is not a cusp form."""
+
+    def __init__(self, character: "HeckeCharacter"):
+        super().__init__(f"character index {character.index} of D={character.field.D} is "
+                         "norm-induced; its theta series is Eisenstein, not cuspidal")
 
 
 class HeckeCharacter:

@@ -24,12 +24,19 @@ import numpy as np
 
 from .classforms import ClassGroup
 from .heckechar import HeckeCharacter
-from .quadfield import _primes_up_to
+from .quadfield import BudgetError, _primes_up_to
 from .special import incomplete_k_mellin
 
 
 # rows sieved or realised per pass: bounds the temporaries of either
 SIEVE_CHUNK = 1 << 14
+# Largest coefficient table get_table builds.  For D = 229 (h = 3) the peak
+# RSS is about 33 MB plus 24 bytes per row (41 MB at 3.1e5 rows, 63 MB at
+# 1.22e6, 98 MB at 2.75e6, check-automorphy's default of 3 matrices); 2 h of
+# those bytes are the int16 table, and its build holds 4 more per new row, the
+# index of each row's smallest prime factor.  D = 3305 (h = 12) peaked at
+# 0.23 GB evaluating Theta once on 4.07e6 rows.
+ROW_BUDGET = 4_000_000
 # every prime p below this many rows has p^2 < 2^62, so the int64 arithmetic
 # of ClassGroup.prime_classes cannot overflow
 ROW_LIMIT = 1 << 31
@@ -175,7 +182,10 @@ class ClassCountTable:
 
 def get_table(classgroup: ClassGroup, n_max: int) -> ClassCountTable:
     """The class group's coefficient table, built on first use and grown in
-    place to at least n_max rows."""
+    place to at least n_max rows.  Raises BudgetError, before any row is
+    built, if n_max is over ROW_BUDGET."""
+    if n_max > ROW_BUDGET:
+        raise BudgetError(f"a'(n) up to n = {n_max} is over the budget of {ROW_BUDGET} rows")
     t = classgroup.count_table
     if t is None:
         t = classgroup.count_table = ClassCountTable(classgroup, n_max)
@@ -193,9 +203,15 @@ def hecke_l_coeffs(character: HeckeCharacter, n_max: int) -> np.ndarray:
 # -- L(1) ----------------------------------------------------------------
 
 
+SPLIT_POINT_TOL = 1e-9  # largest difference of the AFE's L(1) at split points 1 and 2
+# the direct oracle's Abel scale A.  Its error terms L(1 - k)/k! A^(-k) grow
+# like (sqrt(D) k/(2 pi e A))^k: a fixed A loses agreement as D grows.
+ABEL_SCALE = 600.0
+
+
 class SplitPointError(ArithmeticError):
     """The approximate functional equation gave different L(1) at two split
-    points."""
+    points: the CLI exits 1."""
 
 
 def l_value_at_1_afe(character: HeckeCharacter, cutoff: float = 1.0) -> float:
@@ -247,12 +263,12 @@ def l_value_at_1_afe(character: HeckeCharacter, cutoff: float = 1.0) -> float:
     return float(val.real)
 
 
-def l_value_at_1_direct(character: HeckeCharacter, base_scale: float = 600.0) -> float:
+def l_value_at_1_direct(character: HeckeCharacter) -> float:
     """Independent oracle: Abel-smoothed partial sums sum b(n) e^(-n/A) / n
-    at A, 2A, 4A, 8A, Richardson-extrapolated in 1/A."""
+    at A, 2A, 4A, 8A for A = ABEL_SCALE, Richardson-extrapolated in 1/A."""
     if character.is_trivial():
         raise ValueError("L(s, trivial) has a pole at s = 1")
-    scales = [base_scale * 2**k for k in range(4)]
+    scales = [ABEL_SCALE * 2**k for k in range(4)]
     n_max = int(36 * scales[-1])
     b = hecke_l_coeffs(character, n_max)
     n = np.arange(n_max + 1, dtype=np.float64)
@@ -273,12 +289,12 @@ def l_value_at_1_direct(character: HeckeCharacter, base_scale: float = 600.0) ->
     return float(table[0].real)
 
 
-def l_value_at_1(character: HeckeCharacter, agree_tol: float = 1e-9) -> dict:
+def l_value_at_1(character: HeckeCharacter) -> dict:
     """L(1, psi) with the dual-route consistency report."""
     v1 = l_value_at_1_afe(character, cutoff=1.0)
     v2 = l_value_at_1_afe(character, cutoff=2.0)
     oracle = l_value_at_1_direct(character)
-    if abs(v1 - v2) > agree_tol:
+    if abs(v1 - v2) > SPLIT_POINT_TOL:
         raise SplitPointError(
             f"split-point instability in L(1): {v1!r} vs {v2!r}"
         )

@@ -13,7 +13,8 @@ T(psi) = (-1)^epsilon.
 
 Verification is numerical: automorphy and functional-equation residuals,
 a finite-difference eigenvalue check with Richardson ratio, and decay at
-the cusps.
+the cusps.  Theta is evaluated at any height y > 0; its coefficient rows,
+about 7.2/y of them, come from lseries.get_table under its ROW_BUDGET.
 """
 
 from __future__ import annotations
@@ -23,20 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heckechar import HeckeCharacter
+from .heckechar import HeckeCharacter, NormInducedError
 from .lseries import get_table
+from .quadfield import _xgcd
 from .special import bessel_k0_array
 
-MIN_Y = 0.05
 TRUNCATION_EXPONENT = 45.0  # keep terms with 2 pi n y <= this
 EIGENVALUE = 0.25  # 1/4 - nu^2 with spectral parameter nu = 0
-# Largest coefficient table check_automorphy may build.  For D = 229 (h = 3)
-# the peak RSS is about 33 MB plus 24 bytes per row (41 MB at 3.1e5 rows,
-# 63 MB at 1.22e6, 98 MB at 2.75e6, the CLI's default of 3 matrices); 2 h of
-# those bytes are the int16 table, and its build holds 4 more per new row, the
-# index of each row's smallest prime factor.  D = 3305 (h = 12) peaked at
-# 0.23 GB evaluating Theta once on 4.07e6 rows.
-AUTOMORPHY_ROW_BUDGET = 4_000_000
+EIGENVALUE_STEP = 0.04  # the largest of check_eigenvalue's three stencil steps
+SAMPLE_C_MULTIPLES = 3  # gamma0_matrices takes c = level, 2 level, 3 level in turn
 # Most matrices check-automorphy --samples may ask for.  Each takes ten
 # evaluations of Theta on up to the whole table, and the table stops growing
 # at 3 samples: D = 229 took 0.94 s at 3 samples, 3.3 s at 30 and 10.5 s at
@@ -44,14 +40,13 @@ AUTOMORPHY_ROW_BUDGET = 4_000_000
 AUTOMORPHY_SAMPLE_BUDGET = 100
 
 
-class RowBudgetError(ValueError):
-    """A check needs more coefficient rows than AUTOMORPHY_ROW_BUDGET."""
-
-
 class ThetaForm:
-    """Maass cusp form attached to a non-norm-induced class character."""
+    """Maass cusp form attached to a non-norm-induced class character;
+    a norm-induced one raises NormInducedError."""
 
     def __init__(self, character: HeckeCharacter):
+        if character.is_norm_induced():
+            raise NormInducedError(character)
         self.character = character
         self.field = character.field
         self.level = self.field.D  # conductor (1): level D * N(f) = D
@@ -79,14 +74,9 @@ class ThetaForm:
         table = get_table(self.character.classgroup, n_cut)
         return table.support(self.character.index, n_cut)
 
-    def eval(self, x: float, y: float, allow_low_y: bool = False) -> complex:
+    def eval(self, x: float, y: float) -> complex:
         """Theta at z = x + iy by truncated Fourier expansion, summed over
         the support of a'."""
-        if y < MIN_Y and not allow_low_y:
-            raise ValueError(
-                f"y = {y} below evaluation floor {MIN_Y}; "
-                "pass allow_low_y=True to force direct summation"
-            )
         if y <= 0:
             raise ValueError("y must be positive")
         # Theta has period 1 in x, and x - round(x) is exact, while the cosine
@@ -111,52 +101,32 @@ class ThetaForm:
 
     # -- verifications --------------------------------------------------
 
-    def _automorphy_tasks(self, checks) -> list:
-        """(gamma z, z, chi_D(d)) for every (gamma, points) pair of checks,
-        gamma in Gamma_0(D), and every z in its points."""
-        for (a, b, c, d), _ in checks:
-            if a * d - b * c != 1 or c % self.level != 0:
-                raise ValueError(f"({a},{b},{c},{d}) is not in Gamma_0({self.level})")
-        tasks = []
-        for (a, b, c, d), points in checks:
-            for x, y in points:
-                den = complex(c * (x + 1j * y) + d)
-                w = (a * (x + 1j * y) + b) / den
-                tasks.append((w, (x, y), self.field.chi(d)))
-        return tasks
-
-    def automorphy_heights(self, checks) -> list[float]:
-        """The heights of the evaluations check_automorphy makes: Im(gamma z)
-        and y, for every (gamma, points) pair of checks and z in its points."""
-        tasks = self._automorphy_tasks(checks)
-        ys = [w.imag for w, _, _ in tasks] + [y for _, (_, y), _ in tasks if y >= MIN_Y]
-        return [y for y in ys if y > 0]
-
     def check_automorphy(self, checks) -> "CheckReport":
         """max |Theta(gamma z) - chi_D(d) Theta(z)| over the (gamma, points)
         pairs of checks, gamma in Gamma_0(D), and the points z of each; the
         details add the truncation_report of every evaluation.  Raises
-        RowBudgetError, before any row is built, if the evaluations need more
-        than AUTOMORPHY_ROW_BUDGET coefficient rows."""
-        ys = self.automorphy_heights(checks)
-        rows = max(map(self.truncation_index, ys), default=0)
-        if rows > AUTOMORPHY_ROW_BUDGET:
-            raise RowBudgetError(
-                f"the check needs a'(n) up to n = {rows}, over the budget of "
-                f"{AUTOMORPHY_ROW_BUDGET} rows"
-            )
+        BudgetError, before any row is built, if the evaluations need more
+        than lseries.ROW_BUDGET coefficient rows."""
+        tasks = []  # (gamma z, z, chi_D(d))
+        for (a, b, c, d), points in checks:
+            if a * d - b * c != 1 or c % self.level != 0:
+                raise ValueError(f"({a},{b},{c},{d}) is not in Gamma_0({self.level})")
+            for x, y in points:
+                den = complex(c * (x + 1j * y) + d)
+                tasks.append(((a * (x + 1j * y) + b) / den, (x, y), self.field.chi(d)))
+        ys = [v for w, (_, y), _ in tasks for v in (w.imag, y) if v > 0]
         # grow the table once to its final size: growing it eval by eval keeps
         # each superseded array alive while its larger copy is filled
-        get_table(self.character.classgroup, rows)
+        get_table(self.character.classgroup, max(map(self.truncation_index, ys), default=0))
         residuals = [
-            abs(self.eval(w.real, w.imag, allow_low_y=True) - chi_d * self.eval(x, y))
-            for w, (x, y), chi_d in self._automorphy_tasks(checks)
+            abs(self.eval(w.real, w.imag) - chi_d * self.eval(x, y))
+            for w, (x, y), chi_d in tasks
         ]
         return CheckReport(
             "automorphy", max(residuals), {"count": len(residuals), **self.truncation_report(ys)}
         )
 
-    def check_eigenvalue(self, x: float, y: float, h: float = 0.04) -> "CheckReport":
+    def check_eigenvalue(self, x: float, y: float) -> "CheckReport":
         """-y^2 (five-point Laplacian) vs 1/4; Richardson ratio of
         successive halvings should be ~4 for the O(h^2) stencil."""
 
@@ -171,7 +141,7 @@ class ThetaForm:
             ) / (hh * hh)
             return -y * y * lap / f0
 
-        e1, e2, e3 = fd_eigen(h), fd_eigen(h / 2), fd_eigen(h / 4)
+        e1, e2, e3 = (fd_eigen(EIGENVALUE_STEP / 2**k) for k in range(3))
         ratio = (e1 - e2) / (e2 - e3)
         err = abs(e3 - EIGENVALUE)
         return CheckReport(
@@ -189,8 +159,8 @@ class ThetaForm:
         res = []
         for x, y in points:
             w = -1.0 / (self.level * complex(x, y))
-            lhs = self.eval(x, y, allow_low_y=True)
-            rhs = T * dual.eval(w.real, w.imag, allow_low_y=True)
+            lhs = self.eval(x, y)
+            rhs = T * dual.eval(w.real, w.imag)
             res.append(abs(lhs - rhs))
         return CheckReport(
             "functional_equation", max(res), {"points": list(points), "root_number": T}
@@ -219,28 +189,22 @@ class CheckReport:
         return self.residual < tol
 
 
-def build_theta(character: HeckeCharacter) -> ThetaForm:
-    if character.is_norm_induced():
-        raise ValueError(
-            "character is norm-induced: the theta series is not cuspidal"
-        )
-    return ThetaForm(character)
+def gamma0_matrix(c: int, d: int) -> tuple[int, int, int, int]:
+    """The matrix (a, b, c, d) of determinant 1 with bottom row (c, d), for
+    gcd(c, d) = 1: it lies in Gamma_0(D) when D | c."""
+    _, a, mb = _xgcd(d, c)  # a*d + mb*c = 1
+    return a, -mb, c, d
 
 
-def gamma0_matrices(level: int, count: int = 10, c_mult_max: int = 3) -> list[tuple[int, int, int, int]]:
-    """Deterministic sample of matrices in Gamma_0(level) with |c| <= c_mult_max*level."""
-    from .quadfield import _xgcd
-
+def gamma0_matrices(level: int, count: int) -> list[tuple[int, int, int, int]]:
+    """Deterministic sample of count matrices in Gamma_0(level), with
+    |c| <= SAMPLE_C_MULTIPLES * level."""
     out: list[tuple[int, int, int, int]] = []
     i = 0
-    d = 1
     while len(out) < count:
-        mult = i % c_mult_max + 1
-        c = mult * level
+        c = (i % SAMPLE_C_MULTIPLES + 1) * level
         d = 2 + i  # varies the bottom-right entry deterministically
         i += 1
-        if math.gcd(c, d) != 1:
-            continue
-        _, a, mb = _xgcd(d, c)  # a*d + mb*c = 1
-        out.append((a, -mb, c, d))
+        if math.gcd(c, d) == 1:
+            out.append(gamma0_matrix(c, d))
     return out

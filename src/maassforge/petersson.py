@@ -20,13 +20,12 @@ import math
 from dataclasses import dataclass, field
 
 from .classforms import ClassGroup
-from .heckechar import HeckeCharacter
+from .heckechar import HeckeCharacter, NormInducedError
 from .lseries import l_value_at_1
 from .quadfield import prime_factors
 
-
-class NormInducedError(ValueError):
-    """The character factors through the norm; theta is not a cusp form."""
+# N(f) for the conductor f = (1) of every class character
+CONDUCTOR_NORM = 1
 
 
 @dataclass
@@ -58,8 +57,8 @@ class PeterssonReport:
         return out
 
 
-def constant_c1(D: int, conductor_norm: int = 1) -> float:
-    N = D * conductor_norm
+def constant_c1(D: int) -> float:
+    N = D * CONDUCTOR_NORM
     phi = N
     for p in prime_factors(N):
         phi = phi // p * (p - 1)
@@ -83,10 +82,7 @@ def constant_c3(classgroup: ClassGroup) -> float:
 
 def petersson_norm(character: HeckeCharacter, paper_value: float | None = None) -> PeterssonReport:
     if character.is_norm_induced():
-        raise NormInducedError(
-            f"character index {character.index} of D={character.field.D} is "
-            "norm-induced; its theta series is Eisenstein, not cuspidal"
-        )
+        raise NormInducedError(character)
     cg = character.classgroup
     twisted = character.power(2)  # psi * (psibar o sigma) for class characters
     ldata = l_value_at_1(twisted)

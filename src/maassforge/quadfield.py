@@ -27,6 +27,14 @@ import numpy as np
 IDEALS_NORM_BUDGET = 100_000
 
 
+class InvalidInputError(ValueError):
+    """The input names nothing that maassforge computes: the CLI exits 2."""
+
+
+class BudgetError(ValueError):
+    """The request is over a stated resource budget: the CLI exits 3."""
+
+
 def kronecker(a: int, n: int) -> int:
     """Kronecker symbol (a|n), defined for all integers n.
 
@@ -165,7 +173,7 @@ class QuadField:
 
     def __init__(self, D: int):
         if not is_fundamental_discriminant(D):
-            raise ValueError(f"{D} is not a fundamental discriminant of a real quadratic field")
+            raise InvalidInputError(f"{D} is not a fundamental discriminant of a real quadratic field")
         self.D = D
         self.s = D % 2              # trace of omega
         self.omega_norm = (self.s * self.s - D) // 4   # norm of omega
@@ -263,7 +271,7 @@ class QuadField:
         Each is a product of powers of distinct prime ideals, taken in the
         order of their rational primes."""
         if max_norm > IDEALS_NORM_BUDGET:
-            raise ValueError(f"max_norm {max_norm} is over the budget of {IDEALS_NORM_BUDGET}")
+            raise BudgetError(f"max_norm {max_norm} is over the budget of {IDEALS_NORM_BUDGET}")
         primes = _primes_up_to(max_norm)
         chi, root = self.prime_roots(primes)
         # (p, prime ideal above p, its norm)

@@ -14,16 +14,13 @@ import pytest
 from maassforge.classforms import ClassGroup, fundamental_unit
 from maassforge.heckechar import (
     DirichletCharacterModP,
+    NormInducedError,
     check_gauss_norm_lemma,
     gauss_sum_rational,
     make_class_character,
 )
-from maassforge.maassform import build_theta, gamma0_matrices
-from maassforge.petersson import (
-    PAPER_VALUES,
-    NormInducedError,
-    petersson_norm,
-)
+from maassforge.maassform import ThetaForm, gamma0_matrices
+from maassforge.petersson import PAPER_VALUES, petersson_norm
 from maassforge.quadfield import QuadField, _primes_up_to
 from oracles import (
     check_gauss_twisting,
@@ -41,7 +38,7 @@ def cg229():
 
 @pytest.fixture(scope="module")
 def theta229(cg229):
-    return build_theta(make_class_character(cg229, 1))
+    return ThetaForm(make_class_character(cg229, 1))
 
 
 def test_a1_reproduce_229(cg229):
@@ -98,7 +95,7 @@ def test_a6_eigenvalue_richardson(theta229):
 
 
 def test_a7_functional_equation(theta229):
-    dual = build_theta(theta229.character.conjugate())
+    dual = ThetaForm(theta229.character.conjugate())
     y0 = 1 / math.sqrt(229)
     ys = [0.85 * y0, 0.95 * y0, y0, 1.05 * y0, 1.15 * y0]
     points = [(x * y0, y) for x, y in zip((0.3, -0.2, 0.0, 0.1, -0.4), ys)]

@@ -183,3 +183,11 @@ def test_narrow_vs_wide_negative_norm_generator():
     cg = ClassGroup(F)
     assert cg.unit_norm == 1
     assert cg.class_index(F.principal_ideal(1, 1)) != 0  # N(1 + sqrt3) = -2
+
+
+def test_dlog_of_a_cyclic_group_of_order_80():
+    # D = 68905: the powers of the generator, multiplied unreduced, grew in
+    # norm until reduce() hit its step cap, and the group read as not cyclic
+    cg = ClassGroup(QuadField(68905))
+    assert cg.h_narrow == 80 and cg.is_cyclic()
+    assert sorted(cg._dlog.values()) == list(range(80))

@@ -14,7 +14,7 @@ import maassforge
 from maassforge import cli, lseries
 from maassforge.classforms import ClassGroup
 from maassforge.cli import COEFFS_ROW_BUDGET, DISC_BUDGET, GAUSS_PRIME_BUDGET, main
-from maassforge.maassform import AUTOMORPHY_SAMPLE_BUDGET
+from maassforge.maassform import AUTOMORPHY_SAMPLE_BUDGET, ThetaForm
 from maassforge.quadfield import IDEALS_NORM_BUDGET, QuadField
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "schemas" / "report.json").read_text())
@@ -175,6 +175,36 @@ def test_coeffs_over_row_budget_exits_3(capsys, monkeypatch):
     assert captured.out == "" and captured.err.startswith("error:")
     assert captured.err.count("\n") == 1
     assert built == []  # refused before any table row is built
+
+
+def test_lvalue_over_row_budget_exits_3(capsys, monkeypatch):
+    # the direct oracle of L(1) needs 172,800 rows
+    monkeypatch.setattr(lseries, "ROW_BUDGET", 1000)
+    with pytest.raises(SystemExit) as exc:
+        main(["lvalue", "--disc", "229", "--index", "2"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 3
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "owner,name,argv",
+    [
+        (ThetaForm, "eval", ("theta-eval", "--disc", "229", "--index", "1", "--x", "0.2", "--y", "0.5")),
+        (QuadField, "enumerate_ideals", ("ideals", "--disc", "229", "--max-norm", "20")),
+    ],
+    ids=["theta-eval", "ideals"],
+)
+def test_value_error_from_a_bug_keeps_its_traceback(capsys, monkeypatch, owner, name, argv):
+    # only the refusal types map to exit codes; a plain ValueError is a bug
+    def bug(*args, **kwargs):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(owner, name, bug)
+    with pytest.raises(ValueError, match="a bug"):
+        main(list(argv))
+    assert capsys.readouterr() == ("", "")
 
 
 def run_child(code: str, **env_set) -> str:

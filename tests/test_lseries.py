@@ -6,7 +6,6 @@ import pytest
 from maassforge import lseries as ls
 from maassforge.classforms import ClassGroup
 from maassforge.heckechar import make_class_character
-from maassforge.maassform import AUTOMORPHY_ROW_BUDGET
 from maassforge.quadfield import QuadField, _primes_up_to, tonelli_shanks_array
 from oracles import (
     convolve,
@@ -79,8 +78,8 @@ def test_tonelli_shanks_array_at_high_two_adic_valuation(p):
 
 
 def test_tonelli_shanks_array_below_automorphy_row_budget():
-    divisors = _primes_up_to(math.isqrt(AUTOMORPHY_ROW_BUDGET)).tolist()
-    primes = [q for q in range(AUTOMORPHY_ROW_BUDGET - 3000, AUTOMORPHY_ROW_BUDGET)
+    divisors = _primes_up_to(math.isqrt(ls.ROW_BUDGET)).tolist()
+    primes = [q for q in range(ls.ROW_BUDGET - 3000, ls.ROW_BUDGET)
               if all(q % d for d in divisors)]
     assert len(primes) > 150
     pairs = [(a, q) for q in primes for a in (229, 14165, q - 1, q - 4, (q + 1) // 2, 7**5 % q)

@@ -5,31 +5,30 @@ import pytest
 
 from maassforge.classforms import ClassGroup
 from maassforge import lseries as ls
-from maassforge.heckechar import make_class_character
-from maassforge import maassform
-from maassforge.maassform import RowBudgetError, ThetaForm, build_theta, gamma0_matrices
-from maassforge.quadfield import QuadField
+from maassforge.heckechar import NormInducedError, make_class_character
+from maassforge.maassform import ThetaForm, gamma0_matrices
+from maassforge.quadfield import BudgetError, QuadField
 from maassforge.special import bessel_k0_array
 
 
 @pytest.fixture(scope="module")
 def theta229():
     cg = ClassGroup(QuadField(229))
-    return build_theta(make_class_character(cg, 1))
+    return ThetaForm(make_class_character(cg, 1))
 
 
 def test_build_refuses_norm_induced():
     cg = ClassGroup(QuadField(40))
-    with pytest.raises(ValueError, match="norm-induced"):
-        build_theta(make_class_character(cg, 1))
+    with pytest.raises(NormInducedError, match="norm-induced"):
+        ThetaForm(make_class_character(cg, 1))
 
 
-def test_eval_refuses_low_y(theta229):
-    with pytest.raises(ValueError, match="floor"):
-        theta229.eval(0.0, 0.01)
-    # but the explicit override works
-    v = theta229.eval(0.0, 0.01, allow_low_y=True)
+def test_eval_takes_any_positive_y(theta229):
+    # no height floor: Theta(0.01i) sums its 716 rows directly
+    v = theta229.eval(0.0, 0.01)
     assert abs(v) < 1.0
+    with pytest.raises(ValueError, match="positive"):
+        theta229.eval(0.0, 0.0)
 
 
 def test_eval_periodicity(theta229):
@@ -63,12 +62,12 @@ def test_automorphy_small(theta229):
     assert rep.residual < 1e-10
 
 
-def test_build_theta_builds_no_table_and_eval_grows_it_to_its_truncation():
+def test_theta_form_builds_no_table_and_eval_grows_it_to_its_truncation():
     cg = ClassGroup(QuadField(229))
-    th = build_theta(make_class_character(cg, 1))
+    th = ThetaForm(make_class_character(cg, 1))
     assert cg.count_table is None
     y = 1e-3
-    th.eval(0.1, y, allow_low_y=True)
+    th.eval(0.1, y)
     assert cg.count_table.n_max == th.truncation_index(y) == 7162
 
 
@@ -82,7 +81,7 @@ def test_functional_equation_pair_shares_one_table(monkeypatch):
 
     monkeypatch.setattr(ls.ClassCountTable, "__init__", counting_init)
     psi = make_class_character(ClassGroup(QuadField(229)), 1)
-    th, dual = build_theta(psi), build_theta(psi.conjugate())
+    th, dual = ThetaForm(psi), ThetaForm(psi.conjugate())
     y0 = 1 / math.sqrt(229)
     rep = th.check_functional_equation(dual, [(0.1 * y0, 0.9 * y0), (-0.2 * y0, 1.1 * y0)])
     assert rep.residual < 1e-10
@@ -92,16 +91,17 @@ def test_functional_equation_pair_shares_one_table(monkeypatch):
 def test_automorphy_rejects_non_gamma0(theta229):
     with pytest.raises(ValueError) as exc:
         theta229.check_automorphy([((1, 0, 1, 1), [(0.0, 0.5)])])
-    assert not isinstance(exc.value, RowBudgetError)
+    assert not isinstance(exc.value, BudgetError)
 
 
 def test_automorphy_over_row_budget_raises_before_building(theta229, monkeypatch):
-    def no_table(*args):
-        raise AssertionError("built the table")
+    def no_rows(*args):
+        raise AssertionError("built or extended a table")
 
-    monkeypatch.setattr(maassform, "get_table", no_table)
+    monkeypatch.setattr(ls.ClassCountTable, "__init__", no_rows)
+    monkeypatch.setattr(ls.ClassCountTable, "extend", no_rows)
     # Im(gamma z) = 0.3 / (2290 * 0.3)^2 at z = -1/2290 + 0.3i needs 1.13e7 rows
-    with pytest.raises(RowBudgetError):
+    with pytest.raises(BudgetError):
         theta229.check_automorphy([((1, 0, 2290, 1), [(-1 / 2290, 0.3)])])
 
 
@@ -112,7 +112,7 @@ def test_eigenvalue_richardson(theta229):
 
 
 def test_functional_equation(theta229):
-    dual = build_theta(theta229.character.conjugate())
+    dual = ThetaForm(theta229.character.conjugate())
     ys = [0.055, 0.06, 1 / math.sqrt(229), 0.07, 0.08]
     points = [(x, y) for x, y in zip((0.02, -0.01, 0.0, 0.015, -0.03), ys)]
     rep = theta229.check_functional_equation(dual, points)
@@ -141,12 +141,12 @@ def test_functional_equation_off_axis_505(index, epsilon):
     # Theta_psi(z) = (-1)^epsilon Theta_psibar(-1/(Dz)) near the Fricke circle;
     # the odd form is a sine series, so the points lie off the imaginary axis
     psi = make_class_character(ClassGroup(QuadField(505)), index)
-    th = build_theta(psi)
-    dual = build_theta(psi.conjugate())
+    th = ThetaForm(psi)
+    dual = ThetaForm(psi.conjugate())
     y0 = 1 / math.sqrt(505)
     points = [(0.3 * y0, 0.9 * y0), (-0.2 * y0, y0), (0.5 * y0, 1.1 * y0)]
     assert th.epsilon == epsilon
-    assert min(abs(th.eval(x, y, allow_low_y=True)) for x, y in points) > 1e-2
+    assert min(abs(th.eval(x, y)) for x, y in points) > 1e-2
     rep = th.check_functional_equation(dual, points)
     assert rep.details["root_number"] == (-1) ** epsilon
     assert rep.residual < 1e-10
@@ -176,10 +176,10 @@ def dense_theta(th: ThetaForm, x: float, y: float) -> complex:
 
 @pytest.mark.parametrize("D", [229, 136, 505])  # 136 and 505: sine series
 def test_eval_on_the_support_equals_the_dense_sum(D):
-    th = build_theta(make_class_character(ClassGroup(QuadField(D)), 1))
+    th = ThetaForm(make_class_character(ClassGroup(QuadField(D)), 1))
     for x, y in [(0.13, 0.02), (0.37, 0.06), (-0.21, 0.3), (0.44, 1.0)]:
         ref = dense_theta(th, x, y)
-        assert abs(th.eval(x, y, allow_low_y=True) - ref) <= 1e-14 * abs(ref), (x, y)
+        assert abs(th.eval(x, y) - ref) <= 1e-14 * abs(ref), (x, y)
     # the support drops exact zeros only
     n_cut = th.truncation_index(0.02)
     n, a = th.support(n_cut)
@@ -207,7 +207,7 @@ def test_support_is_kept_and_realised_once(D, monkeypatch):
 
     monkeypatch.setattr(ls.ClassCountTable, "_realise", recording_realise)
     cg = ClassGroup(QuadField(D))
-    th = build_theta(make_class_character(cg, 1))
+    th = ThetaForm(make_class_character(cg, 1))
     other = make_class_character(cg, 2)
 
     def check(n_cut):

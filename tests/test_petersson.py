@@ -3,9 +3,8 @@ import math
 import pytest
 
 from maassforge.classforms import ClassGroup
-from maassforge.heckechar import make_class_character
+from maassforge.heckechar import NormInducedError, make_class_character
 from maassforge.petersson import (
-    NormInducedError,
     constant_c1,
     constant_c2,
     constant_c3,
