@@ -1,11 +1,14 @@
 """Indefinite binary quadratic forms, narrow class groups, fundamental units.
 
 Forms (A, B, C) of discriminant B^2 - 4AC = D > 0 represent narrow ideal
-classes: the classes are the rho-reduction cycles of reduced forms, and the
-classes of many prime ideals are found at once by reducing their forms as
-int64 arrays.  The
-fundamental unit comes from one period of the continued fraction of the
-ring generator (s + sqrt(D))/2.
+classes: the classes are the rho-cycles of reduced forms.  Forms live in
+arrays, one entry per form, and one rho step (_rho) and one reduction
+(reduce_forms) serve every class computation: the cycles are the orbits of
+_rho on all reduced forms, and an ideal's class is found by reducing its
+form and looking the result up among them, for int64 arrays of prime ideals
+and for one ideal of any size in Python ints alike.  The fundamental unit
+comes from one period of the continued fraction of the ring generator
+(s + sqrt(D))/2.
 """
 
 from __future__ import annotations
@@ -13,69 +16,40 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import cached_property
-from math import isqrt
+from math import isqrt, sqrt
 
 import numpy as np
 
 from .quadfield import QfIdeal, QuadField
 
 
-@dataclass(frozen=True)
-class IndefiniteForm:
-    """Binary quadratic form A*x^2 + B*x*y + C*y^2 with B^2 - 4AC > 0."""
+def _rho(A, B, C, D: int, r: int):
+    """One reduction step on arrays of forms of discriminant D, r = isqrt(D):
+    (A, B, C) -> (C, B', C') with B' = -B mod 2|C| placed in the window
+    (sqrt(D) - 2|C|, sqrt(D)), or, while |C| > sqrt(D), the least residue
+    -|C| < B' <= |C|."""
+    ca = np.abs(C)
+    c2 = 2 * ca
+    m = -B % c2
+    Bp = np.where(ca > r, np.where(m <= ca, m, m - c2), m + c2 * ((r - m) // c2))
+    return C, Bp, (Bp * Bp - D) // (4 * C)
 
-    A: int
-    B: int
-    C: int
 
-    def disc(self) -> int:
-        return self.B * self.B - 4 * self.A * self.C
-
-    def is_reduced(self) -> bool:
-        """0 < B < sqrt(D) and sqrt(D) - B < 2|A| < sqrt(D) + B, exactly."""
-        D = self.disc()
-        B, t = self.B, 2 * abs(self.A)
-        if B <= 0 or B * B >= D:
-            return False
-        # t > sqrt(D) - B  <=>  (t + B)^2 > D
-        if (t + B) ** 2 <= D:
-            return False
-        # t < sqrt(D) + B  <=>  t <= B or (t - B)^2 < D
-        return t <= self.B or (t - B) ** 2 < D
-
-    def rho(self) -> "IndefiniteForm":
-        """One reduction step: (A,B,C) -> (C,B',C') with B' = -B mod 2|C|
-        placed in the window (sqrt(D) - 2|C|, sqrt(D))."""
-        D = self.disc()
-        r = isqrt(D)
-        ca = abs(self.C)
-        c2 = 2 * ca
-        m = (-self.B) % c2
-        if ca > r:
-            # not yet in the reduced range: take the minimal residue -|C| < B' <= |C|
-            Bp = m if m <= ca else m - c2
-        else:
-            Bp = m + c2 * ((r - m) // c2)
-        Cp = (Bp * Bp - D) // (4 * self.C)
-        return IndefiniteForm(self.C, Bp, Cp)
-
-    def reduce(self) -> "IndefiniteForm":
-        f = self
-        for _ in range(10 * len(str(self.disc())) + 64):
-            if f.is_reduced():
-                return f
-            f = f.rho()
-        raise ArithmeticError(f"reduction of {self} did not terminate")
-
-    def cycle(self) -> list["IndefiniteForm"]:
-        """The rho-cycle through the reduction of this form."""
-        f0 = self.reduce()
-        out = [f0]
-        f = f0.rho()
-        while f != f0:
-            out.append(f)
-            f = f.rho()
-        return out
+def reduce_forms(A, B, C, D: int):
+    """Reduce arrays of forms of discriminant D in place, rho-stepping them
+    together under a mask until each is reduced: 0 < B < sqrt(D) and
+    sqrt(D) - B < 2|A| < sqrt(D) + B.  Works on int64 arrays whose entries
+    and B^2 fit, and on dtype=object arrays of Python ints of any size."""
+    r = isqrt(D)
+    todo = np.arange(A.size)
+    # each step shrinks |C| about fourfold until |C| <= sqrt(D)
+    for _ in range(10 * len(str(D)) + 64):
+        t, Bt = 2 * np.abs(A[todo]), B[todo]
+        todo = todo[~((Bt > 0) & (Bt <= r) & (t > r - Bt) & (t <= r + Bt))]
+        if not todo.size:
+            return A, B, C
+        A[todo], B[todo], C[todo] = _rho(A[todo], B[todo], C[todo], D, r)
+    raise ArithmeticError("reduction of the forms did not terminate")
 
 
 @dataclass(frozen=True)
@@ -119,7 +93,13 @@ def fundamental_unit(D: int) -> FundamentalUnit:
 
 
 class ClassGroup:
-    """Narrow class group of a real quadratic field via reduced form cycles."""
+    """Narrow class group of a real quadratic field via reduced form cycles.
+
+    forms holds the reduced forms (A, B, C) of discriminant D as int64
+    arrays, sorted by the key (A + r + 1)(r + 1) + B, r = isqrt(D), which is
+    one-to-one since 0 < B <= r and |A| <= r; cycle[j] is the class of the
+    j-th form.  The cycles are numbered by their least form, in key order,
+    and then the class of the unit ideal is swapped with class 0."""
 
     def __init__(self, field: QuadField):
         self.field = field
@@ -127,53 +107,73 @@ class ClassGroup:
         self.unit = fundamental_unit(D)
         self.unit_norm = self.unit.norm()
         self.regulator = self.unit.regulator()
-        self.cycles = self._all_cycles()
-        self.h_narrow = len(self.cycles)
+        r = isqrt(D)
+        # reduced: 0 < B <= r, B = D mod 2, r - B < 2|A| <= r + B, A | (D - B^2)/4.
+        # One strided slice of the candidates B per |A| yields the forms in
+        # key order, A < 0 first, so no numpy sort is paged in
+        b = np.arange(r + 1)
+        q = (D - b * b) // 4
+        Bs = []
+        for a in range(1, r + 1):
+            lo = max(1, r - 2 * a + 1, 2 * a - r)
+            lo += (lo - D) % 2
+            Bs.append(b[lo::2][q[lo::2] % a == 0])
+        A = np.repeat(np.arange(1, r + 1), [x.size for x in Bs])
+        A, B = np.concatenate([-A[::-1], A]), np.concatenate(Bs[::-1] + Bs)
+        self.forms = A, B, (B * B - D) // (4 * A)
+        self._keys = self._key(A, B)
+        # rho permutes the reduced forms; each orbit is labelled by its least
+        # position, found by doubling the steps taken, and numbered in order
+        A2, B2, _ = _rho(*self.forms, D, r)
+        step = np.searchsorted(self._keys, self._key(A2, B2))
+        least = np.arange(A.size)
+        for _ in range(A.size.bit_length()):
+            least = np.minimum(least, least[step])
+            step = step[step]
+        self.cycle = (np.cumsum(least == np.arange(A.size)) - 1)[least]
+        self.h_narrow = int(self.cycle.max()) + 1
         self.h_wide = self.h_narrow if self.unit_norm == -1 else self.h_narrow // 2
-        # relabel so that the identity class is index 0
-        principal = self._principal_form().reduce()
-        ident = next(i for i, cyc in enumerate(self.cycles) if principal in cyc)
-        self.cycles[0], self.cycles[ident] = self.cycles[ident], self.cycles[0]
-        self._form_to_cycle = {f: i for i, cyc in enumerate(self.cycles) for f in cyc}
+        ident = self.class_index(field.unit_ideal())
+        self.cycle = np.where(self.cycle == ident, 0, np.where(self.cycle == 0, ident, self.cycle))
         # the coefficient table of the field, made and grown by lseries.get_table
         self.count_table = None
 
-    # -- construction ---------------------------------------------------
+    def _key(self, A, B):
+        r = isqrt(self.field.D)
+        return (A + r + 1) * (r + 1) + B
 
-    def _principal_form(self) -> IndefiniteForm:
+    def _classes(self, A, B):
+        """The class of each form (A, B, (B^2 - D)/4A) with 0 <= B < 2A:
+        B is moved into (-A, A], so that B^2 fits where A does, the forms
+        are reduced (A in place), and each is looked up among self.forms."""
         D = self.field.D
-        r = isqrt(D)
-        b = r if (r - D) % 2 == 0 else r - 1
-        return IndefiniteForm(1, b, (b * b - D) // 4)
+        B = np.where(B > A, B - 2 * A, B)
+        A, B, _ = reduce_forms(A, B, (B * B - D) // (4 * A), D)
+        key = self._key(A, B).astype(np.int64, copy=False)
+        at = np.minimum(np.searchsorted(self._keys, key), self._keys.size - 1)
+        if not np.array_equal(self._keys[at], key):
+            raise ArithmeticError("a reduced form lies on no cycle")
+        return self.cycle[at]
 
-    def _all_cycles(self) -> list[list[IndefiniteForm]]:
-        D = self.field.D
-        r = isqrt(D)
-        seen: set[IndefiniteForm] = set()
-        cycles: list[list[IndefiniteForm]] = []
-        for B in range(1, r + 1):
-            if (B - D) % 2 != 0:
-                continue
-            M = (B * B - D) // 4  # = A*C < 0
-            for A in range(1, (r + B) // 2 + 1):
-                if M % A != 0:
-                    continue
-                C = M // A
-                for f in (IndefiniteForm(A, B, C), IndefiniteForm(-A, B, -C)):
-                    if f in seen or not f.is_reduced():
-                        continue
-                    cyc = f.cycle()
-                    seen.update(cyc)
-                    cycles.append(cyc)
-        cycles.sort(key=lambda cyc: min((f.A, f.B, f.C) for f in cyc))
-        return cycles
+    @cached_property
+    def class_ideals(self) -> list[QfIdeal]:
+        """A primitive ideal in each class, by index: (A, (B - s)/2) for the
+        class's form with the least A > 0 (the sign of A alternates along a
+        cycle)."""
+        A, B, _ = self.forms
+        pos = np.flatnonzero(A > 0)
+        first = np.full(self.h_narrow, A.size)
+        np.minimum.at(first, self.cycle[pos], pos)
+        s = self.field.s
+        return [QfIdeal.make(self.field, 1, a, (b - s) // 2)
+                for a, b in zip(A[first].tolist(), B[first].tolist())]
 
     @cached_property
     def _dlog(self) -> dict[int, int]:
         """Discrete logs of all classes w.r.t. a generator, built on first use:
         only class characters need them, and only a cyclic group has them."""
         h = self.h_narrow
-        reps = [self._cycle_rep_ideal(i) for i in range(h)]
+        reps = self.class_ideals
         for g in range(h):
             I = self.field.unit_ideal()
             table: dict[int, int] = {}
@@ -182,34 +182,25 @@ class ClassGroup:
                 if c in table:
                     break
                 table[c] = e
-                # the class's reduced representative, not I, keeps the norm
-                # bounded: I's grows like N(g)^e, past what reduce() allows
+                # the class's representative, not I, keeps the norm bounded:
+                # I's grows like N(g)^e, and the steps its reduction needs
+                # like e log N(g), past reduce_forms' cap
                 I = self.field.ideal_mul(reps[c], reps[g])
             if len(table) == h:
                 return table
         raise ArithmeticError("narrow class group is not cyclic; unsupported")
 
-    @cached_property
-    def _form_keys(self):
-        """Ascending int64 keys (A + r + 1)(r + 1) + B of the forms of all
-        cycles, r = isqrt(D), and the cycle of each: a reduced form has
-        0 < B <= r and |A| <= r, so the key is one-to-one."""
-        r = isqrt(self.field.D)
-        pairs = sorted(
-            ((f.A + r + 1) * (r + 1) + f.B, i) for i, cyc in enumerate(self.cycles) for f in cyc
-        )
-        keys, cycle = np.array(pairs, dtype=np.int64).T
-        return keys.copy(), cycle.copy()
-
-    def _cycle_rep_ideal(self, i: int) -> QfIdeal:
-        return form_to_ideal(self.field, self.cycles[i][0])
-
     # -- queries --------------------------------------------------------
 
     def class_index(self, I: QfIdeal) -> int:
-        """Index of the rho-cycle containing the reduction of the form of I."""
-        f = ideal_to_form(self.field, I).reduce()
-        return self._form_to_cycle[f]
+        """Index of the class of I.  Its form is reduced in int64 while
+        a < 2^31, as prime_classes reduces, and in Python ints (dtype=object)
+        beyond, so that any I is classified: numpy's object loops, once run,
+        add about 0.6 MB of resident code to the process."""
+        dtype = np.int64 if I.a < 2**31 else object
+        A = np.array([I.a], dtype=dtype)
+        B = np.array([2 * I.b + self.field.s], dtype=dtype)
+        return int(self._classes(A, B)[0])
 
     def is_cyclic(self) -> bool:
         try:
@@ -227,64 +218,17 @@ class ClassGroup:
         (p, b) above p (0 for inert p), for an int64 array of primes p < 2^31.
 
         chi_D(p) and b, the least root of N(b + omega) = 0 mod p, come from
-        QuadField.prime_roots.  The forms (p, B, (B^2 - D)/4p), B = 2b + s
-        moved into (-p, p] so that B^2 fits, are rho-reduced together under a
-        mask, and each is looked up among the forms of the cycles.  The cycle
-        index maps to its log last, so a group that is not cyclic raises
-        ArithmeticError there."""
-        D, s = self.field.D, self.field.s
-        r = isqrt(D)
+        QuadField.prime_roots, and the forms (p, 2b + s, ...) are classified
+        together by _classes.  The class index maps to its log last, so a
+        group that is not cyclic raises ArithmeticError there."""
         chi, b = self.field.prime_roots(p)
         k = np.zeros_like(p)
         idx = np.flatnonzero(chi >= 0)
-        if not idx.size:
-            return chi, k
-        P = p[idx]
-        A, B = P.copy(), 2 * b[idx] + s
-        B = np.where(B > P, B - 2 * P, B)
-        C = (B * B - D) // (4 * P)
-        todo = np.arange(P.size)
-        for _ in range(10 * len(str(D)) + 64):
-            # reduced: 0 < B < sqrt(D) and sqrt(D) - B < 2|A| < sqrt(D) + B
-            t, Bt = 2 * np.abs(A[todo]), B[todo]
-            todo = todo[~((Bt > 0) & (Bt <= r) & (t > r - Bt) & (t <= r + Bt))]
-            if not todo.size:
-                break
-            # one rho step, as IndefiniteForm.rho
-            Ct = C[todo]
-            ca = np.abs(Ct)
-            c2 = 2 * ca
-            m = -B[todo] % c2
-            Bp = np.where(ca > r, np.where(m <= ca, m, m - c2), m + c2 * ((r - m) // c2))
-            A[todo], B[todo], C[todo] = Ct, Bp, (Bp * Bp - D) // (4 * Ct)
-        else:
-            raise ArithmeticError("reduction of the prime forms did not terminate")
-        keys, cycle = self._form_keys
-        key = (A + r + 1) * (r + 1) + B
-        at = np.minimum(np.searchsorted(keys, key), keys.size - 1)
-        if not np.array_equal(keys[at], key):
-            raise ArithmeticError("a reduced prime form lies on no cycle")
-        logs = np.array([self._dlog[i] for i in range(self.h_narrow)], dtype=np.int64)
-        k[idx] = logs[cycle[at]]
+        if idx.size:
+            cls = self._classes(p[idx], 2 * b[idx] + self.field.s)
+            k[idx] = np.array([self._dlog[i] for i in range(self.h_narrow)], dtype=np.int64)[cls]
         return chi, k
 
     def residue_zeta(self) -> float:
         """Residue at s=1 of the Dedekind zeta function: 2*h*R/sqrt(D)."""
-        import math
-
-        return 2 * self.h_wide * self.regulator / math.sqrt(self.field.D)
-
-
-def ideal_to_form(field: QuadField, I: QfIdeal) -> IndefiniteForm:
-    """Form of the primitive part of I: (a, 2b + s, N(b + omega)/a)."""
-    a, b = I.a, I.b
-    return IndefiniteForm(a, 2 * b + field.s, field.omega_image_norm(b) // a)
-
-
-def form_to_ideal(field: QuadField, f: IndefiniteForm) -> QfIdeal:
-    """Primitive ideal of a form with A > 0 (use a rho-translate if A < 0)."""
-    g = f if f.A > 0 else f.reduce()
-    while g.A < 0:
-        g = g.rho()
-    b = ((g.B - field.s) // 2) % g.A
-    return QfIdeal.make(field, 1, g.A, b)
+        return 2 * self.h_wide * self.regulator / sqrt(self.field.D)

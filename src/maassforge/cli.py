@@ -45,8 +45,9 @@ COEFFS_ROW_BUDGET = 500_000
 # at p = 1009 and 18.4 s at p = 1973, each with 0.34 s of start-up.
 GAUSS_PRIME_BUDGET = 2_000
 # Largest --disc any command takes.  The class group's search for reduced
-# forms is linear in D: 0.24 s at D = 1e7, 0.91 s at 4e7 and 2.3 s at 1e8 (h =
-# 720), while D = 1000000009 took 31 s.  Checked first, so that no D above it
+# forms, one numpy slice of candidates B per A, is still linear in D: 0.04 s
+# at D = 1e7, 0.10 s at 4e7 and 0.2 s at 1e8 (h = 720), while D = 1000000009
+# takes 2.4 s, 0.6 s of it the unit.  Checked first, so that no D above it
 # costs even the trial division that tells whether it is fundamental.
 DISC_BUDGET = 100_000_000
 # Lowest --y theta-eval takes, so that the inputs it accepts stay fixed;

@@ -272,6 +272,8 @@ class QuadField:
         order of their rational primes."""
         if max_norm > IDEALS_NORM_BUDGET:
             raise BudgetError(f"max_norm {max_norm} is over the budget of {IDEALS_NORM_BUDGET}")
+        if max_norm < 1:
+            return []
         primes = _primes_up_to(max_norm)
         chi, root = self.prime_roots(primes)
         # (p, prime ideal above p, its norm)

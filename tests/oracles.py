@@ -2,7 +2,9 @@
 
 QuadField.prime_roots splits arrays of rational primes with numpy; these
 functions split one prime at a time by the older scalar route, and enumerate
-ideals from that split, so that the tests can compare the two.  ideal_count
+ideals from that split, so that the tests can compare the two.  Likewise
+ClassGroup reduces forms in arrays, and IndefiniteForm and scalar_cycles are
+the older one-form-at-a-time reduction and cycle search.  ideal_count
 and gauss_abs_sq_residual are closed forms the tests check the library
 against, and is_norm_induced compares psi with psi o sigma class by class.
 
@@ -16,6 +18,8 @@ with its closed-form residue, and the twisting lemma for rational Gauss sums.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 from scipy.special import exp1
@@ -91,6 +95,8 @@ def split_prime(F: QuadField, p: int) -> tuple[int, tuple[QfIdeal, ...]]:
 def enumerate_ideals(F: QuadField, max_norm: int) -> list[QfIdeal]:
     """All integral ideals of norm <= max_norm from split_prime, one rational
     prime at a time, sorted by (norm, k, a, b)."""
+    if max_norm < 1:
+        return []
     primes = _primes_up_to(max_norm).tolist()
     splits = [split_prime(F, p) for p in primes]
     out: list[QfIdeal] = []
@@ -139,6 +145,101 @@ def enumerate_ideals(F: QuadField, max_norm: int) -> list[QfIdeal]:
     return out
 
 
+@dataclass(frozen=True)
+class IndefiniteForm:
+    """Binary quadratic form A*x^2 + B*x*y + C*y^2 with B^2 - 4AC > 0."""
+
+    A: int
+    B: int
+    C: int
+
+    def disc(self) -> int:
+        return self.B * self.B - 4 * self.A * self.C
+
+    def is_reduced(self) -> bool:
+        """0 < B < sqrt(D) and sqrt(D) - B < 2|A| < sqrt(D) + B, exactly."""
+        D = self.disc()
+        B, t = self.B, 2 * abs(self.A)
+        if B <= 0 or B * B >= D:
+            return False
+        # t > sqrt(D) - B  <=>  (t + B)^2 > D
+        if (t + B) ** 2 <= D:
+            return False
+        # t < sqrt(D) + B  <=>  t <= B or (t - B)^2 < D
+        return t <= self.B or (t - B) ** 2 < D
+
+    def rho(self) -> "IndefiniteForm":
+        """One reduction step: (A,B,C) -> (C,B',C') with B' = -B mod 2|C|
+        placed in the window (sqrt(D) - 2|C|, sqrt(D))."""
+        D = self.disc()
+        r = isqrt(D)
+        ca = abs(self.C)
+        c2 = 2 * ca
+        m = (-self.B) % c2
+        if ca > r:
+            # not yet in the reduced range: take the minimal residue -|C| < B' <= |C|
+            Bp = m if m <= ca else m - c2
+        else:
+            Bp = m + c2 * ((r - m) // c2)
+        Cp = (Bp * Bp - D) // (4 * self.C)
+        return IndefiniteForm(self.C, Bp, Cp)
+
+    def reduce(self) -> "IndefiniteForm":
+        f = self
+        for _ in range(10 * len(str(self.disc())) + 64):
+            if f.is_reduced():
+                return f
+            f = f.rho()
+        raise ArithmeticError(f"reduction of {self} did not terminate")
+
+    def cycle(self) -> list["IndefiniteForm"]:
+        """The rho-cycle through the reduction of this form."""
+        f0 = self.reduce()
+        out = [f0]
+        f = f0.rho()
+        while f != f0:
+            out.append(f)
+            f = f.rho()
+        return out
+
+
+def ideal_to_form(F: QuadField, I: QfIdeal) -> IndefiniteForm:
+    """Form of the primitive part of I: (a, 2b + s, N(b + omega)/a)."""
+    a, b = I.a, I.b
+    return IndefiniteForm(a, 2 * b + F.s, F.omega_image_norm(b) // a)
+
+
+def scalar_cycles(D: int) -> list[list[IndefiniteForm]]:
+    """The rho-cycles of the reduced forms of discriminant D, numbered as
+    ClassGroup numbers its classes: every candidate A <= (sqrt(D) + B)/2 is
+    tried for every B, the cycles are sorted by their least (A, B, C), and
+    the cycle of the principal form (1, b, (b^2 - D)/4) is swapped with
+    cycle 0."""
+    r = isqrt(D)
+    seen: set[IndefiniteForm] = set()
+    cycles: list[list[IndefiniteForm]] = []
+    for B in range(1, r + 1):
+        if (B - D) % 2 != 0:
+            continue
+        M = (B * B - D) // 4  # = A*C < 0
+        for A in range(1, (r + B) // 2 + 1):
+            if M % A != 0:
+                continue
+            C = M // A
+            for f in (IndefiniteForm(A, B, C), IndefiniteForm(-A, B, -C)):
+                if f in seen or not f.is_reduced():
+                    continue
+                cyc = f.cycle()
+                seen.update(cyc)
+                cycles.append(cyc)
+    cycles.sort(key=lambda cyc: min((f.A, f.B, f.C) for f in cyc))
+    b = r if (r - D) % 2 == 0 else r - 1
+    principal = IndefiniteForm(1, b, (b * b - D) // 4).reduce()
+    ident = next(i for i, cyc in enumerate(cycles) if principal in cyc)
+    cycles[0], cycles[ident] = cycles[ident], cycles[0]
+    return cycles
+
+
 def ideal_count(F: QuadField, n: int) -> int:
     """Number of integral ideals of norm n, via the sum of chi_D over the
     divisors of n."""
@@ -162,7 +263,7 @@ def is_norm_induced(character: HeckeCharacter) -> bool:
     """psi(I) == psi(sigma I) on a representative of every narrow class."""
     cg = character.classgroup
     for i in range(character.h):
-        I = cg._cycle_rep_ideal(i)
+        I = cg.class_ideals[i]
         if character.exponent(I) % 1 != character.exponent(I.conj()) % 1:
             return False
     return True

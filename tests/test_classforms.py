@@ -2,38 +2,53 @@ import math
 import random
 
 import mpmath as mp
+import numpy as np
 import pytest
 
-from maassforge.classforms import (
-    ClassGroup,
-    IndefiniteForm,
-    form_to_ideal,
-    fundamental_unit,
-    ideal_to_form,
-)
+from maassforge.classforms import ClassGroup, _rho, fundamental_unit, reduce_forms
 from maassforge.quadfield import QuadField, is_fundamental_discriminant
+from oracles import IndefiniteForm, ideal_to_form, scalar_cycles
+
+
+def _forms(A, B, C):
+    return [IndefiniteForm(*f) for f in zip(A.tolist(), B.tolist(), C.tolist())]
 
 
 def test_reduction_produces_reduced_forms():
     random.seed(0)
     for D in (229, 445, 401, 40):
+        fs = []
         for _ in range(100):
             B = random.choice(range(D % 2, 50, 2))
             A = random.choice([a for a in range(1, 50)])
-            if (B * B - D) % (4 * A) != 0:
-                continue
-            f = IndefiniteForm(A, B, (B * B - D) // (4 * A))
-            g = f.reduce()
-            assert g.is_reduced()
-            assert g.disc() == D
+            if (B * B - D) % (4 * A) == 0:
+                fs.append(IndefiniteForm(A, B, (B * B - D) // (4 * A)))
+        A, B, C = (np.array([getattr(f, x) for f in fs], dtype=np.int64) for x in "ABC")
+        got = _forms(*reduce_forms(A, B, C, D))
+        assert got == [f.reduce() for f in fs]
+        assert all(g.is_reduced() and g.disc() == D for g in got)
 
 
 def test_rho_preserves_discriminant_and_cycles():
     cg = ClassGroup(QuadField(229))
-    for cyc in cg.cycles:
-        for f in cyc:
-            assert f.is_reduced() and f.disc() == 229
-            assert f.rho() in cyc
+    forms = _forms(*cg.forms)
+    for f in forms:
+        assert f.is_reduced() and f.disc() == 229
+    stepped = _forms(*_rho(*cg.forms, 229, math.isqrt(229)))
+    assert stepped == [f.rho() for f in forms]
+    label = dict(zip(forms, cg.cycle.tolist()))
+    assert [label[g] for g in stepped] == cg.cycle.tolist()
+
+
+def test_forms_and_numbering_match_scalar_cycles():
+    # every fundamental D < 3000 (units of norm +1 and -1, non-cyclic groups
+    # such as D = 1105), and D = 68905, where h = 80
+    for D in [d for d in range(5, 3000) if is_fundamental_discriminant(d)] + [68905]:
+        cg = ClassGroup(QuadField(D))
+        got = dict(zip(_forms(*cg.forms), cg.cycle.tolist()))
+        want = {f: i for i, cyc in enumerate(scalar_cycles(D)) for f in cyc}
+        assert got == want, D
+        assert list(got) == sorted(want, key=lambda f: (f.A, f.B)), D
 
 
 def test_class_numbers():
@@ -135,11 +150,14 @@ def test_ideal_form_roundtrip_class():
     for D in (229, 445, 401, 40):
         F = QuadField(D)
         cg = ClassGroup(F)
+        label = {f: i for i, cyc in enumerate(scalar_cycles(D)) for f in cyc}
+        assert [cg.class_index(J) for J in cg.class_ideals] == list(range(cg.h_narrow))
         for I in F.enumerate_ideals(150):
             f = ideal_to_form(F, I)
             assert f.disc() == D
-            J = form_to_ideal(F, f.reduce())
-            assert cg.class_index(J) == cg.class_index(I)
+            i = cg.class_index(I)
+            assert label[f.reduce()] == i
+            assert cg.class_index(cg.class_ideals[i]) == i
 
 
 def test_class_map_is_homomorphism():
@@ -191,3 +209,28 @@ def test_dlog_of_a_cyclic_group_of_order_80():
     cg = ClassGroup(QuadField(68905))
     assert cg.h_narrow == 80 and cg.is_cyclic()
     assert sorted(cg._dlog.values()) == list(range(80))
+
+
+def test_class_index_beyond_int64():
+    F = QuadField(229)
+    cg = ClassGroup(F)
+    # 10^10 + omega is totally positive, of norm about 10^20
+    assert F.principal_ideal(10**10, 1).a > 2**63
+    for x, y in [(10**10, 1), (2**20, 3), (3**25, 7), (10**9, 2**10 + 3)]:
+        I = F.principal_ideal(x, y)
+        assert I.a >= 2**31 and cg.class_index(I) == 0
+    # powers of a prime ideal outside the principal class, 2^31 <= a < 2^63,
+    # against the scalar route
+    for D in (229, 445, 12):
+        F = QuadField(D)
+        cg = ClassGroup(F)
+        label = {f: i for i, cyc in enumerate(scalar_cycles(D)) for f in cyc}
+        # a split prime, so that its powers stay primitive
+        P = next(I for I in F.enumerate_ideals(50) if I != I.conj() and cg.class_index(I) != 0)
+        J, checked = P, 0
+        while J.a < 2**63:
+            if J.a >= 2**31:
+                assert cg.class_index(J) == label[ideal_to_form(F, J).reduce()], (D, J)
+                checked += 1
+            J = J * P
+        assert checked >= 5, D

@@ -66,6 +66,13 @@ def test_ideals_command(capsys):
     validate(out)
 
 
+def test_ideals_max_norm_zero_lists_none(capsys):
+    code, out = run_cli(capsys, "ideals", "--disc", "229", "--max-norm", "0")
+    data = json.loads(out)
+    assert code == 0 and data["count"] == 0 and data["ideals"] == []
+    validate(out)
+
+
 def test_ideals_cap_exceeded(capsys):
     code, _ = run_cli(capsys, "ideals", "--disc", "229", "--max-norm", str(IDEALS_NORM_BUDGET + 1))
     assert code == 3

@@ -11,6 +11,7 @@ from oracles import (
     convolve,
     euler_factor,
     hecke_recursion_residual,
+    ideal_to_form,
     multiplicativity_failures,
     prime_power_vector,
     rankin_coeffs,
@@ -19,6 +20,7 @@ from oracles import (
     rankin_local_factor,
     rankin_residue,
     row,
+    scalar_cycles,
     split_prime,
     tonelli_shanks,
 )
@@ -44,11 +46,17 @@ def test_count_table_matches_ideal_enumeration(cg229):
         assert tuple(ref.get(n, [0, 0, 0])) == row(table, n)
 
 
-def prime_class_oracle(cg, p):
+def prime_class_oracle(cg, primes):
     """chi_D(p) and the class log of the oracle split's first ideal above p,
-    one Python call per prime: the route the table took before prime_classes."""
-    chi, ideals = split_prime(cg.field, p)
-    return chi, 0 if chi == -1 else cg.dlog(ideals[0])
+    one Python call per prime, its form reduced by the scalar route and
+    found among scalar_cycles."""
+    F = cg.field
+    label = {f: i for i, cyc in enumerate(scalar_cycles(F.D)) for f in cyc}
+    out = []
+    for p in primes:
+        chi, ideals = split_prime(F, p)
+        out.append((chi, 0 if chi == -1 else cg._dlog[label[ideal_to_form(F, ideals[0]).reduce()]]))
+    return out
 
 
 @pytest.mark.parametrize("D", [40, 229, 445, 401, 505, 3305, 14165])
@@ -58,7 +66,7 @@ def test_prime_classes_match_per_prime_oracle(D):
     primes = _primes_up_to(200000)
     chi, k = cg.prime_classes(primes)
     got = list(zip(chi.tolist(), k.tolist()))
-    assert got == [prime_class_oracle(cg, p) for p in primes.tolist()]
+    assert got == prime_class_oracle(cg, primes.tolist())
     assert {c for c, _ in got} == {-1, 0, 1}
 
 

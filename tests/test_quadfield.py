@@ -123,6 +123,13 @@ def test_enumeration_sorted_and_deterministic():
     assert norms == sorted(norms)
 
 
+def test_enumeration_below_norm_one_is_empty():
+    # the unit ideal has norm 1, so no ideal has norm <= 0
+    F = QuadField(229)
+    assert F.enumerate_ideals(0) == [] == oracles.enumerate_ideals(F, 0)
+    assert [I.norm() for I in F.enumerate_ideals(1)] == [1]
+
+
 def test_enumeration_cap():
     F = QuadField(229)
     with pytest.raises(ValueError):
