@@ -24,18 +24,18 @@ import numpy as np
 
 from .classforms import ClassGroup
 from .heckechar import HeckeCharacter
-from .quadfield import BudgetError, _primes_up_to
+from .quadfield import BudgetError, _primes_up_to, prime_factors
 from .special import incomplete_k_mellin
 
 
 # rows sieved or realised per pass: bounds the temporaries of either
 SIEVE_CHUNK = 1 << 14
 # Largest coefficient table get_table builds.  For D = 229 (h = 3) the peak
-# RSS is about 33 MB plus 24 bytes per row (41 MB at 3.1e5 rows, 63 MB at
-# 1.22e6, 98 MB at 2.75e6, check-automorphy's default of 3 matrices); 2 h of
-# those bytes are the int16 table, and its build holds 4 more per new row, the
-# index of each row's smallest prime factor.  D = 3305 (h = 12) peaked at
-# 0.23 GB evaluating Theta once on 4.07e6 rows.
+# RSS of check-automorphy is about 33 MB plus 22 bytes per row (40 MB at
+# 3.1e5 rows, 59 MB at 1.22e6, 91 MB at 2.75e6, its default of 3 matrices);
+# 2 h of those bytes are the int16 table, and its build holds 4 more per new
+# row, the index of each row's smallest prime factor.  D = 3305 (h = 12)
+# peaked at 0.20 GB evaluating Theta once on 4.0e6 rows.
 ROW_BUDGET = 4_000_000
 # every prime p below this many rows has p^2 < 2^62, so the int64 arithmetic
 # of ClassGroup.prime_classes cannot overflow
@@ -58,8 +58,9 @@ class ClassCountTable:
     current n_max, so a table grows in place; it classifies the primes of
     the new rows and those up to sqrt(n_max) in one ClassGroup.prime_classes
     call, whose int64 arithmetic bounds n_max below 2^31, and finds the
-    smallest prime factor of every new row once.  support() keeps each
-    character's nonzero coefficients.
+    smallest prime factor of every new row once: the primes up to
+    sqrt(n_max) mark their multiples, and the rows left are the new primes.
+    support() keeps each character's nonzero coefficients.
 
     The counts are int16.  Row n sums to the number of ideals of norm n,
     sum_{d | n} chi_D(d) <= d(n), and d(n) <= 1600 for n < 2^31 (the most,
@@ -93,20 +94,19 @@ class ClassCountTable:
         if lo == 0:
             counts[1, 0] = 1  # the unit ideal
             lo = 1
-        # a composite n has its smallest prime factor below sqrt(n_max)
-        root = math.isqrt(n_max)
-        primes = _primes_up_to(n_max)
-        primes = primes[(primes > lo) | (primes <= root)]
-        chi, k = self.classgroup.prime_classes(primes)
         # at[i] = where the smallest prime factor of row lo + 1 + i is in
         # primes: the primes up to sqrt(n_max) mark their multiples, the
-        # smallest last, and the rows none marks are the primes above it
+        # smallest last, and the rows none marks are the primes above it,
+        # which follow them in primes
+        small = _primes_up_to(math.isqrt(n_max))
         at = np.full(n_max - lo, -1, dtype=np.int32)
-        for j in range(np.searchsorted(primes, root, side="right") - 1, -1, -1):
-            q = int(primes[j])
+        for j in range(small.size - 1, -1, -1):
+            q = int(small[j])
             at[-(lo + 1) % q :: q] = j
         new = np.flatnonzero(at < 0)
-        at[new] = np.searchsorted(primes, new + (lo + 1))
+        at[new] = np.arange(small.size, small.size + new.size)
+        primes = np.concatenate([small, new + (lo + 1)])
+        chi, k = self.classgroup.prime_classes(primes)
         start = lo
         while lo < n_max:
             # n/p <= n/2 <= lo, so every row a pass reads is already filled
@@ -119,36 +119,45 @@ class ClassCountTable:
         self, a: int, b: int, at: np.ndarray, primes: np.ndarray, chi: np.ndarray, k: np.ndarray
     ) -> None:
         """Fill rows a..b from rows below a (requires b <= 2(a - 1)), given
-        for each row the index at of its smallest prime factor in the
-        ascending primes, and chi_D and the class log of each prime."""
+        for each row the index at of its smallest prime factor in primes,
+        and chi_D and the class log of each prime.
+
+        A term that does not apply to a row reads row 0, which is zero, so
+        each term is one gather over the whole pass."""
         h = self.h
-        n = np.arange(a, b + 1, dtype=np.int64)
-        p = primes[at]
-        chi, k, m = chi[at], k[at], n // p
+        p, chi, k = primes.take(at), chi.take(at), k.take(at)
+        m = np.arange(a, b + 1, dtype=np.int64) // p
+        # n/p^2 where p^2 | n, else 0
+        m_over_p, r = np.divmod(m, p)
+        m_over_p[r != 0] = 0
+        del p, r  # a pass's memory peaks at the gathers below
+        mh = np.multiply(m, h, out=m)
         # adding class s to row m moves count j to class j + s: out[n, j] +=
         # counts[m, (j - s) % h], gathered from the flat table
-        shifted = (np.arange(h) - np.arange(h)[:, None]) % h  # shifted[s, j] = (j - s) % h
+        cols = np.arange(h)
+        shifted = (cols - cols[:, None]) % h  # shifted[s, j] = (j - s) % h
+        unshifted = (cols + cols[:, None]) % h  # the same for -s
         flat = self.counts.reshape(-1)
-        out = np.zeros((len(n), h), dtype=self.counts.dtype)
-        idx = np.flatnonzero(chi >= 0)  # v_p * row(n/p): [k] at split and ramified p
-        mh = (m[idx] * h)[:, None]
-        out[idx] = flat[mh + shifted[k[idx]]]
-        split = chi[idx] == 1  # and [-k] at split p
-        out[idx[split]] += flat[mh[split] + shifted[-k[idx[split]] % h]]
-        idx = np.flatnonzero(m % p == 0)  # - chi_D(p) row(n/p^2)
-        out[idx] -= chi[idx, None] * self.counts[m[idx] // p[idx]]
+        # [k] row(n/p) at split and ramified p, and at inert p, where k = 0,
+        # + row(n/p^2) when p^2 | n
+        idx = shifted.take(k, axis=0)
+        idx += np.where(chi >= 0, mh, m_over_p * h)[:, None]
+        out = flat.take(idx)
+        # [-k] row(n/p) - row(n/p^2) at split p, the last when p^2 | n
+        idx = unshifted.take(k, axis=0)
+        idx += np.where(chi == 1, mh, 0)[:, None]
+        out += flat.take(idx)
+        out -= self.counts.take(np.where(chi == 1, m_over_p, 0), axis=0)
         self.counts[a : b + 1] = out
 
     # -- realizations ---------------------------------------------------
 
-    def _realise(self, index: int, lo: int, hi: int):
-        """(a, b[a:a + SIEVE_CHUNK]) for each pass over the rows lo <= n < hi,
-        so that the complex copy of the counts the product casts to is one
-        pass, SIEVE_CHUNK x h values."""
+    def _realise(self, index: int, rows) -> np.ndarray:
+        """b(n) for the rows n (a slice or an index array) of one pass, so
+        that the complex copy of the counts the product casts to is at most
+        SIEVE_CHUNK x h values."""
         h = self.h
-        zeta = np.exp(2j * np.pi * index * np.arange(h) / h)
-        for a in range(lo, hi, SIEVE_CHUNK):
-            yield a, self.counts[a : min(a + SIEVE_CHUNK, hi)] @ zeta
+        return self.counts[rows] @ np.exp(2j * np.pi * index * np.arange(h) / h)
 
     def coefficients(self, index: int, n_max: int) -> np.ndarray:
         """Complex array b with b[n] = sum over ideals of norm n of psi(ideal),
@@ -156,28 +165,75 @@ class ClassCountTable:
         if n_max > self.n_max:
             raise ValueError("table too small")
         b = np.empty(n_max + 1, dtype=np.complex128)
-        for a, c in self._realise(index, 0, n_max + 1):
-            b[a : a + c.size] = c
+        for a in range(0, n_max + 1, SIEVE_CHUNK):
+            rows = slice(a, min(a + SIEVE_CHUNK, n_max + 1))
+            b[rows] = self._realise(index, rows)
         return b
 
     def support(self, index: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
         """The n <= n_max with b(n) != 0, ascending, and those b(n), as
-        read-only arrays.  Rows are realised once per character: a call
-        realises only those above the rows realised before."""
+        read-only arrays.  Whether b(n) = 0 is decided exactly on the counts
+        (_vanishing), and only the other rows are realised, each once per
+        character: a call realises only rows above those realised before."""
         if n_max > self.n_max:
             raise ValueError("table too small")
         done, n, b = self._supports.get(index, (0, np.zeros(0, np.int64), np.zeros(0, complex)))
         if n_max > done:
             ns, bs = [n], [b]
-            for a, c in self._realise(index, done + 1, n_max + 1):
-                nz = np.flatnonzero(c)
-                ns.append(a + nz)
-                bs.append(c[nz])
+            remainders = _vanishing(self.h, index)
+            for a in range(done + 1, n_max + 1, SIEVE_CHUNK):
+                counts = self.counts[a : min(a + SIEVE_CHUNK, n_max + 1)]
+                live = np.zeros(len(counts), dtype=bool)
+                for w in remainders.T:
+                    live |= sum(w[j] * counts[:, j] for j in np.flatnonzero(w)) != 0
+                rows = a + np.flatnonzero(live)
+                ns.append(rows)
+                bs.append(self._realise(index, rows))
             n, b = np.concatenate(ns), np.concatenate(bs)
             n.flags.writeable = b.flags.writeable = False
             self._supports[index] = n_max, n, b
         cut = np.searchsorted(n, n_max, side="right")
         return n[:cut], b[:cut]
+
+
+def _cyclotomic(m: int) -> list[int]:
+    """The coefficients of the m-th cyclotomic polynomial, constant term
+    first: the product over the d | m with m/d squarefree of
+    (X^d - 1)^mu(m/d), the Moebius inversion of X^m - 1 = prod_{d | m} Phi_d."""
+    primes = prime_factors(m)
+    poly, divisors = [1], []
+    for mask in range(1 << len(primes)):
+        sub = [p for i, p in enumerate(primes) if mask >> i & 1]
+        d = m // math.prod(sub)
+        if len(sub) % 2:
+            divisors.append(d)
+        else:  # times X^d - 1
+            poly = [u - v for u, v in zip([0] * d + poly, poly + [0] * d)]
+    for d in divisors:  # exactly divided by X^d - 1: p[i] = q[i - d] - q[i]
+        q: list[int] = []
+        for i in range(len(poly) - d):
+            q.append((q[i - d] if i >= d else 0) - poly[i])
+        poly = q
+    return poly
+
+
+def _vanishing(h: int, index: int) -> np.ndarray:
+    """The int64 matrix W (h x phi(order)) with counts[n] @ W = 0 exactly
+    when b(n) = 0, for the character of the given index, of order
+    order = h / gcd(h, index).
+
+    b(n) = sum_j c_j rho^j with rho = exp(2 pi i index/h), a primitive
+    order-th root of unity whose minimal polynomial is Phi_order, so b(n) = 0
+    exactly when Phi_order divides sum_j c_j X^(j mod order).  Row j of W
+    holds X^(j mod order) mod Phi_order.  For order 3 that is c_0 = c_1 = c_2."""
+    order = h // math.gcd(h, index)
+    phi = _cyclotomic(order)
+    x, rows = [1] + [0] * (len(phi) - 2), []
+    for _ in range(order):
+        rows.append(x)
+        # times X, with X^deg = -sum_{i < deg} phi[i] X^i for the monic phi
+        x = [u - x[-1] * c for u, c in zip([0] + x[:-1], phi)]
+    return np.array(rows, dtype=np.int64)[np.arange(h) % order]
 
 
 def get_table(classgroup: ClassGroup, n_max: int) -> ClassCountTable:

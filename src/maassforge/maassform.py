@@ -35,9 +35,10 @@ EIGENVALUE_STEP = 0.04  # the largest of check_eigenvalue's three stencil steps
 SAMPLE_C_MULTIPLES = 3  # gamma0_matrices takes c = level, 2 level, 3 level in turn
 # Most matrices check-automorphy --samples may ask for.  Each takes ten
 # evaluations of Theta on up to the whole table, and the table stops growing
-# at 3 samples: D = 229 took 0.94 s at 3 samples, 3.3 s at 30 and 10.5 s at
-# 100 (98 MB each); D = 257, 3.46e6 rows, took 13.8 s at 100 (117 MB).
+# at 3 samples: D = 229 took 0.93 s at 3 samples, 2.5 s at 30 and 6.7 s at
+# 100 (91 MB each); D = 257, 3.46e6 rows, took 9.6 s at 100 (106 MB).
 AUTOMORPHY_SAMPLE_BUDGET = 100
+PHASE_BITS = 10  # eval reads cos(2 pi x n) from tables of 2^10 and n/2^10 entries
 
 
 class ThetaForm:
@@ -69,8 +70,9 @@ class ThetaForm:
         return math.sqrt(y) * q**n * ((n * (1 - q) + q) / (1 - q) ** 2)
 
     def support(self, n_cut: int) -> tuple[np.ndarray, np.ndarray]:
-        """The n <= n_cut with a'(n) != 0, and those a'(n), kept by the table.
-        They are few: 19.3% of n <= 1.22e6 for D = 229, index 1."""
+        """The n <= n_cut with a'(n) != 0, decided exactly, and those a'(n),
+        kept by the table.  They are few: 16.7% of n <= 1.22e6 for D = 229,
+        index 1."""
         table = get_table(self.character.classgroup, n_cut)
         return table.support(self.character.index, n_cut)
 
@@ -84,8 +86,8 @@ class ThetaForm:
         x -= round(x)
         n, a = self.support(self.truncation_index(y))
         kv = bessel_k0_array(2 * math.pi * y * n)
-        osc = np.cos(2 * math.pi * x * n) if self.epsilon == 0 else np.sin(2 * math.pi * x * n)
-        return complex(math.sqrt(y) * np.sum(a * kv * osc))
+        kv *= _phase(x, n, odd=self.epsilon == 1)
+        return complex(math.sqrt(y) * np.sum(a * kv))
 
     def truncation_report(self, ys) -> dict:
         """What evaluations at the heights ys used, each the worst over them:
@@ -177,6 +179,41 @@ class ThetaForm:
             data[y] = (v, bound)
             worst = max(worst, v / bound if bound > 0 else math.inf)
         return CheckReport("cuspidal_decay", worst, {"ratio_vs_bound": data})
+
+
+def _turns(x: float, m: np.ndarray) -> np.ndarray:
+    """x m mod 1 in [-1/2, 1/2], within 5u (u = 2^-53), for |x| <= 1/2 and
+    int64 0 <= m < 2^22.
+
+    x = k 2^-20 + r exactly, with k = round(x 2^20) and |r| <= 2^-21: the
+    first part is (k m mod 2^20) 2^-20 in exact integer arithmetic, and
+    r m, at most 2 in size, is rounded once (2u), as is the sum (3u)."""
+    k = round(x * 2**20)
+    t = (k * m) % (1 << 20) / 2**20 + (x - k / 2**20) * m
+    return t - np.round(t)
+
+
+def _phase(x: float, n: np.ndarray, odd: bool) -> np.ndarray:
+    """cos(2 pi x n), or sin(2 pi x n) when odd, for |x| <= 1/2 and an
+    ascending int64 array of n < 2^22 (lseries.ROW_BUDGET is below it).
+
+    With n = 2^PHASE_BITS j + l, 0 <= l < 2^PHASE_BITS, e^(2 pi i x n) is the
+    product of e^(2 pi i x l) and e^(2 pi i x 2^PHASE_BITS j), read from two
+    short tables whose angles come from _turns.  Each angle is then within
+    12 pi u of the exact one (5u turns, and u pi each for 2 pi and the
+    product, as |2 pi t| <= pi), and numpy's e^(ia) has the parts cos a and
+    sin a, each within 2u of the exact ones at the float a, so both parts
+    of every table entry are within d = (12 pi + 2)u.  The parts of the
+    product, cos a cos b - sin a sin b and sin a cos b + cos a sin b of
+    entries of size at most 1, are then within
+    4d + 3u = (48 pi + 11)u < 162u < 1.8e-14 of the exact values.  Taken
+    directly, cos(2 pi x n) rounds 2 pi x and then the angle, each by up to
+    2 pi |x| n u: 7e-10 in all at n = 10^6 and x = 1/2."""
+    lo = np.exp(2j * np.pi * _turns(x, np.arange(1 << PHASE_BITS)))
+    hi = np.exp(2j * np.pi * _turns(x, np.arange((int(n[-1]) >> PHASE_BITS) + 1) << PHASE_BITS))
+    e = hi.take(n >> PHASE_BITS)
+    e *= lo.take(n & ((1 << PHASE_BITS) - 1))
+    return e.imag if odd else e.real
 
 
 @dataclass

@@ -117,20 +117,31 @@ def powmod_array(x, e, p):
 
 
 def tonelli_shanks_array(n, p):
-    """A square root of each n modulo the odd prime p (int64 arrays, p < 2^31).
+    """(n|p) and, where it is 1, a square root of n modulo the odd prime p
+    (int64 arrays, p < 2^31; the root is 0 elsewhere).
 
-    Every n must be a nonzero square mod its p.  The steps of Tonelli-Shanks,
-    with z the least non-residue, run together over the primes whose t = n^q
-    is not yet 1 (p - 1 = q 2^s, q odd)."""
+    The steps of Tonelli-Shanks, with z the least non-residue, run together
+    over the residues whose t = n^q is not yet 1 (p - 1 = q 2^s, q odd).
+    Euler's criterion n^((p-1)/2) = t^(2^(s-1)) is read off t by s - 1
+    squarings: 1 for a residue, 0 for p | n and p - 1 otherwise."""
     s = np.log2((p - 1) & (1 - p)).astype(p.dtype)  # the lowest set bit of p - 1
     q = (p - 1) >> s
     # r = n^((q + 1)/2) and t = n^q from the one power x = n^((q - 1)/2)
     x = powmod_array(n, (q - 1) // 2, p)
     r = x * (n % p) % p
     t = x * r % p
-    act = np.flatnonzero(t != 1)
+    del x  # one array fewer at the peak, for a table's every prime
+    chi, squarings = t.copy(), 1
+    todo = np.flatnonzero(s > squarings)
+    while todo.size:
+        chi[todo] = chi[todo] * chi[todo] % p[todo]
+        squarings += 1
+        todo = todo[s[todo] > squarings]
+    chi[chi > 1] = -1  # n^((p-1)/2) is 1, 0 or p - 1
+    r[chi != 1] = 0
+    act = np.flatnonzero((t != 1) & (chi == 1))
     if not act.size:
-        return r
+        return chi, r
     # c = z^q for the least non-residue z of each p that needs it.  z is a
     # prime below sqrt(p) + 1, and these p are 1 mod 4 (t = 1 at once when
     # s = 1), so (2|p) = -1 iff p = 5 mod 8 and (z|p) = (p|z) for odd z
@@ -165,7 +176,7 @@ def tonelli_shanks_array(n, p):
         m[live] = i
         live = live[T[live] != 1]
     r[act] = R
-    return r
+    return chi, r
 
 
 class QuadField:
@@ -246,17 +257,14 @@ class QuadField:
 
         The prime ideals above p are then (p) when p is inert, (p, b) when it
         is ramified, and (p, b) and (p, -s - b) when it splits, since the two
-        roots sum to -s.  Odd p take chi_D(p) from Euler's criterion and
-        b = (-s +- sqrt(D))/2 from tonelli_shanks_array; mod 2 the least root
-        is N(omega) mod 2."""
+        roots sum to -s.  Odd p take chi_D(p), by Euler's criterion, and
+        sqrt(D) for b = (-s +- sqrt(D))/2 from one tonelli_shanks_array call;
+        mod 2 the least root is N(omega) mod 2."""
         D, s = self.D, self.s
-        # D^((p-1)/2) mod p is 1 (split), p - 1 (inert) or 0 (p | D) for odd p
-        euler = powmod_array(np.full_like(p, D), (p - 1) // 2, p)
-        chi = np.where(euler == 1, 1, np.where(euler == 0, 0, -1))
+        chi, root = np.zeros_like(p), np.zeros_like(p)
+        odd = np.flatnonzero(p != 2)
+        chi[odd], root[odd] = tonelli_shanks_array(D % p[odd], p[odd])
         chi[p == 2] = 0 if D % 2 == 0 else 1 if D % 8 == 1 else -1
-        root = np.zeros_like(p)
-        split = np.flatnonzero((chi == 1) & (p > 2))
-        root[split] = tonelli_shanks_array(D % p[split], p[split])
         half = (p + 1) // 2  # the inverse of 2 mod odd p
         b = np.minimum((root - s) * half % p, (-root - s) * half % p)
         b[p == 2] = self.omega_image_norm(0) % 2

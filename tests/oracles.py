@@ -321,6 +321,20 @@ def row(table: ClassCountTable, n: int) -> tuple[int, ...]:
     return tuple(table.counts[n].tolist())
 
 
+def cancelling_rows(table: ClassCountTable, index: int, n_max: int) -> np.ndarray:
+    """The n <= n_max whose b(n) = sum_j c_j rho^j is exactly 0, for a
+    character of prime-power order q^k, rho = exp(2 pi i index/h).  The
+    vanishing sums of q^k-th roots of unity are sums of rotated regular
+    q-gons, so with C_r the class sums over j = r mod q^k, b(n) = 0 exactly
+    when C_(a + i q^(k-1)) is the same for i < q, for every a < q^(k-1)."""
+    h = table.h
+    order = h // math.gcd(h, index)
+    (q,) = prime_factors(order)
+    sums = table.counts[1 : n_max + 1].astype(np.int64).reshape(n_max, h // order, order).sum(axis=1)
+    gons = sums.reshape(n_max, q, order // q)
+    return 1 + np.flatnonzero((gons == gons[:, :1]).all(axis=(1, 2)))
+
+
 def hecke_recursion_residual(character: HeckeCharacter, p: int, r_max: int = 4) -> int:
     """Exact check of a'(p^(r+1)) = a'(p) a'(p^r) - chi_D(p) a'(p^(r-1)) for
     p coprime to the level, in the group ring (returns number of failures)."""

@@ -6,7 +6,7 @@ import pytest
 from maassforge import lseries as ls
 from maassforge.classforms import ClassGroup
 from maassforge.heckechar import make_class_character
-from maassforge.quadfield import QuadField, _primes_up_to, tonelli_shanks_array
+from maassforge.quadfield import QuadField, _primes_up_to, kronecker, tonelli_shanks_array
 from oracles import (
     convolve,
     euler_factor,
@@ -71,8 +71,22 @@ def test_prime_classes_match_per_prime_oracle(D):
 
 
 def _check_sqrt_against_scalar(n, p):
-    r = tonelli_shanks_array(np.array(n, dtype=np.int64), np.array(p, dtype=np.int64))
+    chi, r = tonelli_shanks_array(np.array(n, dtype=np.int64), np.array(p, dtype=np.int64))
     assert r.tolist() == [tonelli_shanks(a, q) for a, q in zip(n, p)]
+    assert chi.tolist() == [1] * len(n)
+
+
+@pytest.mark.parametrize("D", [40, 229, 445, 401, 505, 3305, 14165])
+def test_tonelli_shanks_array_gives_the_kronecker_symbol(D):
+    # every odd prime to 2e5 (65537 = 2^16 + 1 among them), 786433 = 3 2^18 + 1,
+    # whose t = D^q needs 17 squarings to reach (D|p), and the p | D
+    primes = np.append(_primes_up_to(200000)[1:], 786433)
+    chi, r = tonelli_shanks_array(D % primes, primes)
+    assert chi.tolist() == [kronecker(D, p) for p in primes.tolist()]
+    assert {c for c, p in zip(chi.tolist(), primes.tolist()) if D % p == 0} == {0}
+    split = chi == 1
+    assert np.array_equal(r[split] ** 2 % primes[split], D % primes[split])
+    assert not r[~split].any()
 
 
 @pytest.mark.parametrize("p", [65537, 786433])  # 2^16 + 1 and 3 * 2^18 + 1

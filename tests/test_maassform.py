@@ -1,14 +1,16 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from maassforge.classforms import ClassGroup
 from maassforge import lseries as ls
 from maassforge.heckechar import NormInducedError, make_class_character
-from maassforge.maassform import ThetaForm, gamma0_matrices
+from maassforge.maassform import ThetaForm, _phase, gamma0_matrices
 from maassforge.quadfield import BudgetError, QuadField
 from maassforge.special import bessel_k0_array
+from oracles import cancelling_rows
 
 
 @pytest.fixture(scope="module")
@@ -180,19 +182,35 @@ def test_eval_on_the_support_equals_the_dense_sum(D):
     for x, y in [(0.13, 0.02), (0.37, 0.06), (-0.21, 0.3), (0.44, 1.0)]:
         ref = dense_theta(th, x, y)
         assert abs(th.eval(x, y) - ref) <= 1e-14 * abs(ref), (x, y)
-    # the support drops exact zeros only
+    # the support drops exactly the rows whose classes cancel, which the
+    # dense route realises as rounding noise
     n_cut = th.truncation_index(0.02)
     n, a = th.support(n_cut)
     full = ls.hecke_l_coeffs(th.character, n_cut)
-    assert np.all(a != 0) and np.array_equal(a, full[n]) and len(n) < n_cut
-    assert not np.any(np.delete(full, n))
+    dropped = np.setdiff1d(np.arange(1, n_cut + 1), n)
+    assert np.array_equal(dropped, cancelling_rows(th.character.classgroup.count_table, 1, n_cut))
+    assert np.all(a != 0) and np.array_equal(a, full[n]) and len(dropped) > 0
+    assert np.all(np.abs(full[dropped]) < 1e-12)
+
+
+@pytest.mark.parametrize("odd", [False, True])
+def test_phase_tables_against_mpmath(odd):
+    # _phase's docstring bounds its error by 162u, u = 2^-53; cos(2 pi x n)
+    # taken directly is off here by up to 1.5e7 u
+    rng = np.random.default_rng(16)
+    trig = mp.sin if odd else mp.cos
+    for x in [-0.5, 0.5, 0.0, 2.0**-30, 0.49999999999999994, -1 / 3, *rng.uniform(-0.5, 0.5, 4)]:
+        n = np.unique(np.concatenate([rng.integers(1, ls.ROW_BUDGET, 200), [1, 1023, 1024, 1025, ls.ROW_BUDGET]]))
+        with mp.workprec(120):
+            ref = [float(trig(2 * mp.pi * mp.mpf(float(x)) * k)) for k in n.tolist()]
+        assert np.max(np.abs(_phase(float(x), n, odd) - ref)) < 162 * 2.0**-53, x
 
 
 def test_truncation_report_takes_the_worst_height(theta229):
     ys = [0.5, 0.05, 0.3]
     rep = theta229.truncation_report(ys)
     assert rep["truncation"] == theta229.truncation_index(0.05) == 144
-    assert rep["terms"] == len(theta229.support(144)[0]) == 50
+    assert rep["terms"] == len(theta229.support(144)[0]) == 41
     assert rep["tail_bound"] == max(theta229.tail_bound(y, theta229.truncation_index(y)) for y in ys)
 
 
@@ -201,9 +219,9 @@ def test_support_is_kept_and_realised_once(D, monkeypatch):
     realised = []
     realise = ls.ClassCountTable._realise
 
-    def recording_realise(self, index, lo, hi):
-        realised.append((index, lo, hi))
-        return realise(self, index, lo, hi)
+    def recording_realise(self, index, rows):
+        realised.append((index, rows))
+        return realise(self, index, rows)
 
     monkeypatch.setattr(ls.ClassCountTable, "_realise", recording_realise)
     cg = ClassGroup(QuadField(D))
@@ -213,7 +231,8 @@ def test_support_is_kept_and_realised_once(D, monkeypatch):
     def check(n_cut):
         n, a = th.support(n_cut)
         full = ls.hecke_l_coeffs(th.character, n_cut)
-        assert np.array_equal(n, np.flatnonzero(full)) and np.array_equal(a, full[n]), n_cut
+        live = np.setdiff1d(np.arange(1, n_cut + 1), cancelling_rows(cg.count_table, 1, n_cut))
+        assert np.array_equal(n, live) and np.array_equal(a, full[n]), n_cut
 
     # below, at and above an earlier call, then after another character's
     # caller grew the shared table
@@ -223,7 +242,7 @@ def test_support_is_kept_and_realised_once(D, monkeypatch):
     assert cg.count_table.n_max == 40000
     for n_cut in (13001, 20000, 40000):
         check(n_cut)
-    # the support realised each row of its character once, in order (the
-    # dense coefficients that check reads are realised from row 0)
-    kept = [(lo, hi) for index, lo, hi in realised if index == 1 and lo > 0]
-    assert kept == [(1, 5001), (5001, 13002), (13002, 20001), (20001, 40001)]
+    # the support realised each of its rows once, in order (the dense
+    # coefficients that check reads are realised by slices from row 0)
+    kept = [rows for index, rows in realised if index == 1 and not isinstance(rows, slice)]
+    assert np.array_equal(np.concatenate(kept), th.support(40000)[0])
