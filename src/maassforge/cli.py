@@ -174,7 +174,10 @@ def cmd_coeffs(args) -> int:
     cg, psi = _character(args)
     if args.n_max > COEFFS_ROW_BUDGET:
         raise BudgetError(f"--n-max {args.n_max} is over the budget of {COEFFS_ROW_BUDGET} rows")
-    b = lseries.hecke_l_coeffs(psi, args.n_max)
+    # a'(n) is real, and exactly 0 off the support
+    live, a = lseries.support(psi, args.n_max)
+    b = np.zeros(args.n_max + 1)
+    b[live] = a
     if args.csv:
         import csv as _csv
 
@@ -182,14 +185,13 @@ def cmd_coeffs(args) -> int:
             w = _csv.writer(fh)
             w.writerow(["n", "re", "im"])
             for n in range(1, args.n_max + 1):
-                w.writerow([n, f"{b[n].real:.15g}", f"{b[n].imag:.15g}"])
+                w.writerow([n, f"{b[n]:.15g}", "0"])
     _emit(
         {
             "D": cg.field.D,
             "index": psi.index,
             "coefficients": [
-                {"n": n, "re": _fmt(b[n].real), "im": _fmt(b[n].imag)}
-                for n in range(1, args.n_max + 1)
+                {"n": n, "re": _fmt(b[n]), "im": 0.0} for n in range(1, args.n_max + 1)
             ],
         },
         args,
@@ -209,8 +211,8 @@ def cmd_theta_eval(args) -> int:
             "index": psi.index,
             "x": args.x,
             "y": args.y,
-            "re": _fmt(v.real),
-            "im": _fmt(v.imag),
+            "re": _fmt(v),
+            "im": 0.0,
             **_round_floats(th.truncation_report([args.y])),
         },
         args,
@@ -269,15 +271,13 @@ def cmd_lvalue(args) -> int:
         if args.s <= 1.0:
             raise InvalidInputError("only s = 1 or s > 1 supported")
         n_max = 10**5
-        b = lseries.hecke_l_coeffs(psi, n_max)
-        n = np.arange(1, n_max + 1, dtype=np.float64)
-        val = complex(np.sum(b[1:] / n**args.s))
+        n, b = lseries.support(psi, n_max)
         data = {
             "D": cg.field.D,
             "index": psi.index,
             "s": args.s,
-            "value": _fmt(val.real),
-            "value_im": _fmt(val.imag),
+            "value": _fmt(np.sum(b / n**args.s)),
+            "value_im": 0.0,
             "n_max": n_max,
         }
     _emit(data, args)

@@ -5,9 +5,10 @@ ideals of norm n per narrow class is a group-ring element, given by the
 Hecke recursion at the smallest prime factor p of n from the splitting type
 and the class of a prime above p.  The table's sieve finds those for arrays
 of primes (ClassGroup.prime_classes, on QuadField.prime_roots), with no
-Python call per prime.  Applying a character is a lazy linear map from these
-integer vectors to complex numbers, so every character of the same field
-shares one table.
+Python call per prime.  A character's coefficients are read from these
+integer vectors by one route, support(): it decides exactly which a'(n)
+vanish and realises the others as real numbers, so every character of the
+same field shares one table.
 
 L(1) is computed two independent ways: an approximate functional equation
 whose terms are weighted by incomplete K_0-Mellin transforms, summed as
@@ -152,32 +153,29 @@ class ClassCountTable:
 
     # -- realizations ---------------------------------------------------
 
-    def _realise(self, index: int, rows) -> np.ndarray:
-        """b(n) for the rows n (a slice or an index array) of one pass, so
-        that the complex copy of the counts the product casts to is at most
-        SIEVE_CHUNK x h values."""
-        h = self.h
-        return self.counts[rows] @ np.exp(2j * np.pi * index * np.arange(h) / h)
+    def _realise(self, index: int, rows: np.ndarray) -> np.ndarray:
+        """b(n) for the rows n of one pass, an index array, in float64.
 
-    def coefficients(self, index: int, n_max: int) -> np.ndarray:
-        """Complex array b with b[n] = sum over ideals of norm n of psi(ideal),
-        for psi the class character of the given index."""
-        if n_max > self.n_max:
-            raise ValueError("table too small")
-        b = np.empty(n_max + 1, dtype=np.complex128)
-        for a in range(0, n_max + 1, SIEVE_CHUNK):
-            rows = slice(a, min(a + SIEVE_CHUNK, n_max + 1))
-            b[rows] = self._realise(index, rows)
-        return b
+        b(n) = sum_j c_j rho^j with rho = exp(2 pi i index/h) and c_j the
+        count of row n in class j.  The conjugate sigma(a) of an ideal of
+        norm n lies in class -j when a lies in class j, as a sigma(a) = (n)
+        is principal and totally positive, so c_j = c_(-j).  The sine parts
+        c_j sin(2 pi index j/h) of j and -j then cancel, and sin is 0 at
+        j = 0 and j = h/2: b(n) = sum_j c_j cos(2 pi index j/h) exactly.
+        The angle is taken at index j mod h, below 2 pi, and each row is
+        summed on its own, so b(n) does not depend on the rows realised
+        with it; the temporary is at most SIEVE_CHUNK x h values."""
+        h = self.h
+        return (self.counts[rows] * np.cos(2 * np.pi * (index * np.arange(h) % h) / h)).sum(axis=1)
 
     def support(self, index: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
         """The n <= n_max with b(n) != 0, ascending, and those b(n), as
-        read-only arrays.  Whether b(n) = 0 is decided exactly on the counts
-        (_vanishing), and only the other rows are realised, each once per
-        character: a call realises only rows above those realised before."""
+        read-only float64 arrays.  Whether b(n) = 0 is decided exactly on the
+        counts (_vanishing), and only the other rows are realised, each once
+        per character: a call realises only rows above those realised before."""
         if n_max > self.n_max:
             raise ValueError("table too small")
-        done, n, b = self._supports.get(index, (0, np.zeros(0, np.int64), np.zeros(0, complex)))
+        done, n, b = self._supports.get(index, (0, np.zeros(0, np.int64), np.zeros(0)))
         if n_max > done:
             ns, bs = [n], [b]
             remainders = _vanishing(self.h, index)
@@ -250,10 +248,11 @@ def get_table(classgroup: ClassGroup, n_max: int) -> ClassCountTable:
     return t
 
 
-def hecke_l_coeffs(character: HeckeCharacter, n_max: int) -> np.ndarray:
-    """Dirichlet coefficients of L(s, psi) up to n_max (index 0 unused)."""
-    table = get_table(character.classgroup, n_max)
-    return table.coefficients(character.index, n_max)
+def support(character: HeckeCharacter, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n <= n_max with a'(n) != 0 for the class character, ascending,
+    and those real a'(n), from its class group's table grown to n_max rows
+    (ClassCountTable.support)."""
+    return get_table(character.classgroup, n_max).support(character.index, n_max)
 
 
 # -- L(1) ----------------------------------------------------------------
@@ -278,17 +277,22 @@ def l_value_at_1_afe(character: HeckeCharacter, cutoff: float = 1.0) -> float:
     split point Y > 0:
 
         L(1) = c [sum_n b(n) G_(1+eps)(2 pi n Y)/(2 pi n)
-                  + D^(-1/2) sum_n conj(b(n)) G_eps(2 pi n Y')],
+                  + D^(-1/2) sum_n b(n) G_eps(2 pi n Y')],
 
     with c = 4 for even psi and c = 2 pi for odd psi.  For odd psi that is
-    sum b(n) G_2(2 pi n Y)/n + (2 pi/sqrt(D)) sum conj(b(n)) G_1(2 pi n Y').
+    sum b(n) G_2(2 pi n Y)/n + (2 pi/sqrt(D)) sum b(n) G_1(2 pi n Y').
+    Both sums run over the support of b, up to the n1 and n2 at which
+    2 pi n Y and 2 pi n Y' pass 55.
+
+    The coefficients of psibar are conj(b(n)) = b(n), as b(n) is real
+    (ClassCountTable._realise), so psi and psibar share them below.
 
     Even psi: F(y) = Theta(iy)/sqrt(y) = sum b(n) K_0(2 pi n y) has Mellin
     transform (2 pi)^(-s) 2^(s-2) Gamma(s/2)^2 L(s, psi), which is L(1)/4 at
     s = 1.  The Fricke relation with T = 1 gives F_psi(y) =
     (D y^2)^(-1/2) F_psibar(1/(D y)), so int_Y^oo F dy =
     sum b(n) G_1(2 pi n Y)/(2 pi n) and int_0^Y F dy =
-    D^(-1/2) int_Y'^oo F_psibar(t) dt/t = D^(-1/2) sum conj(b(n)) G_0(2 pi n Y').
+    D^(-1/2) int_Y'^oo F_psibar(t) dt/t = D^(-1/2) sum b(n) G_0(2 pi n Y').
 
     Odd psi: the sine series vanishes on the imaginary axis, so take
     F(y) = d_x Theta(iy)/(2 pi sqrt(y)) = sum n b(n) K_0(2 pi n y), whose
@@ -298,7 +302,7 @@ def l_value_at_1_afe(character: HeckeCharacter, cutoff: float = 1.0) -> float:
     has real derivative -1/(D y^2), gives with T = -1
     F_psi(y) = D^(-3/2) y^(-3) F_psibar(1/(D y)).  Hence int_Y^oo F y dy =
     sum b(n) G_2(2 pi n Y)/(2 pi n)^2 and int_0^Y F y dy =
-    D^(-1/2) int_Y'^oo F_psibar dy = D^(-1/2) sum conj(b(n)) G_1(2 pi n Y')/(2 pi).
+    D^(-1/2) int_Y'^oo F_psibar dy = D^(-1/2) sum b(n) G_1(2 pi n Y')/(2 pi).
 
     cutoff rescales Y = cutoff/sqrt(D); the value is cutoff-independent.
     """
@@ -311,12 +315,12 @@ def l_value_at_1_afe(character: HeckeCharacter, cutoff: float = 1.0) -> float:
     tail = 55.0
     n1 = max(4, int(tail / (2 * math.pi * Y)) + 1)
     n2 = max(4, int(tail / (2 * math.pi * Yp)) + 1)
-    b = hecke_l_coeffs(character, max(n1, n2))
-    x = 2 * math.pi * np.arange(1, max(n1, n2) + 1)  # 2 pi n
-    total = np.sum(b[1 : n1 + 1] * incomplete_k_mellin(1.0 + eps, x[:n1] * Y) / x[:n1])
-    dual = np.sum(np.conj(b[1 : n2 + 1]) * incomplete_k_mellin(float(eps), x[:n2] * Yp))
-    val = (2 * math.pi if eps else 4) * (total + dual / math.sqrt(D))
-    return float(val.real)
+    n, b = support(character, max(n1, n2))
+    k1, k2 = np.searchsorted(n, [n1, n2], side="right")
+    x = 2 * math.pi * n
+    total = np.sum(b[:k1] * incomplete_k_mellin(1.0 + eps, x[:k1] * Y) / x[:k1])
+    dual = np.sum(b[:k2] * incomplete_k_mellin(float(eps), x[:k2] * Yp))
+    return float((2 * math.pi if eps else 4) * (total + dual / math.sqrt(D)))
 
 
 def l_value_at_1_direct(character: HeckeCharacter) -> float:
@@ -326,14 +330,9 @@ def l_value_at_1_direct(character: HeckeCharacter) -> float:
         raise ValueError("L(s, trivial) has a pole at s = 1")
     scales = [ABEL_SCALE * 2**k for k in range(4)]
     n_max = int(36 * scales[-1])
-    b = hecke_l_coeffs(character, n_max)
-    n = np.arange(n_max + 1, dtype=np.float64)
-    n[0] = 1.0
-    bn = b[1:] / n[1:]
-    vals = []
-    for A in scales:
-        w = np.exp(-n[1:] / A)
-        vals.append(complex(np.sum(bn * w)))
+    n, b = support(character, n_max)
+    bn = b / n
+    vals = [float(np.sum(bn * np.exp(-n / A))) for A in scales]
     # Neville elimination of the 1/A, 1/A^2, 1/A^3 error terms
     xs = [1.0 / A for A in scales]
     table = list(vals)
@@ -342,18 +341,19 @@ def l_value_at_1_direct(character: HeckeCharacter) -> float:
             table[i] = table[i + 1] + (table[i + 1] - table[i]) * xs[i + lvl] / (
                 xs[i] - xs[i + lvl]
             )
-    return float(table[0].real)
+    return table[0]
 
 
 def l_value_at_1(character: HeckeCharacter) -> dict:
-    """L(1, psi) with the dual-route consistency report."""
+    """L(1, psi) with the dual-route consistency report.  The split points
+    are compared first, so a SplitPointError costs only the AFE's rows."""
     v1 = l_value_at_1_afe(character, cutoff=1.0)
     v2 = l_value_at_1_afe(character, cutoff=2.0)
-    oracle = l_value_at_1_direct(character)
     if abs(v1 - v2) > SPLIT_POINT_TOL:
         raise SplitPointError(
             f"split-point instability in L(1): {v1!r} vs {v2!r}"
         )
+    oracle = l_value_at_1_direct(character)
     return {
         "value": v1,
         "cutoff_agreement": abs(v1 - v2),

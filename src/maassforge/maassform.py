@@ -13,8 +13,10 @@ T(psi) = (-1)^epsilon.
 
 Verification is numerical: automorphy and functional-equation residuals,
 a finite-difference eigenvalue check with Richardson ratio, and decay at
-the cusps.  Theta is evaluated at any height y > 0; its coefficient rows,
-about 7.2/y of them, come from lseries.get_table under its ROW_BUDGET.
+the cusps.  Theta is evaluated at any height y > 0, as a real sum over
+the real a'(n) != 0 of lseries.support: about 7.2/y coefficient rows, under
+lseries.ROW_BUDGET.  They are few: 16.7% of n <= 1.22e6 for D = 229,
+index 1.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .heckechar import HeckeCharacter, NormInducedError
-from .lseries import get_table
+from .lseries import get_table, support
 from .quadfield import _xgcd
 from .special import bessel_k0_array
 
@@ -69,14 +71,7 @@ class ThetaForm:
         n = n_cut + 1
         return math.sqrt(y) * q**n * ((n * (1 - q) + q) / (1 - q) ** 2)
 
-    def support(self, n_cut: int) -> tuple[np.ndarray, np.ndarray]:
-        """The n <= n_cut with a'(n) != 0, decided exactly, and those a'(n),
-        kept by the table.  They are few: 16.7% of n <= 1.22e6 for D = 229,
-        index 1."""
-        table = get_table(self.character.classgroup, n_cut)
-        return table.support(self.character.index, n_cut)
-
-    def eval(self, x: float, y: float) -> complex:
+    def eval(self, x: float, y: float) -> float:
         """Theta at z = x + iy by truncated Fourier expansion, summed over
         the support of a'."""
         if y <= 0:
@@ -84,10 +79,10 @@ class ThetaForm:
         # Theta has period 1 in x, and x - round(x) is exact, while the cosine
         # of a huge x keeps no digits
         x -= round(x)
-        n, a = self.support(self.truncation_index(y))
+        n, a = support(self.character, self.truncation_index(y))
         kv = bessel_k0_array(2 * math.pi * y * n)
         kv *= _phase(x, n, odd=self.epsilon == 1)
-        return complex(math.sqrt(y) * np.sum(a * kv))
+        return float(math.sqrt(y) * np.sum(a * kv))
 
     def truncation_report(self, ys) -> dict:
         """What evaluations at the heights ys used, each the worst over them:
@@ -97,7 +92,7 @@ class ThetaForm:
         n_cut = max(cuts)
         return {
             "truncation": n_cut,
-            "terms": len(self.support(n_cut)[0]),
+            "terms": len(support(self.character, n_cut)[0]),
             "tail_bound": max(self.tail_bound(y, c) for y, c in zip(ys, cuts)),
         }
 
@@ -133,12 +128,12 @@ class ThetaForm:
         successive halvings should be ~4 for the O(h^2) stencil."""
 
         def fd_eigen(hh: float) -> float:
-            f0 = self.eval(x, y).real
+            f0 = self.eval(x, y)
             lap = (
-                self.eval(x + hh, y).real
-                + self.eval(x - hh, y).real
-                + self.eval(x, y + hh).real
-                + self.eval(x, y - hh).real
+                self.eval(x + hh, y)
+                + self.eval(x - hh, y)
+                + self.eval(x, y + hh)
+                + self.eval(x, y - hh)
                 - 4 * f0
             ) / (hh * hh)
             return -y * y * lap / f0

@@ -10,7 +10,8 @@ against, and is_norm_induced compares psi with psi o sigma class by class.
 
 The rest checks the coefficient table and the Gauss sums by routes the CLI
 does not take: the exact group-ring identities (prime_power_vector,
-convolve, hecke_recursion_residual, multiplicativity_failures), the Euler
+convolve, hecke_recursion_residual, multiplicativity_failures), the dense
+complex product of every coefficient (dense_coefficients), the Euler
 factors of L(s, psi), the Rankin-Selberg identity for sum |a'(n)|^2 n^(-s)
 with its closed-form residue, and the twisting lemma for rational Gauss sums.
 """
@@ -30,7 +31,7 @@ from maassforge.heckechar import (
     HeckeCharacter,
     gauss_sum_rational,
 )
-from maassforge.lseries import ClassCountTable, get_table, hecke_l_coeffs, l_value_at_1_afe
+from maassforge.lseries import ClassCountTable, get_table, l_value_at_1_afe
 from maassforge.quadfield import QfIdeal, QuadField, _primes_up_to, prime_factors
 
 
@@ -321,6 +322,16 @@ def row(table: ClassCountTable, n: int) -> tuple[int, ...]:
     return tuple(table.counts[n].tolist())
 
 
+def dense_coefficients(table: ClassCountTable, index: int, n_max: int) -> np.ndarray:
+    """The complex array b with b[n] = sum_j c_j rho^j for every n <= n_max,
+    rho = exp(2 pi i index/h): one product over the whole table, zeros
+    included.  It realises the rows whose classes cancel as rounding noise,
+    and the others with an imaginary part at rounding level, where
+    ClassCountTable.support keeps only the real b(n) != 0."""
+    h = table.h
+    return table.counts[: n_max + 1] @ np.exp(2j * np.pi * index * np.arange(h) / h)
+
+
 def cancelling_rows(table: ClassCountTable, index: int, n_max: int) -> np.ndarray:
     """The n <= n_max whose b(n) = sum_j c_j rho^j is exactly 0, for a
     character of prime-power order q^k, rho = exp(2 pi i index/h).  The
@@ -372,7 +383,7 @@ def multiplicativity_failures(character: HeckeCharacter, n_max: int = 200) -> in
 
 def rankin_coeffs(character: HeckeCharacter, n_max: int) -> np.ndarray:
     """|a'(n)|^2 for the doubled coefficients a'(n) of the theta form."""
-    b = hecke_l_coeffs(character, n_max)
+    b = dense_coefficients(get_table(character.classgroup, n_max), character.index, n_max)
     return (b * b.conj()).real
 
 

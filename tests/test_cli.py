@@ -8,6 +8,7 @@ from pathlib import Path
 
 import jsonschema
 import mpmath as mp
+import numpy as np
 import pytest
 
 import maassforge
@@ -16,6 +17,7 @@ from maassforge.classforms import ClassGroup
 from maassforge.cli import COEFFS_ROW_BUDGET, DISC_BUDGET, GAUSS_PRIME_BUDGET, main
 from maassforge.maassform import AUTOMORPHY_SAMPLE_BUDGET, ThetaForm
 from maassforge.quadfield import IDEALS_NORM_BUDGET, QuadField
+from oracles import dense_coefficients
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "schemas" / "report.json").read_text())
 
@@ -85,8 +87,16 @@ def test_coeffs_command(capsys, tmp_path):
     )
     assert code == 0
     data = json.loads(out)
-    assert data["coefficients"][2] == {"n": 3, "re": -1.0, "im": float(f"{data['coefficients'][2]['im']:.15g}")}
-    assert csv_path.read_text().splitlines()[0] == "n,re,im"
+    assert data["coefficients"][2] == {"n": 3, "re": -1.0, "im": 0.0}
+    # a'(9) = zeta3^2 + 1 + zeta3 = 0 exactly, and every a'(n) is real
+    assert data["coefficients"][8] == {"n": 9, "re": 0.0, "im": 0.0}
+    assert all(c["im"] == 0.0 for c in data["coefficients"])
+    dense = dense_coefficients(lseries.get_table(ClassGroup(QuadField(229)), 10), 1, 10)
+    assert [c["n"] for c in data["coefficients"]] == list(range(1, 11))
+    assert max(abs(c["re"] - dense[c["n"]]) for c in data["coefficients"]) < 1e-12
+    rows = list(csv.reader(csv_path.read_text().splitlines()))
+    assert rows[0] == ["n", "re", "im"] and rows[9] == ["9", "0", "0"]
+    assert all(float(im) == 0.0 for _, _, im in rows[1:])
     validate(out)
 
 
@@ -351,7 +361,9 @@ def test_check_automorphy_over_sample_budget_exits_3(capsys, monkeypatch, sample
 def test_theta_eval_command(capsys):
     code, out = run_cli(capsys, "theta-eval", "--disc", "229", "--index", "1", "--x", "0.2", "--y", "0.5")
     assert code == 0
-    assert abs(json.loads(out)["re"] - 0.00646672755076132) < 1e-12
+    data = json.loads(out)
+    assert abs(data["re"] - 0.00646672755076132) < 1e-12
+    assert data["im"] == 0.0  # Theta is a real sum of real a'(n)
     validate(out)
 
 
@@ -434,8 +446,26 @@ def test_lvalue_odd_character(capsys):
     validate(out)
 
 
+def test_lvalue_at_s_2_is_real(capsys):
+    code, out = run_cli(capsys, "lvalue", "--disc", "229", "--index", "2", "--s", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["value_im"] == 0.0 and data["n_max"] == 10**5
+    dense = dense_coefficients(lseries.get_table(ClassGroup(QuadField(229)), 10**5), 2, 10**5)
+    assert abs(data["value"] - np.sum(dense[1:] / np.arange(1, 10**5 + 1) ** 2.0).real) < 1e-13
+    validate(out)
+
+
 def test_lvalue_split_point_disagreement_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(lseries, "l_value_at_1_afe", lambda psi, cutoff=1.0: cutoff)
+    afe, get_table, groups = lseries.l_value_at_1_afe, lseries.get_table, []
+
+    def recording_get_table(classgroup, n_max):
+        groups.append(classgroup)
+        return get_table(classgroup, n_max)
+
+    # the real AFE, off by its split point
+    monkeypatch.setattr(lseries, "l_value_at_1_afe", lambda psi, cutoff=1.0: afe(psi, cutoff) + cutoff)
+    monkeypatch.setattr(lseries, "get_table", recording_get_table)
     with pytest.raises(SystemExit) as exc:
         main(["lvalue", "--disc", "229", "--index", "1"])
     captured = capsys.readouterr()
@@ -443,6 +473,8 @@ def test_lvalue_split_point_disagreement_exits_1(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error: split-point instability")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    # refused on the AFE's 265 rows, before the direct oracle's 172,800
+    assert groups and groups[0].count_table.n_max == 265
 
 
 def test_field_of_non_cyclic_group(capsys):

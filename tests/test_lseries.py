@@ -9,6 +9,7 @@ from maassforge.heckechar import make_class_character
 from maassforge.quadfield import QuadField, _primes_up_to, kronecker, tonelli_shanks_array
 from oracles import (
     convolve,
+    dense_coefficients,
     euler_factor,
     hecke_recursion_residual,
     ideal_to_form,
@@ -185,18 +186,33 @@ def _check_prime_power_route(table, every=10**4):
             p += 1
 
 
+@pytest.mark.parametrize("D", [40, 229, 445, 401, 505, 136, 3305])
+def test_count_tables_are_symmetric(D):
+    # sigma maps the ideals of norm n in class j onto class -j, so every
+    # b(n) = sum_j c_j rho^j is real: the support realises only cosines
+    table = ls.ClassCountTable(ClassGroup(QuadField(D)), GROWN_ROWS)
+    h = table.h
+    assert np.array_equal(table.counts, table.counts[:, (-np.arange(h)) % h])
+
+
 @pytest.mark.parametrize("D", [40, 229, 445, 401, 505, 3305])
 def test_chunked_coefficients_equal_one_shot_product(D):
-    # h = 2, 3, 4, 5, 8, 12; reads of many passes, and of one pass and a part
+    # h = 2, 3, 4, 5, 8, 12; reads of one pass and a part, then of many
+    # passes from there
     cg = ClassGroup(QuadField(D))
     table = ls.ClassCountTable(cg, 70001)
     assert table.n_max > 4 * ls.SIEVE_CHUNK
     h = cg.h_narrow
-    for n_max in (table.n_max, ls.SIEVE_CHUNK + 5):
+    for n_max in (ls.SIEVE_CHUNK + 5, table.n_max):
         for index in range(h):
-            zeta = np.exp(2j * np.pi * index * np.arange(h) / h)
-            one_shot = table.counts[: n_max + 1].astype(np.float64) @ zeta
-            assert np.array_equal(table.coefficients(index, n_max), one_shot), (D, n_max, index)
+            cosines = np.cos(2 * np.pi * (index * np.arange(h) % h) / h)
+            one_shot = (table.counts[: n_max + 1] * cosines).sum(axis=1)
+            n, b = table.support(index, n_max)
+            assert np.array_equal(b, one_shot[n]), (D, n_max, index)
+            # the rows left out are those the product realises as rounding noise
+            dropped = np.ones(n_max + 1, dtype=bool)
+            dropped[n] = False
+            assert np.all(np.abs(one_shot[dropped]) < 1e-9) and np.all(np.abs(b) > 1e-9)
 
 
 def test_one_table_per_class_group_across_growing_callers(monkeypatch):
@@ -217,12 +233,18 @@ def test_one_table_per_class_group_across_growing_callers(monkeypatch):
 
 
 def test_coefficients_pinned_values(psi229):
-    b = ls.hecke_l_coeffs(psi229, 20)
+    n, a = ls.support(psi229, 20)
+    b = np.zeros(21)
+    b[n] = a
     assert b[1] == 1
-    assert abs(b[2]) < 1e-12           # 2 inert
+    assert b[2] == 0                   # 2 inert
     assert abs(b[3] - (-1)) < 1e-12    # zeta3 + zeta3^2 = -1
     assert abs(b[4] - 1) < 1e-12       # (2)O_F, principal
-    assert abs(b[9]) < 1e-12           # zeta3^2 + 1 + zeta3 = 0
+    assert b[9] == 0                   # zeta3^2 + 1 + zeta3 = 0, exactly
+    # the dense complex product realises b(9) as rounding noise
+    dense = dense_coefficients(ls.get_table(psi229.classgroup, 20), 1, 20)
+    assert 0 < abs(dense[9]) < 1e-12
+    assert np.max(np.abs(dense - b)) < 1e-12
 
 
 def test_rankin_coeffs(psi229):
@@ -253,7 +275,7 @@ def test_euler_factor_matches_coefficients(D, index):
     # the character of (505, 1) is odd
     psi = make_class_character(ClassGroup(QuadField(D)), index)
     s = 3.0
-    b = ls.hecke_l_coeffs(psi, 5000)
+    b = dense_coefficients(ls.get_table(psi.classgroup, 5000), index, 5000)
     n = np.arange(5001, dtype=np.float64)
     n[0] = 1
     lhs = complex(np.sum(b[1:] / n[1:] ** s))
