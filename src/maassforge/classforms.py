@@ -135,7 +135,8 @@ class ClassGroup:
         self.h_wide = self.h_narrow if self.unit_norm == -1 else self.h_narrow // 2
         ident = self.class_index(field.unit_ideal())
         self.cycle = np.where(self.cycle == ident, 0, np.where(self.cycle == 0, ident, self.cycle))
-        # the coefficient table of the field, made and grown by lseries.get_table
+        # the coefficient table of the field, built by lseries.get_table and
+        # replaced by a larger one when more rows are asked for
         self.count_table = None
 
     def _key(self, A, B):
@@ -169,38 +170,46 @@ class ClassGroup:
                 for a, b in zip(A[first].tolist(), B[first].tolist())]
 
     @cached_property
-    def _dlog(self) -> dict[int, int]:
-        """Discrete logs of all classes w.r.t. a generator, built on first use:
-        only class characters need them, and only a cyclic group has them."""
+    def _dlog(self) -> np.ndarray:
+        """Discrete logs of all classes w.r.t. a generator, an int64 array
+        by class, built on first use: only class characters need them, and
+        only a cyclic group has them.
+
+        For a candidate g the classes of the h products class_ideals[c]
+        class_ideals[g], classified together, are one row of the group law,
+        the permutation c -> c g; g's powers are read off it from class 0,
+        and g generates when they reach every class."""
         h = self.h_narrow
         reps = self.class_ideals
         for g in range(h):
-            I = self.field.unit_ideal()
-            table: dict[int, int] = {}
+            times_g = self._ideal_classes([self.field.ideal_mul(I, reps[g]) for I in reps])
+            log = np.full(h, -1, dtype=np.int64)
+            c = 0
             for e in range(h):
-                c = self.class_index(I)
-                if c in table:
+                if log[c] >= 0:
                     break
-                table[c] = e
-                # the class's representative, not I, keeps the norm bounded:
-                # I's grows like N(g)^e, and the steps its reduction needs
-                # like e log N(g), past reduce_forms' cap
-                I = self.field.ideal_mul(reps[c], reps[g])
-            if len(table) == h:
-                return table
+                log[c] = e
+                c = times_g[c]
+            if log.min() >= 0:
+                return log
         raise ArithmeticError("narrow class group is not cyclic; unsupported")
 
     # -- queries --------------------------------------------------------
 
+    def _ideal_classes(self, ideals: list[QfIdeal]) -> np.ndarray:
+        """The class of each ideal.  Their forms are reduced in int64 while
+        every a < 2^31, as prime_classes reduces, and in Python ints
+        (dtype=object) beyond, so that any ideal is classified: numpy's
+        object loops, once run, add about 0.6 MB of resident code to the
+        process."""
+        dtype = np.int64 if max(I.a for I in ideals) < 2**31 else object
+        A = np.array([I.a for I in ideals], dtype=dtype)
+        B = np.array([2 * I.b + self.field.s for I in ideals], dtype=dtype)
+        return self._classes(A, B)
+
     def class_index(self, I: QfIdeal) -> int:
-        """Index of the class of I.  Its form is reduced in int64 while
-        a < 2^31, as prime_classes reduces, and in Python ints (dtype=object)
-        beyond, so that any I is classified: numpy's object loops, once run,
-        add about 0.6 MB of resident code to the process."""
-        dtype = np.int64 if I.a < 2**31 else object
-        A = np.array([I.a], dtype=dtype)
-        B = np.array([2 * I.b + self.field.s], dtype=dtype)
-        return int(self._classes(A, B)[0])
+        """Index of the class of I."""
+        return int(self._ideal_classes([I])[0])
 
     def is_cyclic(self) -> bool:
         try:
@@ -211,7 +220,7 @@ class ClassGroup:
 
     def dlog(self, I: QfIdeal) -> int:
         """Discrete log of the narrow class of I w.r.t. the chosen generator."""
-        return self._dlog[self.class_index(I)]
+        return int(self._dlog[self.class_index(I)])
 
     def prime_classes(self, p):
         """chi_D(p), and the discrete log of the class of the prime ideal
@@ -226,7 +235,7 @@ class ClassGroup:
         idx = np.flatnonzero(chi >= 0)
         if idx.size:
             cls = self._classes(p[idx], 2 * b[idx] + self.field.s)
-            k[idx] = np.array([self._dlog[i] for i in range(self.h_narrow)], dtype=np.int64)[cls]
+            k[idx] = self._dlog[cls]
         return chi, k
 
     def residue_zeta(self) -> float:

@@ -8,7 +8,8 @@ of primes (ClassGroup.prime_classes, on QuadField.prime_roots), with no
 Python call per prime.  A character's coefficients are read from these
 integer vectors by one route, support(): it decides exactly which a'(n)
 vanish and realises the others as real numbers, so every character of the
-same field shares one table.
+same field shares one table.  A table is built once, at the size asked for;
+a request for more rows builds a new one in its place.
 
 L(1) is computed two independent ways: an approximate functional equation
 whose terms are weighted by incomplete K_0-Mellin transforms, summed as
@@ -31,37 +32,32 @@ from .special import incomplete_k_mellin
 
 # rows sieved or realised per pass: bounds the temporaries of either
 SIEVE_CHUNK = 1 << 14
-# Largest coefficient table get_table builds.  For D = 229 (h = 3) the peak
-# RSS of check-automorphy is about 33 MB plus 22 bytes per row (40 MB at
+# Largest coefficient table ClassCountTable builds.  For D = 229 (h = 3) the
+# peak RSS of check-automorphy is about 33 MB plus 22 bytes per row (40 MB at
 # 3.1e5 rows, 59 MB at 1.22e6, 91 MB at 2.75e6, its default of 3 matrices);
-# 2 h of those bytes are the int16 table, and its build holds 4 more per new
+# 2 h of those bytes are the int16 table, and its build holds 4 more per
 # row, the index of each row's smallest prime factor.  D = 3305 (h = 12)
-# peaked at 0.20 GB evaluating Theta once on 4.0e6 rows.
+# peaked at 0.20 GB evaluating Theta once on 4.0e6 rows.  Below the budget
+# every prime p of a table has p^2 < 2^62, so the int64 arithmetic of
+# ClassGroup.prime_classes cannot overflow, and every n is below the 2^22
+# of maassform._phase.
 ROW_BUDGET = 4_000_000
-# every prime p below this many rows has p^2 < 2^62, so the int64 arithmetic
-# of ClassGroup.prime_classes cannot overflow
-ROW_LIMIT = 1 << 31
-
-
-def _check_row_limit(n_max: int) -> None:
-    if n_max >= ROW_LIMIT:
-        raise ValueError(f"n_max must be below 2^31, got {n_max}")
 
 
 class ClassCountTable:
-    """counts[n, j] = number of integral ideals of norm n in narrow class j.
+    """counts[n, j] = number of integral ideals of norm n in narrow class j,
+    for n <= n_max.
 
     Row n is filled by the Hecke recursion at its smallest prime factor p,
     row(n) = v_p * row(n/p) - chi_D(p) row(n/p^2) in the group ring, the last
     term only when p^2 | n: v_p is [k] + [-k] at split p, [k] at ramified p
     and 0 at inert p, for k the class of a prime above p, and (p) is
-    principal and totally positive.  extend() sieves only the rows above the
-    current n_max, so a table grows in place; it classifies the primes of
-    the new rows and those up to sqrt(n_max) in one ClassGroup.prime_classes
-    call, whose int64 arithmetic bounds n_max below 2^31, and finds the
-    smallest prime factor of every new row once: the primes up to
-    sqrt(n_max) mark their multiples, and the rows left are the new primes.
-    support() keeps each character's nonzero coefficients.
+    principal and totally positive.  A table is built once, at the size
+    asked for: it classifies all of its primes in one
+    ClassGroup.prime_classes call and finds the smallest prime factor of
+    every row once: the primes up to sqrt(n_max) mark their multiples, and
+    the rows left are the other primes.  support() keeps each character's
+    nonzero coefficients.
 
     The counts are int16.  Row n sums to the number of ideals of norm n,
     sum_{d | n} chi_D(d) <= d(n), and d(n) <= 1600 for n < 2^31 (the most,
@@ -72,49 +68,36 @@ class ClassCountTable:
     def __init__(self, classgroup: ClassGroup, n_max: int):
         if n_max < 0:
             raise ValueError(f"n_max must be non-negative, got {n_max}")
-        _check_row_limit(n_max)
+        if n_max > ROW_BUDGET:
+            raise BudgetError(f"a'(n) up to n = {n_max} is over the budget of {ROW_BUDGET} rows")
         self.classgroup = classgroup
         self.h = classgroup.h_narrow
-        self.counts = np.zeros((1, self.h), dtype=np.int16)
-        self.n_max = 0
-        # character index -> (rows realised, n with b(n) != 0, those b(n))
-        self._supports: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
-        self.extend(n_max)
-
-    # -- growth ---------------------------------------------------------
-
-    def extend(self, n_max: int) -> None:
-        """Grow the table to exactly n = n_max, keeping the rows it has."""
-        lo = self.n_max
-        if n_max <= lo:
+        self.n_max = n_max
+        self.counts = np.zeros((n_max + 1, self.h), dtype=np.int16)
+        # character index -> (n with b(n) != 0, those b(n))
+        self._supports: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        if n_max == 0:
             return
-        _check_row_limit(n_max)
-        counts = np.zeros((n_max + 1, self.h), dtype=np.int16)
-        counts[: lo + 1] = self.counts
-        self.counts = counts
-        if lo == 0:
-            counts[1, 0] = 1  # the unit ideal
-            lo = 1
-        # at[i] = where the smallest prime factor of row lo + 1 + i is in
-        # primes: the primes up to sqrt(n_max) mark their multiples, the
-        # smallest last, and the rows none marks are the primes above it,
-        # which follow them in primes
+        self.counts[1, 0] = 1  # the unit ideal
+        # at[n - 2] = where the smallest prime factor of row n is in primes:
+        # the primes up to sqrt(n_max) mark their multiples, the smallest
+        # last, and the rows none marks are the primes above sqrt(n_max),
+        # which follow those in primes
         small = _primes_up_to(math.isqrt(n_max))
-        at = np.full(n_max - lo, -1, dtype=np.int32)
+        at = np.full(n_max - 1, -1, dtype=np.int32)
         for j in range(small.size - 1, -1, -1):
             q = int(small[j])
-            at[-(lo + 1) % q :: q] = j
+            at[-2 % q :: q] = j
         new = np.flatnonzero(at < 0)
         at[new] = np.arange(small.size, small.size + new.size)
-        primes = np.concatenate([small, new + (lo + 1)])
-        chi, k = self.classgroup.prime_classes(primes)
-        start = lo
+        primes = np.concatenate([small, new + 2])
+        chi, k = classgroup.prime_classes(primes)
+        lo = 1
         while lo < n_max:
             # n/p <= n/2 <= lo, so every row a pass reads is already filled
             hi = min(n_max, 2 * lo, lo + SIEVE_CHUNK)
-            self._sieve(lo + 1, hi, at[lo - start : hi - start], primes, chi, k)
+            self._sieve(lo + 1, hi, at[lo - 1 : hi - 1], primes, chi, k)
             lo = hi
-        self.n_max = n_max
 
     def _sieve(
         self, a: int, b: int, at: np.ndarray, primes: np.ndarray, chi: np.ndarray, k: np.ndarray
@@ -170,26 +153,27 @@ class ClassCountTable:
 
     def support(self, index: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
         """The n <= n_max with b(n) != 0, ascending, and those b(n), as
-        read-only float64 arrays.  Whether b(n) = 0 is decided exactly on the
-        counts (_vanishing), and only the other rows are realised, each once
-        per character: a call realises only rows above those realised before."""
+        read-only float64 arrays.  The first call for a character decides
+        over the whole table which b(n) vanish, exactly, on the counts
+        (_vanishing), and realises the other rows once; every call cuts
+        that support at n_max."""
         if n_max > self.n_max:
             raise ValueError("table too small")
-        done, n, b = self._supports.get(index, (0, np.zeros(0, np.int64), np.zeros(0)))
-        if n_max > done:
-            ns, bs = [n], [b]
+        if index not in self._supports:
             remainders = _vanishing(self.h, index)
-            for a in range(done + 1, n_max + 1, SIEVE_CHUNK):
-                counts = self.counts[a : min(a + SIEVE_CHUNK, n_max + 1)]
-                live = np.zeros(len(counts), dtype=bool)
+            live = np.zeros(self.n_max + 1, dtype=bool)  # row 0 is zero
+            for a in range(0, self.n_max + 1, SIEVE_CHUNK):
+                counts = self.counts[a : a + SIEVE_CHUNK]
                 for w in remainders.T:
-                    live |= sum(w[j] * counts[:, j] for j in np.flatnonzero(w)) != 0
-                rows = a + np.flatnonzero(live)
-                ns.append(rows)
-                bs.append(self._realise(index, rows))
-            n, b = np.concatenate(ns), np.concatenate(bs)
+                    live[a : a + SIEVE_CHUNK] |= sum(w[j] * counts[:, j] for j in np.flatnonzero(w)) != 0
+            n = np.flatnonzero(live)
+            del live
+            b = np.empty(n.size)
+            for i in range(0, n.size, SIEVE_CHUNK):
+                b[i : i + SIEVE_CHUNK] = self._realise(index, n[i : i + SIEVE_CHUNK])
             n.flags.writeable = b.flags.writeable = False
-            self._supports[index] = n_max, n, b
+            self._supports[index] = n, b
+        n, b = self._supports[index]
         cut = np.searchsorted(n, n_max, side="right")
         return n[:cut], b[:cut]
 
@@ -235,23 +219,19 @@ def _vanishing(h: int, index: int) -> np.ndarray:
 
 
 def get_table(classgroup: ClassGroup, n_max: int) -> ClassCountTable:
-    """The class group's coefficient table, built on first use and grown in
-    place to at least n_max rows.  Raises BudgetError, before any row is
-    built, if n_max is over ROW_BUDGET."""
-    if n_max > ROW_BUDGET:
-        raise BudgetError(f"a'(n) up to n = {n_max} is over the budget of {ROW_BUDGET} rows")
-    t = classgroup.count_table
-    if t is None:
-        t = classgroup.count_table = ClassCountTable(classgroup, n_max)
-    else:
-        t.extend(n_max)
-    return t
+    """The class group's coefficient table if it has at least n_max rows,
+    else a new table of exactly n_max rows, which replaces it.  The old
+    table is dropped first, so the two are never held together."""
+    if classgroup.count_table is None or classgroup.count_table.n_max < n_max:
+        classgroup.count_table = None
+        classgroup.count_table = ClassCountTable(classgroup, n_max)
+    return classgroup.count_table
 
 
 def support(character: HeckeCharacter, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The n <= n_max with a'(n) != 0 for the class character, ascending,
-    and those real a'(n), from its class group's table grown to n_max rows
-    (ClassCountTable.support)."""
+    and those real a'(n), from its class group's table of at least n_max
+    rows (ClassCountTable.support)."""
     return get_table(character.classgroup, n_max).support(character.index, n_max)
 
 

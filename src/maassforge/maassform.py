@@ -36,9 +36,10 @@ EIGENVALUE = 0.25  # 1/4 - nu^2 with spectral parameter nu = 0
 EIGENVALUE_STEP = 0.04  # the largest of check_eigenvalue's three stencil steps
 SAMPLE_C_MULTIPLES = 3  # gamma0_matrices takes c = level, 2 level, 3 level in turn
 # Most matrices check-automorphy --samples may ask for.  Each takes ten
-# evaluations of Theta on up to the whole table, and the table stops growing
-# at 3 samples: D = 229 took 0.93 s at 3 samples, 2.5 s at 30 and 6.7 s at
-# 100 (91 MB each); D = 257, 3.46e6 rows, took 9.6 s at 100 (106 MB).
+# evaluations of Theta on up to the whole table, and the table is as large
+# at 3 samples as at any more, since c takes only SAMPLE_C_MULTIPLES values:
+# D = 229 took 0.93 s at 3 samples, 2.5 s at 30 and 6.7 s at 100 (91 MB
+# each); D = 257, 3.46e6 rows, took 9.6 s at 100 (106 MB).
 AUTOMORPHY_SAMPLE_BUDGET = 100
 PHASE_BITS = 10  # eval reads cos(2 pi x n) from tables of 2^10 and n/2^10 entries
 
@@ -112,8 +113,9 @@ class ThetaForm:
                 den = complex(c * (x + 1j * y) + d)
                 tasks.append(((a * (x + 1j * y) + b) / den, (x, y), self.field.chi(d)))
         ys = [v for w, (_, y), _ in tasks for v in (w.imag, y) if v > 0]
-        # grow the table once to its final size: growing it eval by eval keeps
-        # each superseded array alive while its larger copy is filled
+        # build the table once, at the rows of the lowest height: each
+        # evaluation asks for the rows of its own, and one larger than the
+        # table would build a new table
         get_table(self.character.classgroup, max(map(self.truncation_index, ys), default=0))
         residuals = [
             abs(self.eval(w.real, w.imag) - chi_d * self.eval(x, y))

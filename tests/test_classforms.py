@@ -208,7 +208,32 @@ def test_dlog_of_a_cyclic_group_of_order_80():
     # norm until reduce() hit its step cap, and the group read as not cyclic
     cg = ClassGroup(QuadField(68905))
     assert cg.h_narrow == 80 and cg.is_cyclic()
-    assert sorted(cg._dlog.values()) == list(range(80))
+    assert sorted(cg._dlog.tolist()) == list(range(80))
+
+
+@pytest.mark.parametrize("D", [229, 3305, 68905])
+def test_dlog_row_of_the_group_law_against_repeated_multiplication(D):
+    # h = 3, 12, 80.  The reference walks g's powers one ideal at a time:
+    # from the unit ideal, multiply by g's representative and classify, for
+    # each candidate g in turn, and keeps the first g that reaches every
+    # class; multiplying the representative of each class reached, not the
+    # power itself, keeps the norms bounded
+    cg = ClassGroup(QuadField(D))
+    F, h, reps = cg.field, cg.h_narrow, cg.class_ideals
+    for g in range(h):
+        I, logs = F.unit_ideal(), {}
+        for e in range(h):
+            c = cg.class_index(I)
+            if c in logs:
+                break
+            logs[c] = e
+            I = F.ideal_mul(reps[c], reps[g])
+        if len(logs) == h:
+            break
+    assert len(logs) == h
+    assert cg._dlog.dtype == np.int64
+    assert cg._dlog.tolist() == [logs[c] for c in range(h)]
+    assert all(type(cg.dlog(reps[c])) is int and cg.dlog(reps[c]) == logs[c] for c in range(h))
 
 
 def test_class_index_beyond_int64():

@@ -333,13 +333,14 @@ def test_check_automorphy_odd_character(capsys, disc, samples):
 )
 def test_check_automorphy_over_row_budget_exits_3(capsys, monkeypatch, argv):
     built = []
-    monkeypatch.setattr(lseries.ClassCountTable, "__init__", lambda *a: built.append(a))
+    monkeypatch.setattr(lseries.np, "zeros", lambda *a, **k: built.append(a))
+    monkeypatch.setattr(ClassGroup, "prime_classes", lambda *a: built.append(a))
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     captured = capsys.readouterr()
     assert exc.value.code == 3
-    assert captured.out == "" and captured.err.startswith("error:")
-    assert built == []  # refused before any table row is built
+    assert captured.out == "" and captured.err.startswith("error: a'(n) up to n = ")
+    assert built == []  # refused before any table is allocated or a prime classified
 
 
 @pytest.mark.parametrize("samples", [AUTOMORPHY_SAMPLE_BUDGET + 1, 10**9])
@@ -398,30 +399,50 @@ def test_check_automorphy_reports_worst_truncation(capsys):
     validate(out)
 
 
-def test_check_automorphy_builds_its_table_in_one_extension(capsys, monkeypatch):
-    extensions, inside, classified = [], [], []
-    extend, prime_classes = lseries.ClassCountTable.extend, ClassGroup.prime_classes
+def record_table_builds(monkeypatch):
+    """Record the n_max of every ClassCountTable built, and for each
+    ClassGroup.prime_classes call how many builds had started and whether
+    it ran inside one."""
+    builds, inside, classified = [], [], []
+    init, prime_classes = lseries.ClassCountTable.__init__, ClassGroup.prime_classes
 
-    def recording_extend(self, n_max):
-        if n_max > self.n_max:
-            extensions.append((self.n_max, n_max))
+    def recording_init(self, classgroup, n_max):
+        builds.append(n_max)
         inside.append(n_max)
         try:
-            extend(self, n_max)
+            init(self, classgroup, n_max)
         finally:
             inside.pop()
 
     def counting_prime_classes(self, p):
-        classified.append((len(extensions), bool(inside)))
+        classified.append((len(builds), bool(inside)))
         return prime_classes(self, p)
 
-    monkeypatch.setattr(lseries.ClassCountTable, "extend", recording_extend)
+    monkeypatch.setattr(lseries.ClassCountTable, "__init__", recording_init)
     monkeypatch.setattr(ClassGroup, "prime_classes", counting_prime_classes)
+    return builds, classified
+
+
+def test_check_automorphy_builds_its_table_in_one_extension(capsys, monkeypatch):
+    builds, classified = record_table_builds(monkeypatch)
     code, out = run_cli(capsys, "check-automorphy", "--disc", "229", "--index", "1", "--samples", "2")
     assert code == 0 and json.loads(out)["truncation"] == 1220639
-    assert extensions == [(0, 1220639)]
-    # the primes of that extension are classified together, inside it
+    assert builds == [1220639]
+    # the primes of that table are classified together, inside its build
     assert classified == [(1, True)]
+
+
+def test_table_builds_per_command(capsys, monkeypatch):
+    # the traffic the table is designed for: the L(1) route asks for the
+    # AFE's rows at split points 1 and 2, then for the direct oracle's, each
+    # larger than the last, so each builds a new table; check-automorphy
+    # sizes its one table before it evaluates anything
+    builds, _ = record_table_builds(monkeypatch)
+    code, _ = run_cli(capsys, "lvalue", "--disc", "229", "--index", "2")
+    assert code == 0 and builds == [133, 265, 172800]
+    builds.clear()
+    code, _ = run_cli(capsys, "check-automorphy", "--disc", "229", "--index", "1", "--samples", "2")
+    assert code == 0 and builds == [1220639]
 
 
 def test_theta_eval_low_y_invalid(capsys):

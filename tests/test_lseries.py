@@ -6,7 +6,7 @@ import pytest
 from maassforge import lseries as ls
 from maassforge.classforms import ClassGroup
 from maassforge.heckechar import make_class_character
-from maassforge.quadfield import QuadField, _primes_up_to, kronecker, tonelli_shanks_array
+from maassforge.quadfield import BudgetError, QuadField, _primes_up_to, kronecker, tonelli_shanks_array
 from oracles import (
     convolve,
     dense_coefficients,
@@ -111,55 +111,47 @@ def test_tonelli_shanks_array_below_automorphy_row_budget():
 
 
 def test_count_table_rejects_n_max_out_of_range_before_allocating(cg229, monkeypatch):
-    table = ls.ClassCountTable(cg229, 10)
+    def no_rows(*args, **kwargs):
+        raise AssertionError("allocated a table or classified its primes")
 
-    def no_allocation(*args, **kwargs):
-        raise AssertionError("allocated")
-
-    monkeypatch.setattr(ls.np, "zeros", no_allocation)
-    for n_max in (-1, 2**31):
-        with pytest.raises(ValueError):
+    monkeypatch.setattr(ls.np, "zeros", no_rows)
+    monkeypatch.setattr(ClassGroup, "prime_classes", no_rows)
+    with pytest.raises(ValueError) as exc:
+        ls.ClassCountTable(cg229, -1)
+    assert not isinstance(exc.value, BudgetError)
+    # ROW_BUDGET is the one row limit: it keeps every prime of a table below
+    # the 2^31 of prime_classes, and every n below the 2^22 of Theta's phase
+    assert ls.ROW_BUDGET < 2**22 < 2**31
+    for n_max in (ls.ROW_BUDGET + 1, 2**31):
+        with pytest.raises(BudgetError) as exc:
             ls.ClassCountTable(cg229, n_max)
-    with pytest.raises(ValueError):
-        table.extend(2**31)
-    assert table.n_max == 10 and table.counts.shape == (11, 3)
+        assert str(exc.value) == f"a'(n) up to n = {n_max} is over the budget of {ls.ROW_BUDGET} rows"
 
 
-GROWN_ROWS = 70001
+TABLE_ROWS = 70001
 
 
 @pytest.mark.parametrize(
     "D, h", [(40, 2), (229, 3), (445, 4), (401, 5), (505, 8), (3305, 12), (14165, 6)]
 )
 def test_grown_table_equals_one_shot_build(D, h):
+    # one table, sieved in passes that end at powers of 2 and then every
+    # SIEVE_CHUNK rows
     cg = ClassGroup(QuadField(D))
     assert cg.h_narrow == h
-    # extensions from rows 1001, 5001, 20001 and 47778: their passes do not
-    # line up with the one-shot build's, at powers of 2 and then every
-    # SIEVE_CHUNK rows
-    grown = ls.ClassCountTable(cg, 1000)
-    for n_max in (5000, 20000, 47777, GROWN_ROWS):
-        grown.extend(n_max)
-    whole = ls.ClassCountTable(cg, GROWN_ROWS)
-    assert GROWN_ROWS > 4 * ls.SIEVE_CHUNK
-    assert grown.n_max == whole.n_max == GROWN_ROWS
-    assert np.array_equal(grown.counts, whole.counts)
-    # the extension from row 61 to 5000 holds 61 and 67, primes up to
-    # isqrt(5000) = 70 that mark their own rows
-    small = ls.ClassCountTable(cg, 10)
-    for n_max in (60, 5000, GROWN_ROWS):
-        small.extend(n_max)
-    assert np.array_equal(small.counts, whole.counts)
-    # rows across the first growth step against enumerated ideals per class
+    table = ls.ClassCountTable(cg, TABLE_ROWS)
+    assert TABLE_ROWS > 4 * ls.SIEVE_CHUNK
+    assert table.n_max == TABLE_ROWS and table.counts.shape == (TABLE_ROWS + 1, h)
+    # the first rows against enumerated ideals per class
     ref = np.zeros((1501, h), dtype=np.int64)
     for I in cg.field.enumerate_ideals(1500):
         ref[I.norm(), cg.dlog(I)] += 1
-    assert np.array_equal(grown.counts[:1501], ref)
+    assert np.array_equal(table.counts[:1501], ref)
     # and far rows against the ideal count sum_{d|n} chi_D(d)
-    for n in (GROWN_ROWS - 1, GROWN_ROWS):
+    for n in (TABLE_ROWS - 1, TABLE_ROWS):
         total = sum(cg.field.chi(d) for d in range(1, n + 1) if n % d == 0)
-        assert sum(row(grown, n)) == total, (D, n)
-    _check_prime_power_route(grown)
+        assert sum(row(table, n)) == total, (D, n)
+    _check_prime_power_route(table)
 
 
 def _check_prime_power_route(table, every=10**4):
@@ -190,7 +182,7 @@ def _check_prime_power_route(table, every=10**4):
 def test_count_tables_are_symmetric(D):
     # sigma maps the ideals of norm n in class j onto class -j, so every
     # b(n) = sum_j c_j rho^j is real: the support realises only cosines
-    table = ls.ClassCountTable(ClassGroup(QuadField(D)), GROWN_ROWS)
+    table = ls.ClassCountTable(ClassGroup(QuadField(D)), TABLE_ROWS)
     h = table.h
     assert np.array_equal(table.counts, table.counts[:, (-np.arange(h)) % h])
 
@@ -219,17 +211,26 @@ def test_one_table_per_class_group_across_growing_callers(monkeypatch):
     built = []
     init = ls.ClassCountTable.__init__
 
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
+    def counting_init(self, classgroup, n_max):
+        built.append(n_max)
+        init(self, classgroup, n_max)
 
     monkeypatch.setattr(ls.ClassCountTable, "__init__", counting_init)
     cg = ClassGroup(QuadField(229))
     psi = make_class_character(cg, 1)
-    for X in (12500, 25000, 50000, 100000):
-        rankin_euler_identity_residual(psi, 2.0, X)
-    assert len(built) == 1
-    assert cg.count_table.n_max == 100000
+    rankin_euler_identity_residual(psi, 2.0, 25000)
+    first = cg.count_table
+    assert built == [25000] and first.n_max == 25000
+    # a smaller request reads the same table and builds nothing
+    rankin_euler_identity_residual(psi, 2.0, 12500)
+    assert cg.count_table is first and built == [25000]
+    # a larger one replaces it by a table of exactly its size; the new
+    # table's pass from row 16385 ends at 32768, not at 25000, and its
+    # leading rows are the old table's
+    rankin_euler_identity_residual(psi, 2.0, 100000)
+    assert built == [25000, 100000]
+    assert cg.count_table is not first and cg.count_table.n_max == 100000
+    assert np.array_equal(cg.count_table.counts[:25001], first.counts)
 
 
 def test_coefficients_pinned_values(psi229):

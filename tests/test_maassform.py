@@ -77,17 +77,20 @@ def test_functional_equation_pair_shares_one_table(monkeypatch):
     built = []
     init = ls.ClassCountTable.__init__
 
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
+    def counting_init(self, classgroup, n_max):
+        built.append(classgroup)
+        init(self, classgroup, n_max)
 
     monkeypatch.setattr(ls.ClassCountTable, "__init__", counting_init)
-    psi = make_class_character(ClassGroup(QuadField(229)), 1)
+    cg = ClassGroup(QuadField(229))
+    psi = make_class_character(cg, 1)
     th, dual = ThetaForm(psi), ThetaForm(psi.conjugate())
     y0 = 1 / math.sqrt(229)
     rep = th.check_functional_equation(dual, [(0.1 * y0, 0.9 * y0), (-0.2 * y0, 1.1 * y0)])
     assert rep.residual < 1e-10
-    assert len(built) == 1
+    # both forms read their class group's one table: the dual's side of
+    # the second point is the lowest height, 0.88 y0, and builds it anew
+    assert 1 <= len(built) <= 2 and all(g is cg for g in built)
 
 
 def test_automorphy_rejects_non_gamma0(theta229):
@@ -97,11 +100,11 @@ def test_automorphy_rejects_non_gamma0(theta229):
 
 
 def test_automorphy_over_row_budget_raises_before_building(theta229, monkeypatch):
-    def no_rows(*args):
-        raise AssertionError("built or extended a table")
+    def no_rows(*args, **kwargs):
+        raise AssertionError("allocated a table or classified its primes")
 
-    monkeypatch.setattr(ls.ClassCountTable, "__init__", no_rows)
-    monkeypatch.setattr(ls.ClassCountTable, "extend", no_rows)
+    monkeypatch.setattr(ls.np, "zeros", no_rows)
+    monkeypatch.setattr(ClassGroup, "prime_classes", no_rows)
     # Im(gamma z) = 0.3 / (2290 * 0.3)^2 at z = -1/2290 + 0.3i needs 1.13e7 rows
     with pytest.raises(BudgetError):
         theta229.check_automorphy([((1, 0, 2290, 1), [(-1 / 2290, 0.3)])])
@@ -222,7 +225,7 @@ def test_support_is_kept_and_realised_once(D, monkeypatch):
     realise = ls.ClassCountTable._realise
 
     def recording_realise(self, index, rows):
-        realised.append((index, rows))
+        realised.append((self, index, rows))
         return realise(self, index, rows)
 
     monkeypatch.setattr(ls.ClassCountTable, "_realise", recording_realise)
@@ -230,20 +233,32 @@ def test_support_is_kept_and_realised_once(D, monkeypatch):
     th = ThetaForm(make_class_character(cg, 1))
     other = make_class_character(cg, 2)
 
+    def live(n_cut):
+        return np.setdiff1d(np.arange(1, n_cut + 1), cancelling_rows(cg.count_table, 1, n_cut))
+
     def check(n_cut):
         n, a = ls.support(th.character, n_cut)
         full = dense_coefficients(cg.count_table, 1, n_cut)
-        live = np.setdiff1d(np.arange(1, n_cut + 1), cancelling_rows(cg.count_table, 1, n_cut))
-        assert np.array_equal(n, live) and np.max(np.abs(a - full[n])) < 1e-12, n_cut
+        assert np.array_equal(n, live(n_cut)) and np.max(np.abs(a - full[n])) < 1e-12, n_cut
 
-    # below, at and above an earlier call, then after another character's
-    # caller grew the shared table
+    def realised_once_over(table):
+        # in order, over all of the table, by this table alone
+        kept = [rows for t, index, rows in realised if index == 1]
+        assert all(t is table for t, index, _ in realised if index == 1)
+        assert np.array_equal(np.concatenate(kept), live(table.n_max))
+        realised.clear()
+
+    # another character's caller builds the table; the first call realises
+    # the whole support, and calls below or at it realise nothing
+    ls.support(other, 13001)
+    table = cg.count_table
     for n_cut in (5000, 1200, 5000, 13001):
         check(n_cut)
+    realised_once_over(table)
+    # the other character's larger request replaces the table, and the
+    # support is realised again, once, on the new one
     ls.support(other, 40000)
-    assert cg.count_table.n_max == 40000
+    assert cg.count_table is not table and cg.count_table.n_max == 40000
     for n_cut in (13001, 20000, 40000):
         check(n_cut)
-    # the support realised each of its rows once, in order
-    kept = [rows for index, rows in realised if index == 1]
-    assert np.array_equal(np.concatenate(kept), ls.support(th.character, 40000)[0])
+    realised_once_over(cg.count_table)
