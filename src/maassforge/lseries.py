@@ -1,15 +1,15 @@
-"""Hecke L-series of class characters: the coefficient table and L(1).
+"""Hecke L-series of class characters: the coefficients a'(n) and L(1).
 
-Coefficients are computed exactly first: for each n the vector of counts of
-ideals of norm n per narrow class is a group-ring element, given by the
-Hecke recursion at the smallest prime factor p of n from the splitting type
-and the class of a prime above p.  The table's sieve finds those for arrays
-of primes (ClassGroup.prime_classes, on QuadField.prime_roots), with no
-Python call per prime.  A character's coefficients are read from these
-integer vectors by one route, support(): it decides exactly which a'(n)
-vanish and realises the others as real numbers, so every character of the
-same field shares one table.  A table is built once, at the size asked for;
-a request for more rows builds a new one in its place.
+a'(n), the sum of psi over the ideals of norm n, is multiplicative, and
+a'(p^e) has a closed form in chi_D(p) and psi(P) for a prime P above p
+(_local_factor).  A coefficient table keeps only what every character of a
+field shares: the smallest prime factor of each n, and chi_D(p) and the
+class of a prime above p for each prime p, found for arrays of primes
+(ClassGroup.prime_classes, on QuadField.prime_roots) with no Python call per
+prime.  A character's coefficients are read from it by one route,
+support(): it fills one float64 row, b(n) = b(n/p^e) a'(p^e), with the
+a'(n) = 0 exactly 0.0, and keeps the others.  A table is built once, at the
+size asked for; a request for more rows builds a new one in its place.
 
 L(1) is computed two independent ways: an approximate functional equation
 whose terms are weighted by incomplete K_0-Mellin transforms, summed as
@@ -26,18 +26,19 @@ import numpy as np
 
 from .classforms import ClassGroup
 from .heckechar import HeckeCharacter
-from .quadfield import BudgetError, _primes_up_to, prime_factors
+from .quadfield import BudgetError, _primes_up_to
 from .special import incomplete_k_mellin
 
 
-# rows sieved or realised per pass: bounds the temporaries of either
+# rows filled per pass: bounds the temporaries of one
 SIEVE_CHUNK = 1 << 14
 # Largest coefficient table ClassCountTable builds.  For D = 229 (h = 3) the
-# peak RSS of check-automorphy is about 33 MB plus 22 bytes per row (40 MB at
-# 3.1e5 rows, 59 MB at 1.22e6, 91 MB at 2.75e6, its default of 3 matrices);
-# 2 h of those bytes are the int16 table, and its build holds 4 more per
-# row, the index of each row's smallest prime factor.  D = 3305 (h = 12)
-# peaked at 0.20 GB evaluating Theta once on 4.0e6 rows.  Below the budget
+# peak RSS of check-automorphy is about 33 MB plus 20 bytes per row (39 MB at
+# 3.1e5 rows, 57 MB at 1.22e6, 85 MB at 2.75e6, its default of 3 matrices):
+# the table keeps 4 bytes per row, the index of each row's smallest prime
+# factor, a character's row takes 8 more while it is filled, and the rest
+# is its support and the evaluations of Theta over it.  D = 3305 (h = 12)
+# peaked at 0.12 GB evaluating Theta once on 4.0e6 rows.  Below the budget
 # every prime p of a table has p^2 < 2^62, so the int64 arithmetic of
 # ClassGroup.prime_classes cannot overflow, and every n is below the 2^22
 # of maassform._phase.
@@ -45,25 +46,12 @@ ROW_BUDGET = 4_000_000
 
 
 class ClassCountTable:
-    """counts[n, j] = number of integral ideals of norm n in narrow class j,
-    for n <= n_max.
-
-    Row n is filled by the Hecke recursion at its smallest prime factor p,
-    row(n) = v_p * row(n/p) - chi_D(p) row(n/p^2) in the group ring, the last
-    term only when p^2 | n: v_p is [k] + [-k] at split p, [k] at ramified p
-    and 0 at inert p, for k the class of a prime above p, and (p) is
-    principal and totally positive.  A table is built once, at the size
-    asked for: it classifies all of its primes in one
-    ClassGroup.prime_classes call and finds the smallest prime factor of
-    every row once: the primes up to sqrt(n_max) mark their multiples, and
-    the rows left are the other primes.  support() keeps each character's
-    nonzero coefficients.
-
-    The counts are int16.  Row n sums to the number of ideals of norm n,
-    sum_{d | n} chi_D(d) <= d(n), and d(n) <= 1600 for n < 2^31 (the most,
-    at n = 2095133040).  The largest value a pass holds, v_p * row(n/p) at
-    split p before row(n/p^2) is taken off, is at most 2 d(n/p) <= 3200,
-    far below 2^15."""
+    """What every class character of a field shares for its coefficients
+    a'(n), n <= n_max: at[n - 2], the index in primes of the smallest prime
+    factor of n, and chi_D(p) and the class log k of a prime above p (0 for
+    inert p) for every prime p <= n_max, classified in one
+    ClassGroup.prime_classes call.  support() fills and keeps each
+    character's nonzero coefficients."""
 
     def __init__(self, classgroup: ClassGroup, n_max: int):
         if n_max < 0:
@@ -73,149 +61,116 @@ class ClassCountTable:
         self.classgroup = classgroup
         self.h = classgroup.h_narrow
         self.n_max = n_max
-        self.counts = np.zeros((n_max + 1, self.h), dtype=np.int16)
         # character index -> (n with b(n) != 0, those b(n))
         self._supports: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        if n_max == 0:
-            return
-        self.counts[1, 0] = 1  # the unit ideal
-        # at[n - 2] = where the smallest prime factor of row n is in primes:
         # the primes up to sqrt(n_max) mark their multiples, the smallest
         # last, and the rows none marks are the primes above sqrt(n_max),
         # which follow those in primes
         small = _primes_up_to(math.isqrt(n_max))
-        at = np.full(n_max - 1, -1, dtype=np.int32)
+        self.at = np.full(max(n_max - 1, 0), -1, dtype=np.int32)
         for j in range(small.size - 1, -1, -1):
             q = int(small[j])
-            at[-2 % q :: q] = j
-        new = np.flatnonzero(at < 0)
-        at[new] = np.arange(small.size, small.size + new.size)
-        primes = np.concatenate([small, new + 2])
-        chi, k = classgroup.prime_classes(primes)
-        lo = 1
-        while lo < n_max:
-            # n/p <= n/2 <= lo, so every row a pass reads is already filled
-            hi = min(n_max, 2 * lo, lo + SIEVE_CHUNK)
-            self._sieve(lo + 1, hi, at[lo - 1 : hi - 1], primes, chi, k)
-            lo = hi
-
-    def _sieve(
-        self, a: int, b: int, at: np.ndarray, primes: np.ndarray, chi: np.ndarray, k: np.ndarray
-    ) -> None:
-        """Fill rows a..b from rows below a (requires b <= 2(a - 1)), given
-        for each row the index at of its smallest prime factor in primes,
-        and chi_D and the class log of each prime.
-
-        A term that does not apply to a row reads row 0, which is zero, so
-        each term is one gather over the whole pass."""
-        h = self.h
-        p, chi, k = primes.take(at), chi.take(at), k.take(at)
-        m = np.arange(a, b + 1, dtype=np.int64) // p
-        # n/p^2 where p^2 | n, else 0
-        m_over_p, r = np.divmod(m, p)
-        m_over_p[r != 0] = 0
-        del p, r  # a pass's memory peaks at the gathers below
-        mh = np.multiply(m, h, out=m)
-        # adding class s to row m moves count j to class j + s: out[n, j] +=
-        # counts[m, (j - s) % h], gathered from the flat table
-        cols = np.arange(h)
-        shifted = (cols - cols[:, None]) % h  # shifted[s, j] = (j - s) % h
-        unshifted = (cols + cols[:, None]) % h  # the same for -s
-        flat = self.counts.reshape(-1)
-        # [k] row(n/p) at split and ramified p, and at inert p, where k = 0,
-        # + row(n/p^2) when p^2 | n
-        idx = shifted.take(k, axis=0)
-        idx += np.where(chi >= 0, mh, m_over_p * h)[:, None]
-        out = flat.take(idx)
-        # [-k] row(n/p) - row(n/p^2) at split p, the last when p^2 | n
-        idx = unshifted.take(k, axis=0)
-        idx += np.where(chi == 1, mh, 0)[:, None]
-        out += flat.take(idx)
-        out -= self.counts.take(np.where(chi == 1, m_over_p, 0), axis=0)
-        self.counts[a : b + 1] = out
-
-    # -- realizations ---------------------------------------------------
-
-    def _realise(self, index: int, rows: np.ndarray) -> np.ndarray:
-        """b(n) for the rows n of one pass, an index array, in float64.
-
-        b(n) = sum_j c_j rho^j with rho = exp(2 pi i index/h) and c_j the
-        count of row n in class j.  The conjugate sigma(a) of an ideal of
-        norm n lies in class -j when a lies in class j, as a sigma(a) = (n)
-        is principal and totally positive, so c_j = c_(-j).  The sine parts
-        c_j sin(2 pi index j/h) of j and -j then cancel, and sin is 0 at
-        j = 0 and j = h/2: b(n) = sum_j c_j cos(2 pi index j/h) exactly.
-        The angle is taken at index j mod h, below 2 pi, and each row is
-        summed on its own, so b(n) does not depend on the rows realised
-        with it; the temporary is at most SIEVE_CHUNK x h values."""
-        h = self.h
-        return (self.counts[rows] * np.cos(2 * np.pi * (index * np.arange(h) % h) / h)).sum(axis=1)
+            self.at[-2 % q :: q] = j
+        new = np.flatnonzero(self.at < 0)
+        self.at[new] = np.arange(small.size, small.size + new.size)
+        self.primes = np.concatenate([small, new + 2])
+        self.chi, self.k = classgroup.prime_classes(self.primes)
 
     def support(self, index: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
         """The n <= n_max with b(n) != 0, ascending, and those b(n), as
-        read-only float64 arrays.  The first call for a character decides
-        over the whole table which b(n) vanish, exactly, on the counts
-        (_vanishing), and realises the other rows once; every call cuts
+        read-only float64 arrays.  The first call for a character fills its
+        row over the whole table (_row), where b(n) is exactly 0.0 when a
+        local factor is, and keeps the rows left nonzero; every call cuts
         that support at n_max."""
         if n_max > self.n_max:
             raise ValueError("table too small")
         if index not in self._supports:
-            remainders = _vanishing(self.h, index)
-            live = np.zeros(self.n_max + 1, dtype=bool)  # row 0 is zero
-            for a in range(0, self.n_max + 1, SIEVE_CHUNK):
-                counts = self.counts[a : a + SIEVE_CHUNK]
-                for w in remainders.T:
-                    live[a : a + SIEVE_CHUNK] |= sum(w[j] * counts[:, j] for j in np.flatnonzero(w)) != 0
-            n = np.flatnonzero(live)
-            del live
-            b = np.empty(n.size)
-            for i in range(0, n.size, SIEVE_CHUNK):
-                b[i : i + SIEVE_CHUNK] = self._realise(index, n[i : i + SIEVE_CHUNK])
+            b = self._row(index)
+            n = np.flatnonzero(b)
+            b = b[n]
             n.flags.writeable = b.flags.writeable = False
             self._supports[index] = n, b
         n, b = self._supports[index]
         cut = np.searchsorted(n, n_max, side="right")
         return n[:cut], b[:cut]
 
+    def _row(self, index: int) -> np.ndarray:
+        """b(n) for every n <= n_max, in float64: b(1) = 1 and
+        b(n) = b(n/p^e) a'(p^e) for the smallest prime factor p of n and
+        p^e || n, SIEVE_CHUNK rows a pass, the local factors from
+        _local_factor."""
+        t = index * self.k % self.h
+        # a'(p) of every prime, and a'(p^e) of the primes up to sqrt(n_max),
+        # the only ones whose square divides a row
+        first = _local_factor(self.h, self.chi, t, np.ones_like(t))
+        top = self.n_max.bit_length()
+        s = np.searchsorted(self.primes, math.isqrt(self.n_max), side="right")
+        powers = _local_factor(self.h, self.chi[:s, None], t[:s, None], np.arange(top))
+        b = np.zeros(self.n_max + 1)
+        b[1:2] = 1.0  # the unit ideal
+        lo = 1
+        while lo < self.n_max:
+            # n/p <= n/2 <= lo, so every row a pass reads is already filled
+            hi = min(self.n_max, 2 * lo, lo + SIEVE_CHUNK)
+            at = self.at[lo - 1 : hi - 1]
+            p = self.primes.take(at)
+            m = np.arange(lo + 1, hi + 1) // p
+            e = np.ones_like(m)
+            i = np.flatnonzero(m % p == 0)
+            while i.size:  # m = n/p^e for p^e || n
+                m[i] //= p[i]
+                e[i] += 1
+                i = i[m[i] % p[i] == 0]
+            f = first.take(at)
+            i = np.flatnonzero(e > 1)
+            f[i] = powers.take(at[i] * top + e[i])
+            b[lo + 1 : hi + 1] = b.take(m) * f
+            lo = hi
+        return b
 
-def _cyclotomic(m: int) -> list[int]:
-    """The coefficients of the m-th cyclotomic polynomial, constant term
-    first: the product over the d | m with m/d squarefree of
-    (X^d - 1)^mu(m/d), the Moebius inversion of X^m - 1 = prod_{d | m} Phi_d."""
-    primes = prime_factors(m)
-    poly, divisors = [1], []
-    for mask in range(1 << len(primes)):
-        sub = [p for i, p in enumerate(primes) if mask >> i & 1]
-        d = m // math.prod(sub)
-        if len(sub) % 2:
-            divisors.append(d)
-        else:  # times X^d - 1
-            poly = [u - v for u, v in zip([0] * d + poly, poly + [0] * d)]
-    for d in divisors:  # exactly divided by X^d - 1: p[i] = q[i - d] - q[i]
-        q: list[int] = []
-        for i in range(len(poly) - d):
-            q.append((q[i - d] if i >= d else 0) - poly[i])
-        poly = q
-    return poly
+
+def _sin_pi(u: np.ndarray, h: int) -> np.ndarray:
+    """sin(pi u/h) for an int64 array u, the angle first reduced exactly to
+    [-pi/2, pi/2]: x = 2u mod 4h is taken in [-h, 3h), and sin(pi x/2h) =
+    sin(pi (2h - x)/2h) folds x > h below h.  The sine is exactly 0.0 when
+    h | u, and otherwise within 2.5 eps of the exact value relative to it
+    (eps = 2^-52): the angle is within 1.5 eps of the exact one (pi, the
+    product and the quotient each round by eps/2), which moves sin a by at
+    most |a cot a| <= 1 times as much at |a| <= pi/2, and numpy's sine is
+    within an ulp, eps."""
+    x = (2 * u + h) % (4 * h) - h
+    return np.sin(np.pi * np.minimum(x, 2 * h - x) / (2 * h))
 
 
-def _vanishing(h: int, index: int) -> np.ndarray:
-    """The int64 matrix W (h x phi(order)) with counts[n] @ W = 0 exactly
-    when b(n) = 0, for the character of the given index, of order
-    order = h / gcd(h, index).
+def _local_factor(h: int, chi: np.ndarray, t: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """a'(p^e), the sum of psi over the ideals of norm p^e, for arrays of
+    chi_D(p), e >= 1 and t, where psi(P) = exp(i theta), theta = 2 pi t/h,
+    for the prime P above p whose class log is k and t = index k mod h.
 
-    b(n) = sum_j c_j rho^j with rho = exp(2 pi i index/h), a primitive
-    order-th root of unity whose minimal polynomial is Phi_order, so b(n) = 0
-    exactly when Phi_order divides sum_j c_j X^(j mod order).  Row j of W
-    holds X^(j mod order) mod Phi_order.  For order 3 that is c_0 = c_1 = c_2."""
-    order = h // math.gcd(h, index)
-    phi = _cyclotomic(order)
-    x, rows = [1] + [0] * (len(phi) - 2), []
-    for _ in range(order):
-        rows.append(x)
-        # times X, with X^deg = -sum_{i < deg} phi[i] X^i for the monic phi
-        x = [u - x[-1] * c for u, c in zip([0] + x[:-1], phi)]
-    return np.array(rows, dtype=np.int64)[np.arange(h) % order]
+    Split p: (p) = P P' with P' = sigma(P), and P P' = (p) is principal and
+    totally positive, so psi(P') = exp(-i theta).  The ideals of norm p^e
+    are P^j P'^(e-j), j = 0..e, and a'(p^e) = sum_j exp(i (2j - e) theta) =
+    sin((e+1) theta)/sin theta, a geometric sum, or (e + 1) psi(P)^e where
+    sin theta = 0, that is psi(P) = +-1 and 2t = 0 mod h.  Otherwise it is
+    0 exactly when 2(e + 1)t = 0 mod h, and _sin_pi gives exactly 0.0 there.
+    Ramified p: (p) = P^2 is principal and totally positive, so
+    psi(P) = +-1 (2t = 0 mod h), and P^e is the one ideal of norm p^e:
+    a'(p^e) = psi(P)^e.  Inert p: (p) is prime, of norm p^2, principal and
+    totally positive, so a'(p^e) is 1 at even e and 0 at odd e.
+
+    a'(n) is therefore real, and it is an integer when 6t or 4t = 0 mod h,
+    which holds at every p for a character of order 1, 2, 3, 4 or 6: theta
+    is then a multiple of pi/3 or pi/2, so |sin((e+1) theta)| is 0 or
+    |sin theta|.  _sin_pi reduces both angles to the same integer over 2h,
+    and with np.sin(-a) = -np.sin(a) the quotient is exactly 0 or +-1, so
+    such a character gets exact integer a'(n).  Any other factor is a
+    quotient of two sines within 5.5 eps of its value; b(n) multiplies at
+    most 7 factors (n <= ROW_BUDGET < 2 3 5 7 11 13 17 19), so it is within
+    7 * 5.5 eps + 6 eps/2 = 41.5 eps, 9.3e-15, of |b(n)|."""
+    pm = np.where(t == 0, 1.0, -1.0) ** e  # psi(P)^e where psi(P) = +-1
+    sin_theta = _sin_pi(2 * t, h)
+    split = np.divide(_sin_pi(2 * (e + 1) * t, h), sin_theta, out=(e + 1) * pm, where=sin_theta != 0)
+    return np.select([chi == 1, chi == 0], [split, pm], (e + 1) % 2)
 
 
 def get_table(classgroup: ClassGroup, n_max: int) -> ClassCountTable:
@@ -265,7 +220,7 @@ def l_value_at_1_afe(character: HeckeCharacter, cutoff: float = 1.0) -> float:
     2 pi n Y and 2 pi n Y' pass 55.
 
     The coefficients of psibar are conj(b(n)) = b(n), as b(n) is real
-    (ClassCountTable._realise), so psi and psibar share them below.
+    (_local_factor), so psi and psibar share them below.
 
     Even psi: F(y) = Theta(iy)/sqrt(y) = sum b(n) K_0(2 pi n y) has Mellin
     transform (2 pi)^(-s) 2^(s-2) Gamma(s/2)^2 L(s, psi), which is L(1)/4 at

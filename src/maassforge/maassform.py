@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .heckechar import HeckeCharacter, NormInducedError
-from .lseries import get_table, support
+from .lseries import support
 from .quadfield import _xgcd
 from .special import bessel_k0_array
 
@@ -113,10 +113,10 @@ class ThetaForm:
                 den = complex(c * (x + 1j * y) + d)
                 tasks.append(((a * (x + 1j * y) + b) / den, (x, y), self.field.chi(d)))
         ys = [v for w, (_, y), _ in tasks for v in (w.imag, y) if v > 0]
-        # build the table once, at the rows of the lowest height: each
-        # evaluation asks for the rows of its own, and one larger than the
-        # table would build a new table
-        get_table(self.character.classgroup, max(map(self.truncation_index, ys), default=0))
+        # build the table and the support once, at the rows of the lowest
+        # height: each evaluation asks for the rows of its own, and one larger
+        # than the table would build a new table
+        support(self.character, max(map(self.truncation_index, ys), default=0))
         residuals = [
             abs(self.eval(w.real, w.imag) - chi_d * self.eval(x, y))
             for w, (x, y), chi_d in tasks
@@ -218,9 +218,6 @@ class CheckReport:
     name: str
     residual: float
     details: dict
-
-    def passes(self, tol: float) -> bool:
-        return self.residual < tol
 
 
 def gamma0_matrix(c: int, d: int) -> tuple[int, int, int, int]:

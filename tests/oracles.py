@@ -8,12 +8,17 @@ the older one-form-at-a-time reduction and cycle search.  ideal_count
 and gauss_abs_sq_residual are closed forms the tests check the library
 against, and is_norm_induced compares psi with psi o sigma class by class.
 
-The rest checks the coefficient table and the Gauss sums by routes the CLI
-does not take: the exact group-ring identities (prime_power_vector,
-convolve, hecke_recursion_residual, multiplicativity_failures), the dense
-complex product of every coefficient (dense_coefficients), the Euler
-factors of L(s, psi), the Rankin-Selberg identity for sum |a'(n)|^2 n^(-s)
-with its closed-form residue, and the twisting lemma for rational Gauss sums.
+The rest checks the coefficients and the Gauss sums by routes the CLI does
+not take.  ReferenceCountTable counts the ideals of each norm per narrow
+class with the Hecke recursion in the group ring, where lseries fills one
+real row per character by multiplicativity; on its counts sit the exact
+group-ring identities (prime_power_vector, convolve,
+hecke_recursion_residual, multiplicativity_failures), the exact zero test
+of a coefficient modulo a cyclotomic polynomial (exact_zeros, on
+_vanishing and _cyclotomic) and the dense complex product of every
+coefficient (dense_coefficients).  Then come the Euler factors of
+L(s, psi), the Rankin-Selberg identity for sum |a'(n)|^2 n^(-s) with its
+closed-form residue, and the twisting lemma for rational Gauss sums.
 """
 
 from __future__ import annotations
@@ -25,13 +30,14 @@ from math import isqrt
 import numpy as np
 from scipy.special import exp1
 
+from maassforge.classforms import ClassGroup
 from maassforge.heckechar import (
     DirichletCharacterModP,
     GaussSumResult,
     HeckeCharacter,
     gauss_sum_rational,
 )
-from maassforge.lseries import ClassCountTable, get_table, l_value_at_1_afe
+from maassforge.lseries import l_value_at_1_afe, support
 from maassforge.quadfield import QfIdeal, QuadField, _primes_up_to, prime_factors
 
 
@@ -284,10 +290,147 @@ def check_gauss_twisting(p: int, kp: int, q: int, kq: int) -> float:
     return abs(lhs - rhs)
 
 
-# -- exact group-ring checks of the coefficient table --------------------
+# -- the reference count table and its exact group-ring checks ----------
+
+SIEVE_CHUNK = 1 << 14  # rows sieved per pass: bounds the temporaries of one
 
 
-def prime_power_vector(table: ClassCountTable, p: int, e: int) -> tuple[int, ...]:
+class ReferenceCountTable:
+    """counts[n, j] = number of integral ideals of norm n in narrow class j,
+    for n <= n_max: the tests' reference for the coefficients that
+    lseries.ClassCountTable.support finds by multiplicativity.
+
+    Row n is filled by the Hecke recursion at its smallest prime factor p,
+    row(n) = v_p * row(n/p) - chi_D(p) row(n/p^2) in the group ring, the last
+    term only when p^2 | n: v_p is [k] + [-k] at split p, [k] at ramified p
+    and 0 at inert p, for k the class of a prime above p, and (p) is
+    principal and totally positive.  The primes are classified in one
+    ClassGroup.prime_classes call, and the smallest prime factor of every
+    row is found once: the primes up to sqrt(n_max) mark their multiples,
+    and the rows left are the other primes.
+
+    The counts are int16.  Row n sums to the number of ideals of norm n,
+    sum_{d | n} chi_D(d) <= d(n), and d(n) <= 1600 for n < 2^31 (the most,
+    at n = 2095133040).  The largest value a pass holds, v_p * row(n/p) at
+    split p before row(n/p^2) is taken off, is at most 2 d(n/p) <= 3200,
+    far below 2^15."""
+
+    def __init__(self, classgroup: ClassGroup, n_max: int):
+        self.classgroup = classgroup
+        self.h = classgroup.h_narrow
+        self.n_max = n_max
+        self.counts = np.zeros((n_max + 1, self.h), dtype=np.int16)
+        if n_max == 0:
+            return
+        self.counts[1, 0] = 1  # the unit ideal
+        # at[n - 2] = where the smallest prime factor of row n is in primes:
+        # the primes up to sqrt(n_max) mark their multiples, the smallest
+        # last, and the rows none marks are the primes above sqrt(n_max),
+        # which follow those in primes
+        small = _primes_up_to(math.isqrt(n_max))
+        at = np.full(n_max - 1, -1, dtype=np.int32)
+        for j in range(small.size - 1, -1, -1):
+            q = int(small[j])
+            at[-2 % q :: q] = j
+        new = np.flatnonzero(at < 0)
+        at[new] = np.arange(small.size, small.size + new.size)
+        primes = np.concatenate([small, new + 2])
+        chi, k = classgroup.prime_classes(primes)
+        lo = 1
+        while lo < n_max:
+            # n/p <= n/2 <= lo, so every row a pass reads is already filled
+            hi = min(n_max, 2 * lo, lo + SIEVE_CHUNK)
+            self._sieve(lo + 1, hi, at[lo - 1 : hi - 1], primes, chi, k)
+            lo = hi
+
+    def _sieve(
+        self, a: int, b: int, at: np.ndarray, primes: np.ndarray, chi: np.ndarray, k: np.ndarray
+    ) -> None:
+        """Fill rows a..b from rows below a (requires b <= 2(a - 1)), given
+        for each row the index at of its smallest prime factor in primes,
+        and chi_D and the class log of each prime.
+
+        A term that does not apply to a row reads row 0, which is zero, so
+        each term is one gather over the whole pass."""
+        h = self.h
+        p, chi, k = primes.take(at), chi.take(at), k.take(at)
+        m = np.arange(a, b + 1, dtype=np.int64) // p
+        # n/p^2 where p^2 | n, else 0
+        m_over_p, r = np.divmod(m, p)
+        m_over_p[r != 0] = 0
+        del p, r  # a pass's memory peaks at the gathers below
+        mh = np.multiply(m, h, out=m)
+        # adding class s to row m moves count j to class j + s: out[n, j] +=
+        # counts[m, (j - s) % h], gathered from the flat table
+        cols = np.arange(h)
+        shifted = (cols - cols[:, None]) % h  # shifted[s, j] = (j - s) % h
+        unshifted = (cols + cols[:, None]) % h  # the same for -s
+        flat = self.counts.reshape(-1)
+        # [k] row(n/p) at split and ramified p, and at inert p, where k = 0,
+        # + row(n/p^2) when p^2 | n
+        idx = shifted.take(k, axis=0)
+        idx += np.where(chi >= 0, mh, m_over_p * h)[:, None]
+        out = flat.take(idx)
+        # [-k] row(n/p) - row(n/p^2) at split p, the last when p^2 | n
+        idx = unshifted.take(k, axis=0)
+        idx += np.where(chi == 1, mh, 0)[:, None]
+        out += flat.take(idx)
+        out -= self.counts.take(np.where(chi == 1, m_over_p, 0), axis=0)
+        self.counts[a : b + 1] = out
+
+
+def _cyclotomic(m: int) -> list[int]:
+    """The coefficients of the m-th cyclotomic polynomial, constant term
+    first: the product over the d | m with m/d squarefree of
+    (X^d - 1)^mu(m/d), the Moebius inversion of X^m - 1 = prod_{d | m} Phi_d."""
+    primes = prime_factors(m)
+    poly, divisors = [1], []
+    for mask in range(1 << len(primes)):
+        sub = [p for i, p in enumerate(primes) if mask >> i & 1]
+        d = m // math.prod(sub)
+        if len(sub) % 2:
+            divisors.append(d)
+        else:  # times X^d - 1
+            poly = [u - v for u, v in zip([0] * d + poly, poly + [0] * d)]
+    for d in divisors:  # exactly divided by X^d - 1: p[i] = q[i - d] - q[i]
+        q: list[int] = []
+        for i in range(len(poly) - d):
+            q.append((q[i - d] if i >= d else 0) - poly[i])
+        poly = q
+    return poly
+
+
+def _vanishing(h: int, index: int) -> np.ndarray:
+    """The int64 matrix W (h x phi(order)) with counts[n] @ W = 0 exactly
+    when b(n) = 0, for the character of the given index, of order
+    order = h / gcd(h, index).
+
+    b(n) = sum_j c_j rho^j with rho = exp(2 pi i index/h), a primitive
+    order-th root of unity whose minimal polynomial is Phi_order, so b(n) = 0
+    exactly when Phi_order divides sum_j c_j X^(j mod order).  Row j of W
+    holds X^(j mod order) mod Phi_order.  For order 3 that is c_0 = c_1 = c_2."""
+    order = h // math.gcd(h, index)
+    phi = _cyclotomic(order)
+    x, rows = [1] + [0] * (len(phi) - 2), []
+    for _ in range(order):
+        rows.append(x)
+        # times X, with X^deg = -sum_{i < deg} phi[i] X^i for the monic phi
+        x = [u - x[-1] * c for u, c in zip([0] + x[:-1], phi)]
+    return np.array(rows, dtype=np.int64)[np.arange(h) % order]
+
+
+def exact_zeros(table: ReferenceCountTable, index: int, n_max: int) -> np.ndarray:
+    """The n <= n_max whose b(n) = sum_j c_j rho^j is exactly 0,
+    rho = exp(2 pi i index/h), decided on the counts: counts[n] @ W = 0 for
+    the W of _vanishing.  Row j of W depends on j mod order only, so the
+    counts are first summed over each residue class mod order."""
+    h = table.h
+    order = h // math.gcd(h, index)
+    sums = table.counts[1 : n_max + 1].astype(np.int64).reshape(n_max, h // order, order).sum(axis=1)
+    return 1 + np.flatnonzero(~(sums @ _vanishing(h, index)[:order]).any(axis=1))
+
+
+def prime_power_vector(table: ReferenceCountTable, p: int, e: int) -> tuple[int, ...]:
     """Group-ring element of ideals of norm p^e supported at powers of p."""
     h = table.h
     v = [0] * h
@@ -305,7 +448,7 @@ def prime_power_vector(table: ClassCountTable, p: int, e: int) -> tuple[int, ...
     return tuple(v)
 
 
-def convolve(table: ClassCountTable, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+def convolve(table: ReferenceCountTable, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     """The product of u and v in the group ring of the table's class group."""
     h = table.h
     out = [0] * h
@@ -317,12 +460,12 @@ def convolve(table: ClassCountTable, u: tuple[int, ...], v: tuple[int, ...]) -> 
     return tuple(out)
 
 
-def row(table: ClassCountTable, n: int) -> tuple[int, ...]:
+def row(table: ReferenceCountTable, n: int) -> tuple[int, ...]:
     """Counts of the ideals of norm n per class, as exact integers."""
     return tuple(table.counts[n].tolist())
 
 
-def dense_coefficients(table: ClassCountTable, index: int, n_max: int) -> np.ndarray:
+def dense_coefficients(table: ReferenceCountTable, index: int, n_max: int) -> np.ndarray:
     """The complex array b with b[n] = sum_j c_j rho^j for every n <= n_max,
     rho = exp(2 pi i index/h): one product over the whole table, zeros
     included.  It realises the rows whose classes cancel as rounding noise,
@@ -332,7 +475,7 @@ def dense_coefficients(table: ClassCountTable, index: int, n_max: int) -> np.nda
     return table.counts[: n_max + 1] @ np.exp(2j * np.pi * index * np.arange(h) / h)
 
 
-def cancelling_rows(table: ClassCountTable, index: int, n_max: int) -> np.ndarray:
+def cancelling_rows(table: ReferenceCountTable, index: int, n_max: int) -> np.ndarray:
     """The n <= n_max whose b(n) = sum_j c_j rho^j is exactly 0, for a
     character of prime-power order q^k, rho = exp(2 pi i index/h).  The
     vanishing sums of q^k-th roots of unity are sums of rotated regular
@@ -352,7 +495,7 @@ def hecke_recursion_residual(character: HeckeCharacter, p: int, r_max: int = 4) 
     field = character.field
     if field.D % p == 0:
         raise ValueError("p must not divide the level")
-    table = get_table(character.classgroup, 1)
+    table = ReferenceCountTable(character.classgroup, 1)
     vecs = [prime_power_vector(table, p, e) for e in range(r_max + 2)]
     chi = field.chi(p)
     fails = 0
@@ -367,7 +510,7 @@ def hecke_recursion_residual(character: HeckeCharacter, p: int, r_max: int = 4) 
 
 def multiplicativity_failures(character: HeckeCharacter, n_max: int = 200) -> int:
     """Exact check of a'(mn) = a'(m) a'(n) for coprime m, n (group ring)."""
-    table = get_table(character.classgroup, n_max)
+    table = ReferenceCountTable(character.classgroup, n_max)
     fails = 0
     for m in range(2, n_max):
         for n in range(2, n_max // m + 1):
@@ -381,10 +524,18 @@ def multiplicativity_failures(character: HeckeCharacter, n_max: int = 200) -> in
 # -- Euler factors -------------------------------------------------------
 
 
+def coefficients(character: HeckeCharacter, n_max: int) -> np.ndarray:
+    """a'(n) for every n <= n_max, the support of lseries.support scattered
+    into zeros, as the coeffs command prints them."""
+    n, a = support(character, n_max)
+    b = np.zeros(n_max + 1)
+    b[n] = a
+    return b
+
+
 def rankin_coeffs(character: HeckeCharacter, n_max: int) -> np.ndarray:
     """|a'(n)|^2 for the doubled coefficients a'(n) of the theta form."""
-    b = dense_coefficients(get_table(character.classgroup, n_max), character.index, n_max)
-    return (b * b.conj()).real
+    return coefficients(character, n_max) ** 2
 
 
 def _prime_values(character: HeckeCharacter, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

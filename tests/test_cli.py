@@ -17,7 +17,7 @@ from maassforge.classforms import ClassGroup
 from maassforge.cli import COEFFS_ROW_BUDGET, DISC_BUDGET, GAUSS_PRIME_BUDGET, main
 from maassforge.maassform import AUTOMORPHY_SAMPLE_BUDGET, ThetaForm
 from maassforge.quadfield import IDEALS_NORM_BUDGET, QuadField
-from oracles import dense_coefficients
+from oracles import ReferenceCountTable, dense_coefficients
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "schemas" / "report.json").read_text())
 
@@ -91,13 +91,21 @@ def test_coeffs_command(capsys, tmp_path):
     # a'(9) = zeta3^2 + 1 + zeta3 = 0 exactly, and every a'(n) is real
     assert data["coefficients"][8] == {"n": 9, "re": 0.0, "im": 0.0}
     assert all(c["im"] == 0.0 for c in data["coefficients"])
-    dense = dense_coefficients(lseries.get_table(ClassGroup(QuadField(229)), 10), 1, 10)
+    dense = dense_coefficients(ReferenceCountTable(ClassGroup(QuadField(229)), 10), 1, 10)
     assert [c["n"] for c in data["coefficients"]] == list(range(1, 11))
     assert max(abs(c["re"] - dense[c["n"]]) for c in data["coefficients"]) < 1e-12
     rows = list(csv.reader(csv_path.read_text().splitlines()))
     assert rows[0] == ["n", "re", "im"] and rows[9] == ["9", "0", "0"]
     assert all(float(im) == 0.0 for _, _, im in rows[1:])
     validate(out)
+
+
+def test_coeffs_stdout_is_pinned(capsys):
+    # every a'(n) of this order-3 character is an exact integer, printed as
+    # the bytes of tests/golden
+    code, out = run_cli(capsys, "coeffs", "--disc", "229", "--index", "1", "--n-max", "100")
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / "coeffs_229_1_100.json").read_text()
 
 
 def test_coeffs_csv_and_json_export(capsys, tmp_path):
@@ -472,7 +480,7 @@ def test_lvalue_at_s_2_is_real(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["value_im"] == 0.0 and data["n_max"] == 10**5
-    dense = dense_coefficients(lseries.get_table(ClassGroup(QuadField(229)), 10**5), 2, 10**5)
+    dense = dense_coefficients(ReferenceCountTable(ClassGroup(QuadField(229)), 10**5), 2, 10**5)
     assert abs(data["value"] - np.sum(dense[1:] / np.arange(1, 10**5 + 1) ** 2.0).real) < 1e-13
     validate(out)
 

@@ -10,7 +10,7 @@ from maassforge.heckechar import NormInducedError, make_class_character
 from maassforge.maassform import ThetaForm, _phase, gamma0_matrices
 from maassforge.quadfield import BudgetError, QuadField
 from maassforge.special import bessel_k0_array
-from oracles import cancelling_rows, dense_coefficients
+from oracles import ReferenceCountTable, cancelling_rows, dense_coefficients
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +54,7 @@ def test_tail_bound_dominates_truncation(theta229):
     n = np.arange(1, loose_cut + 1)
     kv = bessel_k0_array(2 * math.pi * y * n)
     osc = np.cos(2 * math.pi * 0.1 * n)
-    a = dense_coefficients(ls.get_table(theta229.character.classgroup, loose_cut), 1, loose_cut)[1:]
+    a = dense_coefficients(ReferenceCountTable(theta229.character.classgroup, loose_cut), 1, loose_cut)[1:]
     partial = complex(math.sqrt(y) * np.sum(a * kv * osc))
     assert abs(full - partial) <= theta229.tail_bound(y, loose_cut) + 1e-15
 
@@ -104,6 +104,7 @@ def test_automorphy_over_row_budget_raises_before_building(theta229, monkeypatch
         raise AssertionError("allocated a table or classified its primes")
 
     monkeypatch.setattr(ls.np, "zeros", no_rows)
+    monkeypatch.setattr(ls.np, "full", no_rows)
     monkeypatch.setattr(ClassGroup, "prime_classes", no_rows)
     # Im(gamma z) = 0.3 / (2290 * 0.3)^2 at z = -1/2290 + 0.3i needs 1.13e7 rows
     with pytest.raises(BudgetError):
@@ -175,7 +176,7 @@ def dense_theta(th: ThetaForm, x: float, y: float) -> complex:
     n_cut = th.truncation_index(y)
     n = np.arange(1, n_cut + 1)
     psi = th.character
-    a = dense_coefficients(ls.get_table(psi.classgroup, n_cut), psi.index, n_cut)[1:]
+    a = dense_coefficients(ReferenceCountTable(psi.classgroup, n_cut), psi.index, n_cut)[1:]
     trig = np.cos if th.epsilon == 0 else np.sin
     return complex(math.sqrt(y) * np.sum(a * bessel_k0_array(2 * math.pi * y * n) * trig(2 * math.pi * x * n)))
 
@@ -190,9 +191,10 @@ def test_eval_on_the_support_equals_the_dense_sum(D):
     # dense product realises as rounding noise, and keeps the others real
     n_cut = th.truncation_index(0.02)
     n, a = ls.support(th.character, n_cut)
-    full = dense_coefficients(th.character.classgroup.count_table, 1, n_cut)
+    ref = ReferenceCountTable(th.character.classgroup, n_cut)
+    full = dense_coefficients(ref, 1, n_cut)
     dropped = np.setdiff1d(np.arange(1, n_cut + 1), n)
-    assert np.array_equal(dropped, cancelling_rows(th.character.classgroup.count_table, 1, n_cut))
+    assert np.array_equal(dropped, cancelling_rows(ref, 1, n_cut))
     assert a.dtype == np.float64 and np.all(a != 0) and len(dropped) > 0
     assert np.max(np.abs(a - full[n])) < 1e-12
     assert np.all(np.abs(full[dropped]) < 1e-12)
@@ -221,44 +223,42 @@ def test_truncation_report_takes_the_worst_height(theta229):
 
 @pytest.mark.parametrize("D", [229, 136])  # 229: cosine series, 136: sine series
 def test_support_is_kept_and_realised_once(D, monkeypatch):
-    realised = []
-    realise = ls.ClassCountTable._realise
+    filled = []
+    fill = ls.ClassCountTable._row
 
-    def recording_realise(self, index, rows):
-        realised.append((self, index, rows))
-        return realise(self, index, rows)
+    def recording_row(self, index):
+        b = fill(self, index)
+        filled.append((self, index, b.size))
+        return b
 
-    monkeypatch.setattr(ls.ClassCountTable, "_realise", recording_realise)
+    monkeypatch.setattr(ls.ClassCountTable, "_row", recording_row)
     cg = ClassGroup(QuadField(D))
     th = ThetaForm(make_class_character(cg, 1))
     other = make_class_character(cg, 2)
 
-    def live(n_cut):
-        return np.setdiff1d(np.arange(1, n_cut + 1), cancelling_rows(cg.count_table, 1, n_cut))
-
     def check(n_cut):
         n, a = ls.support(th.character, n_cut)
-        full = dense_coefficients(cg.count_table, 1, n_cut)
-        assert np.array_equal(n, live(n_cut)) and np.max(np.abs(a - full[n])) < 1e-12, n_cut
+        ref = ReferenceCountTable(cg, n_cut)
+        full = dense_coefficients(ref, 1, n_cut)
+        live = np.setdiff1d(np.arange(1, n_cut + 1), cancelling_rows(ref, 1, n_cut))
+        assert np.array_equal(n, live) and np.max(np.abs(a - full[n])) < 1e-12, n_cut
 
-    def realised_once_over(table):
-        # in order, over all of the table, by this table alone
-        kept = [rows for t, index, rows in realised if index == 1]
-        assert all(t is table for t, index, _ in realised if index == 1)
-        assert np.array_equal(np.concatenate(kept), live(table.n_max))
-        realised.clear()
+    def filled_once_over(table):
+        # one row over all of the table, by this table alone
+        assert [f for f in filled if f[1] == 1] == [(table, 1, table.n_max + 1)]
+        filled.clear()
 
-    # another character's caller builds the table; the first call realises
-    # the whole support, and calls below or at it realise nothing
+    # another character's caller builds the table; the first call fills the
+    # whole row, and calls below or at it fill nothing
     ls.support(other, 13001)
     table = cg.count_table
     for n_cut in (5000, 1200, 5000, 13001):
         check(n_cut)
-    realised_once_over(table)
-    # the other character's larger request replaces the table, and the
-    # support is realised again, once, on the new one
+    filled_once_over(table)
+    # the other character's larger request replaces the table, and the row
+    # is filled again, once, on the new one
     ls.support(other, 40000)
     assert cg.count_table is not table and cg.count_table.n_max == 40000
     for n_cut in (13001, 20000, 40000):
         check(n_cut)
-    realised_once_over(cg.count_table)
+    filled_once_over(cg.count_table)
