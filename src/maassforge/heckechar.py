@@ -62,9 +62,6 @@ class HeckeCharacter:
         """Exact exponent j/h with psi(I) = e^(2*pi*i*j/h)."""
         return Fraction(self.index * self.classgroup.dlog(I), self.h)
 
-    def __call__(self, I: QfIdeal) -> complex:
-        return root_of_unity(self.exponent(I))
-
     @property
     def epsilon(self) -> int:
         """Sign exponent: 1 if psi((sqrt(D))) = -1, else 0 (sqrt(D) = 2 omega - s)."""

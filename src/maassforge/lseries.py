@@ -3,10 +3,10 @@
 a'(n), the sum of psi over the ideals of norm n, is multiplicative, and
 a'(p^e) has a closed form in chi_D(p) and psi(P) for a prime P above p
 (_local_factor).  A coefficient table keeps only what every character of a
-field shares: the smallest prime factor of each n, and chi_D(p) and the
-class of a prime above p for each prime p, found for arrays of primes
-(ClassGroup.prime_classes, on QuadField.prime_roots) with no Python call per
-prime.  A character's coefficients are read from it by one route,
+field shares: for each n, p^e || n for the smallest prime p of n, and
+chi_D(p) and the class of a prime above p for each prime p, found for arrays
+of primes (ClassGroup.prime_classes, on QuadField.prime_roots) with no Python
+call per prime.  A character's coefficients are read from it by one route,
 support(): it fills one float64 row, b(n) = b(n/p^e) a'(p^e), with the
 a'(n) = 0 exactly 0.0, and keeps the others.  A table is built once, at the
 size asked for; a request for more rows builds a new one in its place.
@@ -34,46 +34,57 @@ from .special import incomplete_k_mellin
 SIEVE_CHUNK = 1 << 14
 # Largest coefficient table ClassCountTable builds.  For D = 229 (h = 3) the
 # peak RSS of check-automorphy is about 33 MB plus 20 bytes per row (39 MB at
-# 3.1e5 rows, 57 MB at 1.22e6, 85 MB at 2.75e6, its default of 3 matrices):
-# the table keeps 4 bytes per row, the index of each row's smallest prime
-# factor, a character's row takes 8 more while it is filled, and the rest
-# is its support and the evaluations of Theta over it.  D = 3305 (h = 12)
-# peaked at 0.12 GB evaluating Theta once on 4.0e6 rows.  Below the budget
-# every prime p of a table has p^2 < 2^62, so the int64 arithmetic of
-# ClassGroup.prime_classes cannot overflow, and every n is below the 2^22
-# of maassform._phase.
+# 3.1e5 rows, 57 MB at 1.22e6, 86 MB at 2.75e6, its default of 3 matrices):
+# the table keeps 4 bytes per row, the index of p^e || n for the row's
+# smallest prime p, a character's row takes 8 more while it is filled, and
+# the rest is its support and the evaluations of Theta over it.  D = 3305
+# (h = 12) peaked at 0.11 GB evaluating Theta once on 4.0e6 rows.  Below the
+# budget every prime p of a table has p^2 < 2^62, so the int64 arithmetic of
+# ClassGroup.prime_classes cannot overflow, and every n is below the 2^22 of
+# maassform._phase.
 ROW_BUDGET = 4_000_000
 
 
 class ClassCountTable:
     """What every class character of a field shares for its coefficients
-    a'(n), n <= n_max: at[n - 2], the index in primes of the smallest prime
-    factor of n, and chi_D(p) and the class log k of a prime above p (0 for
-    inert p) for every prime p <= n_max, classified in one
-    ClassGroup.prime_classes call.  support() fills and keeps each
-    character's nonzero coefficients."""
+    a'(n), n <= n_max.  q lists the primes p <= n_max, ascending, then the
+    p^e <= n_max with e >= 2 of the primes up to sqrt(n_max); primes is its
+    prefix.  at[n - 2] is the index in q of p^e || n for the smallest prime p
+    of n.  chi_D(p) and the class log k of a prime above p (0 for inert p)
+    of every prime come from one ClassGroup.prime_classes call.  support()
+    fills and keeps each character's nonzero coefficients."""
 
     def __init__(self, classgroup: ClassGroup, n_max: int):
         if n_max < 0:
             raise ValueError(f"n_max must be non-negative, got {n_max}")
         if n_max > ROW_BUDGET:
             raise BudgetError(f"a'(n) up to n = {n_max} is over the budget of {ROW_BUDGET} rows")
-        self.classgroup = classgroup
         self.h = classgroup.h_narrow
         self.n_max = n_max
         # character index -> (n with b(n) != 0, those b(n))
         self._supports: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # the primes up to sqrt(n_max) mark their multiples, the smallest
-        # last, and the rows none marks are the primes above sqrt(n_max),
-        # which follow those in primes
+        # last, and each then the multiples of its p^e in ascending e, as
+        # -2 - (the place of p^e among the higher powers) until the primes
+        # are counted.  The rows none marks are the primes above sqrt(n_max).
         small = _primes_up_to(math.isqrt(n_max))
         self.at = np.full(max(n_max - 1, 0), -1, dtype=np.int32)
+        high = []  # (index of p, e) of each higher power p^e, as marked
         for j in range(small.size - 1, -1, -1):
-            q = int(small[j])
-            self.at[-2 % q :: q] = j
-        new = np.flatnonzero(self.at < 0)
+            p = int(small[j])
+            self.at[-2 % p :: p] = j
+            e = 2
+            while p**e <= n_max:
+                self.at[-2 % p**e :: p**e] = -2 - len(high)
+                high.append((j, e))
+                e += 1
+        new = np.flatnonzero(self.at == -1)
         self.at[new] = np.arange(small.size, small.size + new.size)
-        self.primes = np.concatenate([small, new + 2])
+        count = small.size + new.size
+        np.subtract(count - 2, self.at, out=self.at, where=self.at < 0)
+        self._base, self._e = np.array(high, dtype=np.int64).reshape(-1, 2).T
+        self.q = np.concatenate([small, new + 2, small[self._base] ** self._e])
+        self.primes = self.q[:count]
         self.chi, self.k = classgroup.prime_classes(self.primes)
 
     def support(self, index: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -96,35 +107,20 @@ class ClassCountTable:
 
     def _row(self, index: int) -> np.ndarray:
         """b(n) for every n <= n_max, in float64: b(1) = 1 and
-        b(n) = b(n/p^e) a'(p^e) for the smallest prime factor p of n and
-        p^e || n, SIEVE_CHUNK rows a pass, the local factors from
-        _local_factor."""
+        b(n) = b(n/q) a'(q) for the table's q = p^e || n, SIEVE_CHUNK rows a
+        pass, the local factors from _local_factor."""
         t = index * self.k % self.h
-        # a'(p) of every prime, and a'(p^e) of the primes up to sqrt(n_max),
-        # the only ones whose square divides a row
-        first = _local_factor(self.h, self.chi, t, np.ones_like(t))
-        top = self.n_max.bit_length()
-        s = np.searchsorted(self.primes, math.isqrt(self.n_max), side="right")
-        powers = _local_factor(self.h, self.chi[:s, None], t[:s, None], np.arange(top))
+        # a'(q) of every entry of q: the primes at e = 1, then the higher powers
+        f = _local_factor(self.h, self.chi, t, 1)
+        f = np.concatenate([f, _local_factor(self.h, self.chi[self._base], t[self._base], self._e)])
         b = np.zeros(self.n_max + 1)
         b[1:2] = 1.0  # the unit ideal
         lo = 1
         while lo < self.n_max:
-            # n/p <= n/2 <= lo, so every row a pass reads is already filled
+            # n/q <= n/2 <= lo, so every row a pass reads is already filled
             hi = min(self.n_max, 2 * lo, lo + SIEVE_CHUNK)
             at = self.at[lo - 1 : hi - 1]
-            p = self.primes.take(at)
-            m = np.arange(lo + 1, hi + 1) // p
-            e = np.ones_like(m)
-            i = np.flatnonzero(m % p == 0)
-            while i.size:  # m = n/p^e for p^e || n
-                m[i] //= p[i]
-                e[i] += 1
-                i = i[m[i] % p[i] == 0]
-            f = first.take(at)
-            i = np.flatnonzero(e > 1)
-            f[i] = powers.take(at[i] * top + e[i])
-            b[lo + 1 : hi + 1] = b.take(m) * f
+            b[lo + 1 : hi + 1] = b.take(np.arange(lo + 1, hi + 1) // self.q.take(at)) * f.take(at)
             lo = hi
         return b
 
@@ -142,10 +138,11 @@ def _sin_pi(u: np.ndarray, h: int) -> np.ndarray:
     return np.sin(np.pi * np.minimum(x, 2 * h - x) / (2 * h))
 
 
-def _local_factor(h: int, chi: np.ndarray, t: np.ndarray, e: np.ndarray) -> np.ndarray:
+def _local_factor(h: int, chi: np.ndarray, t: np.ndarray, e: np.ndarray | int) -> np.ndarray:
     """a'(p^e), the sum of psi over the ideals of norm p^e, for arrays of
-    chi_D(p), e >= 1 and t, where psi(P) = exp(i theta), theta = 2 pi t/h,
-    for the prime P above p whose class log is k and t = index k mod h.
+    chi_D(p), e >= 1 (or one e) and t, where psi(P) = exp(i theta),
+    theta = 2 pi t/h, for the prime P above p whose class log is k and
+    t = index k mod h.
 
     Split p: (p) = P P' with P' = sigma(P), and P P' = (p) is principal and
     totally positive, so psi(P') = exp(-i theta).  The ideals of norm p^e

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -110,8 +111,13 @@ class ThetaForm:
             if a * d - b * c != 1 or c % self.level != 0:
                 raise ValueError(f"({a},{b},{c},{d}) is not in Gamma_0({self.level})")
             for x, y in points:
-                den = complex(c * (x + 1j * y) + d)
-                tasks.append(((a * (x + 1j * y) + b) / den, (x, y), self.field.chi(d)))
+                # (az + b)/(cz + d) cancels near x = -d/c; a/c - 1/(c (cz + d)), with
+                # Re(cz + d) from the exact x, keeps Im(gamma z) = y/|cz + d|^2 to rounding
+                if c:
+                    w = a / c - 1 / (c * complex(c * Fraction(x) + d, c * y))
+                else:
+                    w = (a * (x + 1j * y) + b) / d
+                tasks.append((w, (x, y), self.field.chi(d)))
         ys = [v for w, (_, y), _ in tasks for v in (w.imag, y) if v > 0]
         # build the table and the support once, at the rows of the lowest
         # height: each evaluation asks for the rows of its own, and one larger

@@ -407,6 +407,30 @@ def test_check_automorphy_reports_worst_truncation(capsys):
     validate(out)
 
 
+def test_check_automorphy_far_from_the_origin_exits_0(capsys):
+    # the points sit around x = -d/c = -4.4e6, where (az + b)/(cz + d)
+    # cancels to about -1/c; gamma z = a/c - 1/(c (cz + d)) keeps every
+    # digit of Im(gamma z) = y/|cz + d|^2, so the heights are those of d = 3
+    code, out = run_cli(capsys, "check-automorphy", "--disc", "229", "--c", "229", "--d", "1000000001")
+    assert code == 0
+    data = json.loads(out)
+    assert data["max_residual"] < 1e-12
+    assert data["truncation"] == 305160 and data["terms"] == 54108
+    validate(out)
+
+
+def test_check_automorphy_past_float_resolution_exits_3(capsys):
+    # near x = -d/c = -4.4e17 neighbouring floats are 64 apart, so a point
+    # lands about 10^4 from -d/c and Im(gamma z) needs ~10^9 rows: refused,
+    # where a cancelling Im(gamma z) <= 0 ended in a traceback
+    with pytest.raises(SystemExit) as exc:
+        main(["check-automorphy", "--disc", "229", "--c", "229", "--d", str(10**20 + 1)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 3
+    assert captured.out == "" and captured.err.startswith("error: a'(n) up to n = ")
+    assert captured.err.count("\n") == 1
+
+
 def record_table_builds(monkeypatch):
     """Record the n_max of every ClassCountTable built, and for each
     ClassGroup.prime_classes call how many builds had started and whether

@@ -234,13 +234,52 @@ def test_one_table_per_class_group_across_growing_callers(monkeypatch):
     assert cg.count_table is first and built == [25000]
     # a larger one replaces it by a table of exactly its size; the new
     # table's pass from row 16385 ends at 32768, not at 25000, and its
-    # leading rows are the old table's
+    # leading rows hold the old table's prime powers
     rankin_euler_identity_residual(psi, 2.0, 100000)
     assert built == [25000, 100000]
-    assert cg.count_table is not first and cg.count_table.n_max == 100000
-    assert np.array_equal(cg.count_table.at[: first.at.size], first.at)
+    new = cg.count_table
+    assert new is not first and new.n_max == 100000
+    assert np.array_equal(new.q.take(new.at[: first.at.size]), first.q.take(first.at))
     for old, new in zip(first.support(1, 25000), cg.count_table.support(1, 25000)):
         assert np.array_equal(old, new)
+
+
+def _smallest_prime_power(n: int) -> tuple[int, int]:
+    """(p, e) with p the smallest prime factor of n >= 2 and p^e || n, by
+    trial division."""
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    e = 0
+    while n % p == 0:
+        n, e = n // p, e + 1
+    return p, e
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 2**14, 2**14 + 5, 20000, 1_220_639])
+def test_table_entry_is_the_full_power_of_the_smallest_prime(cg229, n_max):
+    # each row n's entry is p^e || n for the smallest prime p of n, decoded
+    # to that prime and exponent: primes lists every prime up to n_max, and
+    # an entry past it is a higher power, its prime's index in _base
+    table = ls.ClassCountTable(cg229, n_max)
+    assert table.at.size == max(n_max - 1, 0)
+    assert np.array_equal(table.primes, _primes_up_to(n_max))
+    assert table.q.size == table.primes.size + table._base.size
+    rows = range(2, n_max + 1)
+    if n_max > 20000:
+        # 94,389 primes and 256 higher powers; a third of the rows have e >= 2
+        assert table.primes.size == 94_389 and table._base.size == 256
+        assert np.mean(table.at >= table.primes.size) > 0.33
+        sample = np.random.default_rng(20).integers(2, n_max + 1, size=2000).tolist()
+        rows = sample + [2**20, 3**12, 1103**2, n_max]
+    for n in rows:
+        j = int(table.at[n - 2])
+        if j < table.primes.size:
+            p, e = int(table.primes[j]), 1
+        else:
+            k = j - table.primes.size
+            p, e = int(table.primes[table._base[k]]), int(table._e[k])
+            assert e >= 2
+        assert (p, e) == _smallest_prime_power(n), n
+        assert table.q[j] == p**e
 
 
 def test_coefficients_pinned_values(psi229):
@@ -424,9 +463,10 @@ def test_support_within_rounding_of_the_exact_cosine_sum(D):
 
 
 def test_support_memory_per_row():
-    # the table keeps 4 bytes a row, the smallest prime factor's index, and
-    # a character's row 8 more while it is filled, whatever h is: counts per
-    # class alone would take 2h = 160 bytes a row at h = 80
+    # the table keeps 4 bytes a row, the index of the row's p^e || n for its
+    # smallest prime p, and a character's row 8 more while it is filled,
+    # whatever h is: counts per class alone would take 2h = 160 bytes a row
+    # at h = 80
     cg = ClassGroup(QuadField(68905))
     assert cg.h_narrow == 80 and cg.is_cyclic()
     tracemalloc.start()
