@@ -230,6 +230,8 @@ def cmd_check_automorphy(args) -> int:
     if args.c is not None:
         if args.c % cg.field.D != 0 or math.gcd(args.c, args.d) != 1:
             raise InvalidInputError("need c = 0 mod D and gcd(c, d) = 1")
+        if abs(args.d) >= abs(args.c) << 1023:
+            raise InvalidInputError("need |d/c| < 2^1023: the points x = -d/c + offset are float64")
         mats = [gamma0_matrix(args.c, args.d)]
     elif args.samples > AUTOMORPHY_SAMPLE_BUDGET:
         raise BudgetError(f"--samples {args.samples} is over the budget of {AUTOMORPHY_SAMPLE_BUDGET}")

@@ -29,7 +29,7 @@ import numpy as np
 
 from .heckechar import HeckeCharacter, NormInducedError
 from .lseries import support
-from .quadfield import _xgcd
+from .quadfield import BudgetError, _xgcd
 from .special import bessel_k0_array
 
 TRUNCATION_EXPONENT = 45.0  # keep terms with 2 pi n y <= this
@@ -105,7 +105,8 @@ class ThetaForm:
         pairs of checks, gamma in Gamma_0(D), and the points z of each; the
         details add the truncation_report of every evaluation.  Raises
         BudgetError, before any row is built, if the evaluations need more
-        than lseries.ROW_BUDGET coefficient rows."""
+        than lseries.ROW_BUDGET coefficient rows, or a gamma z is too low for
+        float64 to count its rows."""
         tasks = []  # (gamma z, z, chi_D(d))
         for (a, b, c, d), points in checks:
             if a * d - b * c != 1 or c % self.level != 0:
@@ -114,11 +115,18 @@ class ThetaForm:
                 # (az + b)/(cz + d) cancels near x = -d/c; a/c - 1/(c (cz + d)), with
                 # Re(cz + d) from the exact x, keeps Im(gamma z) = y/|cz + d|^2 to rounding
                 if c:
-                    w = a / c - 1 / (c * complex(c * Fraction(x) + d, c * y))
+                    try:
+                        w = a / c - 1 / (c * complex(c * Fraction(x) + d, c * y))
+                    except OverflowError:  # |cz + d| past float64: Im(gamma z) rounds to 0
+                        w = complex(a / c, 0.0)
                 else:
                     w = (a * (x + 1j * y) + b) / d
                 tasks.append((w, (x, y), self.field.chi(d)))
-        ys = [v for w, (_, y), _ in tasks for v in (w.imag, y) if v > 0]
+        ys = [v for w, (_, y), _ in tasks for v in (w.imag, y)]
+        # a huge c or d/c can put Im(gamma z) below every float64 height whose
+        # row count 45/(2 pi y) is finite, let alone under the row budget
+        if not all(v > 0 and TRUNCATION_EXPONENT / (2 * math.pi * v) < math.inf for v in ys):
+            raise BudgetError("a point gamma z lies below every height of finite row count")
         # build the table and the support once, at the rows of the lowest
         # height: each evaluation asks for the rows of its own, and one larger
         # than the table would build a new table

@@ -116,32 +116,42 @@ def powmod_array(x, e, p):
         x = x * x % p
 
 
+def _legendre(a, q: int):
+    """(a|q) for an int64 array a and an odd prime q < 2^31: Euler's
+    criterion a^((q-1)/2) mod q, by square-and-multiply on the bits of the
+    one scalar exponent, is 1, 0 or q - 1."""
+    if q >= 2**31:
+        raise ValueError(f"the prime {q} is over 2^31: its squares overflow int64")
+    x = a % q
+    r = x.copy()
+    for bit in bin((q - 1) // 2)[3:]:
+        r *= r
+        r %= q
+        if bit == "1":
+            r *= x
+            r %= q
+    r[r == q - 1] = -1
+    return r
+
+
 def tonelli_shanks_array(n, p):
-    """(n|p) and, where it is 1, a square root of n modulo the odd prime p
-    (int64 arrays, p < 2^31; the root is 0 elsewhere).
+    """A square root of n modulo the odd prime p, for int64 arrays of
+    quadratic residues n not divisible by p, and p < 2^31.
 
     The steps of Tonelli-Shanks, with z the least non-residue, run together
-    over the residues whose t = n^q is not yet 1 (p - 1 = q 2^s, q odd).
-    Euler's criterion n^((p-1)/2) = t^(2^(s-1)) is read off t by s - 1
-    squarings: 1 for a residue, 0 for p | n and p - 1 otherwise."""
+    over the residues whose t = n^q is not yet 1 (p - 1 = q 2^s, q odd).  A
+    non-residue or a multiple of p never reaches t = 1, so the caller keeps
+    them out: QuadField.prime_roots passes its split primes only."""
     s = np.log2((p - 1) & (1 - p)).astype(p.dtype)  # the lowest set bit of p - 1
     q = (p - 1) >> s
     # r = n^((q + 1)/2) and t = n^q from the one power x = n^((q - 1)/2)
     x = powmod_array(n, (q - 1) // 2, p)
     r = x * (n % p) % p
     t = x * r % p
-    del x  # one array fewer at the peak, for a table's every prime
-    chi, squarings = t.copy(), 1
-    todo = np.flatnonzero(s > squarings)
-    while todo.size:
-        chi[todo] = chi[todo] * chi[todo] % p[todo]
-        squarings += 1
-        todo = todo[s[todo] > squarings]
-    chi[chi > 1] = -1  # n^((p-1)/2) is 1, 0 or p - 1
-    r[chi != 1] = 0
-    act = np.flatnonzero((t != 1) & (chi == 1))
+    del x  # one array fewer at the peak, for a table's every split prime
+    act = np.flatnonzero(t != 1)
     if not act.size:
-        return chi, r
+        return r
     # c = z^q for the least non-residue z of each p that needs it.  z is a
     # prime below sqrt(p) + 1, and these p are 1 mod 4 (t = 1 at once when
     # s = 1), so (2|p) = -1 iff p = 5 mod 8 and (z|p) = (p|z) for odd z
@@ -176,7 +186,7 @@ def tonelli_shanks_array(n, p):
         m[live] = i
         live = live[T[live] != 1]
     r[act] = R
-    return chi, r
+    return r
 
 
 class QuadField:
@@ -257,14 +267,25 @@ class QuadField:
 
         The prime ideals above p are then (p) when p is inert, (p, b) when it
         is ramified, and (p, b) and (p, -s - b) when it splits, since the two
-        roots sum to -s.  Odd p take chi_D(p), by Euler's criterion, and
-        sqrt(D) for b = (-s +- sqrt(D))/2 from one tonelli_shanks_array call;
-        mod 2 the least root is N(omega) mod 2."""
+        roots sum to -s.  Write D = 2^v m with m odd.  The prime discriminants
+        q* = (-1)^((q-1)/2) q of the primes q | m multiply to the one of +-m
+        that is 1 mod 4, and D is that times d2 = 1, -4 or +-8.  For odd p,
+        (q*|p) = (p|q) by reciprocity, so chi_D(p) = (d2|p) prod (p|q): (d2|p)
+        is read off p mod 8, and each (p|q) is one Euler power (_legendre),
+        which is 0 at p = q.  Only the split p need sqrt(D), for
+        b = (-s +- sqrt(D))/2, from tonelli_shanks_array; a ramified odd p has
+        the one root -s/2, and mod 2 the least root is N(omega) mod 2."""
         D, s = self.D, self.s
-        chi, root = np.zeros_like(p), np.zeros_like(p)
-        odd = np.flatnonzero(p != 2)
-        chi[odd], root[odd] = tonelli_shanks_array(D % p[odd], p[odd])
+        v = (D & -D).bit_length() - 1
+        m = D >> v
+        d2 = 1 if v == 0 else -4 if v == 2 else 8 if m % 4 == 1 else -8
+        chi = np.array([kronecker(d2, r) for r in range(8)])[p % 8]
+        for q in prime_factors(m):
+            chi *= _legendre(p, q)
         chi[p == 2] = 0 if D % 2 == 0 else 1 if D % 8 == 1 else -1
+        split = np.flatnonzero((chi == 1) & (p != 2))
+        root = np.zeros_like(p)
+        root[split] = tonelli_shanks_array(D % p[split], p[split])
         half = (p + 1) // 2  # the inverse of 2 mod odd p
         b = np.minimum((root - s) * half % p, (-root - s) * half % p)
         b[p == 2] = self.omega_image_norm(0) % 2

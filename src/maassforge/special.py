@@ -14,8 +14,11 @@ K_0(t) = e^(-t) int_0^oo e^(-s) (s (s + 2t))^(-1/2) ds gives
 a Gauss-Hermite sum.  Its integrand has poles at w = +-i sqrt(2t), nearest
 the real axis at t = 2, where 60 nodes are needed (40 agree with mpmath only
 to 1.1e-14).  As the poles recede, fewer nodes do, so each t takes the rule
-of its band; the largest relative error of e^t K_0 against mpmath on 600
-points of each band and its lower edge, where the rule is weakest:
+of its band.  The arrays of t come ascending (Theta's 2 pi y n, and the
+AFE's nodes once sorted), so one searchsorted of the band edges cuts an
+array into the series part and each band as contiguous slices.  The
+largest relative error of e^t K_0 against mpmath on 600 points of each
+band and its lower edge, where the rule is weakest:
 
     t        [2, 5)   [5, 8)   [8, 12)  [12, 20)  [20, 700]
     nodes    60       24       20       16        14
@@ -47,7 +50,7 @@ _I0_COEFFS = [1.0 / f for f in _FACTORIAL_SQ]
 _K0_COEFFS = [float(h - Fraction(EULER_GAMMA)) / f for h, f in zip(_HARMONIC, _FACTORIAL_SQ)]
 # (lower edge of a band of t, nodes of the Gauss-Hermite rule used in it)
 K0_HERMITE_BANDS = ((K0_SPLIT, 60), (5.0, 24), (8.0, 20), (12.0, 16), (20.0, 14))
-_BAND_EDGES = np.array([edge for edge, _ in K0_HERMITE_BANDS[1:]])
+_EDGES = np.array([edge for edge, _ in K0_HERMITE_BANDS])
 
 
 def _hermite_rule(nodes: int) -> list[tuple[float, float]]:
@@ -95,34 +98,30 @@ def _hermite_sum(t: np.ndarray, rule: list[tuple[float, float]]) -> np.ndarray:
     return acc
 
 
-def _k0e_hermite(t: np.ndarray) -> np.ndarray:
-    """e^t K_0(t) for t >= K0_SPLIT, each t by the rule of its band."""
+def _banded(t, series, hermite) -> np.ndarray:
+    """series(u) on the u of ascending t below K0_SPLIT, and hermite(u, rule)
+    on each Hermite band with its rule: one searchsorted of the band edges
+    cuts t into contiguous slices of one output array."""
+    t = np.asarray(t, dtype=np.float64)
     flat = t.ravel()
-    band = np.searchsorted(_BAND_EDGES, flat, side="right")
+    if np.any(flat[1:] < flat[:-1]):
+        raise ValueError("t must be ascending")
+    cuts = [0, *np.searchsorted(flat, _EDGES).tolist(), flat.size]
     out = np.empty_like(flat)
-    for j, rule in enumerate(_HERMITE):
-        idx = np.flatnonzero(band == j)
-        out[idx] = _hermite_sum(flat[idx], rule)
+    out[: cuts[1]] = series(flat[: cuts[1]])
+    for lo, hi, rule in zip(cuts[1:], cuts[2:], _HERMITE):
+        out[lo:hi] = hermite(flat[lo:hi], rule)
     return out.reshape(t.shape)
 
 
-def _by_range(t, below, above) -> np.ndarray:
-    t = np.asarray(t, dtype=np.float64)
-    out = np.empty_like(t)
-    low = t < K0_SPLIT
-    out[low] = below(t[low])
-    out[~low] = above(t[~low])
-    return out
-
-
 def bessel_k0_array(t) -> np.ndarray:
-    """K_0(t), elementwise over t > 0."""
-    return _by_range(t, _k0_series, lambda u: np.exp(-u) * _k0e_hermite(u))
+    """K_0(t), elementwise over ascending t > 0."""
+    return _banded(t, _k0_series, lambda u, rule: np.exp(-u) * _hermite_sum(u, rule))
 
 
 def bessel_k0e_array(t) -> np.ndarray:
-    """e^t K_0(t), elementwise over t > 0."""
-    return _by_range(t, lambda u: np.exp(u) * _k0_series(u), _k0e_hermite)
+    """e^t K_0(t), elementwise over ascending t > 0."""
+    return _banded(t, lambda u: np.exp(u) * _k0_series(u), _hermite_sum)
 
 
 def incomplete_k_mellin(s: float, x) -> np.ndarray:
@@ -138,10 +137,16 @@ def incomplete_k_mellin(s: float, x) -> np.ndarray:
     t, wt = _LAGUERRE
     a = np.maximum(x, SPLIT)[..., None]
     u = a + t
-    tail = np.exp(-a[..., 0]) * ((_k0e_hermite(u) * u ** (s - 1)) @ wt)
     r, wr = _LEGENDRE
     lo = np.log(np.minimum(x, SPLIT))[..., None]
     half = (math.log(SPLIT) - lo) / 2
     v = lo + half * (r + 1)
-    head = half[..., 0] * ((bessel_k0e_array(np.exp(v)) * np.exp(s * v - np.exp(v))) @ wr)
+    w = np.exp(v)
+    # e^u K_0(u) at the nodes of both rules, through one sort of them
+    nodes = np.concatenate([u.ravel(), w.ravel()])
+    order = np.argsort(nodes)
+    k0e = np.empty_like(nodes)
+    k0e[order] = bessel_k0e_array(nodes[order])
+    tail = np.exp(-a[..., 0]) * ((k0e[: u.size].reshape(u.shape) * u ** (s - 1)) @ wt)
+    head = half[..., 0] * ((k0e[u.size :].reshape(w.shape) * np.exp(s * v - w)) @ wr)
     return tail + head

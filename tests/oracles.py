@@ -2,7 +2,11 @@
 
 QuadField.prime_roots splits arrays of rational primes with numpy; these
 functions split one prime at a time by the older scalar route, and enumerate
-ideals from that split, so that the tests can compare the two.  Likewise
+ideals from that split, so that the tests can compare the two.
+prime_roots_by_euler is the older array route, with chi_D(p) by Euler's
+criterion at every prime, and bessel_k0_masked, bessel_k0e_masked and
+incomplete_k_mellin_masked pick K_0's bands by masks in any order, where
+special cuts them from ascending arguments as slices.  Likewise
 ClassGroup reduces forms in arrays, and IndefiniteForm and scalar_cycles are
 the older one-form-at-a-time reduction and cycle search.  ideal_count
 and gauss_abs_sq_residual are closed forms the tests check the library
@@ -38,7 +42,14 @@ from maassforge.heckechar import (
     gauss_sum_rational,
 )
 from maassforge.lseries import l_value_at_1_afe, support
-from maassforge.quadfield import QfIdeal, QuadField, _primes_up_to, prime_factors
+from maassforge import special
+from maassforge.quadfield import (
+    QfIdeal,
+    QuadField,
+    _primes_up_to,
+    powmod_array,
+    prime_factors,
+)
 
 
 def tonelli_shanks(n: int, p: int) -> int | None:
@@ -150,6 +161,133 @@ def enumerate_ideals(F: QuadField, max_norm: int) -> list[QfIdeal]:
     rec(0, F.unit_ideal(), 1)
     out.sort(key=lambda I: (I.norm(), I.k, I.a, I.b))
     return out
+
+
+def tonelli_shanks_euler_array(n: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n|p) and, where it is 1, a square root of n modulo the odd prime p
+    (int64 arrays, p < 2^31; the root is 0 elsewhere): the older array route,
+    which runs Tonelli-Shanks on every prime and reads Euler's criterion
+    n^((p-1)/2) = t^(2^(s-1)) off its t = n^q by s - 1 squarings
+    (p - 1 = q 2^s, q odd): 1 for a residue, 0 for p | n and p - 1 otherwise."""
+    s = np.log2((p - 1) & (1 - p)).astype(p.dtype)  # the lowest set bit of p - 1
+    q = (p - 1) >> s
+    # r = n^((q + 1)/2) and t = n^q from the one power x = n^((q - 1)/2)
+    x = powmod_array(n, (q - 1) // 2, p)
+    r = x * (n % p) % p
+    t = x * r % p
+    chi, squarings = t.copy(), 1
+    todo = np.flatnonzero(s > squarings)
+    while todo.size:
+        chi[todo] = chi[todo] * chi[todo] % p[todo]
+        squarings += 1
+        todo = todo[s[todo] > squarings]
+    chi[chi > 1] = -1  # n^((p-1)/2) is 1, 0 or p - 1
+    r[chi != 1] = 0
+    act = np.flatnonzero((t != 1) & (chi == 1))
+    if not act.size:
+        return chi, r
+    # c = z^q for the least non-residue z of each p that needs it.  z is a
+    # prime below sqrt(p) + 1, and these p are 1 mod 4 (t = 1 at once when
+    # s = 1), so (2|p) = -1 iff p = 5 mod 8 and (z|p) = (p|z) for odd z
+    P, Q, m = p[act], q[act], s[act]
+    z = np.where(P % 8 == 5, 2, 0)
+    todo = np.flatnonzero(z == 0)
+    for y in _primes_up_to(isqrt(int(P.max())) + 1)[1:].tolist():
+        if not todo.size:
+            break
+        square = np.zeros(y, dtype=bool)
+        square[np.arange(y) ** 2 % y] = True
+        nonres = ~square[P[todo] % y]
+        z[todo[nonres]] = y
+        todo = todo[~nonres]
+    c = powmod_array(z, Q, P)
+    R, T = r[act], t[act]
+    live = np.arange(act.size)
+    while live.size:
+        # least i with T^(2^i) = 1, then b = c^(2^(m - i - 1))
+        i = np.zeros_like(live)
+        sq = T[live]
+        todo = np.arange(live.size)
+        while todo.size:
+            sq[todo] = sq[todo] * sq[todo] % P[live[todo]]
+            i[todo] += 1
+            todo = todo[sq[todo] != 1]
+        Pl = P[live]
+        b = powmod_array(c[live], 1 << (m[live] - i - 1), Pl)
+        R[live] = R[live] * b % Pl
+        c[live] = b * b % Pl
+        T[live] = T[live] * c[live] % Pl
+        m[live] = i
+        live = live[T[live] != 1]
+    r[act] = R
+    return chi, r
+
+
+def prime_roots_by_euler(F: QuadField, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """QuadField.prime_roots by the older route: chi_D(p) by Euler's criterion
+    for D mod p at every odd prime p, from tonelli_shanks_euler_array."""
+    D, s = F.D, F.s
+    chi, root = np.zeros_like(p), np.zeros_like(p)
+    odd = np.flatnonzero(p != 2)
+    chi[odd], root[odd] = tonelli_shanks_euler_array(D % p[odd], p[odd])
+    chi[p == 2] = 0 if D % 2 == 0 else 1 if D % 8 == 1 else -1
+    half = (p + 1) // 2
+    b = np.minimum((root - s) * half % p, (-root - s) * half % p)
+    b[p == 2] = F.omega_image_norm(0) % 2
+    b[chi == -1] = 0
+    return chi, b
+
+
+# -- K_0 with its bands picked by masks ------------------------------------
+
+_BAND_EDGES = np.array([edge for edge, _ in special.K0_HERMITE_BANDS[1:]])
+
+
+def _k0e_hermite_masked(t: np.ndarray) -> np.ndarray:
+    """e^t K_0(t) for t >= K0_SPLIT in any order, each band gathered by a mask."""
+    flat = t.ravel()
+    band = np.searchsorted(_BAND_EDGES, flat, side="right")
+    out = np.empty_like(flat)
+    for j, rule in enumerate(special._HERMITE):
+        idx = np.flatnonzero(band == j)
+        out[idx] = special._hermite_sum(flat[idx], rule)
+    return out.reshape(t.shape)
+
+
+def _by_range(t, below, above) -> np.ndarray:
+    t = np.asarray(t, dtype=np.float64)
+    out = np.empty_like(t)
+    low = t < special.K0_SPLIT
+    out[low] = below(t[low])
+    out[~low] = above(t[~low])
+    return out
+
+
+def bessel_k0_masked(t) -> np.ndarray:
+    """special.bessel_k0_array by the older route, over t in any order: the
+    series and each Hermite band gathered and scattered by masks."""
+    return _by_range(t, special._k0_series, lambda u: np.exp(-u) * _k0e_hermite_masked(u))
+
+
+def bessel_k0e_masked(t) -> np.ndarray:
+    """special.bessel_k0e_array by the same masked route."""
+    return _by_range(t, lambda u: np.exp(u) * special._k0_series(u), _k0e_hermite_masked)
+
+
+def incomplete_k_mellin_masked(s: float, x) -> np.ndarray:
+    """special.incomplete_k_mellin with e^u K_0(u) at its nodes by the masked
+    route, unsorted."""
+    x = np.asarray(x, dtype=np.float64)
+    t, wt = special._LAGUERRE
+    a = np.maximum(x, special.SPLIT)[..., None]
+    u = a + t
+    tail = np.exp(-a[..., 0]) * ((_k0e_hermite_masked(u) * u ** (s - 1)) @ wt)
+    r, wr = special._LEGENDRE
+    lo = np.log(np.minimum(x, special.SPLIT))[..., None]
+    half = (math.log(special.SPLIT) - lo) / 2
+    v = lo + half * (r + 1)
+    head = half[..., 0] * ((bessel_k0e_masked(np.exp(v)) * np.exp(s * v - np.exp(v))) @ wr)
+    return tail + head
 
 
 @dataclass(frozen=True)

@@ -431,6 +431,21 @@ def test_check_automorphy_past_float_resolution_exits_3(capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("c, d, code", [
+    (229, 10**400 + 1, 2),        # -d/c is past the float64 range
+    (229, 10**300 + 1, 3),        # Im(gamma z) underflows to 0.0
+    (229 * 10**200, 1, 3),        # likewise, from c
+    (229 * 10**400, 1, 3),        # c y overflows
+])
+def test_check_automorphy_past_float64_refuses_with_one_line(capsys, c, d, code):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-automorphy", "--disc", "229", "--c", str(c), "--d", str(d)])
+    captured = capsys.readouterr()
+    assert exc.value.code == code
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def record_table_builds(monkeypatch):
     """Record the n_max of every ClassCountTable built, and for each
     ClassGroup.prime_classes call how many builds had started and whether

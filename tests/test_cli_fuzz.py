@@ -90,10 +90,11 @@ def test_cli_exit_code_contract(argv):
 # the bottom row (c, d) of the check-automorphy matrix must satisfy c = 0 mod D
 # and gcd(c, d) = 1, which independent draws rarely meet: here c is a multiple
 # of D, on the two fields above with a theta cusp form, and d is small or
-# puts the points far from the origin, where gamma z must not cancel
+# puts the points far from the origin, where gamma z must not cancel, or
+# past the float64 range
 @settings(FUZZ, max_examples=40)
 @given(st.sampled_from([136, 229]), st.integers(0, 3), st.integers(-2, 2),
-       st.one_of(st.integers(-5, 5), st.sampled_from([10**9 + 1, 10**20 + 1])))
+       st.one_of(st.integers(-5, 5), st.sampled_from([10**9 + 1, 10**20 + 1, 10**400 + 1])))
 def test_check_automorphy_matrix_exit_code_contract(disc, index, k, d):
     check_contract(["check-automorphy", "--disc", str(disc), "--index", str(index),
                     "--c", str(k * disc), "--d", str(d)])

@@ -78,22 +78,25 @@ def test_prime_classes_match_per_prime_oracle(D):
 
 
 def _check_sqrt_against_scalar(n, p):
-    chi, r = tonelli_shanks_array(np.array(n, dtype=np.int64), np.array(p, dtype=np.int64))
+    r = tonelli_shanks_array(np.array(n, dtype=np.int64), np.array(p, dtype=np.int64))
     assert r.tolist() == [tonelli_shanks(a, q) for a, q in zip(n, p)]
-    assert chi.tolist() == [1] * len(n)
 
 
 @pytest.mark.parametrize("D", [40, 229, 445, 401, 505, 3305, 14165])
-def test_tonelli_shanks_array_gives_the_kronecker_symbol(D):
+def test_prime_roots_gives_the_kronecker_symbol(D):
     # every odd prime to 2e5 (65537 = 2^16 + 1 among them), 786433 = 3 2^18 + 1,
-    # whose t = D^q needs 17 squarings to reach (D|p), and the p | D
+    # whose Tonelli-Shanks t = D^q needs up to 17 squarings, and the p | D
     primes = np.append(_primes_up_to(200000)[1:], 786433)
-    chi, r = tonelli_shanks_array(D % primes, primes)
+    F = QuadField(D)
+    chi, b = F.prime_roots(primes)
     assert chi.tolist() == [kronecker(D, p) for p in primes.tolist()]
     assert {c for c, p in zip(chi.tolist(), primes.tolist()) if D % p == 0} == {0}
     split = chi == 1
-    assert np.array_equal(r[split] ** 2 % primes[split], D % primes[split])
-    assert not r[~split].any()
+    r = tonelli_shanks_array(D % primes[split], primes[split])
+    assert np.array_equal(r**2 % primes[split], D % primes[split])
+    # b is a root of N(b + omega) mod p at split and ramified p, and 0 at inert p
+    assert not (F.omega_image_norm(b[chi >= 0]) % primes[chi >= 0]).any()
+    assert not b[chi == -1].any()
 
 
 @pytest.mark.parametrize("p", [65537, 786433])  # 2^16 + 1 and 3 * 2^18 + 1

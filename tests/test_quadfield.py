@@ -6,6 +6,7 @@ import pytest
 from sympy import factorint, jacobi_symbol
 
 import oracles
+from maassforge.cli import DISC_BUDGET
 from maassforge.quadfield import (
     QuadField,
     _primes_up_to,
@@ -95,6 +96,30 @@ def test_prime_ideals_divide_norm_poly():
             assert roots == oracles.prime_roots(F, p), (D, p)
             for root in roots:
                 assert F.omega_image_norm(root) % p == 0
+
+
+@pytest.fixture(scope="module")
+def primes_of_a_full_table():
+    """Every prime of the automorphy workload's table, N = 1,220,639."""
+    return _primes_up_to(1220639)
+
+
+# every 2-part (1, -4, 8, -8), one to three odd prime factors, and the largest
+# prime D = 1 mod 4 the CLI accepts, whose Euler power has the longest exponent
+@pytest.mark.parametrize("D", [5, 8, 12, 24, 40, 136, 229, 401, 445, 505, 777, 840, 940, 1105,
+                               3305, 40009, 99999989])
+def test_prime_roots_bitwise_equal_to_euler_over_every_prime(D, primes_of_a_full_table):
+    p = primes_of_a_full_table
+    chi, b = QuadField(D).prime_roots(p)
+    ref_chi, ref_b = oracles.prime_roots_by_euler(QuadField(D), p)
+    assert chi.dtype == ref_chi.dtype and b.dtype == ref_b.dtype
+    assert np.array_equal(chi, ref_chi) and np.array_equal(b, ref_b)
+
+
+def test_largest_prime_discriminant_below_the_disc_budget():
+    D = 99999989
+    assert D < DISC_BUDGET and D % 4 == 1 and prime_factors(D) == [D]
+    assert all(prime_factors(q) != [q] for q in range(D + 4, DISC_BUDGET + 1, 4))
 
 
 @pytest.mark.parametrize("D", [5, 8, 17, 40, 229, 401, 1105, 14165])

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 
 import mpmath as mp
@@ -6,6 +8,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import k0, k0e
 
+import oracles
+from maassforge import lseries, maassform
+from maassforge.cli import main
 from maassforge.special import K0_HERMITE_BANDS, bessel_k0_array, bessel_k0e_array, incomplete_k_mellin
 
 # a geometric grid, and the lower edge of each band of t, where its rule is
@@ -99,8 +104,60 @@ def test_k0_and_k0e_against_scipy():
 def test_k0_keeps_the_shape_of_its_argument():
     assert bessel_k0_array(0.5).shape == ()
     assert float(bessel_k0_array(0.5)) == pytest.approx(0.9244190712276659, rel=1e-15)
-    t = np.array([[0.1, 2.0, 30.0], [1.9, 2.1, 5.0]])
+    t = np.array([[0.1, 1.9, 2.0], [2.1, 5.0, 30.0]])
     assert np.array_equal(bessel_k0_array(t), bessel_k0_array(t.ravel()).reshape(t.shape))
+
+
+@pytest.mark.parametrize("f", [bessel_k0_array, bessel_k0e_array])
+def test_k0_refuses_an_argument_out_of_order(f):
+    # the bands are cut from ascending t, so t out of order would take wrong rules
+    with pytest.raises(ValueError):
+        f(np.array([0.1, 2.0, 30.0, 1.9, 2.1, 5.0]))
+    with pytest.raises(ValueError):
+        f(np.array([[0.1, 2.0, 30.0], [1.9, 2.1, 5.0]]))
+
+
+def test_k0_bitwise_equal_to_the_masked_bands():
+    # the slices of ascending t give each t the rule the masks gave it,
+    # at every band edge and the float below it too
+    for f, ref in ((bessel_k0_array, oracles.bessel_k0_masked), (bessel_k0e_array, oracles.bessel_k0e_masked)):
+        assert np.array_equal(f(K0_GRID), ref(K0_GRID))
+
+
+def _record(monkeypatch, module, name):
+    """Record the arguments of every call of module.name."""
+    calls, real = [], getattr(module, name)
+
+    def record(*args):
+        calls.append([np.array(a) for a in args])
+        return real(*args)
+
+    monkeypatch.setattr(module, name, record)
+    return calls
+
+
+def _run_cli(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+
+
+def test_k0_of_check_automorphy_bitwise_equal_to_the_masked_bands(monkeypatch):
+    calls = _record(monkeypatch, maassform, "bessel_k0_array")
+    _run_cli("check-automorphy", "--disc", "229", "--index", "1", "--samples", "2")
+    assert len(calls) == 20
+    for (t,) in calls:
+        assert np.array_equal(bessel_k0_array(t), oracles.bessel_k0_masked(t))
+
+
+@pytest.mark.parametrize("D", [229, 401])
+def test_afe_mellin_bitwise_equal_to_the_masked_bands(monkeypatch, D):
+    calls = _record(monkeypatch, lseries, "incomplete_k_mellin")
+    _run_cli("lvalue", "--disc", str(D), "--index", "1")
+    assert len(calls) == 4
+    for s, x in calls:
+        s = float(s)
+        assert np.array_equal(incomplete_k_mellin(s, x), oracles.incomplete_k_mellin_masked(s, x))
 
 
 def test_bessel_exponential_bound():
