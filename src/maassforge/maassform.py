@@ -36,11 +36,10 @@ TRUNCATION_EXPONENT = 45.0  # keep terms with 2 pi n y <= this
 EIGENVALUE = 0.25  # 1/4 - nu^2 with spectral parameter nu = 0
 EIGENVALUE_STEP = 0.04  # the largest of check_eigenvalue's three stencil steps
 SAMPLE_C_MULTIPLES = 3  # gamma0_matrices takes c = level, 2 level, 3 level in turn
-# Most matrices check-automorphy --samples may ask for.  Each takes ten
-# evaluations of Theta on up to the whole table, and the table is as large
-# at 3 samples as at any more, since c takes only SAMPLE_C_MULTIPLES values:
-# D = 229 took 0.93 s at 3 samples, 2.5 s at 30 and 6.7 s at 100 (91 MB
-# each); D = 257, 3.46e6 rows, took 9.6 s at 100 (106 MB).
+# Most matrices check-automorphy --samples may ask for.  Each adds ten points
+# but almost no new heights or rows, since c takes only SAMPLE_C_MULTIPLES
+# values: D = 229 took 0.76 s at 3 samples, 0.98 s at 30 and 1.5 s at 100 (83 MB
+# each); D = 257, 3.46e6 rows, took 1.8 s at 100 (95 MB).
 AUTOMORPHY_SAMPLE_BUDGET = 100
 PHASE_BITS = 10  # eval reads cos(2 pi x n) from tables of 2^10 and n/2^10 entries
 
@@ -73,18 +72,28 @@ class ThetaForm:
         n = n_cut + 1
         return math.sqrt(y) * q**n * ((n * (1 - q) + q) / (1 - q) ** 2)
 
-    def eval(self, x: float, y: float) -> float:
-        """Theta at z = x + iy by truncated Fourier expansion, summed over
-        the support of a'."""
-        if y <= 0:
+    def eval(self, x, y):
+        """Theta at the points z = x + iy, x and y scalars or arrays that
+        broadcast together, by truncated Fourier expansion summed over the
+        support of a': a float at a scalar point, else an array of the points'
+        shape.  Each distinct height takes its support and K_0 once, the lowest
+        first, so that the first builds the table at the size all of them need."""
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
+        xs, ys = x.ravel().tolist(), y.ravel().tolist()
+        if any(v <= 0 for v in ys):
             raise ValueError("y must be positive")
-        # Theta has period 1 in x, and x - round(x) is exact, while the cosine
-        # of a huge x keeps no digits
-        x -= round(x)
-        n, a = support(self.character, self.truncation_index(y))
-        kv = bessel_k0_array(2 * math.pi * y * n)
-        kv *= _phase(x, n, odd=self.epsilon == 1)
-        return float(math.sqrt(y) * np.sum(a * kv))
+        out = np.empty(len(ys))
+        for h in sorted(set(ys)):
+            n, a = support(self.character, self.truncation_index(h))
+            k0 = bessel_k0_array(2 * math.pi * h * n)
+            kv = np.empty_like(k0)
+            for i in (i for i, v in enumerate(ys) if v == h):
+                # Theta has period 1 in x, and x - round(x) is exact, while the
+                # cosine of a huge x keeps no digits
+                np.multiply(k0, _phase(xs[i] - round(xs[i]), n, odd=self.epsilon == 1), out=kv)
+                kv *= a
+                out[i] = math.sqrt(h) * np.sum(kv)
+        return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
     def truncation_report(self, ys) -> dict:
         """What evaluations at the heights ys used, each the worst over them:
@@ -107,11 +116,11 @@ class ThetaForm:
         BudgetError, before any row is built, if the evaluations need more
         than lseries.ROW_BUDGET coefficient rows, or a gamma z is too low for
         float64 to count its rows."""
-        tasks = []  # (gamma z, z, chi_D(d))
-        for (a, b, c, d), points in checks:
+        points, chis = [], []  # gamma z then z, for each z; chi_D(d) of its gamma
+        for (a, b, c, d), zs in checks:
             if a * d - b * c != 1 or c % self.level != 0:
                 raise ValueError(f"({a},{b},{c},{d}) is not in Gamma_0({self.level})")
-            for x, y in points:
+            for x, y in zs:
                 # (az + b)/(cz + d) cancels near x = -d/c; a/c - 1/(c (cz + d)), with
                 # Re(cz + d) from the exact x, keeps Im(gamma z) = y/|cz + d|^2 to rounding
                 if c:
@@ -121,40 +130,32 @@ class ThetaForm:
                         w = complex(a / c, 0.0)
                 else:
                     w = (a * (x + 1j * y) + b) / d
-                tasks.append((w, (x, y), self.field.chi(d)))
-        ys = [v for w, (_, y), _ in tasks for v in (w.imag, y)]
+                points += [(w.real, w.imag), (x, y)]
+                chis.append(self.field.chi(d))
+        ys = [y for _, y in points]
         # a huge c or d/c can put Im(gamma z) below every float64 height whose
         # row count 45/(2 pi y) is finite, let alone under the row budget
         if not all(v > 0 and TRUNCATION_EXPONENT / (2 * math.pi * v) < math.inf for v in ys):
             raise BudgetError("a point gamma z lies below every height of finite row count")
-        # build the table and the support once, at the rows of the lowest
-        # height: each evaluation asks for the rows of its own, and one larger
-        # than the table would build a new table
-        support(self.character, max(map(self.truncation_index, ys), default=0))
-        residuals = [
-            abs(self.eval(w.real, w.imag) - chi_d * self.eval(x, y))
-            for w, (x, y), chi_d in tasks
-        ]
+        v = self.eval(*np.reshape(points, (-1, 2)).T)
+        residuals = np.abs(v[0::2] - np.array(chis) * v[1::2])
         return CheckReport(
-            "automorphy", max(residuals), {"count": len(residuals), **self.truncation_report(ys)}
+            "automorphy", float(residuals.max()), {"count": len(chis), **self.truncation_report(ys)}
         )
 
     def check_eigenvalue(self, x: float, y: float) -> "CheckReport":
         """-y^2 (five-point Laplacian) vs 1/4; Richardson ratio of
         successive halvings should be ~4 for the O(h^2) stencil."""
 
-        def fd_eigen(hh: float) -> float:
-            f0 = self.eval(x, y)
-            lap = (
-                self.eval(x + hh, y)
-                + self.eval(x - hh, y)
-                + self.eval(x, y + hh)
-                + self.eval(x, y - hh)
-                - 4 * f0
-            ) / (hh * hh)
-            return -y * y * lap / f0
-
-        e1, e2, e3 = (fd_eigen(EIGENVALUE_STEP / 2**k) for k in range(3))
+        hs = [EIGENVALUE_STEP / 2**k for k in range(3)]
+        f0, *f = self.eval(
+            [x] + [v for hh in hs for v in (x + hh, x - hh, x, x)],
+            [y] + [v for hh in hs for v in (y, y, y + hh, y - hh)],
+        ).tolist()
+        e1, e2, e3 = (
+            -y * y * ((f[j] + f[j + 1] + f[j + 2] + f[j + 3] - 4 * f0) / (hh * hh)) / f0
+            for j, hh in zip(range(0, 12, 4), hs)
+        )
         ratio = (e1 - e2) / (e2 - e3)
         err = abs(e3 - EIGENVALUE)
         return CheckReport(
@@ -169,23 +170,18 @@ class ThetaForm:
         Points off the imaginary axis are needed for odd psi: the sine series
         vanishes on it."""
         T = self.character.root_number()
-        res = []
-        for x, y in points:
-            w = -1.0 / (self.level * complex(x, y))
-            lhs = self.eval(x, y)
-            rhs = T * dual.eval(w.real, w.imag)
-            res.append(abs(lhs - rhs))
+        ws = [-1.0 / (self.level * complex(x, y)) for x, y in points]
+        rhs = dual.eval([w.real for w in ws], [w.imag for w in ws])
+        res = np.abs(self.eval(*np.reshape(points, (-1, 2)).T) - T * rhs)
         return CheckReport(
-            "functional_equation", max(res), {"points": list(points), "root_number": T}
+            "functional_equation", float(res.max()), {"points": list(points), "root_number": T}
         )
 
     def check_cuspidal_decay(self, ys) -> "CheckReport":
         """Verify |Theta(iy)| <= C e^(-2 pi y) at the cusp at infinity and,
         via the Fricke relation, at the cusp 0."""
-        worst = 0.0
-        data = {}
-        for y in ys:
-            v = abs(self.eval(0.0, y))
+        worst, data = 0.0, {}
+        for y, v in zip(ys, np.abs(self.eval(0.0, ys)).tolist()):
             bound = 2.0 * math.sqrt(y) * math.exp(-2 * math.pi * y)
             data[y] = (v, bound)
             worst = max(worst, v / bound if bound > 0 else math.inf)

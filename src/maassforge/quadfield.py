@@ -140,8 +140,8 @@ def tonelli_shanks_array(n, p):
 
     The steps of Tonelli-Shanks, with z the least non-residue, run together
     over the residues whose t = n^q is not yet 1 (p - 1 = q 2^s, q odd).  A
-    non-residue or a multiple of p never reaches t = 1, so the caller keeps
-    them out: QuadField.prime_roots passes its split primes only."""
+    non-residue or a multiple of p never reaches t = 1, and raises ValueError
+    (QuadField.prime_roots passes its split primes only)."""
     s = np.log2((p - 1) & (1 - p)).astype(p.dtype)  # the lowest set bit of p - 1
     q = (p - 1) >> s
     # r = n^((q + 1)/2) and t = n^q from the one power x = n^((q - 1)/2)
@@ -172,11 +172,13 @@ def tonelli_shanks_array(n, p):
     while live.size:
         # least i with T^(2^i) = 1, then b = c^(2^(m - i - 1))
         i = np.zeros_like(live)
-        sq = T[live]
+        sq, ml = T[live], m[live]
         todo = np.arange(live.size)
         while todo.size:
             sq[todo] = sq[todo] * sq[todo] % P[live[todo]]
             i[todo] += 1
+            if (i[todo] == ml[todo]).any():  # a residue's T^(2^(m-1)) is 1
+                raise ValueError("tonelli_shanks_array takes quadratic residues prime to p")
             todo = todo[sq[todo] != 1]
         Pl = P[live]
         b = powmod_array(c[live], 1 << (m[live] - i - 1), Pl)

@@ -6,9 +6,11 @@ ideals from that split, so that the tests can compare the two.
 prime_roots_by_euler is the older array route, with chi_D(p) by Euler's
 criterion at every prime, and bessel_k0_masked, bessel_k0e_masked and
 incomplete_k_mellin_masked pick K_0's bands by masks in any order, where
-special cuts them from ascending arguments as slices.  Likewise
-ClassGroup reduces forms in arrays, and IndefiniteForm and scalar_cycles are
-the older one-form-at-a-time reduction and cycle search.  ideal_count
+special cuts them from ascending arguments as slices.  theta_one_point is
+ThetaForm.eval's older body, a support and a K_0 sum of its own at every
+point, where eval takes both once per distinct height.  Likewise ClassGroup
+reduces forms in arrays, and IndefiniteForm and scalar_cycles are the older
+one-form-at-a-time reduction and cycle search.  ideal_count
 and gauss_abs_sq_residual are closed forms the tests check the library
 against, and is_norm_induced compares psi with psi o sigma class by class.
 
@@ -42,6 +44,7 @@ from maassforge.heckechar import (
     gauss_sum_rational,
 )
 from maassforge.lseries import l_value_at_1_afe, support
+from maassforge.maassform import ThetaForm, _phase
 from maassforge import special
 from maassforge.quadfield import (
     QfIdeal,
@@ -236,6 +239,18 @@ def prime_roots_by_euler(F: QuadField, p: np.ndarray) -> tuple[np.ndarray, np.nd
     b[p == 2] = F.omega_image_norm(0) % 2
     b[chi == -1] = 0
     return chi, b
+
+
+def theta_one_point(th: ThetaForm, x: float, y: float) -> float:
+    """ThetaForm.eval at one point by the older route, which fetched the
+    support and summed K_0 afresh at every point."""
+    if y <= 0:
+        raise ValueError("y must be positive")
+    x -= round(x)
+    n, a = support(th.character, th.truncation_index(y))
+    kv = special.bessel_k0_array(2 * math.pi * y * n)
+    kv *= _phase(x, n, odd=th.epsilon == 1)
+    return float(math.sqrt(y) * np.sum(a * kv))
 
 
 # -- K_0 with its bands picked by masks ------------------------------------

@@ -483,7 +483,7 @@ def test_table_builds_per_command(capsys, monkeypatch):
     # the traffic the table is designed for: the L(1) route asks for the
     # AFE's rows at split points 1 and 2, then for the direct oracle's, each
     # larger than the last, so each builds a new table; check-automorphy
-    # sizes its one table before it evaluates anything
+    # evaluates its lowest height first, so its one table has every row
     builds, _ = record_table_builds(monkeypatch)
     code, _ = run_cli(capsys, "lvalue", "--disc", "229", "--index", "2")
     assert code == 0 and builds == [133, 265, 172800]

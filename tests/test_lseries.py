@@ -1,4 +1,5 @@
 import math
+import signal
 import tracemalloc
 
 import mpmath as mp
@@ -107,6 +108,23 @@ def test_tonelli_shanks_array_at_high_two_adic_valuation(p):
     n = sorted({pow(z, 2 * j, p) for j in range(1, 600)} | {D % p for D in (5, 229, 14165)})
     n = [a for a in n if tonelli_shanks(a, p) is not None]
     _check_sqrt_against_scalar(n, [p] * len(n))
+
+
+@pytest.mark.parametrize("n,p", [([3], [17]), ([17], [17]), ([3], [7]), ([2, 3, 4], [7, 17, 17])])
+def test_tonelli_shanks_array_refuses_a_non_residue_promptly(n, p):
+    # 3 is a non-residue mod 17 and mod 7, and 17 a multiple of 17: t = n^q
+    # never reaches 1, which once spun the search for the least i on
+    def too_slow(*_):
+        raise TimeoutError("tonelli_shanks_array still running after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match="quadratic residues"):
+            tonelli_shanks_array(np.array(n, dtype=np.int64), np.array(p, dtype=np.int64))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_tonelli_shanks_array_below_automorphy_row_budget():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 
 import mpmath as mp
@@ -6,11 +8,12 @@ import pytest
 
 from maassforge.classforms import ClassGroup
 from maassforge import lseries as ls
+from maassforge.cli import main
 from maassforge.heckechar import NormInducedError, make_class_character
 from maassforge.maassform import ThetaForm, _phase, gamma0_matrices
 from maassforge.quadfield import BudgetError, QuadField
 from maassforge.special import bessel_k0_array
-from oracles import ReferenceCountTable, cancelling_rows, dense_coefficients
+from oracles import ReferenceCountTable, cancelling_rows, dense_coefficients, theta_one_point
 
 
 @pytest.fixture(scope="module")
@@ -262,3 +265,96 @@ def test_support_is_kept_and_realised_once(D, monkeypatch):
     for n_cut in (13001, 20000, 40000):
         check(n_cut)
     filled_once_over(cg.count_table)
+
+
+def record_evals(monkeypatch) -> list:
+    """Record the points and values of every ThetaForm.eval call."""
+    calls, real = [], ThetaForm.eval
+
+    def recording_eval(self, x, y):
+        v = real(self, x, y)
+        calls.append((self, *np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float), v)))
+        return v
+
+    monkeypatch.setattr(ThetaForm, "eval", recording_eval)
+    return calls
+
+
+def assert_evals_equal_one_point_oracle(calls):
+    """Every point of calls, value for value, bitwise equal to the older
+    one-point evaluation; returns the number of points."""
+    count = 0
+    for th, x, y, v in calls:
+        for xi, yi, vi in zip(x.ravel().tolist(), y.ravel().tolist(), v.ravel().tolist()):
+            assert vi == theta_one_point(th, xi, yi), (xi, yi)
+            count += 1
+    return count
+
+
+def test_eval_of_check_automorphy_bitwise_equal_to_one_point_evaluation(monkeypatch):
+    calls = record_evals(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()), pytest.raises(SystemExit) as exc:
+        main(["check-automorphy", "--disc", "229", "--samples", "3"])
+    assert exc.value.code == 0
+    # one call over gamma z and z of all three matrices together
+    assert len(calls) == 1 and assert_evals_equal_one_point_oracle(calls) == 30
+
+
+@pytest.mark.parametrize("D", [229, 136, 505])  # 136 and 505: sine series
+def test_checks_bitwise_equal_to_one_point_evaluation(D, monkeypatch):
+    psi = make_class_character(ClassGroup(QuadField(D)), 1)
+    th, dual = ThetaForm(psi), ThetaForm(psi.conjugate())
+    y0 = 1 / math.sqrt(D)
+    points = [(0.3 * y0, 0.9 * y0), (-0.2 * y0, y0), (0.5 * y0, 1.1 * y0)]
+    calls = record_evals(monkeypatch)
+    eig = th.check_eigenvalue(0.3, 0.7)
+    fe = th.check_functional_equation(dual, points)
+    decay = th.check_cuspidal_decay([1.0, 1.5, 2.0, 3.0])
+    # one call per check, and one per form for the functional equation
+    assert len(calls) == 4 and assert_evals_equal_one_point_oracle(calls) == 13 + 6 + 4
+    # the reports are those of the older loops over one-point evaluations
+    monkeypatch.undo()
+    one = theta_one_point
+
+    def fd_eigen(x, y, hh):
+        f0 = one(th, x, y)
+        lap = (one(th, x + hh, y) + one(th, x - hh, y) + one(th, x, y + hh) + one(th, x, y - hh) - 4 * f0) / (hh * hh)
+        return -y * y * lap / f0
+
+    assert eig.details["fd_values"] == [fd_eigen(0.3, 0.7, 0.04 / 2**k) for k in range(3)]
+    T = psi.root_number()
+    ws = [-1.0 / (D * complex(x, y)) for x, y in points]
+    assert fe.residual == max(abs(one(th, x, y) - T * one(dual, w.real, w.imag)) for (x, y), w in zip(points, ws))
+    assert decay.details["ratio_vs_bound"] == {
+        y: (abs(one(th, 0.0, y)), 2.0 * math.sqrt(y) * math.exp(-2 * math.pi * y)) for y in (1.0, 1.5, 2.0, 3.0)
+    }
+
+
+def test_eval_shapes_and_heights(theta229):
+    v = theta229.eval(0.2, 0.5)
+    assert type(v) is float and v == theta_one_point(theta229, 0.2, 0.5)
+    # repeated heights, given high first, and x past the period
+    x = [0.3, -0.1, 1e17, 12345.2, 0.0, -0.45]
+    y = [0.5, 0.05, 0.3, 0.5, 0.05, 0.3]
+    got = theta229.eval(x, y)
+    ref = [theta_one_point(theta229, a, b) for a, b in zip(x, y)]
+    assert isinstance(got, np.ndarray) and got.shape == (6,) and got.tolist() == ref
+    grid = theta229.eval(np.reshape(x, (2, 3)), np.reshape(y, (2, 3)))
+    assert grid.shape == (2, 3) and grid.ravel().tolist() == ref
+    assert theta229.eval([], []).shape == (0,)
+    with pytest.raises(ValueError, match="positive"):
+        theta229.eval([0.1, 0.2], [0.5, 0.0])
+
+
+def test_eval_builds_one_table_at_its_lowest_height(monkeypatch):
+    builds = []
+    init = ls.ClassCountTable.__init__
+
+    def recording_init(self, classgroup, n_max):
+        builds.append(n_max)
+        init(self, classgroup, n_max)
+
+    monkeypatch.setattr(ls.ClassCountTable, "__init__", recording_init)
+    th = ThetaForm(make_class_character(ClassGroup(QuadField(229)), 1))
+    th.eval([0.1, 0.2, 0.3, 0.4], [0.5, 0.1, 0.01, 0.1])
+    assert builds == [th.truncation_index(0.01)]

@@ -144,8 +144,11 @@ def _run_cli(*argv):
 
 def test_k0_of_check_automorphy_bitwise_equal_to_the_masked_bands(monkeypatch):
     calls = _record(monkeypatch, maassform, "bessel_k0_array")
+    heights = _record(monkeypatch, maassform.ThetaForm, "truncation_report")
     _run_cli("check-automorphy", "--disc", "229", "--index", "1", "--samples", "2")
-    assert len(calls) == 20
+    # K_0 once per distinct height: 20 evaluations at 15 heights
+    ((_, ys),) = heights
+    assert len(ys) == 20 and len(set(ys.tolist())) == len(calls) == 15
     for (t,) in calls:
         assert np.array_equal(bessel_k0_array(t), oracles.bessel_k0_masked(t))
 
