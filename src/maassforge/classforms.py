@@ -20,7 +20,7 @@ from math import isqrt, sqrt
 
 import numpy as np
 
-from .quadfield import QfIdeal, QuadField
+from .quadfield import SIEVE_CHUNK, QfIdeal, QuadField
 
 
 def _rho(A, B, C, D: int, r: int):
@@ -228,14 +228,17 @@ class ClassGroup:
 
         chi_D(p) and b, the least root of N(b + omega) = 0 mod p, come from
         QuadField.prime_roots, and the forms (p, 2b + s, ...) are classified
-        together by _classes.  The class index maps to its log last, so a
-        group that is not cyclic raises ArithmeticError there."""
-        chi, b = self.field.prime_roots(p)
-        k = np.zeros_like(p)
-        idx = np.flatnonzero(chi >= 0)
-        if idx.size:
-            cls = self._classes(p[idx], 2 * b[idx] + self.field.s)
-            k[idx] = self._dlog[cls]
+        together by _classes, SIEVE_CHUNK primes a block, so that their
+        temporaries stay the size of one block.  The class index maps to its
+        log last, so a group that is not cyclic raises ArithmeticError there."""
+        chi, k = np.empty_like(p), np.zeros_like(p)
+        for lo in range(0, p.size, SIEVE_CHUNK):
+            block = p[lo : lo + SIEVE_CHUNK]
+            c, b = self.field.prime_roots(block)
+            chi[lo : lo + block.size] = c
+            idx = np.flatnonzero(c >= 0)
+            if idx.size:
+                k[lo + idx] = self._dlog[self._classes(block[idx], 2 * b[idx] + self.field.s)]
         return chi, k
 
     def residue_zeta(self) -> float:

@@ -7,9 +7,10 @@ field shares: for each n, p^e || n for the smallest prime p of n, and
 chi_D(p) and the class of a prime above p for each prime p, found for arrays
 of primes (ClassGroup.prime_classes, on QuadField.prime_roots) with no Python
 call per prime.  A character's coefficients are read from it by one route,
-support(): it fills one float64 row, b(n) = b(n/p^e) a'(p^e), with the
-a'(n) = 0 exactly 0.0, and keeps the others.  A table is built once, at the
-size asked for; a request for more rows builds a new one in its place.
+support(): it fills b(n) = b(n/p^e) a'(p^e) in passes, with the a'(n) = 0
+exactly 0.0, keeps each pass's others, and holds a dense float64 row only
+over the n <= n_max/2 that are read as cofactors.  A table is built once, at
+the size asked for; a request for more rows builds a new one in its place.
 
 L(1) is computed two independent ways: an approximate functional equation
 whose terms are weighted by incomplete K_0-Mellin transforms, summed as
@@ -26,20 +27,19 @@ import numpy as np
 
 from .classforms import ClassGroup
 from .heckechar import HeckeCharacter
-from .quadfield import BudgetError, _primes_up_to
+from .quadfield import SIEVE_CHUNK, BudgetError, _primes_up_to
 from .special import incomplete_k_mellin
 
 
-# rows filled per pass: bounds the temporaries of one
-SIEVE_CHUNK = 1 << 14
 # Largest coefficient table ClassCountTable builds.  For D = 229 (h = 3) the
-# peak RSS of check-automorphy is about 32 MB plus 19 bytes per row (38 MB at
-# 3.1e5 rows, 55 MB at 1.22e6, 83 MB at 2.75e6, its default of 3 matrices):
+# peak RSS of check-automorphy is about 33 MB plus 13 bytes per row (37 MB at
+# 3.1e5 rows, 50 MB at 1.22e6, 68 MB at 2.75e6, its default of 3 matrices):
 # the table keeps 4 bytes per row, the index of p^e || n for the row's
-# smallest prime p, a character's row takes 8 more while it is filled, and
-# the rest is its support and the evaluations of Theta over it.  D = 3305
-# (h = 12) peaked at 0.11 GB evaluating Theta once on 4.0e6 rows.  Below the
-# budget every prime p of a table has p^2 < 2^62, so the int64 arithmetic of
+# smallest prime p, a character's dense row takes 4 more while it is filled,
+# over n <= n_max/2, and the rest is its support, the evaluations of Theta
+# over it, and temporaries of one SIEVE_CHUNK block.  D = 3305 (h = 12)
+# peaked at 84 MB evaluating Theta once on 4.0e6 rows.  Below the budget
+# every prime p of a table has p^2 < 2^62, so the int64 arithmetic of
 # ClassGroup.prime_classes cannot overflow, and every n is below the 2^22 of
 # maassform._phase.
 ROW_BUDGET = 4_000_000
@@ -90,39 +90,51 @@ class ClassCountTable:
     def support(self, index: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
         """The n <= n_max with b(n) != 0, ascending, and those b(n), as
         read-only float64 arrays.  The first call for a character fills its
-        row over the whole table (_row), where b(n) is exactly 0.0 when a
-        local factor is, and keeps the rows left nonzero; every call cuts
-        that support at n_max."""
+        support over the whole table (_row), where b(n) is exactly 0.0 when a
+        local factor is, and keeps it; every call cuts it at n_max."""
         if n_max > self.n_max:
             raise ValueError("table too small")
         if index not in self._supports:
-            b = self._row(index)
-            n = np.flatnonzero(b != 0)  # a bool pass: 3x faster on float64
-            b = b[n]
+            n, b = self._row(index)
             n.flags.writeable = b.flags.writeable = False
             self._supports[index] = n, b
         n, b = self._supports[index]
         cut = np.searchsorted(n, n_max, side="right")
         return n[:cut], b[:cut]
 
-    def _row(self, index: int) -> np.ndarray:
-        """b(n) for every n <= n_max, in float64: b(1) = 1 and
+    def _row(self, index: int) -> tuple[np.ndarray, np.ndarray]:
+        """The n <= n_max with b(n) != 0 and those b(n): b(1) = 1 and
         b(n) = b(n/q) a'(q) for the table's q = p^e || n, SIEVE_CHUNK rows a
-        pass, the local factors from _local_factor."""
+        pass, the local factors from _local_factor.  A cofactor n/q is at
+        most n/2, so the dense float64 row spans only [0, n_max/2], and each
+        pass keeps its own nonzero rows."""
         t = index * self.k % self.h
         # a'(q) of every entry of q: the primes at e = 1, then the higher powers
         f = _local_factor(self.h, self.chi, t, 1)
         f = np.concatenate([f, _local_factor(self.h, self.chi[self._base], t[self._base], self._e)])
-        b = np.zeros(self.n_max + 1)
+        del t  # one array fewer at the fill's peak
+        half = self.n_max // 2
+        b = np.zeros(half + 1)
         b[1:2] = 1.0  # the unit ideal
+        one = min(self.n_max, 1)  # its row, when the table has one
+        ns, bs = [np.ones(one, dtype=np.int64)], [np.ones(one)]
         lo = 1
         while lo < self.n_max:
-            # n/q <= n/2 <= lo, so every row a pass reads is already filled
+            # n/q <= n/2 <= lo, so every row a pass reads is already filled;
+            # q | n < 2^53, so the float quotient is exact
             hi = min(self.n_max, 2 * lo, lo + SIEVE_CHUNK)
             at = self.at[lo - 1 : hi - 1]
-            b[lo + 1 : hi + 1] = b.take(np.arange(lo + 1, hi + 1) // self.q.take(at)) * f.take(at)
+            m = np.arange(lo + 1.0, hi + 1.0)
+            m /= self.q.take(at)
+            v = b.take(m.astype(np.intp)) * f.take(at)
+            if lo < half:
+                b[lo + 1 : hi + 1] = v[: half - lo]
+            keep = np.flatnonzero(v != 0)  # a bool pass: 3x faster on float64
+            ns.append(keep + (lo + 1))
+            bs.append(v[keep])
             lo = hi
-        return b
+        del b
+        return np.concatenate(ns), np.concatenate(bs)
 
 
 def _sin_pi(u: np.ndarray, h: int) -> np.ndarray:
@@ -165,9 +177,13 @@ def _local_factor(h: int, chi: np.ndarray, t: np.ndarray, e: np.ndarray | int) -
     most 7 factors (n <= ROW_BUDGET < 2 3 5 7 11 13 17 19), so it is within
     7 * 5.5 eps + 6 eps/2 = 41.5 eps, 9.3e-15, of |b(n)|."""
     pm = np.where(t == 0, 1.0, -1.0) ** e  # psi(P)^e where psi(P) = +-1
+    out = np.where(chi == 0, pm, (e + 1) % 2)  # ramified, then inert p
+    # the split branch on the split primes alone
+    split = np.flatnonzero(chi == 1)
+    t, e = t[split], np.broadcast_to(e, chi.shape)[split]
     sin_theta = _sin_pi(2 * t, h)
-    split = np.divide(_sin_pi(2 * (e + 1) * t, h), sin_theta, out=(e + 1) * pm, where=sin_theta != 0)
-    return np.select([chi == 1, chi == 0], [split, pm], (e + 1) % 2)
+    out[split] = np.divide(_sin_pi(2 * (e + 1) * t, h), sin_theta, out=(e + 1) * pm[split], where=sin_theta != 0)
+    return out
 
 
 def get_table(classgroup: ClassGroup, n_max: int) -> ClassCountTable:

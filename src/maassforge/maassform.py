@@ -29,7 +29,7 @@ import numpy as np
 
 from .heckechar import HeckeCharacter, NormInducedError
 from .lseries import support
-from .quadfield import BudgetError, _xgcd
+from .quadfield import SIEVE_CHUNK, BudgetError, _xgcd
 from .special import bessel_k0_array
 
 TRUNCATION_EXPONENT = 45.0  # keep terms with 2 pi n y <= this
@@ -38,8 +38,8 @@ EIGENVALUE_STEP = 0.04  # the largest of check_eigenvalue's three stencil steps
 SAMPLE_C_MULTIPLES = 3  # gamma0_matrices takes c = level, 2 level, 3 level in turn
 # Most matrices check-automorphy --samples may ask for.  Each adds ten points
 # but almost no new heights or rows, since c takes only SAMPLE_C_MULTIPLES
-# values: D = 229 took 0.76 s at 3 samples, 0.98 s at 30 and 1.5 s at 100 (83 MB
-# each); D = 257, 3.46e6 rows, took 1.8 s at 100 (95 MB).
+# values: D = 229 took 0.7 s at 3 samples, 0.8-0.9 s at 30 and 1.5-1.6 s at 100
+# (68-71 MB each); D = 257, 3.46e6 rows, took 1.7 s at 100 (77 MB).
 AUTOMORPHY_SAMPLE_BUDGET = 100
 PHASE_BITS = 10  # eval reads cos(2 pi x n) from tables of 2^10 and n/2^10 entries
 
@@ -90,9 +90,13 @@ class ThetaForm:
             for i in (i for i, v in enumerate(ys) if v == h):
                 # Theta has period 1 in x, and x - round(x) is exact, while the
                 # cosine of a huge x keeps no digits
-                np.multiply(k0, _phase(xs[i] - round(xs[i]), n, odd=self.epsilon == 1), out=kv)
-                kv *= a
+                tables = _phase_tables(xs[i] - round(xs[i]), int(n[-1]))
+                for lo in range(0, n.size, SIEVE_CHUNK):
+                    block = slice(lo, lo + SIEVE_CHUNK)
+                    np.multiply(k0[block], _phase(tables, n[block], odd=self.epsilon == 1), out=kv[block])
+                    kv[block] *= a[block]
                 out[i] = math.sqrt(h) * np.sum(kv)
+            del k0, kv  # before the next height's
         return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
     def truncation_report(self, ys) -> dict:
@@ -200,24 +204,32 @@ def _turns(x: float, m: np.ndarray) -> np.ndarray:
     return t - np.round(t)
 
 
-def _phase(x: float, n: np.ndarray, odd: bool) -> np.ndarray:
-    """cos(2 pi x n), or sin(2 pi x n) when odd, for |x| <= 1/2 and an
-    ascending int64 array of n < 2^22 (lseries.ROW_BUDGET is below it).
+def _phase_tables(x: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """e^(2 pi i x l) for 0 <= l < 2^PHASE_BITS, and e^(2 pi i x 2^PHASE_BITS j)
+    for 2^PHASE_BITS j <= n_max, with the angles from _turns: the two short
+    tables _phase reads, for |x| <= 1/2 and n_max < 2^22."""
+    lo = np.exp(2j * np.pi * _turns(x, np.arange(1 << PHASE_BITS)))
+    hi = np.exp(2j * np.pi * _turns(x, np.arange((n_max >> PHASE_BITS) + 1) << PHASE_BITS))
+    return lo, hi
+
+
+def _phase(tables: tuple[np.ndarray, np.ndarray], n: np.ndarray, odd: bool) -> np.ndarray:
+    """cos(2 pi x n), or sin(2 pi x n) when odd, for an int64 array of n up
+    to the n_max of the _phase_tables of x (lseries.ROW_BUDGET is below
+    2^22).
 
     With n = 2^PHASE_BITS j + l, 0 <= l < 2^PHASE_BITS, e^(2 pi i x n) is the
-    product of e^(2 pi i x l) and e^(2 pi i x 2^PHASE_BITS j), read from two
-    short tables whose angles come from _turns.  Each angle is then within
-    12 pi u of the exact one (5u turns, and u pi each for 2 pi and the
-    product, as |2 pi t| <= pi), and numpy's e^(ia) has the parts cos a and
-    sin a, each within 2u of the exact ones at the float a, so both parts
-    of every table entry are within d = (12 pi + 2)u.  The parts of the
-    product, cos a cos b - sin a sin b and sin a cos b + cos a sin b of
-    entries of size at most 1, are then within
-    4d + 3u = (48 pi + 11)u < 162u < 1.8e-14 of the exact values.  Taken
-    directly, cos(2 pi x n) rounds 2 pi x and then the angle, each by up to
-    2 pi |x| n u: 7e-10 in all at n = 10^6 and x = 1/2."""
-    lo = np.exp(2j * np.pi * _turns(x, np.arange(1 << PHASE_BITS)))
-    hi = np.exp(2j * np.pi * _turns(x, np.arange((int(n[-1]) >> PHASE_BITS) + 1) << PHASE_BITS))
+    product of e^(2 pi i x l) and e^(2 pi i x 2^PHASE_BITS j), read from the
+    two tables.  Each angle is then within 12 pi u of the exact one (5u
+    turns, and u pi each for 2 pi and the product, as |2 pi t| <= pi), and
+    numpy's e^(ia) has the parts cos a and sin a, each within 2u of the
+    exact ones at the float a, so both parts of every table entry are within
+    d = (12 pi + 2)u.  The parts of the product, cos a cos b - sin a sin b
+    and sin a cos b + cos a sin b of entries of size at most 1, are then
+    within 4d + 3u = (48 pi + 11)u < 162u < 1.8e-14 of the exact values.
+    Taken directly, cos(2 pi x n) rounds 2 pi x and then the angle, each by
+    up to 2 pi |x| n u: 7e-10 in all at n = 10^6 and x = 1/2."""
+    lo, hi = tables
     e = hi.take(n >> PHASE_BITS)
     e *= lo.take(n & ((1 << PHASE_BITS) - 1))
     return e.imag if odd else e.real

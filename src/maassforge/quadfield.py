@@ -25,6 +25,10 @@ import numpy as np
 # 587 MB for D = 8089 (396,463 ideals; chi_D(p) = 1 for every p <= 13), and
 # twice the budget took D = 8089 to 1.1 GB.
 IDEALS_NORM_BUDGET = 100_000
+# entries of an array taken per block where a pass over all of them would
+# hold temporaries the size of the array: the coefficient table's row fill,
+# its classification of primes, and K_0 and the phases of Theta
+SIEVE_CHUNK = 1 << 14
 
 
 class InvalidInputError(ValueError):
@@ -105,15 +109,22 @@ def is_fundamental_discriminant(D: int) -> bool:
 def powmod_array(x, e, p):
     """x^e mod p elementwise, by square-and-multiply on int64 arrays.
 
-    Needs p < 2^31, so that every product of two residues fits in int64."""
+    Needs p < 2^31, so that every product of two residues fits in int64.
+    Each bit multiplies r in place by f = 1 + bit (x - 1), which is x where
+    the bit is set and 1 elsewhere: one product and one reduction a bit."""
     x, e = x % p, e.copy()
     r = np.ones_like(p)
     while True:
-        r = np.where(e & 1, r * x % p, r)
+        f = x - 1
+        f *= e & 1
+        f += 1
+        r *= f
+        r %= p
         e >>= 1
         if not e.any():
             return r
-        x = x * x % p
+        x *= x
+        x %= p
 
 
 def _legendre(a, q: int):

@@ -34,10 +34,13 @@ here by one fixed pair of Gauss rules.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from .quadfield import SIEVE_CHUNK
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -101,16 +104,20 @@ def _hermite_sum(t: np.ndarray, rule: list[tuple[float, float]]) -> np.ndarray:
 def _banded(t, series, hermite) -> np.ndarray:
     """series(u) on the u of ascending t below K0_SPLIT, and hermite(u, rule)
     on each Hermite band with its rule: one searchsorted of the band edges
-    cuts t into contiguous slices of one output array."""
+    cuts t into contiguous slices of one output array, each filled
+    SIEVE_CHUNK entries at a time, so that the temporaries of the rules
+    stay the size of one block."""
     t = np.asarray(t, dtype=np.float64)
     flat = t.ravel()
     if np.any(flat[1:] < flat[:-1]):
         raise ValueError("t must be ascending")
     cuts = [0, *np.searchsorted(flat, _EDGES).tolist(), flat.size]
     out = np.empty_like(flat)
-    out[: cuts[1]] = series(flat[: cuts[1]])
-    for lo, hi, rule in zip(cuts[1:], cuts[2:], _HERMITE):
-        out[lo:hi] = hermite(flat[lo:hi], rule)
+    fills = [series, *(functools.partial(hermite, rule=rule) for rule in _HERMITE)]
+    for lo, hi, fill in zip(cuts, cuts[1:], fills):
+        for a in range(lo, hi, SIEVE_CHUNK):
+            b = min(a + SIEVE_CHUNK, hi)
+            out[a:b] = fill(flat[a:b])
     return out.reshape(t.shape)
 
 

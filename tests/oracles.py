@@ -8,7 +8,11 @@ criterion at every prime, and bessel_k0_masked, bessel_k0e_masked and
 incomplete_k_mellin_masked pick K_0's bands by masks in any order, where
 special cuts them from ascending arguments as slices.  theta_one_point is
 ThetaForm.eval's older body, a support and a K_0 sum of its own at every
-point, where eval takes both once per distinct height.  Likewise ClassGroup
+point, where eval takes both once per distinct height.  dense_support is
+ClassCountTable._row's older route, one dense row over the whole table with
+its nonzero rows cut out at the end, where _row keeps each pass's nonzero
+rows, on the local factors of local_factor_by_select, which takes the
+split branch at every prime.  Likewise ClassGroup
 reduces forms in arrays, and IndefiniteForm and scalar_cycles are the older
 one-form-at-a-time reduction and cycle search.  ideal_count
 and gauss_abs_sq_residual are closed forms the tests check the library
@@ -43,8 +47,8 @@ from maassforge.heckechar import (
     HeckeCharacter,
     gauss_sum_rational,
 )
-from maassforge.lseries import l_value_at_1_afe, support
-from maassforge.maassform import ThetaForm, _phase
+from maassforge.lseries import ClassCountTable, _sin_pi, l_value_at_1_afe, support
+from maassforge.maassform import ThetaForm, _phase, _phase_tables
 from maassforge import special
 from maassforge.quadfield import (
     QfIdeal,
@@ -249,8 +253,37 @@ def theta_one_point(th: ThetaForm, x: float, y: float) -> float:
     x -= round(x)
     n, a = support(th.character, th.truncation_index(y))
     kv = special.bessel_k0_array(2 * math.pi * y * n)
-    kv *= _phase(x, n, odd=th.epsilon == 1)
+    kv *= _phase(_phase_tables(x, int(n[-1])), n, odd=th.epsilon == 1)
     return float(math.sqrt(y) * np.sum(a * kv))
+
+
+def local_factor_by_select(h: int, chi: np.ndarray, t: np.ndarray, e: np.ndarray | int) -> np.ndarray:
+    """lseries._local_factor by the older route, which takes the split
+    branch at every prime and picks the branches with np.select."""
+    pm = np.where(t == 0, 1.0, -1.0) ** e
+    sin_theta = _sin_pi(2 * t, h)
+    split = np.divide(_sin_pi(2 * (e + 1) * t, h), sin_theta, out=(e + 1) * pm, where=sin_theta != 0)
+    return np.select([chi == 1, chi == 0], [split, pm], (e + 1) % 2)
+
+
+def dense_support(table: ClassCountTable, index: int) -> tuple[np.ndarray, np.ndarray]:
+    """ClassCountTable._row by the older route: b(n) for every n <= n_max
+    in one dense float64 row, filled SIEVE_CHUNK rows a pass with the
+    integer quotients n // q and the local factors of local_factor_by_select,
+    and its nonzero rows cut out once it is full."""
+    t = index * table.k % table.h
+    f = local_factor_by_select(table.h, table.chi, t, 1)
+    f = np.concatenate([f, local_factor_by_select(table.h, table.chi[table._base], t[table._base], table._e)])
+    b = np.zeros(table.n_max + 1)
+    b[1:2] = 1.0  # the unit ideal
+    lo = 1
+    while lo < table.n_max:
+        hi = min(table.n_max, 2 * lo, lo + SIEVE_CHUNK)
+        at = table.at[lo - 1 : hi - 1]
+        b[lo + 1 : hi + 1] = b.take(np.arange(lo + 1, hi + 1) // table.q.take(at)) * f.take(at)
+        lo = hi
+    n = np.flatnonzero(b != 0)
+    return n, b[n]
 
 
 # -- K_0 with its bands picked by masks ------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from maassforge import lseries as ls
 from maassforge.classforms import ClassGroup
 from maassforge.heckechar import make_class_character
+from maassforge.maassform import ThetaForm, gamma0_matrices
 from maassforge.quadfield import BudgetError, QuadField, _primes_up_to, kronecker, tonelli_shanks_array
 from oracles import (
     SIEVE_CHUNK,
@@ -16,6 +17,7 @@ from oracles import (
     coefficients,
     convolve,
     dense_coefficients,
+    dense_support,
     euler_factor,
     exact_zeros,
     hecke_recursion_residual,
@@ -69,9 +71,11 @@ def prime_class_oracle(cg, primes):
 
 @pytest.mark.parametrize("D", [40, 229, 445, 401, 505, 3305, 14165])
 def test_prime_classes_match_per_prime_oracle(D):
-    # 2 ramified (40), inert (229, 445, 14165) and split (401, 505, 3305), every p | D
+    # 2 ramified (40), inert (229, 445, 14165) and split (401, 505, 3305), every
+    # p | D, and primes over three of prime_classes' blocks
     cg = ClassGroup(QuadField(D))
-    primes = _primes_up_to(200000)
+    primes = _primes_up_to(400000)
+    assert primes.size > 2 * ls.SIEVE_CHUNK
     chi, k = cg.prime_classes(primes)
     got = list(zip(chi.tolist(), k.tolist()))
     assert got == prime_class_oracle(cg, primes.tolist())
@@ -234,6 +238,23 @@ def test_chunked_coefficients_equal_one_shot_product(D):
             dropped = np.ones(n_max + 1, dtype=bool)
             dropped[n] = False
             assert np.all(np.abs(one_shot[dropped]) < 1e-9) and np.all(np.abs(b) > 1e-9)
+
+
+@pytest.mark.parametrize("D", [40, 229, 445, 401, 505, 3305, 14165, 68905])
+def test_support_bitwise_equal_to_the_dense_row(D):
+    # every character's support, kept pass by pass from a row over half the
+    # table, against the older dense row over all of it, at sizes around the
+    # edges of the passes.  At 8C + 2 and 8C + 3 the dense row ends at
+    # n_max // 2 = 4C + 1, the first row of a pass, read as the cofactor of 8C + 2
+    cg = ClassGroup(QuadField(D))
+    C = ls.SIEVE_CHUNK
+    for n_max in (0, 1, 2, 3, C - 1, C, C + 1, 2 * C + 1, 8 * C + 2, 8 * C + 3):
+        table = ls.ClassCountTable(cg, n_max)
+        for index in range(cg.h_narrow):
+            n, b = table.support(index, n_max)
+            ref_n, ref_b = dense_support(table, index)
+            assert n.dtype == ref_n.dtype and np.array_equal(n, ref_n), (n_max, index)
+            assert b.dtype == ref_b.dtype and b.tobytes() == ref_b.tobytes(), (n_max, index)
 
 
 def test_one_table_per_class_group_across_growing_callers(monkeypatch):
@@ -485,9 +506,9 @@ def test_support_within_rounding_of_the_exact_cosine_sum(D):
 
 def test_support_memory_per_row():
     # the table keeps 4 bytes a row, the index of the row's p^e || n for its
-    # smallest prime p, and a character's row 8 more while it is filled,
-    # whatever h is: counts per class alone would take 2h = 160 bytes a row
-    # at h = 80
+    # smallest prime p, and a character's dense row 4 more, over n <= N/2,
+    # while its support is filled, whatever h is: counts per class alone
+    # would take 2h = 160 bytes a row at h = 80
     cg = ClassGroup(QuadField(68905))
     assert cg.h_narrow == 80 and cg.is_cyclic()
     tracemalloc.start()
@@ -497,3 +518,29 @@ def test_support_memory_per_row():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 400_000
+
+
+def test_check_automorphy_memory_per_row():
+    # check-automorphy --samples 2 at D = 229 builds its table of
+    # N = 1,220,639 rows inside the check.  Its peak is the last pass of the
+    # support's fill, which holds, in bytes a row: the table's index of
+    # p^e || n, 4; the table's 94,645 prime powers q, chi_D(p) and class logs
+    # of its primes, and the character's local factor at each q, 8 bytes
+    # each, 2.5; the dense row over n <= N/2, 4; and the support kept, 16
+    # bytes a kept row, on 1/6 of the rows, 2.7.  That is 13.2, and the bound
+    # leaves 1.8 for a pass's temporaries.  Evaluating Theta afterwards holds
+    # less: K_0 and its products with the phases take 8 bytes a kept row
+    # each, and the phases one block at a time.  A dense row over all of n <= N
+    # with its nonzero rows cut out at the end, phases over the whole
+    # support, and the primes classified in one pass read 18.
+    th = ThetaForm(make_class_character(ClassGroup(QuadField(229)), 1))
+    offsets = ((0.0, 0.3), (0.05, 0.4), (-0.05, 0.5), (0.1, 0.65), (-0.1, 0.8))
+    checks = [(m, [(-m[3] / m[2] + dx, y) for dx, y in offsets]) for m in gamma0_matrices(229, 2)]
+    tracemalloc.start()
+    try:
+        rows = th.check_automorphy(checks).details["truncation"]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows == 1_220_639
+    assert peak < 15 * rows

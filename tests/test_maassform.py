@@ -10,7 +10,7 @@ from maassforge.classforms import ClassGroup
 from maassforge import lseries as ls
 from maassforge.cli import main
 from maassforge.heckechar import NormInducedError, make_class_character
-from maassforge.maassform import ThetaForm, _phase, gamma0_matrices
+from maassforge.maassform import ThetaForm, _phase, _phase_tables, gamma0_matrices
 from maassforge.quadfield import BudgetError, QuadField
 from maassforge.special import bessel_k0_array
 from oracles import ReferenceCountTable, cancelling_rows, dense_coefficients, theta_one_point
@@ -213,7 +213,7 @@ def test_phase_tables_against_mpmath(odd):
         n = np.unique(np.concatenate([rng.integers(1, ls.ROW_BUDGET, 200), [1, 1023, 1024, 1025, ls.ROW_BUDGET]]))
         with mp.workprec(120):
             ref = [float(trig(2 * mp.pi * mp.mpf(float(x)) * k)) for k in n.tolist()]
-        assert np.max(np.abs(_phase(float(x), n, odd) - ref)) < 162 * 2.0**-53, x
+        assert np.max(np.abs(_phase(_phase_tables(float(x), int(n[-1])), n, odd) - ref)) < 162 * 2.0**-53, x
 
 
 def test_truncation_report_takes_the_worst_height(theta229):
@@ -230,25 +230,30 @@ def test_support_is_kept_and_realised_once(D, monkeypatch):
     fill = ls.ClassCountTable._row
 
     def recording_row(self, index):
-        b = fill(self, index)
-        filled.append((self, index, b.size))
-        return b
+        n, b = fill(self, index)
+        filled.append((self, index, n))
+        return n, b
 
     monkeypatch.setattr(ls.ClassCountTable, "_row", recording_row)
     cg = ClassGroup(QuadField(D))
     th = ThetaForm(make_class_character(cg, 1))
     other = make_class_character(cg, 2)
 
+    def live_rows(n_cut):
+        ref = ReferenceCountTable(cg, n_cut)
+        return ref, np.setdiff1d(np.arange(1, n_cut + 1), cancelling_rows(ref, 1, n_cut))
+
     def check(n_cut):
         n, a = ls.support(th.character, n_cut)
-        ref = ReferenceCountTable(cg, n_cut)
+        ref, live = live_rows(n_cut)
         full = dense_coefficients(ref, 1, n_cut)
-        live = np.setdiff1d(np.arange(1, n_cut + 1), cancelling_rows(ref, 1, n_cut))
         assert np.array_equal(n, live) and np.max(np.abs(a - full[n])) < 1e-12, n_cut
 
     def filled_once_over(table):
-        # one row over all of the table, by this table alone
-        assert [f for f in filled if f[1] == 1] == [(table, 1, table.n_max + 1)]
+        # one fill over all of the table, by this table alone: it kept every
+        # live row up to the table's n_max
+        ((by, _, n),) = [f for f in filled if f[1] == 1]
+        assert by is table and np.array_equal(n, live_rows(table.n_max)[1])
         filled.clear()
 
     # another character's caller builds the table; the first call fills the

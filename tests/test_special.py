@@ -119,9 +119,13 @@ def test_k0_refuses_an_argument_out_of_order(f):
 
 def test_k0_bitwise_equal_to_the_masked_bands():
     # the slices of ascending t give each t the rule the masks gave it,
-    # at every band edge and the float below it too
+    # at every band edge and the float below it too, and over an array of
+    # several blocks whose band edges fall inside blocks
+    long_t = np.linspace(0.5, 45.0, 5 * lseries.SIEVE_CHUNK + 3)
+    assert np.all(np.searchsorted(long_t, _EDGES) % lseries.SIEVE_CHUNK != 0)
     for f, ref in ((bessel_k0_array, oracles.bessel_k0_masked), (bessel_k0e_array, oracles.bessel_k0e_masked)):
-        assert np.array_equal(f(K0_GRID), ref(K0_GRID))
+        for t in (K0_GRID, long_t):
+            assert np.array_equal(f(t), ref(t))
 
 
 def _record(monkeypatch, module, name):
