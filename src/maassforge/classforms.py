@@ -178,10 +178,17 @@ class ClassGroup:
         For a candidate g the classes of the h products class_ideals[c]
         class_ideals[g], classified together, are one row of the group law,
         the permutation c -> c g; g's powers are read off it from class 0,
-        and g generates when they reach every class."""
+        and g generates when they reach every class.  The classes they do
+        reach are skipped as later candidates: a power of a non-generator
+        generates nothing larger, so the first generator is the same, and a
+        group that is not cyclic costs a row per cyclic subgroup tried, not
+        h rows."""
         h = self.h_narrow
         reps = self.class_ideals
+        reached = np.full(h, False)
         for g in range(h):
+            if reached[g]:
+                continue
             times_g = self._ideal_classes([self.field.ideal_mul(I, reps[g]) for I in reps])
             log = np.full(h, -1, dtype=np.int64)
             c = 0
@@ -192,6 +199,7 @@ class ClassGroup:
                 c = times_g[c]
             if log.min() >= 0:
                 return log
+            reached |= log >= 0
         raise ArithmeticError("narrow class group is not cyclic; unsupported")
 
     # -- queries --------------------------------------------------------

@@ -41,8 +41,8 @@ EXIT_RESOURCE = 3
 # and 601 MB for D = 3305 (h = 12).
 COEFFS_ROW_BUDGET = 500_000
 # Largest --p gauss-check may take.  Its Gauss sums over O_F/(p) make 3 p^2
-# Python iterations, about 1.5 us each: D = 229 took 0.38 s at p = 101, 5.0 s
-# at p = 1009 and 18.4 s at p = 1973, each with 0.34 s of start-up.
+# Python iterations, about 1 us each: D = 229 took 0.33 s at p = 101, 3.1 s
+# at p = 1009 and 11.3 s at p = 1973, each with 0.25 s of start-up.
 GAUSS_PRIME_BUDGET = 2_000
 # Largest --disc any command takes.  The class group's search for reduced
 # forms, one numpy slice of candidates B per A, is still linear in D: 0.04 s

@@ -1,9 +1,10 @@
 """Class-group Hecke characters of real quadratic fields, and Gauss sums.
 
 A class character sends an ideal to exp(2*pi*i * index * dlog / h) where
-dlog is the discrete log of its narrow class.  Values are stored exactly as
-rational exponents (Fraction j/h meaning e^(2*pi*i*j/h)) and realized as
-complex numbers on demand.
+dlog is the discrete log of its narrow class.  A character keeps only its
+index: exponent gives one value exactly, as the Fraction j/h of
+e^(2*pi*i*j/h), which is all the sign exponent epsilon needs, and lseries
+realizes the coefficients a'(n) in float64 from the class logs of primes.
 
 Gauss sums follow the convention tau(psi) = (psi_inf(alpha)/psi(A)) *
 sum over x in A mod fA of psi_f(x) e^(2*pi*i*Tr(x/alpha)) with the
@@ -23,7 +24,7 @@ from .classforms import ClassGroup
 from .quadfield import InvalidInputError, QfIdeal, QuadField, prime_factors
 
 
-def root_of_unity(exponent: Fraction | float) -> complex:
+def root_of_unity(exponent: float) -> complex:
     """e^(2*pi*i*exponent)."""
     return cmath.exp(2j * math.pi * float(exponent))
 
@@ -113,7 +114,7 @@ class DirichletCharacterModP:
         for j in range(p - 1):
             self._dlog[x] = j
             x = x * self.g % p
-        self._vals = [root_of_unity(Fraction(j * self.k, p - 1)) for j in range(p - 1)]
+        self._vals = [root_of_unity(j * self.k / (p - 1)) for j in range(p - 1)]
 
     def __call__(self, n: int) -> complex:
         n %= self.p
@@ -131,7 +132,7 @@ class DirichletCharacterModP:
 
 def gauss_sum_rational(chi, m: int) -> complex:
     """tau(chi) = sum_{x mod m} chi(x) e^(2*pi*i*x/m)."""
-    return sum(chi(x) * root_of_unity(Fraction(x, m)) for x in range(m))
+    return sum(chi(x) * root_of_unity(x / m) for x in range(m))
 
 
 @dataclass
@@ -148,12 +149,13 @@ def gauss_sum_quadratic_field(field: QuadField, chi_fin, m: int, delta: int = 0)
     alpha = m*sqrt(D) contributes psi_inf(alpha) = (-1)^delta because the
     two real embeddings of sqrt(D) have opposite signs.
     """
+    e = [root_of_unity(v / m) for v in range(m)]
     total = 0.0j
     for u in range(m):
         for v in range(m):
             c = chi_fin(u, v)
             if c != 0:
-                total += c * root_of_unity(Fraction(v, m))
+                total += c * e[v]
     if delta % 2 == 1:
         total = -total
     return GaussSumResult(total, m * m)

@@ -124,6 +124,7 @@ class ThetaForm:
         for (a, b, c, d), zs in checks:
             if a * d - b * c != 1 or c % self.level != 0:
                 raise ValueError(f"({a},{b},{c},{d}) is not in Gamma_0({self.level})")
+            chi_d = self.field.chi(d)
             for x, y in zs:
                 # (az + b)/(cz + d) cancels near x = -d/c; a/c - 1/(c (cz + d)), with
                 # Re(cz + d) from the exact x, keeps Im(gamma z) = y/|cz + d|^2 to rounding
@@ -135,7 +136,7 @@ class ThetaForm:
                 else:
                     w = (a * (x + 1j * y) + b) / d
                 points += [(w.real, w.imag), (x, y)]
-                chis.append(self.field.chi(d))
+                chis.append(chi_d)
         ys = [y for _, y in points]
         # a huge c or d/c can put Im(gamma z) below every float64 height whose
         # row count 45/(2 pi y) is finite, let alone under the row budget

@@ -39,42 +39,6 @@ class BudgetError(ValueError):
     """The request is over a stated resource budget: the CLI exits 3."""
 
 
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a|n), defined for all integers n.
-
-    QuadField.chi, one n at a time; arrays of primes take chi_D(p) from
-    QuadField.prime_roots."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    sign = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            sign = -1
-    # (a|2) factor: 0 if a even, else depends on a mod 8
-    t = 0
-    while n % 2 == 0:
-        n //= 2
-        t += 1
-    if t:
-        if a % 2 == 0:
-            return 0
-        if t % 2 == 1 and a % 8 in (3, 5):
-            sign = -sign
-    a %= n
-    # Jacobi symbol (a|n) for odd n > 0 by quadratic reciprocity
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                sign = -sign
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            sign = -sign
-        a %= n
-    return sign if n == 1 else 0
-
-
 def prime_factors(n: int) -> list[int]:
     """The distinct prime factors of n >= 1, ascending, by trial division."""
     out = []
@@ -107,13 +71,14 @@ def is_fundamental_discriminant(D: int) -> bool:
 
 
 def powmod_array(x, e, p):
-    """x^e mod p elementwise, by square-and-multiply on int64 arrays.
+    """x^e mod p elementwise, by square-and-multiply on int64 arrays; e and p
+    are arrays of the shape of x, or scalars.
 
     Needs p < 2^31, so that every product of two residues fits in int64.
     Each bit multiplies r in place by f = 1 + bit (x - 1), which is x where
     the bit is set and 1 elsewhere: one product and one reduction a bit."""
-    x, e = x % p, e.copy()
-    r = np.ones_like(p)
+    x, e = x % p, np.array(e)
+    r = np.ones_like(x)
     while True:
         f = x - 1
         f *= e & 1
@@ -129,18 +94,10 @@ def powmod_array(x, e, p):
 
 def _legendre(a, q: int):
     """(a|q) for an int64 array a and an odd prime q < 2^31: Euler's
-    criterion a^((q-1)/2) mod q, by square-and-multiply on the bits of the
-    one scalar exponent, is 1, 0 or q - 1."""
+    criterion a^((q-1)/2) mod q, which is 1, 0 or q - 1."""
     if q >= 2**31:
         raise ValueError(f"the prime {q} is over 2^31: its squares overflow int64")
-    x = a % q
-    r = x.copy()
-    for bit in bin((q - 1) // 2)[3:]:
-        r *= r
-        r %= q
-        if bit == "1":
-            r *= x
-            r %= q
+    r = powmod_array(a, (q - 1) // 2, q)
     r[r == q - 1] = -1
     return r
 
@@ -172,9 +129,7 @@ def tonelli_shanks_array(n, p):
     for y in _primes_up_to(isqrt(int(P.max())) + 1)[1:].tolist():
         if not todo.size:
             break
-        square = np.zeros(y, dtype=bool)
-        square[np.arange(y) ** 2 % y] = True
-        nonres = ~square[P[todo] % y]
+        nonres = _legendre(P[todo], y) == -1
         z[todo[nonres]] = y
         todo = todo[~nonres]
     c = powmod_array(z, Q, P)
@@ -211,13 +166,44 @@ class QuadField:
         self.D = D
         self.s = D % 2              # trace of omega
         self.omega_norm = (self.s * self.s - D) // 4   # norm of omega
+        # D = 2^v m with m odd is d2 = 1, -4 or +-8 times the prime
+        # discriminants of the primes q | m (see _chi): chi_d2 at n mod 8
+        v = (D & -D).bit_length() - 1
+        m = D >> v
+        self._odd_primes = prime_factors(m)
+        self._chi_d2 = np.array(
+            [1, 1, 1, 1, 1, 1, 1, 1] if v == 0 else       # d2 = 1
+            [0, 1, 0, -1, 0, 1, 0, -1] if v == 2 else     # d2 = -4
+            [0, 1, 0, -1, 0, -1, 0, 1] if m % 4 == 1 else  # d2 = 8
+            [0, 1, 0, 1, 0, -1, 0, -1])                   # d2 = -8
 
     def __repr__(self) -> str:
         return f"QuadField({self.D})"
 
     def chi(self, n: int) -> int:
-        """The quadratic character attached to the field, (D|n)."""
-        return kronecker(self.D, n)
+        """The quadratic character attached to the field, the Kronecker
+        symbol (D|n), for any integer n: _chi at n mod D."""
+        return int(self._chi(np.array([n % self.D]))[0])
+
+    def _chi(self, n):
+        """chi_D(n) = chi_d2(n) prod (n|q) for an int64 array n >= 0.
+
+        For a fundamental D > 0, n -> (D|n) is an even primitive character mod
+        D on all of Z (Davenport, ch. 5; Cohen, GTM 138, 1.4.9), fixed by its
+        values at the odd primes p not dividing D, which meet every class
+        prime to D.  The prime discriminants q* = (-1)^((q-1)/2) q of the odd
+        primes q | D multiply to the one of +-m that is 1 mod 4, and D is
+        that times d2.  So (D|p) = (d2|p) prod (q*|p), where (q*|p) = (p|q) by
+        reciprocity and (d2|p) = chi_d2(p) by the supplementary laws.  The
+        product chi_d2 prod (.|q) is a character mod D too, and like (D|.) it
+        is 0 exactly at the n that share a factor with D, 0 included.  The
+        two therefore agree at every integer n, and n may be any residue of
+        the integer asked for: chi_D(2) needs no case of its own, nor do
+        negative or huge n."""
+        chi = self._chi_d2[n % 8]
+        for q in self._odd_primes:
+            chi *= _legendre(n, q)
+        return chi
 
     def elt_norm(self, x: int, y: int) -> int:
         """Norm of x + y*omega."""
@@ -280,22 +266,12 @@ class QuadField:
 
         The prime ideals above p are then (p) when p is inert, (p, b) when it
         is ramified, and (p, b) and (p, -s - b) when it splits, since the two
-        roots sum to -s.  Write D = 2^v m with m odd.  The prime discriminants
-        q* = (-1)^((q-1)/2) q of the primes q | m multiply to the one of +-m
-        that is 1 mod 4, and D is that times d2 = 1, -4 or +-8.  For odd p,
-        (q*|p) = (p|q) by reciprocity, so chi_D(p) = (d2|p) prod (p|q): (d2|p)
-        is read off p mod 8, and each (p|q) is one Euler power (_legendre),
-        which is 0 at p = q.  Only the split p need sqrt(D), for
-        b = (-s +- sqrt(D))/2, from tonelli_shanks_array; a ramified odd p has
-        the one root -s/2, and mod 2 the least root is N(omega) mod 2."""
+        roots sum to -s.  chi_D(p) is _chi(p).  Only the split p need
+        sqrt(D), for b = (-s +- sqrt(D))/2, from tonelli_shanks_array; a
+        ramified odd p has the one root -s/2, and mod 2 the least root is
+        N(omega) mod 2."""
         D, s = self.D, self.s
-        v = (D & -D).bit_length() - 1
-        m = D >> v
-        d2 = 1 if v == 0 else -4 if v == 2 else 8 if m % 4 == 1 else -8
-        chi = np.array([kronecker(d2, r) for r in range(8)])[p % 8]
-        for q in prime_factors(m):
-            chi *= _legendre(p, q)
-        chi[p == 2] = 0 if D % 2 == 0 else 1 if D % 8 == 1 else -1
+        chi = self._chi(p)
         split = np.flatnonzero((chi == 1) & (p != 2))
         root = np.zeros_like(p)
         root[split] = tonelli_shanks_array(D % p[split], p[split])

@@ -108,6 +108,26 @@ def test_coeffs_stdout_is_pinned(capsys):
     assert out == (Path(__file__).parent / "golden" / "coeffs_229_1_100.json").read_text()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ideals", "--disc", "12", "--max-norm", "200"),  # chi_-4
+        ("ideals", "--disc", "40", "--max-norm", "200"),  # chi_8
+        ("ideals", "--disc", "229", "--max-norm", "200"),
+        ("field", "--disc", "95304805"),  # h+ = 680, not cyclic
+    ],
+    ids=" ".join,
+)
+def test_integer_reports_are_pinned(capsys, argv):
+    # the prime splitting and the class group print integers, and the
+    # regulator comes from 40-digit decimals: no float summation order moves
+    # these bytes, kept in tests/golden as command_value_value.json
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    golden = "_".join(argv[:1] + argv[2::2]) + ".json"
+    assert out == (Path(__file__).parent / "golden" / golden).read_text()
+
+
 def test_coeffs_csv_and_json_export(capsys, tmp_path):
     csv_path, json_path = tmp_path / "coeffs.csv", tmp_path / "coeffs.json"
     code, out = run_cli(
@@ -572,6 +592,22 @@ def test_character_of_non_cyclic_group_exits_2(capsys, command):
     assert captured.out == ""
     assert captured.err.startswith("error:") and "not cyclic" in captured.err
     assert captured.err.count("\n") == 1
+
+
+def test_large_non_cyclic_group_is_refused_in_a_few_rows(capsys, monkeypatch):
+    # h+ = 680: the generator search skips the classes earlier candidates
+    # reached, so the refusal takes 10 rows of the group law, not 680
+    rows = []
+    classify = ClassGroup._ideal_classes
+    monkeypatch.setattr(ClassGroup, "_ideal_classes",
+                        lambda self, ideals: rows.append(len(ideals)) or classify(self, ideals))
+    with pytest.raises(SystemExit) as exc:
+        main(["petersson", "--disc", "95304805", "--index", "1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err == ("error: the narrow class group of D=95304805 is not cyclic; "
+                            "class characters are indexed by a generator\n")
+    assert 0 < rows.count(680) <= 16
 
 
 def test_lvalue_trivial_invalid(capsys):

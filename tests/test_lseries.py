@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from maassforge import lseries as ls
+from maassforge import quadfield
 from maassforge.classforms import ClassGroup
 from maassforge.heckechar import make_class_character
 from maassforge.maassform import ThetaForm, gamma0_matrices
-from maassforge.quadfield import BudgetError, QuadField, _primes_up_to, kronecker, tonelli_shanks_array
+from maassforge.quadfield import BudgetError, QuadField, _primes_up_to, tonelli_shanks_array
 from oracles import (
     SIEVE_CHUNK,
     ReferenceCountTable,
@@ -22,6 +23,7 @@ from oracles import (
     exact_zeros,
     hecke_recursion_residual,
     ideal_to_form,
+    kronecker,
     multiplicativity_failures,
     prime_power_vector,
     rankin_coeffs,
@@ -139,6 +141,19 @@ def test_tonelli_shanks_array_below_automorphy_row_budget():
     pairs = [(a, q) for q in primes for a in (229, 14165, q - 1, q - 4, (q + 1) // 2, 7**5 % q)
              if tonelli_shanks(a, q) not in (None, 0)]
     _check_sqrt_against_scalar(*zip(*pairs))
+
+
+def test_table_factors_no_discriminant(monkeypatch):
+    # the field splits D into d2 and its odd primes once, when it is made:
+    # prime_roots, called once per SIEVE_CHUNK block of primes, factors nothing
+    cg = ClassGroup(QuadField(3305))  # 5 * 661
+    cg._dlog
+    calls = []
+    factor = quadfield.prime_factors
+    monkeypatch.setattr(quadfield, "prime_factors", lambda n: calls.append(n) or factor(n))
+    table = ls.ClassCountTable(cg, 700_000)
+    assert table.primes.size > 3 * ls.SIEVE_CHUNK
+    assert calls == []
 
 
 def test_count_table_rejects_n_max_out_of_range_before_allocating(cg229, monkeypatch):

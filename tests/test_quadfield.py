@@ -12,9 +12,9 @@ from maassforge.quadfield import (
     _primes_up_to,
     is_fundamental_discriminant,
     is_squarefree,
-    kronecker,
     prime_factors,
 )
+from oracles import kronecker
 
 
 def test_kronecker_against_jacobi_oracle():
@@ -38,6 +38,24 @@ def test_kronecker_multiplicative_in_bottom():
         a = random.randint(-100, 100)
         m, n = random.randint(1, 60), random.randint(1, 60)
         assert kronecker(a, m * n) == kronecker(a, m) * kronecker(a, n)
+
+
+def test_chi_matches_kronecker():
+    # chi_D(n) = chi_d2(n) prod (n|q) at n mod D, against the Jacobi loop:
+    # d2 = 1, -4 and +-8 all occur below 1000.  The helper takes [-60, 60]
+    # mod D as one array, and chi itself every n of size D and beyond
+    random.seed(3)
+    huge = [random.randrange(10**399, 10**400) for _ in range(2)]
+    fields = [D for D in range(1000) if is_fundamental_discriminant(D)] + [95304805, 100000001]
+    tables = set()
+    for D in fields:
+        F = QuadField(D)
+        tables.add(tuple(F._chi_d2.tolist()))
+        small = range(-60, 61)
+        assert F._chi(np.array([n % D for n in small])).tolist() == [kronecker(D, n) for n in small]
+        for n in [D, D - 1, D + 1, *huge]:
+            assert F.chi(n) == kronecker(D, n) and F.chi(-n) == kronecker(D, -n), (D, n)
+    assert len(tables) == 4
 
 
 def test_fundamental_discriminants():
@@ -87,7 +105,7 @@ def test_prime_ideals_divide_norm_poly():
     for D in (40, 229, 445, 401, 505, 3305, 14165):
         F = QuadField(D)
         chi, b = F.prime_roots(primes)
-        assert chi.tolist() == [F.chi(p) for p in primes.tolist()]
+        assert chi.tolist() == [kronecker(D, p) for p in primes.tolist()]
         for p, c, r in zip(primes.tolist(), chi.tolist(), b.tolist()):
             if c == -1:
                 continue
