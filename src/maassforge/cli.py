@@ -5,8 +5,12 @@ invalid input (quadfield.InvalidInputError, such as a norm-induced character,
 whose theta series is not cuspidal), 3 resource cap exceeded
 (quadfield.BudgetError).  Each is raised where its limit is known; main alone
 prints it as one "error:" line and picks the code.  Anything else raised is a
-bug and keeps its traceback.  All floats are printed with 15 significant
-digits and JSON output is byte-deterministic for fixed flags.
+bug and keeps its traceback.  An --out or --csv path that cannot be written
+is invalid input, refused before anything is printed.
+
+Each command returns its report and exit code, and main alone writes the
+report: to --out, then to stdout.  All floats are printed with 15
+significant digits and JSON output is byte-deterministic for fixed flags.
 """
 
 from __future__ import annotations
@@ -66,10 +70,20 @@ def _round_floats(data: dict) -> dict:
     }
 
 
+def _open_for_writing(path: str, **kwargs):
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path!r}: {exc.strerror}") from None
+
+
 def _emit(data: dict, args) -> None:
-    text = json.dumps(data, indent=1, sort_keys=True)
+    """Write the report, its own floats rounded by _fmt, to --out and then
+    to stdout.  Lists and dicts nested in it are rounded where they are
+    built, so that no recursive walk visits every coeffs row a second time."""
+    text = json.dumps(_round_floats(data), indent=1, sort_keys=True)
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
+        with _open_for_writing(args.out) as fh:
             fh.write(text + "\n")
     print(text)
 
@@ -109,28 +123,24 @@ def _character(args):
     return cg, make_class_character(cg, args.index)
 
 
-def cmd_field(args) -> int:
+def cmd_field(args) -> tuple[dict, int]:
     F, cg = _field_and_group(args.disc)
     u = cg.unit
     limit = sys.get_int_max_str_digits()  # 0 is no limit; x > y > 0
     if limit and u.x >= 10**limit:
         raise BudgetError(f"the fundamental unit has more than {limit} digits, the most "
                           "Python prints of an integer (sys.get_int_max_str_digits())")
-    _emit(
-        {
-            "D": F.D,
-            "h_narrow": cg.h_narrow,
-            "h_wide": cg.h_wide,
-            "unit": {"x": u.x, "y": u.y, "norm": u.norm()},
-            "regulator": _fmt(cg.regulator),
-            "res_zeta_f": _fmt(cg.residue_zeta()),
-        },
-        args,
-    )
-    return EXIT_OK
+    return {
+        "D": F.D,
+        "h_narrow": cg.h_narrow,
+        "h_wide": cg.h_wide,
+        "unit": {"x": u.x, "y": u.y, "norm": u.norm()},
+        "regulator": cg.regulator,
+        "res_zeta_f": cg.residue_zeta(),
+    }, EXIT_OK
 
 
-def cmd_reproduce(args) -> int:
+def cmd_reproduce(args) -> tuple[dict, int]:
     D = args.example
     cg = ClassGroup(QuadField(D))
     target = PAPER_VALUES[D]
@@ -141,36 +151,29 @@ def cmd_reproduce(args) -> int:
         data = {
             "example": D,
             "factors": [_round_floats(r.to_json_dict()) for r in reports],
-            "total": _fmt(total),
+            "total": total,
             "paper_value": target,
-            "rel_err": _fmt(rel),
+            "rel_err": rel,
         }
     else:
         rep = petersson_norm(make_class_character(cg, 1), paper_value=target)
         rel = rep.rel_err
-        data = _round_floats({"example": D, **rep.to_json_dict()})
-    _emit(data, args)
-    return EXIT_OK if rel < 1e-6 else EXIT_TOLERANCE
+        data = {"example": D, **rep.to_json_dict()}
+    return data, EXIT_OK if rel < 1e-6 else EXIT_TOLERANCE
 
 
-def cmd_ideals(args) -> int:
+def cmd_ideals(args) -> tuple[dict, int]:
     F, _ = _field_and_group(args.disc)
     ids = F.enumerate_ideals(args.max_norm)
-    _emit(
-        {
-            "D": F.D,
-            "max_norm": args.max_norm,
-            "count": len(ids),
-            "ideals": [
-                {"k": I.k, "a": I.a, "b": I.b, "norm": I.norm()} for I in ids
-            ],
-        },
-        args,
-    )
-    return EXIT_OK
+    return {
+        "D": F.D,
+        "max_norm": args.max_norm,
+        "count": len(ids),
+        "ideals": [{"k": I.k, "a": I.a, "b": I.b, "norm": I.norm()} for I in ids],
+    }, EXIT_OK
 
 
-def cmd_coeffs(args) -> int:
+def cmd_coeffs(args) -> tuple[dict, int]:
     cg, psi = _character(args)
     if args.n_max > COEFFS_ROW_BUDGET:
         raise BudgetError(f"--n-max {args.n_max} is over the budget of {COEFFS_ROW_BUDGET} rows")
@@ -181,46 +184,37 @@ def cmd_coeffs(args) -> int:
     if args.csv:
         import csv as _csv
 
-        with open(args.csv, "w", newline="") as fh:
+        with _open_for_writing(args.csv, newline="") as fh:
             w = _csv.writer(fh)
             w.writerow(["n", "re", "im"])
             for n in range(1, args.n_max + 1):
                 w.writerow([n, f"{b[n]:.15g}", "0"])
-    _emit(
-        {
-            "D": cg.field.D,
-            "index": psi.index,
-            "coefficients": [
-                {"n": n, "re": _fmt(b[n]), "im": 0.0} for n in range(1, args.n_max + 1)
-            ],
-        },
-        args,
-    )
-    return EXIT_OK
+    return {
+        "D": cg.field.D,
+        "index": psi.index,
+        "coefficients": [
+            {"n": n, "re": _fmt(b[n]), "im": 0.0} for n in range(1, args.n_max + 1)
+        ],
+    }, EXIT_OK
 
 
-def cmd_theta_eval(args) -> int:
+def cmd_theta_eval(args) -> tuple[dict, int]:
     cg, psi = _character(args)
     th = ThetaForm(psi)
     if args.y < THETA_EVAL_MIN_Y:
         raise InvalidInputError(f"--y {args.y} is below the lowest height {THETA_EVAL_MIN_Y}")
-    v = th.eval(args.x, args.y)
-    _emit(
-        {
-            "D": cg.field.D,
-            "index": psi.index,
-            "x": args.x,
-            "y": args.y,
-            "re": _fmt(v),
-            "im": 0.0,
-            **_round_floats(th.truncation_report([args.y])),
-        },
-        args,
-    )
-    return EXIT_OK
+    return {
+        "D": cg.field.D,
+        "index": psi.index,
+        "x": args.x,
+        "y": args.y,
+        "re": th.eval(args.x, args.y),
+        "im": 0.0,
+        **th.truncation_report([args.y]),
+    }, EXIT_OK
 
 
-def cmd_check_automorphy(args) -> int:
+def cmd_check_automorphy(args) -> tuple[dict, int]:
     if (args.c is None) != (args.d is None):
         raise InvalidInputError("--c and --d give one matrix and must be used together")
     if args.c == 0:
@@ -240,60 +234,42 @@ def cmd_check_automorphy(args) -> int:
     offsets = ((0.0, 0.3), (0.05, 0.4), (-0.05, 0.5), (0.1, 0.65), (-0.1, 0.8))
     checks = [(m, [(-m[3] / m[2] + off, y) for off, y in offsets]) for m in mats]
     rep = th.check_automorphy(checks)
-    _emit(
-        {
-            "D": cg.field.D,
-            "index": psi.index,
-            "matrices": [list(m) for m in mats],
-            "max_residual": _fmt(rep.residual),
-            "tolerance": args.tol,
-            **_round_floats({k: rep.details[k] for k in ("truncation", "terms", "tail_bound")}),
-        },
-        args,
-    )
-    return EXIT_OK if rep.residual < args.tol else EXIT_TOLERANCE
+    return {
+        "D": cg.field.D,
+        "index": psi.index,
+        "matrices": [list(m) for m in mats],
+        "max_residual": rep.residual,
+        "tolerance": args.tol,
+        **{k: rep.details[k] for k in ("truncation", "terms", "tail_bound")},
+    }, EXIT_OK if rep.residual < args.tol else EXIT_TOLERANCE
 
 
-def cmd_lvalue(args) -> int:
+def cmd_lvalue(args) -> tuple[dict, int]:
     cg, psi = _character(args)
     if psi.is_trivial():
         raise InvalidInputError("L(s, trivial) has a pole at s = 1")
     if args.s == 1.0:
-        rep = lseries.l_value_at_1(psi)
-        data = {
-            "D": cg.field.D,
-            "index": psi.index,
-            "s": 1.0,
-            "value": _fmt(rep["value"]),
-            "cutoff_agreement": _fmt(rep["cutoff_agreement"]),
-            "direct_oracle": _fmt(rep["direct_oracle"]),
-            "oracle_agreement": _fmt(rep["oracle_agreement"]),
-        }
-    else:
-        if args.s <= 1.0:
-            raise InvalidInputError("only s = 1 or s > 1 supported")
-        n_max = 10**5
-        n, b = lseries.support(psi, n_max)
-        data = {
-            "D": cg.field.D,
-            "index": psi.index,
-            "s": args.s,
-            "value": _fmt(np.sum(b / n**args.s)),
-            "value_im": 0.0,
-            "n_max": n_max,
-        }
-    _emit(data, args)
-    return EXIT_OK
+        return {"D": cg.field.D, "index": psi.index, "s": 1.0, **lseries.l_value_at_1(psi)}, EXIT_OK
+    if args.s < 1.0:
+        raise InvalidInputError("only s = 1 or s > 1 supported")
+    n_max = 10**5
+    n, b = lseries.support(psi, n_max)
+    return {
+        "D": cg.field.D,
+        "index": psi.index,
+        "s": args.s,
+        "value": np.sum(b / n**args.s),
+        "value_im": 0.0,
+        "n_max": n_max,
+    }, EXIT_OK
 
 
-def cmd_petersson(args) -> int:
+def cmd_petersson(args) -> tuple[dict, int]:
     cg, psi = _character(args)
-    rep = petersson_norm(psi)
-    _emit(_round_floats({"D": cg.field.D, "index": psi.index, **rep.to_json_dict()}), args)
-    return EXIT_OK
+    return {"D": cg.field.D, "index": psi.index, **petersson_norm(psi).to_json_dict()}, EXIT_OK
 
 
-def cmd_gauss_check(args) -> int:
+def cmd_gauss_check(args) -> tuple[dict, int]:
     F, _ = _field_and_group(args.disc)
     p = args.p
     if p > GAUSS_PRIME_BUDGET:
@@ -305,17 +281,15 @@ def cmd_gauss_check(args) -> int:
     residuals = {}
     for k in range(1, min(p - 1, 4)):
         residuals[k] = _fmt(check_gauss_norm_lemma(F, p, k))
-    sigma = DirichletCharacterModP(p, 1)
-    tau = gauss_sum_rational(sigma, p)
-    data = {
+    tau = gauss_sum_rational(DirichletCharacterModP(p, 1), p)
+    worst = max(residuals.values())
+    return {
         "D": F.D,
         "p": p,
         "norm_lemma_residuals": residuals,
-        "abs_tau_sq_minus_p": _fmt(abs(abs(tau) ** 2 - p)),
-        "max_residual": _fmt(max(residuals.values())),
-    }
-    _emit(data, args)
-    return EXIT_OK if max(residuals.values()) < 1e-9 else EXIT_TOLERANCE
+        "abs_tau_sq_minus_p": abs(abs(tau) ** 2 - p),
+        "max_residual": worst,
+    }, EXIT_OK if worst < 1e-9 else EXIT_TOLERANCE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,7 +357,8 @@ def main(argv=None) -> None:
     # argparse exits 2 on usage errors and invalid numbers, which is EXIT_INVALID
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        report, code = args.func(args)
+        _emit(report, args)
     except (lseries.SplitPointError, InvalidInputError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = (EXIT_TOLERANCE if isinstance(exc, lseries.SplitPointError)

@@ -3,8 +3,9 @@
 A class character sends an ideal to exp(2*pi*i * index * dlog / h) where
 dlog is the discrete log of its narrow class.  A character keeps only its
 index: exponent gives one value exactly, as the Fraction j/h of
-e^(2*pi*i*j/h), which is all the sign exponent epsilon needs, and lseries
-realizes the coefficients a'(n) in float64 from the class logs of primes.
+e^(2*pi*i*j/h), the sign exponent epsilon is read off the index, and
+lseries realizes the coefficients a'(n) in float64 from the class logs of
+primes.
 
 Gauss sums follow the convention tau(psi) = (psi_inf(alpha)/psi(A)) *
 sum over x in A mod fA of psi_f(x) e^(2*pi*i*Tr(x/alpha)) with the
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .classforms import ClassGroup
@@ -65,9 +65,16 @@ class HeckeCharacter:
 
     @property
     def epsilon(self) -> int:
-        """Sign exponent: 1 if psi((sqrt(D))) = -1, else 0 (sqrt(D) = 2 omega - s)."""
-        sqrt_d = self.field.principal_ideal(-self.field.s, 2)
-        return 1 if self.exponent(sqrt_d) % 1 == Fraction(1, 2) else 0
+        """Sign exponent: 1 if psi((sqrt(D))) = -1, else 0, read off the index.
+
+        When N(eps0) = -1, +-eps0 sqrt(D) is a totally positive generator of
+        (sqrt(D)), so its narrow class is trivial and epsilon = 0.  When
+        N(eps0) = +1, every generator +-eps0^k sqrt(D) of (sqrt(D)) has
+        negative norm, so its class is the element of order 2 in the kernel
+        of Cl+ -> Cl, which has order h_narrow/h_wide = 2.  In the cyclic
+        group of even order h = h_narrow that element is g^(h/2), so
+        psi((sqrt(D))) = e^(pi i index) = (-1)^index."""
+        return self.index % 2 if self.classgroup.unit_norm == 1 else 0
 
     def conjugate(self) -> "HeckeCharacter":
         return HeckeCharacter(self.classgroup, -self.index)
@@ -135,13 +142,7 @@ def gauss_sum_rational(chi, m: int) -> complex:
     return sum(chi(x) * root_of_unity(x / m) for x in range(m))
 
 
-@dataclass
-class GaussSumResult:
-    value: complex
-    modulus_norm: int
-
-
-def gauss_sum_quadratic_field(field: QuadField, chi_fin, m: int, delta: int = 0) -> GaussSumResult:
+def gauss_sum_quadratic_field(chi_fin, m: int, delta: int = 0) -> complex:
     """Gauss sum of a finite character on (O_F / m*O_F), modulus f = m*O_F.
 
     chi_fin(u, v) is the character value at u + v*omega (0 on non-units).
@@ -158,7 +159,7 @@ def gauss_sum_quadratic_field(field: QuadField, chi_fin, m: int, delta: int = 0)
                 total += c * e[v]
     if delta % 2 == 1:
         total = -total
-    return GaussSumResult(total, m * m)
+    return total
 
 
 def norm_composed_character(field: QuadField, sigma: DirichletCharacterModP):
@@ -178,8 +179,6 @@ def check_gauss_norm_lemma(field: QuadField, p: int, k: int = 1) -> float:
     sigma = DirichletCharacterModP(p, k)
     if not sigma.is_primitive():
         raise ValueError("sigma must be primitive (k != 0)")
-    lhs = gauss_sum_quadratic_field(
-        field, norm_composed_character(field, sigma), p, delta=sigma.parity()
-    ).value
+    lhs = gauss_sum_quadratic_field(norm_composed_character(field, sigma), p, delta=sigma.parity())
     rhs = sigma(field.D) * field.chi(p) * gauss_sum_rational(sigma, p) ** 2
     return abs(lhs - rhs)

@@ -6,7 +6,7 @@ with, for conductor f = (1) and level N = D:
 
     C1 = N^2 / (4 pi phi(N))
     C2 = Gamma(1/2)^2                                   (= pi; spectral parameter nu = 0)
-    C3 = prod_{p | N} (1 - 1/p)(1 - chi_D(p)/p)
+    C3 = prod_{p | N} (1 - 1/p)(1 - chi_D(p)/p) = prod_{p | D} (1 - 1/p)
 
 and Res zeta_F = 2 h R / sqrt(D).  For a class character psi the twisted
 character psi * (psibar o sigma) equals psi^2, since conjugate ideals lie in
@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .classforms import ClassGroup
 from .heckechar import HeckeCharacter, NormInducedError
 from .lseries import l_value_at_1
 from .quadfield import prime_factors
@@ -70,13 +69,13 @@ def constant_c2() -> float:
     return math.gamma(0.5) ** 2
 
 
-def constant_c3(classgroup: ClassGroup) -> float:
-    """For conductor (1): product over p | D of (1 - 1/p)(1 - chi_D(p)/p);
-    the split-prime product over primes dividing N(f) is empty."""
-    D = classgroup.field.D
+def constant_c3(D: int) -> float:
+    """For conductor (1): product over p | D of (1 - 1/p)(1 - chi_D(p)/p),
+    where chi_D(p) = 0, so each second factor is exactly 1.0; the split-prime
+    product over primes dividing N(f) is empty."""
     out = 1.0
     for p in prime_factors(D):
-        out *= (1 - 1 / p) * (1 - classgroup.field.chi(p) / p)
+        out *= 1 - 1 / p
     return out
 
 
@@ -88,7 +87,7 @@ def petersson_norm(character: HeckeCharacter, paper_value: float | None = None) 
     ldata = l_value_at_1(twisted)
     c1 = constant_c1(cg.field.D)
     c2 = constant_c2()
-    c3 = constant_c3(cg)
+    c3 = constant_c3(cg.field.D)
     res = cg.residue_zeta()
     total = c1 * c2 * c3 * res * ldata["value"]
     rel = abs(total / paper_value - 1) if paper_value else None

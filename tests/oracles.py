@@ -18,7 +18,10 @@ split branch at every prime.  Likewise ClassGroup
 reduces forms in arrays, and IndefiniteForm and scalar_cycles are the older
 one-form-at-a-time reduction and cycle search.  ideal_count
 and gauss_abs_sq_residual are closed forms the tests check the library
-against, and is_norm_induced compares psi with psi o sigma class by class.
+against, is_norm_induced compares psi with psi o sigma class by class, and
+epsilon_by_ideal reads the sign exponent off psi((sqrt(D))), where
+HeckeCharacter.epsilon reads it off the index.  report_floats walks a CLI
+report for the floats that must print at 15 significant digits.
 
 The rest checks the coefficients and the Gauss sums by routes the CLI does
 not take.  ReferenceCountTable counts the ideals of each norm per narrow
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from math import isqrt
 
 import numpy as np
@@ -45,7 +49,6 @@ from scipy.special import exp1
 from maassforge.classforms import ClassGroup
 from maassforge.heckechar import (
     DirichletCharacterModP,
-    GaussSumResult,
     HeckeCharacter,
     gauss_sum_rational,
 )
@@ -484,9 +487,27 @@ def ideal_count(F: QuadField, n: int) -> int:
     return count
 
 
-def gauss_abs_sq_residual(res: GaussSumResult) -> float:
-    """| |tau|^2 - N(f) |, which vanishes for primitive characters."""
-    return abs(abs(res.value) ** 2 - res.modulus_norm)
+def gauss_abs_sq_residual(tau: complex, m: int) -> float:
+    """| |tau|^2 - N(f) | for the modulus f = m O_F, of norm m^2, which
+    vanishes for primitive characters."""
+    return abs(abs(tau) ** 2 - m * m)
+
+
+def epsilon_by_ideal(character: HeckeCharacter) -> int:
+    """The sign exponent by ideal arithmetic: 1 if psi((sqrt(D))) = -1, with
+    sqrt(D) = 2 omega - s and its class's discrete log, else 0."""
+    F = character.field
+    sqrt_d = F.principal_ideal(-F.s, 2)
+    return 1 if character.exponent(sqrt_d) % 1 == Fraction(1, 2) else 0
+
+
+def report_floats(value):
+    """Every float in a parsed JSON report, at any depth."""
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, (list, dict)):
+        for v in value.values() if isinstance(value, dict) else value:
+            yield from report_floats(v)
 
 
 def is_norm_induced(character: HeckeCharacter) -> bool:

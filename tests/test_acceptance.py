@@ -95,11 +95,10 @@ def test_a6_eigenvalue_richardson(theta229):
 
 
 def test_a7_functional_equation(theta229):
-    dual = ThetaForm(theta229.character.conjugate())
     y0 = 1 / math.sqrt(229)
     ys = [0.85 * y0, 0.95 * y0, y0, 1.05 * y0, 1.15 * y0]
     points = [(x * y0, y) for x, y in zip((0.3, -0.2, 0.0, 0.1, -0.4), ys)]
-    rep = theta229.check_functional_equation(dual, points)
+    rep = theta229.check_functional_equation(points)
     assert rep.details["root_number"] == 1
     assert rep.residual < 1e-8
 

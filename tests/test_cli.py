@@ -17,7 +17,7 @@ from maassforge.classforms import ClassGroup
 from maassforge.cli import COEFFS_ROW_BUDGET, DISC_BUDGET, GAUSS_PRIME_BUDGET, main
 from maassforge.maassform import AUTOMORPHY_SAMPLE_BUDGET, ThetaForm
 from maassforge.quadfield import IDEALS_NORM_BUDGET, QuadField
-from oracles import ReferenceCountTable, dense_coefficients
+from oracles import ReferenceCountTable, dense_coefficients, report_floats
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "schemas" / "report.json").read_text())
 
@@ -169,6 +169,36 @@ def test_invalid_numbers_exit_2(capsys, argv):
     assert exc.value.code == 2
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+@pytest.mark.parametrize("where", ["directory", "beneath a file"])
+def test_unwritable_output_path_exits_2(capsys, tmp_path, flag, where):
+    (tmp_path / "file").write_text("")
+    path = tmp_path if where == "directory" else tmp_path / "file" / "x"
+    with pytest.raises(SystemExit) as exc:
+        main(["coeffs", "--disc", "229", "--n-max", "5", flag, str(path)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    # the file is opened before anything is printed
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith(f"error: cannot write '{path}'")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("theta-eval", "--disc", "229", "--x", "0.12345678901234567", "--y", "0.30000000000000004"),
+        ("check-automorphy", "--disc", "229", "--samples", "1", "--tol", "1.2345678901234567e-08"),
+        ("lvalue", "--disc", "229", "--index", "2", "--s", "2.0000000000000004"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_echoed_inputs_print_at_15_digits(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    floats = list(report_floats(json.loads(out)))
+    assert len(floats) >= 3 and all(v == float(f"{v:.15g}") for v in floats), floats
 
 
 @pytest.mark.parametrize("half", [("--c", "458"), ("--d", "3")], ids=lambda half: half[0])

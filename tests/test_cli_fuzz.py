@@ -1,6 +1,7 @@
 """Fuzz the command line in-process: every input ends in an exit code of the
 contract (0 ok, 1 tolerance, 2 invalid, 3 resource), with no other exception,
-and every report it prints is strict JSON that the schema accepts."""
+and every report it prints is strict JSON that the schema accepts, its floats
+at 15 significant digits."""
 
 import contextlib
 import io
@@ -12,14 +13,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from maassforge.cli import main
+from oracles import report_floats
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "schemas" / "report.json").read_text())
 
 # invalid discriminants first, then fields with h+ = 1, 2 (norm-induced), h+ = 4
 # with an odd character (136), h+ = 3 (229) and a non-cyclic group (1105)
 DISCS = [-5, 0, 1, 4, 9, 5, 8, 12, 40, 136, 229, 1105]
-NUMBERS = ["-inf", "-1e300", "-1", "0", "1e-300", "0.001", "0.05", "0.2", "0.5", "1", "1.5",
-           "3", "1e300", "inf", "nan", "x"]
+NUMBERS = ["-inf", "-1e300", "-1", "0", "1e-300", "0.001", "0.05", "0.12345678901234567", "0.2",
+           "0.5", "1", "1.5", "3", "1e300", "inf", "nan", "x"]
 numbers = st.sampled_from(NUMBERS)
 
 
@@ -72,7 +74,9 @@ def check_contract(argv):
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
     if code == 0 or out.getvalue():
         # exit 1 from a split-point disagreement prints no report
-        jsonschema.validate(json.loads(out.getvalue(), parse_constant=_no_constant), SCHEMA)
+        report = json.loads(out.getvalue(), parse_constant=_no_constant)
+        jsonschema.validate(report, SCHEMA)
+        assert all(v == float(f"{v:.15g}") for v in report_floats(report)), argv
     if code in (2, 3):
         assert out.getvalue() == "" and "error:" in err.getvalue(), (argv, err.getvalue())
 

@@ -64,6 +64,22 @@ def test_norm_induced_detection():
     assert checked == 1062
 
 
+def test_epsilon_read_off_the_index_matches_the_ideal_route():
+    # every character of every field with a cyclic narrow class group and
+    # D < 3000: psi((sqrt D)) = (-1)^index when N(unit) = +1, else 1
+    checked = odd = 0
+    for D in filter(is_fundamental_discriminant, range(5, 3000)):
+        cg = ClassGroup(QuadField(D))
+        if not cg.is_cyclic():
+            continue
+        for i in range(cg.h_narrow):
+            psi = make_class_character(cg, i)
+            assert psi.epsilon == oracles.epsilon_by_ideal(psi), (D, i)
+            checked += 1
+            odd += psi.epsilon
+    assert (checked, odd) == (1568, 497)
+
+
 def test_primitive_root_is_sympys_smallest():
     for p in _primes_up_to(1000)[1:].tolist():
         assert DirichletCharacterModP(p, 1).g == primitive_root(p)
@@ -93,10 +109,8 @@ def test_quadratic_field_gauss_sum_magnitude():
     F = QuadField(229)
     for p, k in [(7, 1), (13, 2), (23, 3)]:
         sigma = DirichletCharacterModP(p, k)
-        res = gauss_sum_quadratic_field(
-            F, norm_composed_character(F, sigma), p, delta=sigma.parity()
-        )
-        assert oracles.gauss_abs_sq_residual(res) < 1e-8
+        tau = gauss_sum_quadratic_field(norm_composed_character(F, sigma), p, delta=sigma.parity())
+        assert oracles.gauss_abs_sq_residual(tau, p) < 1e-8
 
 
 def test_gauss_norm_lemma_inert_primes():

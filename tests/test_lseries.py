@@ -432,6 +432,17 @@ def test_rankin_residue_refuses_where_derivation_fails(psi229):
         rankin_euler_identity_residual_corrected(psi229, 1.0, 1000)
 
 
+@pytest.mark.parametrize("D", [229, 136, 401, 3305, 505, 1129, 40009, 257, 445, 4409])
+def test_conjugate_characters_have_bitwise_equal_supports(D):
+    # psibar has t' = -t mod h, _sin_pi reduces 2t' to exactly the negated
+    # angle of 2t, and np.sin is odd: Theta_psibar = Theta_psi bit for bit
+    cg = ClassGroup(QuadField(D))
+    for i in range(1, cg.h_narrow):
+        n, a = ls.support(make_class_character(cg, i), 200_000)
+        nc, ac = ls.support(make_class_character(cg, i).conjugate(), 200_000)
+        assert n.tobytes() == nc.tobytes() and a.tobytes() == ac.tobytes(), (D, i)
+
+
 def test_l_value_dual_routes_agree(psi229):
     rep = ls.l_value_at_1(psi229.power(2))
     assert rep["cutoff_agreement"] < 1e-9

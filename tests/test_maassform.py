@@ -87,13 +87,13 @@ def test_functional_equation_pair_shares_one_table(monkeypatch):
     monkeypatch.setattr(ls.ClassCountTable, "__init__", counting_init)
     cg = ClassGroup(QuadField(229))
     psi = make_class_character(cg, 1)
-    th, dual = ThetaForm(psi), ThetaForm(psi.conjugate())
+    th = ThetaForm(psi)
     y0 = 1 / math.sqrt(229)
-    rep = th.check_functional_equation(dual, [(0.1 * y0, 0.9 * y0), (-0.2 * y0, 1.1 * y0)])
+    rep = th.check_functional_equation([(0.1 * y0, 0.9 * y0), (-0.2 * y0, 1.1 * y0)])
     assert rep.residual < 1e-10
-    # both forms read their class group's one table: the dual's side of
-    # the second point is the lowest height, 0.88 y0, and builds it anew
-    assert 1 <= len(built) <= 2 and all(g is cg for g in built)
+    # z and -1/(Dz) are evaluated together, the lowest height, 0.88 y0 for
+    # -1/(Dz) of the second point, first: one table serves both sides
+    assert built == [cg]
 
 
 def test_automorphy_rejects_non_gamma0(theta229):
@@ -121,10 +121,9 @@ def test_eigenvalue_richardson(theta229):
 
 
 def test_functional_equation(theta229):
-    dual = ThetaForm(theta229.character.conjugate())
     ys = [0.055, 0.06, 1 / math.sqrt(229), 0.07, 0.08]
     points = [(x, y) for x, y in zip((0.02, -0.01, 0.0, 0.015, -0.03), ys)]
-    rep = theta229.check_functional_equation(dual, points)
+    rep = theta229.check_functional_equation(points)
     assert rep.residual < 1e-10
 
 
@@ -151,12 +150,11 @@ def test_functional_equation_off_axis_505(index, epsilon):
     # the odd form is a sine series, so the points lie off the imaginary axis
     psi = make_class_character(ClassGroup(QuadField(505)), index)
     th = ThetaForm(psi)
-    dual = ThetaForm(psi.conjugate())
     y0 = 1 / math.sqrt(505)
     points = [(0.3 * y0, 0.9 * y0), (-0.2 * y0, y0), (0.5 * y0, 1.1 * y0)]
     assert th.epsilon == epsilon
     assert min(abs(th.eval(x, y)) for x, y in points) > 1e-2
-    rep = th.check_functional_equation(dual, points)
+    rep = th.check_functional_equation(points)
     assert rep.details["root_number"] == (-1) ** epsilon
     assert rep.residual < 1e-10
 
@@ -313,10 +311,10 @@ def test_checks_bitwise_equal_to_one_point_evaluation(D, monkeypatch):
     points = [(0.3 * y0, 0.9 * y0), (-0.2 * y0, y0), (0.5 * y0, 1.1 * y0)]
     calls = record_evals(monkeypatch)
     eig = th.check_eigenvalue(0.3, 0.7)
-    fe = th.check_functional_equation(dual, points)
+    fe = th.check_functional_equation(points)
     decay = th.check_cuspidal_decay([1.0, 1.5, 2.0, 3.0])
-    # one call per check, and one per form for the functional equation
-    assert len(calls) == 4 and assert_evals_equal_one_point_oracle(calls) == 13 + 6 + 4
+    # one call per check, the functional equation's over z and -1/(Dz) together
+    assert len(calls) == 3 and assert_evals_equal_one_point_oracle(calls) == 13 + 6 + 4
     # the reports are those of the older loops over one-point evaluations
     monkeypatch.undo()
     one = theta_one_point
@@ -327,6 +325,7 @@ def test_checks_bitwise_equal_to_one_point_evaluation(D, monkeypatch):
         return -y * y * lap / f0
 
     assert eig.details["fd_values"] == [fd_eigen(0.3, 0.7, 0.04 / 2**k) for k in range(3)]
+    # the reference evaluates -1/(Dz) on Theta_psibar, a form of its own
     T = psi.root_number()
     ws = [-1.0 / (D * complex(x, y)) for x, y in points]
     assert fe.residual == max(abs(one(th, x, y) - T * one(dual, w.real, w.imag)) for (x, y), w in zip(points, ws))

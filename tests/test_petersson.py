@@ -10,20 +10,28 @@ from maassforge.petersson import (
     constant_c3,
     petersson_norm,
 )
-from maassforge.quadfield import QuadField
+from maassforge.quadfield import QuadField, is_fundamental_discriminant, prime_factors
 
 
 def test_constants_229():
-    cg = ClassGroup(QuadField(229))
     assert abs(constant_c1(229) - 229**2 / (4 * math.pi * 228)) < 1e-12
     assert abs(constant_c2() - math.pi) < 1e-12
-    assert abs(constant_c3(cg) - 228 / 229) < 1e-15
+    assert abs(constant_c3(229) - 228 / 229) < 1e-15
 
 
 def test_constants_445():
-    cg = ClassGroup(QuadField(445))
-    assert abs(constant_c3(cg) - (4 / 5) * (88 / 89)) < 1e-15
+    assert abs(constant_c3(445) - (4 / 5) * (88 / 89)) < 1e-15
     assert abs(constant_c1(445) - 445**2 / (4 * math.pi * 352)) < 1e-12
+
+
+def test_c3_bitwise_equal_to_the_product_with_chi_d():
+    # chi_D(p) = 0 at p | D, so the factors (1 - chi_D(p)/p) are exactly 1.0
+    for D in [d for d in range(5, 3000) if is_fundamental_discriminant(d)] + [95304805]:
+        F = QuadField(D)
+        ref = 1.0
+        for p in prime_factors(D):
+            ref *= (1 - 1 / p) * (1 - F.chi(p) / p)
+        assert constant_c3(D) == ref, D
 
 
 def test_residue():
