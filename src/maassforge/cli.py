@@ -5,19 +5,22 @@ invalid input (quadfield.InvalidInputError, such as a norm-induced character,
 whose theta series is not cuspidal), 3 resource cap exceeded
 (quadfield.BudgetError).  Each is raised where its limit is known; main alone
 prints it as one "error:" line and picks the code.  Anything else raised is a
-bug and keeps its traceback.  An --out or --csv path that cannot be written
-is invalid input, refused before anything is printed.
+bug and keeps its traceback.  An --out or --csv path that cannot be opened
+or written is invalid input: both are opened before either is written,
+nothing is printed, and a file the run created is removed.
 
 Each command returns its report and exit code, and main alone writes the
-report: to --out, then to stdout.  All floats are printed with 15
+report: to --csv and --out, then to stdout.  All floats are printed with 15
 significant digits and JSON output is byte-deterministic for fixed flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -70,21 +73,51 @@ def _round_floats(data: dict) -> dict:
     }
 
 
-def _open_for_writing(path: str, **kwargs):
+def _write_files(writers: dict) -> None:
+    """Call each writer on its path, opened for writing.  Every path is opened
+    before any is written, and an OSError in opening, writing or closing is
+    invalid input, after which the files this call created are removed."""
+    created, handles, path = [], [], None
     try:
-        return open(path, "w", **kwargs)
+        for path in writers:
+            new = not os.path.lexists(path)
+            handles.append(open(path, "w", newline=""))
+            if new:
+                created.append(path)
+        for (path, write), fh in zip(writers.items(), handles):
+            with fh:
+                write(fh)
     except OSError as exc:
+        for fh in handles:
+            with contextlib.suppress(OSError):
+                fh.close()
+        for name in created:
+            with contextlib.suppress(OSError):
+                os.remove(name)
         raise InvalidInputError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
+def _write_csv(fh, data: dict) -> None:
+    """The coeffs rows as CSV, a'(n) at the 15 digits the JSON rounds it to."""
+    import csv  # only coeffs --csv needs it
+
+    w = csv.writer(fh)
+    w.writerow(["n", "re", "im"])
+    w.writerows([c["n"], f"{c['re']:.15g}", "0"] for c in data["coefficients"])
+
+
 def _emit(data: dict, args) -> None:
-    """Write the report, its own floats rounded by _fmt, to --out and then
-    to stdout.  Lists and dicts nested in it are rounded where they are
-    built, so that no recursive walk visits every coeffs row a second time."""
+    """Write the report, its own floats rounded by _fmt, to --csv (coeffs)
+    and --out, then print it.  Lists and dicts nested in it are rounded where
+    they are built, so that no recursive walk visits every coeffs row a
+    second time."""
     text = json.dumps(_round_floats(data), indent=1, sort_keys=True)
+    writers = {}
+    if getattr(args, "csv", None):
+        writers[args.csv] = lambda fh: _write_csv(fh, data)
     if getattr(args, "out", None):
-        with _open_for_writing(args.out) as fh:
-            fh.write(text + "\n")
+        writers[args.out] = lambda fh: fh.write(text + "\n")
+    _write_files(writers)
     print(text)
 
 
@@ -92,6 +125,13 @@ def _finite_float(text: str) -> float:
     x = float(text)
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
+
+def _positive_float(text: str) -> float:
+    x = _finite_float(text)
+    if not x > 0:
+        raise argparse.ArgumentTypeError(f"must be a number > 0, got {text!r}")
     return x
 
 
@@ -181,14 +221,6 @@ def cmd_coeffs(args) -> tuple[dict, int]:
     live, a = lseries.support(psi, args.n_max)
     b = np.zeros(args.n_max + 1)
     b[live] = a
-    if args.csv:
-        import csv as _csv
-
-        with _open_for_writing(args.csv, newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["n", "re", "im"])
-            for n in range(1, args.n_max + 1):
-                w.writerow([n, f"{b[n]:.15g}", "0"])
     return {
         "D": cg.field.D,
         "index": psi.index,
@@ -248,7 +280,9 @@ def cmd_lvalue(args) -> tuple[dict, int]:
     cg, psi = _character(args)
     if psi.is_trivial():
         raise InvalidInputError("L(s, trivial) has a pole at s = 1")
-    if args.s == 1.0:
+    # an s that prints as 1.0 takes the s = 1 route, so that the value
+    # printed is the one for the s printed beside it
+    if _fmt(args.s) == 1.0:
         return {"D": cg.field.D, "index": psi.index, "s": 1.0, **lseries.l_value_at_1(psi)}, EXIT_OK
     if args.s < 1.0:
         raise InvalidInputError("only s = 1 or s > 1 supported")
@@ -333,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--samples", type=_int_at_least(1), default=3)
-    p.add_argument("--tol", type=_finite_float, default=1e-8)
+    p.add_argument("--tol", type=_positive_float, default=1e-8)
     p.set_defaults(func=cmd_check_automorphy)
 
     p = sub.add_parser("lvalue", help="L(s, psi); dual-route L(1) report")

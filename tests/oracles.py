@@ -1,39 +1,24 @@
-"""Oracles the tests check the library against, and checks only tests run.
+"""Independent references for the tests: routes to each quantity that share no
+code with the route maassforge takes, beyond the field or class group they are
+given and the primes of _primes_up_to.  One line per quantity: its reference,
+and the tests that use it.
 
-kronecker is the Jacobi reciprocity loop, one symbol at a time, that
-QuadField.chi once was; chi and prime_roots now share one formula in n mod D.
-QuadField.prime_roots splits arrays of rational primes with numpy; these
-functions split one prime at a time by the older scalar route, and enumerate
-ideals from that split, so that the tests can compare the two.
-prime_roots_by_euler is the older array route, with chi_D(p) by Euler's
-criterion at every prime, and bessel_k0_masked, bessel_k0e_masked and
-incomplete_k_mellin_masked pick K_0's bands by masks in any order, where
-special cuts them from ascending arguments as slices.  theta_one_point is
-ThetaForm.eval's older body, a support and a K_0 sum of its own at every
-point, where eval takes both once per distinct height.  dense_support is
-ClassCountTable._row's older route, one dense row over the whole table with
-its nonzero rows cut out at the end, where _row keeps each pass's nonzero
-rows, on the local factors of local_factor_by_select, which takes the
-split branch at every prime.  Likewise ClassGroup
-reduces forms in arrays, and IndefiniteForm and scalar_cycles are the older
-one-form-at-a-time reduction and cycle search.  ideal_count
-and gauss_abs_sq_residual are closed forms the tests check the library
-against, is_norm_induced compares psi with psi o sigma class by class, and
-epsilon_by_ideal reads the sign exponent off psi((sqrt(D))), where
-HeckeCharacter.epsilon reads it off the index.  report_floats walks a CLI
-report for the floats that must print at 15 significant digits.
-
-The rest checks the coefficients and the Gauss sums by routes the CLI does
-not take.  ReferenceCountTable counts the ideals of each norm per narrow
-class with the Hecke recursion in the group ring, where lseries fills one
-real row per character by multiplicativity; on its counts sit the exact
-group-ring identities (prime_power_vector, convolve,
-hecke_recursion_residual, multiplicativity_failures), the exact zero test
-of a coefficient modulo a cyclotomic polynomial (exact_zeros, on
-_vanishing and _cyclotomic) and the dense complex product of every
-coefficient (dense_coefficients).  Then come the Euler factors of
-L(s, psi), the Rankin-Selberg identity for sum |a'(n)|^2 n^(-s) with its
-closed-form residue, and the twisting lemma for rational Gauss sums.
+chi_D(n): kronecker, the Jacobi reciprocity loop; at primes, Euler's criterion by pow (test_quadfield, test_lseries).
+Prime ideals and ideals: tonelli_shanks, prime_roots, split_prime, enumerate_ideals, one prime at a time (test_quadfield, test_lseries).
+Ideal counts: ideal_count, the divisor sum of chi_D (test_quadfield).
+Class group: IndefiniteForm, ideal_to_form, scalar_cycles, the scalar rho-reduction and its cycles (test_classforms, test_lseries).
+a'(n) per class: ReferenceCountTable, the Hecke recursion in the group ring in passes of SIEVE_CHUNK rows, read by row (test_lseries, test_maassform, test_cli).
+The support of a'(n): exact_zeros and cancelling_rows, exact zero tests on the reference counts (test_lseries, test_maassform).
+a'(n) as numbers: dense_coefficients, the complex product of every row, zeros included (test_lseries, test_maassform, test_cli).
+Hecke relations: prime_power_vector, convolve, hecke_recursion_residual, multiplicativity_failures, exact in the group ring (test_lseries, test_acceptance).
+Euler products: euler_factor, against the library's a'(n) scattered by coefficients (test_lseries).
+Rankin-Selberg: rankin_local_factor, rankin_residue, rankin_euler_identity_residual, rankin_euler_identity_residual_corrected, on rankin_coeffs (test_lseries, test_acceptance).
+Sign exponent: epsilon_by_ideal, psi((sqrt D)) by ideal arithmetic (test_heckechar).
+Norm-induced characters: is_norm_induced, psi against psi o sigma class by class (test_heckechar).
+Gauss sums: gauss_abs_sq_residual and check_gauss_twisting, closed forms (test_heckechar, test_acceptance).
+Printed floats: report_floats, every float of a CLI report (test_cli, test_cli_fuzz).
+K_0 and G_s: mpmath, and scipy's k0, k0e and quad (test_special).
+Theta: dense_theta in test_maassform, every n up to the truncation on dense_coefficients (test_maassform).
 """
 
 from __future__ import annotations
@@ -52,16 +37,8 @@ from maassforge.heckechar import (
     HeckeCharacter,
     gauss_sum_rational,
 )
-from maassforge.lseries import ClassCountTable, _sin_pi, l_value_at_1_afe, support
-from maassforge.maassform import ThetaForm, _phase, _phase_tables
-from maassforge import special
-from maassforge.quadfield import (
-    QfIdeal,
-    QuadField,
-    _primes_up_to,
-    powmod_array,
-    prime_factors,
-)
+from maassforge.lseries import l_value_at_1_afe, support
+from maassforge.quadfield import QfIdeal, QuadField, _primes_up_to, prime_factors
 
 
 def kronecker(a: int, n: int) -> int:
@@ -208,174 +185,6 @@ def enumerate_ideals(F: QuadField, max_norm: int) -> list[QfIdeal]:
     rec(0, F.unit_ideal(), 1)
     out.sort(key=lambda I: (I.norm(), I.k, I.a, I.b))
     return out
-
-
-def tonelli_shanks_euler_array(n: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(n|p) and, where it is 1, a square root of n modulo the odd prime p
-    (int64 arrays, p < 2^31; the root is 0 elsewhere): the older array route,
-    which runs Tonelli-Shanks on every prime and reads Euler's criterion
-    n^((p-1)/2) = t^(2^(s-1)) off its t = n^q by s - 1 squarings
-    (p - 1 = q 2^s, q odd): 1 for a residue, 0 for p | n and p - 1 otherwise."""
-    s = np.log2((p - 1) & (1 - p)).astype(p.dtype)  # the lowest set bit of p - 1
-    q = (p - 1) >> s
-    # r = n^((q + 1)/2) and t = n^q from the one power x = n^((q - 1)/2)
-    x = powmod_array(n, (q - 1) // 2, p)
-    r = x * (n % p) % p
-    t = x * r % p
-    chi, squarings = t.copy(), 1
-    todo = np.flatnonzero(s > squarings)
-    while todo.size:
-        chi[todo] = chi[todo] * chi[todo] % p[todo]
-        squarings += 1
-        todo = todo[s[todo] > squarings]
-    chi[chi > 1] = -1  # n^((p-1)/2) is 1, 0 or p - 1
-    r[chi != 1] = 0
-    act = np.flatnonzero((t != 1) & (chi == 1))
-    if not act.size:
-        return chi, r
-    # c = z^q for the least non-residue z of each p that needs it.  z is a
-    # prime below sqrt(p) + 1, and these p are 1 mod 4 (t = 1 at once when
-    # s = 1), so (2|p) = -1 iff p = 5 mod 8 and (z|p) = (p|z) for odd z
-    P, Q, m = p[act], q[act], s[act]
-    z = np.where(P % 8 == 5, 2, 0)
-    todo = np.flatnonzero(z == 0)
-    for y in _primes_up_to(isqrt(int(P.max())) + 1)[1:].tolist():
-        if not todo.size:
-            break
-        square = np.zeros(y, dtype=bool)
-        square[np.arange(y) ** 2 % y] = True
-        nonres = ~square[P[todo] % y]
-        z[todo[nonres]] = y
-        todo = todo[~nonres]
-    c = powmod_array(z, Q, P)
-    R, T = r[act], t[act]
-    live = np.arange(act.size)
-    while live.size:
-        # least i with T^(2^i) = 1, then b = c^(2^(m - i - 1))
-        i = np.zeros_like(live)
-        sq = T[live]
-        todo = np.arange(live.size)
-        while todo.size:
-            sq[todo] = sq[todo] * sq[todo] % P[live[todo]]
-            i[todo] += 1
-            todo = todo[sq[todo] != 1]
-        Pl = P[live]
-        b = powmod_array(c[live], 1 << (m[live] - i - 1), Pl)
-        R[live] = R[live] * b % Pl
-        c[live] = b * b % Pl
-        T[live] = T[live] * c[live] % Pl
-        m[live] = i
-        live = live[T[live] != 1]
-    r[act] = R
-    return chi, r
-
-
-def prime_roots_by_euler(F: QuadField, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """QuadField.prime_roots by the older route: chi_D(p) by Euler's criterion
-    for D mod p at every odd prime p, from tonelli_shanks_euler_array."""
-    D, s = F.D, F.s
-    chi, root = np.zeros_like(p), np.zeros_like(p)
-    odd = np.flatnonzero(p != 2)
-    chi[odd], root[odd] = tonelli_shanks_euler_array(D % p[odd], p[odd])
-    chi[p == 2] = 0 if D % 2 == 0 else 1 if D % 8 == 1 else -1
-    half = (p + 1) // 2
-    b = np.minimum((root - s) * half % p, (-root - s) * half % p)
-    b[p == 2] = F.omega_image_norm(0) % 2
-    b[chi == -1] = 0
-    return chi, b
-
-
-def theta_one_point(th: ThetaForm, x: float, y: float) -> float:
-    """ThetaForm.eval at one point by the older route, which fetched the
-    support and summed K_0 afresh at every point."""
-    if y <= 0:
-        raise ValueError("y must be positive")
-    x -= round(x)
-    n, a = support(th.character, th.truncation_index(y))
-    kv = special.bessel_k0_array(2 * math.pi * y * n)
-    kv *= _phase(_phase_tables(x, int(n[-1])), n, odd=th.epsilon == 1)
-    return float(math.sqrt(y) * np.sum(a * kv))
-
-
-def local_factor_by_select(h: int, chi: np.ndarray, t: np.ndarray, e: np.ndarray | int) -> np.ndarray:
-    """lseries._local_factor by the older route, which takes the split
-    branch at every prime and picks the branches with np.select."""
-    pm = np.where(t == 0, 1.0, -1.0) ** e
-    sin_theta = _sin_pi(2 * t, h)
-    split = np.divide(_sin_pi(2 * (e + 1) * t, h), sin_theta, out=(e + 1) * pm, where=sin_theta != 0)
-    return np.select([chi == 1, chi == 0], [split, pm], (e + 1) % 2)
-
-
-def dense_support(table: ClassCountTable, index: int) -> tuple[np.ndarray, np.ndarray]:
-    """ClassCountTable._row by the older route: b(n) for every n <= n_max
-    in one dense float64 row, filled SIEVE_CHUNK rows a pass with the
-    integer quotients n // q and the local factors of local_factor_by_select,
-    and its nonzero rows cut out once it is full."""
-    t = index * table.k % table.h
-    f = local_factor_by_select(table.h, table.chi, t, 1)
-    f = np.concatenate([f, local_factor_by_select(table.h, table.chi[table._base], t[table._base], table._e)])
-    b = np.zeros(table.n_max + 1)
-    b[1:2] = 1.0  # the unit ideal
-    lo = 1
-    while lo < table.n_max:
-        hi = min(table.n_max, 2 * lo, lo + SIEVE_CHUNK)
-        at = table.at[lo - 1 : hi - 1]
-        b[lo + 1 : hi + 1] = b.take(np.arange(lo + 1, hi + 1) // table.q.take(at)) * f.take(at)
-        lo = hi
-    n = np.flatnonzero(b != 0)
-    return n, b[n]
-
-
-# -- K_0 with its bands picked by masks ------------------------------------
-
-_BAND_EDGES = np.array([edge for edge, _ in special.K0_HERMITE_BANDS[1:]])
-
-
-def _k0e_hermite_masked(t: np.ndarray) -> np.ndarray:
-    """e^t K_0(t) for t >= K0_SPLIT in any order, each band gathered by a mask."""
-    flat = t.ravel()
-    band = np.searchsorted(_BAND_EDGES, flat, side="right")
-    out = np.empty_like(flat)
-    for j, rule in enumerate(special._HERMITE):
-        idx = np.flatnonzero(band == j)
-        out[idx] = special._hermite_sum(flat[idx], rule)
-    return out.reshape(t.shape)
-
-
-def _by_range(t, below, above) -> np.ndarray:
-    t = np.asarray(t, dtype=np.float64)
-    out = np.empty_like(t)
-    low = t < special.K0_SPLIT
-    out[low] = below(t[low])
-    out[~low] = above(t[~low])
-    return out
-
-
-def bessel_k0_masked(t) -> np.ndarray:
-    """special.bessel_k0_array by the older route, over t in any order: the
-    series and each Hermite band gathered and scattered by masks."""
-    return _by_range(t, special._k0_series, lambda u: np.exp(-u) * _k0e_hermite_masked(u))
-
-
-def bessel_k0e_masked(t) -> np.ndarray:
-    """special.bessel_k0e_array by the same masked route."""
-    return _by_range(t, lambda u: np.exp(u) * special._k0_series(u), _k0e_hermite_masked)
-
-
-def incomplete_k_mellin_masked(s: float, x) -> np.ndarray:
-    """special.incomplete_k_mellin with e^u K_0(u) at its nodes by the masked
-    route, unsorted."""
-    x = np.asarray(x, dtype=np.float64)
-    t, wt = special._LAGUERRE
-    a = np.maximum(x, special.SPLIT)[..., None]
-    u = a + t
-    tail = np.exp(-a[..., 0]) * ((_k0e_hermite_masked(u) * u ** (s - 1)) @ wt)
-    r, wr = special._LEGENDRE
-    lo = np.log(np.minimum(x, special.SPLIT))[..., None]
-    half = (math.log(special.SPLIT) - lo) / 2
-    v = lo + half * (r + 1)
-    head = half[..., 0] * ((bessel_k0e_masked(np.exp(v)) * np.exp(s * v - np.exp(v))) @ wr)
-    return tail + head
 
 
 @dataclass(frozen=True)
@@ -564,6 +373,8 @@ class ReferenceCountTable:
         self.h = classgroup.h_narrow
         self.n_max = n_max
         self.counts = np.zeros((n_max + 1, self.h), dtype=np.int16)
+        # p -> (chi_D(p), class log of a prime above p), for prime_power_vector
+        self.prime_class: dict[int, tuple[int, int]] = {}
         if n_max == 0:
             return
         self.counts[1, 0] = 1  # the unit ideal
@@ -580,6 +391,7 @@ class ReferenceCountTable:
         at[new] = np.arange(small.size, small.size + new.size)
         primes = np.concatenate([small, new + 2])
         chi, k = classgroup.prime_classes(primes)
+        self.prime_class = dict(zip(primes.tolist(), zip(chi.tolist(), k.tolist())))
         lo = 1
         while lo < n_max:
             # n/p <= n/2 <= lo, so every row a pass reads is already filled
@@ -666,19 +478,23 @@ def _vanishing(h: int, index: int) -> np.ndarray:
 def exact_zeros(table: ReferenceCountTable, index: int, n_max: int) -> np.ndarray:
     """The n <= n_max whose b(n) = sum_j c_j rho^j is exactly 0,
     rho = exp(2 pi i index/h), decided on the counts: counts[n] @ W = 0 for
-    the W of _vanishing.  Row j of W depends on j mod order only, so the
-    counts are first summed over each residue class mod order."""
-    h = table.h
-    order = h // math.gcd(h, index)
-    sums = table.counts[1 : n_max + 1].astype(np.int64).reshape(n_max, h // order, order).sum(axis=1)
-    return 1 + np.flatnonzero(~(sums @ _vanishing(h, index)[:order]).any(axis=1))
+    the W of _vanishing.  The product is taken in float64, SIEVE_CHUNK rows
+    at a time, where it is exact: each of its h terms is an integer below
+    2^15 |W|, so every partial sum is an integer far below 2^53."""
+    W = _vanishing(table.h, index).astype(np.float64)
+    assert table.h * 2**15 * np.abs(W).max() < 2**53
+    rows = table.counts[1 : n_max + 1]
+    zero = [~(rows[lo : lo + SIEVE_CHUNK] @ W).any(axis=1) for lo in range(0, n_max, SIEVE_CHUNK)]
+    return 1 + np.flatnonzero(np.concatenate([np.zeros(0, dtype=bool), *zero]))
 
 
 def prime_power_vector(table: ReferenceCountTable, p: int, e: int) -> tuple[int, ...]:
     """Group-ring element of ideals of norm p^e supported at powers of p."""
     h = table.h
     v = [0] * h
-    chi, k = (int(x[0]) for x in table.classgroup.prime_classes(np.array([p], dtype=np.int64)))
+    if p not in table.prime_class:  # a prime past the table's rows
+        table.prime_class[p] = tuple(int(x[0]) for x in table.classgroup.prime_classes(np.array([p], dtype=np.int64)))
+    chi, k = table.prime_class[p]
     if chi == -1:
         if e % 2 == 0:
             # (p)^(e/2) is principal and totally positive

@@ -157,6 +157,8 @@ def test_coeffs_csv_and_json_export(capsys, tmp_path):
         ("theta-eval", "--disc", "229", "--x", "0.2", "--y", "inf"),
         ("check-automorphy", "--disc", "229", "--samples", "0"),
         ("check-automorphy", "--disc", "229", "--tol", "nan"),
+        ("check-automorphy", "--disc", "229", "--tol", "-1"),  # no residual is below it
+        ("check-automorphy", "--disc", "229", "--tol", "0"),
         ("gauss-check", "--disc", "5", "--p", "2"),
         ("gauss-check", "--disc", "229", "--p", "15"),
     ],
@@ -183,6 +185,34 @@ def test_unwritable_output_path_exits_2(capsys, tmp_path, flag, where):
     # the file is opened before anything is printed
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith(f"error: cannot write '{path}'")
+
+
+def test_refused_out_path_leaves_no_csv(capsys, tmp_path):
+    # both paths are opened before either is written, and the CSV the run
+    # created is removed once --out is refused
+    (tmp_path / "file").write_text("")
+    csv_path, out = tmp_path / "coeffs.csv", tmp_path / "file" / "x"
+    with pytest.raises(SystemExit) as exc:
+        main(["coeffs", "--disc", "229", "--n-max", "5", "--csv", str(csv_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err == f"error: cannot write '{out}': Not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [("field", "--disc", "5", "--out", "/dev/full"), ("coeffs", "--disc", "229", "--n-max", "5", "--csv", "/dev/full")],
+    ids=lambda argv: argv[0],
+)
+def test_full_device_exits_2(capsys, argv):
+    # the write fails, not the open: one error line, and nothing on stdout
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err == "error: cannot write '/dev/full': No space left on device\n"
 
 
 @pytest.mark.parametrize(
@@ -562,6 +592,15 @@ def test_lvalue_odd_character(capsys):
     assert abs(data["value"] - 1.6926231907031) < 1e-12
     assert data["oracle_agreement"] < 1e-9
     validate(out)
+
+
+def test_lvalue_at_an_s_printed_as_1_is_l1(capsys):
+    # the s echoed is 1.0, so the value beside it is L(1), not the partial
+    # sum 0.622459880238857 to n = 10^5 at s = 1 + 1e-15
+    reports = [run_cli(capsys, "lvalue", "--disc", "229", "--index", "2", "--s", s) for s in
+               ("1", "1.000000000000001", "0.9999999999999999")]
+    assert reports[0][0] == 0 and reports[1:] == reports[:1] * 2
+    assert abs(json.loads(reports[0][1])["value"] - 0.622611282462969) < 1e-12
 
 
 def test_lvalue_at_s_2_is_real(capsys):

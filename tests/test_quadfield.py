@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -127,11 +128,21 @@ def primes_of_a_full_table():
 @pytest.mark.parametrize("D", [5, 8, 12, 24, 40, 136, 229, 401, 445, 505, 777, 840, 940, 1105,
                                3305, 40009, 99999989])
 def test_prime_roots_bitwise_equal_to_euler_over_every_prime(D, primes_of_a_full_table):
+    # chi_D(p) and the least root, exactly, at every prime: a root b of
+    # N(b + omega) = b^2 + s b + (s - D)/4 mod p makes D = (2b + s)^2 a
+    # square mod p, so chi_D(p) is 0 where p | D and 1 elsewhere; at the
+    # other primes Euler's criterion D^((p-1)/2) = -1 mod p, by Python's pow,
+    # and (D|2) by kronecker
     p = primes_of_a_full_table
     chi, b = QuadField(D).prime_roots(p)
-    ref_chi, ref_b = oracles.prime_roots_by_euler(QuadField(D), p)
-    assert chi.dtype == ref_chi.dtype and b.dtype == ref_b.dtype
-    assert np.array_equal(chi, ref_chi) and np.array_equal(b, ref_b)
+    assert chi.dtype == b.dtype == np.int64
+    s = D % 2
+    assert np.array_equal(chi == 0, D % p == 0) and chi[0] == kronecker(D, 2)
+    live = chi >= 0
+    assert not ((b * b + s * b + (s - D) // 4) % p)[live].any()
+    assert np.all(b[live] <= (-s - b[live]) % p[live]) and not b[~live].any()
+    q = p[~live & (p != 2)]
+    assert list(map(pow, repeat(D), ((q - 1) // 2).tolist(), q.tolist())) == (q - 1).tolist()
 
 
 def test_largest_prime_discriminant_below_the_disc_budget():
