@@ -7,7 +7,8 @@ whose theta series is not cuspidal), 3 resource cap exceeded
 prints it as one "error:" line and picks the code.  Anything else raised is a
 bug and keeps its traceback.  An --out or --csv path that cannot be opened
 or written is invalid input: both are opened before either is written,
-nothing is printed, and a file the run created is removed.
+nothing is printed, a file the run created is removed, and one that existed
+is truncated only when its turn to be written comes, last (_write_files).
 
 Each command returns its report and exit code, and main alone writes the
 report: to --csv and --out, then to stdout.  All floats are printed with 15
@@ -21,6 +22,7 @@ import contextlib
 import json
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -75,17 +77,26 @@ def _round_floats(data: dict) -> dict:
 
 def _write_files(writers: dict) -> None:
     """Call each writer on its path, opened for writing.  Every path is opened
-    before any is written, and an OSError in opening, writing or closing is
-    invalid input, after which the files this call created are removed."""
+    before any is written, and without truncating it.  Devices such as
+    /dev/full, whose writes fail and which ftruncate refuses, are written
+    first, then the files this call created, and last the regular files that
+    existed, each emptied only when its turn comes.  So a path refused in
+    opening, or a write refused before the first of those files, leaves each
+    of them as it was.  An OSError in opening, writing or closing is invalid
+    input, after which the files this call created are removed."""
     created, handles, path = [], [], None
     try:
         for path in writers:
             new = not os.path.lexists(path)
-            handles.append(open(path, "w", newline=""))
+            handles.append(open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline=""))
             if new:
                 created.append(path)
-        for (path, write), fh in zip(writers.items(), handles):
+        regular = {path: stat.S_ISREG(os.fstat(fh.fileno()).st_mode) for path, fh in zip(writers, handles)}
+        order = sorted(zip(writers.items(), handles), key=lambda t: (regular[t[0][0]], t[0][0] not in created))
+        for (path, write), fh in order:
             with fh:
+                if regular[path]:
+                    fh.truncate()
                 write(fh)
     except OSError as exc:
         for fh in handles:

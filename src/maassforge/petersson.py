@@ -50,7 +50,7 @@ class PeterssonReport:
             "paper_value": self.paper_value,
             "rel_err": self.rel_err,
         }
-        # the two routes to L(1): split points 1 and 2, and the direct oracle
+        # L(1)'s checks: split points 1 and 2, and the reduced cycles' value
         for k in ("cutoff_agreement", "direct_oracle", "oracle_agreement"):
             out[k] = self.l_diagnostics[k]
         return out

@@ -221,19 +221,6 @@ class QuadField:
     def unit_ideal(self) -> "QfIdeal":
         return QfIdeal.make(self, 1, 1, 0)
 
-    def principal_ideal(self, x: int, y: int) -> "QfIdeal":
-        """The ideal generated by x + y*omega."""
-        if x == 0 and y == 0:
-            raise ValueError("zero element generates no ideal")
-        # module columns: (x + y*omega) and (x + y*omega)*omega in basis (1, omega)
-        # omega^2 = s*omega + (D - s^2)/4
-        w2_const = -self.omega_norm
-        cols = [
-            (x, y),
-            (y * w2_const, x + y * self.s),
-        ]
-        return _hnf_to_ideal(self, cols)
-
     def ideal_mul(self, I: "QfIdeal", J: "QfIdeal") -> "QfIdeal":
         if I.field is not self or J.field is not self:
             raise ValueError("ideals belong to a different field")
@@ -251,12 +238,6 @@ class QuadField:
         ]
         out = _hnf_to_ideal(self, cols)
         return QfIdeal.make(self, out.k * I.k * J.k, out.a, out.b)
-
-    def ideal_conj(self, I: "QfIdeal") -> "QfIdeal":
-        """Image of the ideal under the nontrivial automorphism."""
-        # conjugate of b + omega is (b + s) - omega; the module Z*a + Z*(b+s-omega)
-        # equals Z*a + Z*(b' + omega) with b' = -(b+s) mod a
-        return QfIdeal.make(self, I.k, I.a, (-(I.b + self.s)) % I.a)
 
     # -- prime splitting ------------------------------------------------
 
@@ -342,9 +323,6 @@ class QfIdeal:
 
     def norm(self) -> int:
         return self.k * self.k * self.a
-
-    def conj(self) -> "QfIdeal":
-        return self.field.ideal_conj(self)
 
     def __mul__(self, other: "QfIdeal") -> "QfIdeal":
         return self.field.ideal_mul(self, other)

@@ -13,6 +13,7 @@ a'(n) as numbers: dense_coefficients, the complex product of every row, zeros in
 Hecke relations: prime_power_vector, convolve, hecke_recursion_residual, multiplicativity_failures, exact in the group ring (test_lseries, test_acceptance).
 Euler products: euler_factor, against the library's a'(n) scattered by coefficients (test_lseries).
 Rankin-Selberg: rankin_local_factor, rankin_residue, rankin_euler_identity_residual, rankin_euler_identity_residual_corrected, on rankin_coeffs (test_lseries, test_acceptance).
+Principal and conjugate ideals: principal_ideal, from the inverse of y mod N(x + y omega), and ideal_conj (test_quadfield, test_classforms).
 Sign exponent: epsilon_by_ideal, psi((sqrt D)) by ideal arithmetic (test_heckechar).
 Norm-induced characters: is_norm_induced, psi against psi o sigma class by class (test_heckechar).
 Gauss sums: gauss_abs_sq_residual and check_gauss_twisting, closed forms (test_heckechar, test_acceptance).
@@ -302,11 +303,32 @@ def gauss_abs_sq_residual(tau: complex, m: int) -> float:
     return abs(abs(tau) ** 2 - m * m)
 
 
+def principal_ideal(F: QuadField, x: int, y: int) -> QfIdeal:
+    """The ideal generated by x + y omega, not 0: g = gcd(x, y) times the
+    ideal of the primitive element x' + y' omega, (x, y) = g (x', y'), which
+    is primitive, of norm a = |N(x' + y' omega)|.  Its elements u + v omega
+    have u = b v mod a, so b = x' y'^-1 mod a; y' is prime to a, since a
+    common factor would divide x' too."""
+    g = math.gcd(x, y)
+    if g == 0:
+        raise ValueError("zero element generates no ideal")
+    x, y = x // g, y // g
+    a = abs(F.elt_norm(x, y))
+    return QfIdeal.make(F, g, a, x * pow(y, -1, a))
+
+
+def ideal_conj(I: QfIdeal) -> QfIdeal:
+    """The image of I under the nontrivial automorphism: b + omega maps to
+    (b + s) - omega, so Z a + Z (b + omega) maps to Z a + Z (b' + omega),
+    b' = -(b + s) mod a."""
+    return QfIdeal.make(I.field, I.k, I.a, -(I.b + I.field.s) % I.a)
+
+
 def epsilon_by_ideal(character: HeckeCharacter) -> int:
     """The sign exponent by ideal arithmetic: 1 if psi((sqrt(D))) = -1, with
     sqrt(D) = 2 omega - s and its class's discrete log, else 0."""
     F = character.field
-    sqrt_d = F.principal_ideal(-F.s, 2)
+    sqrt_d = principal_ideal(F, -F.s, 2)
     return 1 if character.exponent(sqrt_d) % 1 == Fraction(1, 2) else 0
 
 
@@ -324,7 +346,7 @@ def is_norm_induced(character: HeckeCharacter) -> bool:
     cg = character.classgroup
     for i in range(character.h):
         I = cg.class_ideals[i]
-        if character.exponent(I) % 1 != character.exponent(I.conj()) % 1:
+        if character.exponent(I) % 1 != character.exponent(ideal_conj(I)) % 1:
             return False
     return True
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -200,6 +201,41 @@ def test_refused_out_path_leaves_no_csv(capsys, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
+@pytest.mark.parametrize("out", ["beneath a file", "/dev/full", "over the file size limit"])
+def test_refused_out_path_keeps_an_existing_csv(capsys, tmp_path, out):
+    # the CSV is opened without truncating it, and emptied only after every
+    # path is open and the device, or the file the run creates, is written
+    if out == "/dev/full" and not os.path.exists(out):
+        pytest.skip("needs /dev/full")
+    (tmp_path / "file").write_text("")
+    csv_path = tmp_path / "coeffs.csv"
+    csv_path.write_text("precious\n")
+    limit = resource.getrlimit(resource.RLIMIT_FSIZE)
+    try:
+        if out == "over the file size limit":  # the JSON of 200 rows passes 4 KB
+            out = str(tmp_path / "new.json")
+            resource.setrlimit(resource.RLIMIT_FSIZE, (4096, limit[1]))
+        elif out == "beneath a file":
+            out = str(tmp_path / "file" / "x")
+        with pytest.raises(SystemExit) as exc:
+            main(["coeffs", "--disc", "229", "--n-max", "200", "--csv", str(csv_path), "--out", out])
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, limit)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith(f"error: cannot write '{out}'")
+    assert csv_path.read_bytes() == b"precious\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["coeffs.csv", "file"]
+
+
+def test_existing_csv_longer_than_the_new_one_is_overwritten(capsys, tmp_path):
+    csv_path = tmp_path / "coeffs.csv"
+    csv_path.write_text("x" * 1000)
+    code, _ = run_cli(capsys, "coeffs", "--disc", "229", "--n-max", "3", "--csv", str(csv_path))
+    # emptied before it is written: no byte of the old content is left
+    assert code == 0 and csv_path.read_bytes() == b"n,re,im\r\n1,1,0\r\n2,0,0\r\n3,-1,0\r\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize(
     "argv",
@@ -283,8 +319,8 @@ def test_coeffs_over_row_budget_exits_3(capsys, monkeypatch):
 
 
 def test_lvalue_over_row_budget_exits_3(capsys, monkeypatch):
-    # the direct oracle of L(1) needs 172,800 rows
-    monkeypatch.setattr(lseries, "ROW_BUDGET", 1000)
+    # the AFE of L(1) needs 265 rows at split point 2
+    monkeypatch.setattr(lseries, "ROW_BUDGET", 200)
     with pytest.raises(SystemExit) as exc:
         main(["lvalue", "--disc", "229", "--index", "2"])
     captured = capsys.readouterr()
@@ -561,12 +597,17 @@ def test_check_automorphy_builds_its_table_in_one_extension(capsys, monkeypatch)
 
 def test_table_builds_per_command(capsys, monkeypatch):
     # the traffic the table is designed for: the L(1) route asks for the
-    # AFE's rows at split points 1 and 2, then for the direct oracle's, each
-    # larger than the last, so each builds a new table; check-automorphy
-    # evaluates its lowest height first, so its one table has every row
+    # AFE's rows at split points 1 and 2, the second larger, so it builds a
+    # new table, and its second route, the reduced cycles, reads none;
+    # reproduce 401's two characters share the table of their field;
+    # check-automorphy evaluates its lowest height first, so its one table
+    # has every row
     builds, _ = record_table_builds(monkeypatch)
     code, _ = run_cli(capsys, "lvalue", "--disc", "229", "--index", "2")
-    assert code == 0 and builds == [133, 265, 172800]
+    assert code == 0 and builds == [133, 265]
+    builds.clear()
+    code, _ = run_cli(capsys, "reproduce", "--example", "401")
+    assert code == 0 and builds == [176, 351]
     builds.clear()
     code, _ = run_cli(capsys, "check-automorphy", "--disc", "229", "--index", "1", "--samples", "2")
     assert code == 0 and builds == [1220639]
@@ -630,8 +671,37 @@ def test_lvalue_split_point_disagreement_exits_1(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error: split-point instability")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
-    # refused on the AFE's 265 rows, before the direct oracle's 172,800
+    # refused on the AFE's 265 rows, before the reduced cycles
     assert groups and groups[0].count_table.n_max == 265
+
+
+def test_lvalue_disagreeing_routes_exit_1(capsys, monkeypatch):
+    # the reduced cycles, off the AFE by more than ORACLE_TOL
+    direct = lseries.l_value_at_1_direct
+    monkeypatch.setattr(lseries, "l_value_at_1_direct", lambda psi: direct(psi) + 2 * lseries.ORACLE_TOL)
+    with pytest.raises(SystemExit) as exc:
+        main(["lvalue", "--disc", "229", "--index", "1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1 and captured.out == ""
+    assert captured.err.startswith("error: the AFE and the reduced cycles disagree on L(1)")
+    assert captured.err.count("\n") == 1
+
+
+def test_lvalue_over_cycle_term_budget_exits_3(capsys, monkeypatch):
+    # D = 229's cycles take 3,894 terms
+    monkeypatch.setattr(lseries, "CYCLE_TERM_BUDGET", 3000)
+    with pytest.raises(SystemExit) as exc:
+        main(["lvalue", "--disc", "229", "--index", "2"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 3 and captured.out == ""
+    assert captured.err == "error: L(1) by the reduced cycles needs 3894 terms, over the budget of 3000\n"
+
+
+def test_lvalue_of_a_large_field(capsys):
+    # the Abel oracle this route replaced was off by 1.0e-3 here
+    code, out = run_cli(capsys, "lvalue", "--disc", "40009", "--index", "2")
+    data = json.loads(out)
+    assert code == 0 and data["oracle_agreement"] <= 1e-12
 
 
 def test_field_of_non_cyclic_group(capsys):

@@ -483,13 +483,88 @@ def test_l_value_split_point_invariance(psi229):
 
 
 @pytest.mark.parametrize("D, index", [(136, 1), (505, 1), (505, 3)])
-def test_l_value_of_odd_character_matches_direct_oracle(D, index):
+def test_afe_of_odd_character_is_split_point_invariant(D, index):
     # N(unit) = +1 and psi((sqrt D)) = -1: gamma factor Gamma((s+1)/2)^2
     psi = make_class_character(ClassGroup(QuadField(D)), index)
     assert psi.epsilon == 1
     v1, v2 = ls.l_value_at_1_afe(psi, cutoff=1.0), ls.l_value_at_1_afe(psi, cutoff=2.0)
     assert abs(v1 - v2) < 1e-12
-    assert abs(v1 - ls.l_value_at_1_direct(psi)) < 1e-9
+
+
+# odd psi (epsilon = 1) at 136, 505 (1, 3) and 3305 (1), where a sign flip of
+# the cycles shows; prime and composite D, h from 3 to 12, and D = 40009
+REDUCED_CYCLE_CHARACTERS = [
+    (229, 1, 0), (136, 1, 1), (505, 1, 1), (505, 2, 0), (505, 3, 1), (3305, 1, 1), (3305, 2, 0),
+    (4409, 1, 0), (40009, 1, 0), (40009, 2, 0), (401, 1, 0), (401, 2, 0), (445, 1, 0), (445, 2, 0),
+    (1129, 1, 0),
+]
+
+
+@pytest.mark.parametrize("D, index, epsilon", REDUCED_CYCLE_CHARACTERS)
+def test_reduced_cycles_match_the_afe(D, index, epsilon):
+    psi = make_class_character(ClassGroup(QuadField(D)), index)
+    assert psi.epsilon == epsilon
+    assert abs(ls.l_value_at_1_direct(psi) - ls.l_value_at_1_afe(psi)) <= 1e-13
+
+
+@pytest.mark.parametrize("D", [5, 8, 12, 13, 40])
+def test_cycle_sums_are_the_constant_term_of_zeta_f(D):
+    # summed over the classes, Zagier's constants are the constant term at
+    # s = 1 of D^(s/2) zeta_F(s) = D^(s/2) zeta(s) L(s, chi_D), that is
+    # sqrt(D) (L'(1) + (gamma + log(D)/2) L(1)).  It is the check that sees
+    # gamma, whose terms cancel in L(1, psi).  L(1) and L'(1) come from the
+    # Hurwitz zeta's Laurent series at s = 1: -psi_0(x) and the Stieltjes
+    # constant gamma_1(x).
+    cg = ClassGroup(QuadField(D))
+    with mp.workdps(30):
+        chi = [(mp.mpf(a) / D, cg.field.chi(a)) for a in range(1, D) if cg.field.chi(a)]
+        l1 = -mp.fsum(c * mp.digamma(x) for x, c in chi) / D
+        dl1 = -mp.fsum(c * mp.stieltjes(1, x) for x, c in chi) / D - mp.log(D) * l1
+        ref = float(mp.sqrt(D) * (dl1 + (mp.euler + mp.log(D) / 2) * l1))
+    assert abs(ls._cycle_sums(cg).sum() - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("D", [5, 229, 136, 505, 3305, 40009])
+def test_cycle_forms_are_reduced_and_stay_in_their_class(D):
+    cg = ClassGroup(QuadField(D))
+    (a, b, c), classes = ls._cycles(cg)
+    a, b, c = (x.astype(np.int64) for x in (a, b, c))
+    assert (a > 0).all() and (c > 0).all() and (b > a + c).all()
+    assert (b * b - 4 * a * c == D).all()
+    assert np.array_equal(cg._classes(a, b % (2 * a)), classes)
+    assert set(classes.tolist()) == set(range(cg.h_narrow))
+
+
+def test_phi_and_li2_match_mpmath():
+    # the reference at 40 digits: at mpmath's default 15, psi_0(t) - log t
+    # cancels in the reference itself, by 1.7e-11 at t = 10^4
+    t = np.concatenate([np.geomspace(1e-6, 1e4, 400), [1.0, 9.999999, 10.0, 10.000001, 40.0]])
+    z = np.concatenate([np.linspace(0, 1, 402)[1:-1], [1e-9, 0.5, 0.5 + 1e-12, 1 - 1e-9]])
+    with mp.workdps(40):
+        phi = [float(mp.digamma(x) - mp.log(x)) for x in t.tolist()]
+        li2 = [float(mp.polylog(2, x)) for x in z.tolist()]
+    assert np.max(np.abs(ls._phi(t) - phi) / np.abs(phi)) <= 1e-14
+    assert np.max(np.abs(ls._li2(z) - li2) / li2) <= 1e-14
+
+
+def test_l_value_builds_only_the_afe_rows():
+    # the reduced cycles read no coefficient: the table keeps the AFE's 265
+    # rows at split point 2, where an oracle over a'(n) would grow it
+    cg = ClassGroup(QuadField(229))
+    ls.l_value_at_1(make_class_character(cg, 1).power(2))
+    assert cg.count_table.n_max == 265
+
+
+def test_reduced_cycles_over_term_budget(monkeypatch):
+    # 3,894 terms for D = 229, counted before any is summed
+    psi, phi = make_class_character(ClassGroup(QuadField(229)), 1), ls._phi
+    monkeypatch.setattr(ls, "CYCLE_TERM_BUDGET", 3893)
+    monkeypatch.setattr(ls, "_phi", lambda t: pytest.fail("a term was summed"))
+    with pytest.raises(BudgetError, match="needs 3894 terms, over the budget of 3893"):
+        ls.l_value_at_1_direct(psi)
+    monkeypatch.setattr(ls, "CYCLE_TERM_BUDGET", 3894)
+    monkeypatch.setattr(ls, "_phi", phi)
+    assert abs(ls.l_value_at_1_direct(psi) - 0.622611282462969) < 1e-13
 
 
 def test_l_value_trivial_character_rejected(cg229):

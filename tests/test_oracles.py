@@ -27,6 +27,7 @@ REFERENCES = {
         "rankin_coeffs", "rankin_local_factor", "rankin_residue", "_rankin_partials",
         "rankin_euler_identity_residual", "rankin_euler_identity_residual_corrected",
     },
+    "principal and conjugate ideals": {"principal_ideal", "ideal_conj"},
     "sign exponent": {"epsilon_by_ideal"},
     "norm-induced characters": {"is_norm_induced"},
     "Gauss sums": {"gauss_abs_sq_residual", "check_gauss_twisting"},

@@ -15,7 +15,7 @@ from maassforge.quadfield import (
     is_squarefree,
     prime_factors,
 )
-from oracles import kronecker
+from oracles import ideal_conj, kronecker, principal_ideal
 
 
 def test_kronecker_against_jacobi_oracle():
@@ -204,8 +204,8 @@ def test_conjugate_product_is_norm_ideal():
     for D in (229, 401):
         F = QuadField(D)
         for I in F.enumerate_ideals(80):
-            J = I * I.conj()
-            P = F.principal_ideal(I.norm(), 0)
+            J = I * ideal_conj(I)
+            P = principal_ideal(F, I.norm(), 0)
             assert (J.k, J.a, J.b) == (P.k, P.a, P.b)
 
 
@@ -216,7 +216,7 @@ def test_principal_ideal_norm():
         x, y = random.randint(-20, 20), random.randint(-20, 20)
         if (x, y) == (0, 0):
             continue
-        assert F.principal_ideal(x, y).norm() == abs(F.elt_norm(x, y))
+        assert principal_ideal(F, x, y).norm() == abs(F.elt_norm(x, y))
 
 
 def test_primes_up_to_is_an_int64_sieve():
