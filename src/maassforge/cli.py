@@ -82,8 +82,9 @@ def _write_files(writers: dict) -> None:
     first, then the files this call created, and last the regular files that
     existed, each emptied only when its turn comes.  So a path refused in
     opening, or a write refused before the first of those files, leaves each
-    of them as it was.  An OSError in opening, writing or closing is invalid
-    input, after which the files this call created are removed."""
+    of them as it was; a write refused after it leaves that first rewritten.
+    An OSError in opening, writing or closing is invalid input, after which
+    the files this call created are removed."""
     created, handles, path = [], [], None
     try:
         for path in writers:

@@ -28,7 +28,7 @@ import numpy as np
 from .classforms import ClassGroup
 from .heckechar import HeckeCharacter
 from .quadfield import SIEVE_CHUNK, BudgetError, _primes_up_to
-from .special import incomplete_k_mellin
+from .special import EULER_GAMMA, incomplete_k_mellin
 
 
 # Largest coefficient table ClassCountTable builds.  For D = 229 (h = 3) the
@@ -207,8 +207,8 @@ def support(character: HeckeCharacter, n_max: int) -> tuple[np.ndarray, np.ndarr
 
 
 SPLIT_POINT_TOL = 1e-9  # largest difference of the AFE's L(1) at split points 1 and 2
-# largest difference of the AFE's L(1) and the reduced cycles': 1.2e-14 was
-# the most measured, over 15 characters with D up to 40009 and at D = 10^8 + 1
+# largest difference of the AFE's L(1) and the reduced cycles': 8.9e-15 was
+# the most measured over 15 characters with D up to 40009, 4.7e-14 at D = 78327121
 ORACLE_TOL = 1e-11
 
 
@@ -271,19 +271,26 @@ def l_value_at_1_afe(character: HeckeCharacter, cutoff: float = 1.0) -> float:
     return float((2 * math.pi if eps else 4) * (total + dual / math.sqrt(D)))
 
 
-EULER_GAMMA = 0.57721566490153286
 # phi(t) = psi_0(t) - log t ~ sum c t^-k as t -> oo, as (k, c): -1/(2t) and
 # the seven Bernoulli terms -B_2j/(2j t^2j); at t >= 10 the first left out,
 # B_16/(16 t^16), is below 5e-17
 _PHI_SERIES = ((1, -1 / 2), (2, -1 / 12), (4, 1 / 120), (6, -1 / 252), (8, 1 / 240),
                (10, -1 / 132), (12, 691 / 32760), (14, -1 / 12))
-# B_2j/(2j)!, j = 1..4, for Euler-Maclaurin
 _EM_SERIES = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600)
-F_TERMS = 40  # F(x) sums its first max(F_TERMS, F_TERMS/x) terms, the rest by series
-# Largest number of terms phi(n x)/n the reduced cycles may take, about 0.1 us
-# each: 3,894 for D = 229, 261,560 (0.02 s) for D = 40009 and 10.8 million
-# (1.1 s) for D = 10^8 + 1
-CYCLE_TERM_BUDGET = 20_000_000
+F_TERMS = 40  # F(x), x >= 1, sums its first F_TERMS terms, the rest by series
+_N = np.arange(1.0, F_TERMS + 1)
+# phi's series summed over n > F_TERMS, as (k, c zeta(k + 1, A)) with
+# A = F_TERMS + 1: each Hurwitz zeta by Euler-Maclaurin, A^-k/k + A^(-k-1)/2
+# + sum_j B_2j/(2j)! (k + 1)_(2j-1) A^(-k-2j) with _EM_SERIES the B_2j/(2j)!,
+# j = 1..4, whose first term left out moves F by below 1e-19
+_A = F_TERMS + 1.0
+_F_TAIL = [
+    (k, c * (_A**-k / k + _A ** (-k - 1) / 2
+             + sum(b * math.prod(range(k + 1, k + 2 * j)) * _A ** (-k - 2 * j) for j, b in enumerate(_EM_SERIES, 1))))
+    for k, c in _PHI_SERIES
+]
+# F(1) = -gamma^2/2 - pi^2/12 - gamma_1, Stieltjes' gamma_1 = -0.0728158...
+F_ONE = -EULER_GAMMA**2 / 2 - math.pi**2 / 12 + 0.07281584548367672486
 
 
 def _phi(t: np.ndarray) -> np.ndarray:
@@ -316,33 +323,24 @@ def _li2(z: np.ndarray) -> np.ndarray:
 
 def _f_series(x: np.ndarray) -> np.ndarray:
     """F(x) = sum_{n>=1} phi(n x)/n, phi(t) = psi_0(t) - log t, for a float64
-    array x > 0.
-
-    The terms to N = max(F_TERMS, ceil(F_TERMS/x)) are summed, SIEVE_CHUNK a
-    block; beyond N, n x > 40, and phi's series turns the rest into
-    sum_k c x^-k zeta(k + 1, N + 1), each Hurwitz zeta by Euler-Maclaurin
-    with B_2..B_8, whose first term left out moves F by below 1e-19 at
-    N + 1 >= 41 and x >= 40/N.  The number of terms is planned first: over
-    CYCLE_TERM_BUDGET is a BudgetError."""
-    N = np.maximum(F_TERMS, np.ceil(F_TERMS / x)).astype(np.int64)
-    ends = np.cumsum(N)
-    if ends[-1] > CYCLE_TERM_BUDGET:
-        raise BudgetError(f"L(1) by the reduced cycles needs {ends[-1]} terms, over the budget of {CYCLE_TERM_BUDGET}")
-    out = np.zeros_like(x)
-    for lo in range(0, int(ends[-1]), SIEVE_CHUNK):
-        pos = np.arange(lo, min(lo + SIEVE_CHUNK, ends[-1]))
-        j = np.searchsorted(ends, pos, side="right")
-        n = (pos - ends[j] + N[j] + 1).astype(float)
-        out[j[0] : j[-1] + 1] += np.bincount(j - j[0], _phi(n * x[j]) / n)
-    a = N + 1.0
-    for k, c in _PHI_SERIES:
-        s = k + 1.0  # zeta(s, a) = a^(1-s)/(s-1) + a^-s/2 + sum B_2j/(2j)! (s)_(2j-1) a^(1-s-2j)
-        zeta, rising = a ** (1 - s) / (s - 1) + 0.5 * a**-s, s
-        for j, b in enumerate(_EM_SERIES, 1):
-            zeta += b * rising * a ** (1 - s - 2 * j)
-            rising *= (s + 2 * j - 1) * (s + 2 * j)
-        out += c * x**-k * zeta
+    array x >= 1 (below 1, _f_reflected).  The first F_TERMS terms are one
+    _phi of the products n x, n = 1..F_TERMS, SIEVE_CHUNK // F_TERMS
+    arguments a block; beyond them n x > 40, where phi's series holds, and
+    they are _F_TAIL."""
+    out = np.empty_like(x)
+    step = SIEVE_CHUNK // F_TERMS
+    for lo in range(0, x.size, step):
+        out[lo : lo + step] = _phi(np.multiply.outer(x[lo : lo + step], _N)) @ (1 / _N)
+    for k, c in _F_TAIL:
+        out += c * x**-k
     return out
+
+
+def _f_reflected(y: np.ndarray) -> np.ndarray:
+    """F(1/y) for a float64 array y >= 1 by F's reflection (S. Radchenko and
+    D. Zagier, "Arithmetic properties of the Herglotz function"):
+    F(x) + F(1/x) = 2 F(1) + log(x)^2/2 - (pi^2/6)(x + 1/x - 2)."""
+    return 2 * F_ONE + 0.5 * np.log(y) ** 2 - math.pi**2 / 6 * (y + 1 / y - 2) - _f_series(y)
 
 
 def _cycles(classgroup: ClassGroup) -> tuple[np.ndarray, np.ndarray]:
@@ -374,16 +372,15 @@ def _cycles(classgroup: ClassGroup) -> tuple[np.ndarray, np.ndarray]:
 
 def _cycle_sums(classgroup: ClassGroup) -> np.ndarray:
     """The sum of P(w, w') over each narrow class's cycle (_cycles), by
-    class: see l_value_at_1_direct.  w' = 2c/(b + sqrt(D)), w - w' =
-    sqrt(D)/a and w/w' = (b + sqrt(D))^2/4ac lose no digits, where
-    (b - sqrt(D))/2a would cancel."""
+    class: see l_value_at_1_direct.  w' = 2c/(b + sqrt(D)) < 1, its inverse,
+    w - w' = sqrt(D)/a and w/w' = (b + sqrt(D))^2/4ac lose no digits, where
+    (b - sqrt(D))/2a would cancel; F(w') comes from F(1/w') (_f_reflected)."""
     (a, b, c), classes = _cycles(classgroup)
     D = classgroup.field.D
     sqrt_d = math.sqrt(D)
     w, wp = (b + sqrt_d) / (2 * a), 2 * c / (b + sqrt_d)
-    f = _f_series(np.concatenate([w, wp]))
     log_q = np.log(w / wp)
-    p = (f[: w.size] - f[w.size :] + _li2(wp / w) - math.pi**2 / 6
+    p = (_f_series(w) - _f_reflected((b + sqrt_d) / (2 * c)) + _li2(wp / w) - math.pi**2 / 6
          + log_q * (EULER_GAMMA - 0.5 * (0.5 * math.log(D) - np.log(a)) + 0.25 * log_q))
     return np.bincount(classes, p, minlength=classgroup.h_narrow)
 
@@ -403,7 +400,7 @@ def l_value_at_1_direct(character: HeckeCharacter) -> float:
                   + log(x/y) (gamma - log(x - y)/2 + log(x/y)/4),
 
     eps_+ the totally positive fundamental unit, the sum over the cycle of B
-    (_cycle_sums) and F as in _f_series.  L(s, psi) = sum_B psi(B) zeta(s, B),
+    (_cycle_sums) and F as in _f_series and _f_reflected.  L(s, psi) = sum_B psi(B) zeta(s, B),
     the poles cancel as sum_B psi(B) = 0, and L(1, psi) is real (a'(n) is):
 
         L(1, psi) = D^(-1/2) sum_B cos(2 pi index dlog(B)/h) sum P(w, w').
@@ -428,9 +425,7 @@ def l_value_at_1(character: HeckeCharacter) -> dict:
     v1 = l_value_at_1_afe(character, cutoff=1.0)
     v2 = l_value_at_1_afe(character, cutoff=2.0)
     if abs(v1 - v2) > SPLIT_POINT_TOL:
-        raise SplitPointError(
-            f"split-point instability in L(1): {v1!r} vs {v2!r}"
-        )
+        raise SplitPointError(f"split-point instability in L(1): {v1!r} vs {v2!r}")
     oracle = l_value_at_1_direct(character)
     if abs(v1 - oracle) > ORACLE_TOL:
         raise SplitPointError(f"the AFE and the reduced cycles disagree on L(1): {v1!r} vs {oracle!r}")

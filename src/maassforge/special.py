@@ -137,23 +137,26 @@ def incomplete_k_mellin(s: float, x) -> np.ndarray:
     The tail from a = max(x, SPLIT) is e^(-a) int_0^oo e^(-t) e^(a+t)
     K_0(a + t) (a + t)^(s-1) dt, a Gauss-Laguerre sum; the head from x to
     SPLIT, empty when x >= SPLIT, is int_{ln x}^{ln SPLIT} K_0(e^v) e^(sv) dv,
-    a Gauss-Legendre sum."""
+    a Gauss-Legendre sum; SIEVE_CHUNK nodes of the two rules a block."""
     x = np.asarray(x, dtype=np.float64)
     if np.any(x <= 0):
         raise ValueError("x must be > 0")
-    t, wt = _LAGUERRE
-    a = np.maximum(x, SPLIT)[..., None]
-    u = a + t
-    r, wr = _LEGENDRE
-    lo = np.log(np.minimum(x, SPLIT))[..., None]
-    half = (math.log(SPLIT) - lo) / 2
-    v = lo + half * (r + 1)
-    w = np.exp(v)
-    # e^u K_0(u) at the nodes of both rules, through one sort of them
-    nodes = np.concatenate([u.ravel(), w.ravel()])
-    order = np.argsort(nodes)
-    k0e = np.empty_like(nodes)
-    k0e[order] = bessel_k0e_array(nodes[order])
-    tail = np.exp(-a[..., 0]) * ((k0e[: u.size].reshape(u.shape) * u ** (s - 1)) @ wt)
-    head = half[..., 0] * ((k0e[u.size :].reshape(w.shape) * np.exp(s * v - w)) @ wr)
-    return tail + head
+    (t, wt), (r, wr) = _LAGUERRE, _LEGENDRE
+    flat, out = x.ravel(), np.empty(x.size)
+    step = SIEVE_CHUNK // (t.size + r.size)
+    for i in range(0, x.size, step):
+        a = np.maximum(flat[i : i + step, None], SPLIT)
+        u = a + t
+        lo = np.log(np.minimum(flat[i : i + step, None], SPLIT))
+        half = (math.log(SPLIT) - lo) / 2
+        v = lo + half * (r + 1)
+        w = np.exp(v)
+        # e^u K_0(u) at the nodes of both rules, through one sort of them
+        nodes = np.concatenate([u.ravel(), w.ravel()])
+        order = np.argsort(nodes)
+        k0e = np.empty_like(nodes)
+        k0e[order] = bessel_k0e_array(nodes[order])
+        tail = np.exp(-a[:, 0]) * ((k0e[: u.size].reshape(u.shape) * u ** (s - 1)) @ wt)
+        head = half[:, 0] * ((k0e[u.size :].reshape(w.shape) * np.exp(s * v - w)) @ wr)
+        out[i : i + step] = tail + head
+    return out.reshape(x.shape)

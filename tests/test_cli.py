@@ -687,21 +687,19 @@ def test_lvalue_disagreeing_routes_exit_1(capsys, monkeypatch):
     assert captured.err.count("\n") == 1
 
 
-def test_lvalue_over_cycle_term_budget_exits_3(capsys, monkeypatch):
-    # D = 229's cycles take 3,894 terms
-    monkeypatch.setattr(lseries, "CYCLE_TERM_BUDGET", 3000)
-    with pytest.raises(SystemExit) as exc:
-        main(["lvalue", "--disc", "229", "--index", "2"])
-    captured = capsys.readouterr()
-    assert exc.value.code == 3 and captured.out == ""
-    assert captured.err == "error: L(1) by the reduced cycles needs 3894 terms, over the budget of 3000\n"
-
-
 def test_lvalue_of_a_large_field(capsys):
     # the Abel oracle this route replaced was off by 1.0e-3 here
     code, out = run_cli(capsys, "lvalue", "--disc", "40009", "--index", "2")
     data = json.loads(out)
     assert code == 0 and data["oracle_agreement"] <= 1e-12
+
+
+def test_lvalue_of_a_field_near_the_disc_budget(capsys):
+    # 225,748 reduced forms at 80 terms each; with a term count of
+    # max(40, 40/x) per argument instead of F's reflection, the cycles took
+    # 28.5 million terms here and were refused
+    code, out = run_cli(capsys, "lvalue", "--disc", "94572769", "--index", "1")
+    assert code == 0 and json.loads(out)["oracle_agreement"] <= 1e-12
 
 
 def test_field_of_non_cyclic_group(capsys):

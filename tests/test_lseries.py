@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from maassforge import lseries as ls
-from maassforge import quadfield
+from maassforge import quadfield, special
 from maassforge.classforms import ClassGroup
 from maassforge.heckechar import make_class_character
 from maassforge.maassform import ThetaForm, gamma0_matrices
@@ -555,16 +555,30 @@ def test_l_value_builds_only_the_afe_rows():
     assert cg.count_table.n_max == 265
 
 
-def test_reduced_cycles_over_term_budget(monkeypatch):
-    # 3,894 terms for D = 229, counted before any is summed
-    psi, phi = make_class_character(ClassGroup(QuadField(229)), 1), ls._phi
-    monkeypatch.setattr(ls, "CYCLE_TERM_BUDGET", 3893)
-    monkeypatch.setattr(ls, "_phi", lambda t: pytest.fail("a term was summed"))
-    with pytest.raises(BudgetError, match="needs 3894 terms, over the budget of 3893"):
-        ls.l_value_at_1_direct(psi)
-    monkeypatch.setattr(ls, "CYCLE_TERM_BUDGET", 3894)
-    monkeypatch.setattr(ls, "_phi", phi)
-    assert abs(ls.l_value_at_1_direct(psi) - 0.622611282462969) < 1e-13
+def f_reference(x):
+    # F(x) = sum phi(n x)/n at 40 digits: the terms to N = 40 + ceil(4/x)
+    # summed by mpmath's digamma, and beyond them, at n x > 4, phi's series
+    # -1/(2t) - sum_{j<=12} B_2j/(2j t^2j) summed over n as Hurwitz zetas.
+    # Against N = 40 + ceil(12/x) with 36 Bernoulli terms it is within
+    # 1.4e-16 of F relative over x = 1/y, y in {1, 3, 10, 100, 1000}
+    N = 40 + int(mp.ceil(4 / x))
+    direct = mp.fsum((mp.digamma(n * x) - mp.log(n * x)) / n for n in range(1, N + 1))
+    return direct - mp.zeta(2, N + 1) / (2 * x) - mp.fsum(
+        mp.bernoulli(2 * j) / (2 * j) * x ** (-2 * j) * mp.zeta(2 * j + 1, N + 1) for j in range(1, 13))
+
+
+def test_f_and_its_reflection_match_mpmath():
+    # _f_series over x in [1, 10^4] and, through the reflection, F(1/y) over
+    # 1/y in [10^-4, 1]
+    y = np.geomspace(1, 1e4, 5)
+    with mp.workdps(40):
+        f_one = -mp.euler**2 / 2 - mp.pi**2 / 12 - mp.stieltjes(1)
+        assert abs(f_reference(mp.mpf(1)) - f_one) < mp.mpf(10) ** -30
+        assert abs(ls.F_ONE - f_one) <= 1e-16
+        f = [float(f_reference(mp.mpf(v))) for v in y.tolist()]
+        f_inv = [float(f_reference(1 / mp.mpf(v))) for v in y.tolist()]
+    assert np.max(np.abs(ls._f_series(y) / f - 1)) <= 1e-14
+    assert np.max(np.abs(ls._f_reflected(y) / f_inv - 1)) <= 1e-14
 
 
 def test_l_value_trivial_character_rejected(cg229):
@@ -646,6 +660,21 @@ def test_support_memory_per_row():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 400_000
+
+
+def test_afe_weights_memory_per_value():
+    # G_s is evaluated SIEVE_CHUNK nodes of its two 40-node rules a block:
+    # the output keeps 8 bytes a value, and one block's temporaries stay
+    # below 2 MB.  All the nodes at once held 80 nodes a value and their
+    # argsort, about 4 kB a value (84 MB here)
+    x = np.geomspace(1e-3, 50, 20_000)
+    tracemalloc.start()
+    try:
+        special.incomplete_k_mellin(1.0, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * x.size + 2_000_000
 
 
 def test_check_automorphy_memory_per_row():
