@@ -400,7 +400,7 @@ def l_value_at_1_direct(character: HeckeCharacter) -> float:
                   + log(x/y) (gamma - log(x - y)/2 + log(x/y)/4),
 
     eps_+ the totally positive fundamental unit, the sum over the cycle of B
-    (_cycle_sums) and F as in _f_series and _f_reflected.  L(s, psi) = sum_B psi(B) zeta(s, B),
+    (_cycle_sums) and F as in _f_series.  L(s, psi) = sum_B psi(B) zeta(s, B),
     the poles cancel as sum_B psi(B) = 0, and L(1, psi) is real (a'(n) is):
 
         L(1, psi) = D^(-1/2) sum_B cos(2 pi index dlog(B)/h) sum P(w, w').
