@@ -3,13 +3,14 @@
 a'(n), the sum of psi over the ideals of norm n, is multiplicative, and
 a'(p^e) has a closed form in chi_D(p) and psi(P) for a prime P above p
 (_local_factor).  A coefficient table keeps only what every character of a
-field shares: for each n, p^e || n for the smallest prime p of n, and
-chi_D(p) and the class of a prime above p for each prime p, found for arrays
-of primes (ClassGroup.prime_classes, on QuadField.prime_roots) with no Python
-call per prime.  A character's coefficients are read from it by one route,
+field shares: for each odd n, p^e || n for the smallest prime p of n (for
+even n it is the lowest set bit of n), and chi_D(p) and the class of a
+prime above p for each prime p, found for arrays of primes
+(ClassGroup.prime_classes, on QuadField.prime_roots) with no Python call per
+prime.  A character's coefficients are read from it by one route,
 support(): it fills b(n) = b(n/p^e) a'(p^e) in passes, with the a'(n) = 0
 exactly 0.0, keeps each pass's others, and holds a dense float64 row only
-over the n <= n_max/2 that are read as cofactors.  A table is built once, at
+over the odd n <= n_max/2 that are read as cofactors.  A table is built once, at
 the size asked for; a request for more rows builds a new one in its place.
 
 L(1) is computed two independent ways: an approximate functional equation
@@ -22,6 +23,7 @@ over the cycles of reduced forms of each class, which reads no coefficient.
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
@@ -32,16 +34,16 @@ from .special import EULER_GAMMA, incomplete_k_mellin
 
 
 # Largest coefficient table ClassCountTable builds.  For D = 229 (h = 3) the
-# peak RSS of check-automorphy is about 33 MB plus 13 bytes per row (37 MB at
-# 3.1e5 rows, 50 MB at 1.22e6, 68 MB at 2.75e6, its default of 3 matrices):
-# the table keeps 4 bytes per row, the index of p^e || n for the row's
-# smallest prime p, a character's dense row takes 4 more while it is filled,
-# over n <= n_max/2, and the rest is its support, the evaluations of Theta
-# over it, and temporaries of one SIEVE_CHUNK block.  D = 3305 (h = 12)
-# peaked at 84 MB evaluating Theta once on 4.0e6 rows.  Below the budget
-# every prime p of a table has p^2 < 2^62, so the int64 arithmetic of
-# ClassGroup.prime_classes cannot overflow, and every n is below the 2^22 of
-# maassform._phase.
+# peak RSS of check-automorphy is about 31 MB plus 11 bytes per row (35 MB at
+# 3.1e5 rows, 45 MB at 1.22e6, 61 MB at 2.75e6, its default of 3 matrices):
+# the table keeps 2 bytes per row, the index of p^e || n for the smallest
+# prime p of each odd row, a character's dense row takes 2 more while it is
+# filled, over the odd n <= n_max/2, and the rest is its support, the
+# evaluations of Theta over it, and temporaries of one SIEVE_CHUNK block.
+# D = 3305 (h = 12) peaked at 71 MB evaluating Theta once on 4.0e6 rows.
+# Below the budget every prime p of a table has p^2 < 2^62, so the int64
+# arithmetic of ClassGroup.prime_classes cannot overflow, and every n is
+# below the 2^22 of maassform._phase.
 ROW_BUDGET = 4_000_000
 
 
@@ -49,8 +51,10 @@ class ClassCountTable:
     """What every class character of a field shares for its coefficients
     a'(n), n <= n_max.  q lists the primes p <= n_max, ascending, then the
     p^e <= n_max with e >= 2 of the primes up to sqrt(n_max); primes is its
-    prefix.  at[n - 2] is the index in q of p^e || n for the smallest prime p
-    of n.  chi_D(p) and the class log k of a prime above p (0 for inert p)
+    prefix.  For odd n >= 3, at[(n - 3)//2] is the index in q of p^e || n for
+    the smallest prime p of n.  For even n that prime power is 2^e = n & -n,
+    the lowest set bit of n, whose index in q is _two[e - 1], so at keeps no
+    even row.  chi_D(p) and the class log k of a prime above p (0 for inert p)
     of every prime come from one ClassGroup.prime_classes call.  support()
     fills and keeps each character's nonzero coefficients."""
 
@@ -63,27 +67,32 @@ class ClassCountTable:
         self.n_max = n_max
         # character index -> (n with b(n) != 0, those b(n))
         self._supports: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # the primes up to sqrt(n_max) mark their multiples, the smallest
-        # last, and each then the multiples of its p^e in ascending e, as
-        # -2 - (the place of p^e among the higher powers) until the primes
-        # are counted.  The rows none marks are the primes above sqrt(n_max).
-        small = _primes_up_to(math.isqrt(n_max))
-        self.at = np.full(max(n_max - 1, 0), -1, dtype=np.int32)
+        # the odd primes up to sqrt(n_max) mark their odd multiples, the
+        # smallest last, and each then the odd multiples of its p^e in
+        # ascending e, as -2 - (the place of p^e among the higher powers)
+        # until the primes are counted.  The odd rows none marks are the
+        # primes above sqrt(n_max).  2 marks nothing, so it heads small from
+        # n_max = 2 on, and its powers come last.
+        small = _primes_up_to(max(math.isqrt(n_max), min(n_max, 2)))
+        self.at = np.full(max((n_max - 1) // 2, 0), -1, dtype=np.int32)
         high = []  # (index of p, e) of each higher power p^e, as marked
-        for j in range(small.size - 1, -1, -1):
+        for j in range(small.size - 1, 0, -1):
             p = int(small[j])
-            self.at[-2 % p :: p] = j
+            self.at[(p - 3) // 2 :: p] = j
             e = 2
             while p**e <= n_max:
-                self.at[-2 % p**e :: p**e] = -2 - len(high)
+                self.at[(p**e - 3) // 2 :: p**e] = -2 - len(high)
                 high.append((j, e))
                 e += 1
+        odd_powers = len(high)
+        high += [(0, e) for e in range(2, n_max.bit_length())]
         new = np.flatnonzero(self.at == -1)
         self.at[new] = np.arange(small.size, small.size + new.size)
         count = small.size + new.size
         np.subtract(count - 2, self.at, out=self.at, where=self.at < 0)
+        self._two = [0, *range(count + odd_powers, count + len(high))]
         self._base, self._e = np.array(high, dtype=np.int64).reshape(-1, 2).T
-        self.q = np.concatenate([small, new + 2, small[self._base] ** self._e])
+        self.q = np.concatenate([small, 2 * new + 3, small[self._base] ** self._e])
         self.primes = self.q[:count]
         self.chi, self.k = classgroup.prime_classes(self.primes)
 
@@ -105,30 +114,42 @@ class ClassCountTable:
     def _row(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         """The n <= n_max with b(n) != 0 and those b(n): b(1) = 1 and
         b(n) = b(n/q) a'(q) for the table's q = p^e || n, SIEVE_CHUNK rows a
-        pass, the local factors from _local_factor.  A cofactor n/q is at
-        most n/2, so the dense float64 row spans only [0, n_max/2], and each
-        pass keeps its own nonzero rows."""
+        pass, the local factors from _local_factor.  Every cofactor n/q is
+        odd: for even n it is n/2^e, and for odd n a divisor of n.  It is
+        also at most n/2, so the dense float64 row keeps b(m) at m >> 1 for
+        the odd m <= n_max/2 alone, and each pass keeps its own nonzero rows.
+        The even n = 2^e m of a pass, for each e, are one stride-2^(e+1)
+        slice, and their odd m one run of consecutive m >> 1."""
         t = index * self.k % self.h
         # a'(q) of every entry of q: the primes at e = 1, then the higher powers
         f = _local_factor(self.h, self.chi, t, 1)
         f = np.concatenate([f, _local_factor(self.h, self.chi[self._base], t[self._base], self._e)])
         del t  # one array fewer at the fill's peak
         half = self.n_max // 2
-        b = np.zeros(half + 1)
-        b[1:2] = 1.0  # the unit ideal
+        b = np.zeros((half + 1) // 2)
+        b[:1] = 1.0  # the unit ideal
         one = min(self.n_max, 1)  # its row, when the table has one
         ns, bs = [np.ones(one, dtype=np.int64)], [np.ones(one)]
         lo = 1
         while lo < self.n_max:
-            # n/q <= n/2 <= lo, so every row a pass reads is already filled;
-            # q | n < 2^53, so the float quotient is exact
+            # n/q <= n/2 <= lo, so every row a pass reads is already filled
             hi = min(self.n_max, 2 * lo, lo + SIEVE_CHUNK)
-            at = self.at[lo - 1 : hi - 1]
-            m = np.arange(lo + 1.0, hi + 1.0)
+            v = np.empty(hi - lo)  # b(n), n = lo + 1..hi
+            # the odd n from first on: q | n < 2^53, so the float quotient is exact
+            first = (lo + 1) | 1
+            at = self.at[(first - 3) // 2 : (hi - 1) // 2]
+            m = np.arange(first, hi + 1, 2.0)
             m /= self.q.take(at)
-            v = b.take(m.astype(np.intp)) * f.take(at)
-            if lo < half:
-                b[lo + 1 : hi + 1] = v[: half - lo]
+            odd = b.take(m.astype(np.intp) >> 1) * f.take(at)
+            v[first - lo - 1 :: 2] = odd
+            if first <= half:
+                end = (min(hi, half) + 1) // 2
+                b[first >> 1 : end] = odd[: end - (first >> 1)]
+            for e in range(1, hi.bit_length()):
+                # the n = 2^e m, m odd, from the first n0 = 2^e mod 2^(e+1)
+                n0 = lo + 1 + ((1 << e) - lo - 1) % (2 << e)
+                rows = v[n0 - lo - 1 :: 2 << e]
+                np.multiply(b[n0 >> (e + 1) :][: rows.size], f[self._two[e - 1]], out=rows)
             keep = np.flatnonzero(v != 0)  # a bool pass: 3x faster on float64
             ns.append(keep + (lo + 1))
             bs.append(v[keep])
@@ -347,27 +368,39 @@ def _cycles(classgroup: ClassGroup) -> tuple[np.ndarray, np.ndarray]:
     """The forms (a, b, c) of the cycle of Zagier-reduced forms of every
     narrow class, as a (3, forms) float64 array, and the class of each.
 
-    A cycle starts from the class's class_ideals form (a, b, c), a > 0, and
-    steps (a, b, c) -> (a n^2 - b n + c, 2 a n - b, a), n = floor(w) + 1 =
-    floor((b + isqrt(D))/2a) + 1, in Python ints: that is w -> 1/(n - w),
-    a matrix of SL_2(Z), so the class is kept, and the orbit runs into the
-    cycle, which is kept from the first form that repeats.  A cycle's forms
-    have a, c < b < D, as D = (b - a - c)(b + a + c) + (a - c)^2 > b, so they
-    are exact in float64."""
+    Each class's orbit starts from its class_ideals form (a, b, c), a > 0,
+    and steps (a, b, c) -> (a n^2 - b n + c, 2 a n - b, a), n = floor(w) + 1
+    = floor((b + isqrt(D))/2a) + 1, in Python ints: that is w -> 1/(n - w),
+    a matrix of SL_2(Z), so the class is kept, and a stays positive.  Every
+    orbit reaches the reduced forms (c > 0 and b > a + c), and the step
+    permutes them (D. Zagier, "Zetafunktionen und quadratische Koerper",
+    13), so the orbit's first reduced form lies on its cycle, which is
+    walked until it returns there, its forms collected in one int64
+    array("q"), 24 bytes a form.  A cycle's forms have
+    a, c < b < D, as D = (b - a - c)(b + a + c) + (a - c)^2 > b, so they are
+    exact in float64."""
     D = classgroup.field.D
     r, s = math.isqrt(D), classgroup.field.s
-    forms, classes = [], []
-    for cls, I in enumerate(classgroup.class_ideals):
-        form, seen = (I.a, 2 * I.b + s, ((2 * I.b + s) ** 2 - D) // (4 * I.a)), {}
-        while form not in seen:
-            seen[form] = len(seen)
-            a, b, c = form
-            n = (b + r) // (2 * a) + 1
-            form = (a * n * n - b * n + c, 2 * a * n - b, a)
-        cycle = list(seen)[seen[form] :]
-        forms += cycle
-        classes += [cls] * len(cycle)
-    return np.array(forms, dtype=float).T, np.array(classes)
+
+    def step(a: int, b: int, c: int) -> tuple[int, int, int]:
+        n = (b + r) // (2 * a) + 1
+        return a * n * n - b * n + c, 2 * a * n - b, a
+
+    forms, sizes = array("q"), []
+    for I in classgroup.class_ideals:
+        b = 2 * I.b + s
+        form = (I.a, b, (b * b - D) // (4 * I.a))
+        while form[2] <= 0 or form[1] <= form[0] + form[2]:
+            form = step(*form)
+        start, size = form, len(forms)
+        while True:
+            forms.extend(form)
+            form = step(*form)
+            if form == start:
+                break
+        sizes.append((len(forms) - size) // 3)
+    cycle = np.frombuffer(forms, dtype=np.int64).reshape(-1, 3).T.astype(float)
+    return cycle, np.repeat(np.arange(len(sizes)), sizes)
 
 
 def _cycle_sums(classgroup: ClassGroup) -> np.ndarray:

@@ -38,8 +38,8 @@ EIGENVALUE_STEP = 0.04  # the largest of check_eigenvalue's three stencil steps
 SAMPLE_C_MULTIPLES = 3  # gamma0_matrices takes c = level, 2 level, 3 level in turn
 # Most matrices check-automorphy --samples may ask for.  Each adds ten points
 # but almost no new heights or rows, since c takes only SAMPLE_C_MULTIPLES
-# values: D = 229 took 0.7 s at 3 samples, 0.8-0.9 s at 30 and 1.5-1.6 s at 100
-# (68-71 MB each); D = 257, 3.46e6 rows, took 1.7 s at 100 (77 MB).
+# values: D = 229 took 0.53 s at 3 samples, 0.63 s at 30 and 1.2 s at 100
+# (61 MB each); D = 257, 3.46e6 rows, took 1.1 s at 100 (70 MB).
 AUTOMORPHY_SAMPLE_BUDGET = 100
 PHASE_BITS = 10  # eval reads cos(2 pi x n) from tables of 2^10 and n/2^10 entries
 
@@ -77,17 +77,34 @@ class ThetaForm:
         broadcast together, by truncated Fourier expansion summed over the
         support of a': a float at a scalar point, else an array of the points'
         shape.  Each distinct height takes its support and K_0 once, the lowest
-        first, so that the first builds the table at the size all of them need."""
+        first, so that the first builds the table at the size all of them need.
+        That height has the largest support, so it allocates the one K_0
+        buffer, and later heights take its leading views.  K_0 is filled one
+        SIEVE_CHUNK block at a time, so no array of 2 pi h n is ever full
+        size.  Each point sums its own product over the whole support with
+        one np.sum: the last point of a height forms it in the K_0 buffer,
+        and the others in one product buffer, allocated at the lowest height
+        with two or more points and viewed in the same way."""
         x, y = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
         xs, ys = x.ravel().tolist(), y.ravel().tolist()
         if any(v <= 0 for v in ys):
             raise ValueError("y must be positive")
         out = np.empty(len(ys))
+        k0_buf = kv_buf = None
         for h in sorted(set(ys)):
             n, a = support(self.character, self.truncation_index(h))
-            k0 = bessel_k0_array(2 * math.pi * h * n)
-            kv = np.empty_like(k0)
-            for i in (i for i, v in enumerate(ys) if v == h):
+            if k0_buf is None:
+                k0_buf = np.empty(n.size)
+            k0 = k0_buf[: n.size]
+            for lo in range(0, n.size, SIEVE_CHUNK):
+                k0[lo : lo + SIEVE_CHUNK] = bessel_k0_array(2 * math.pi * h * n[lo : lo + SIEVE_CHUNK])
+            points = [i for i, v in enumerate(ys) if v == h]
+            for i in points:
+                # the last point at h multiplies into K_0's own buffer, which
+                # it no longer needs, and the others into the product buffer
+                if i != points[-1] and kv_buf is None:
+                    kv_buf = np.empty(n.size)
+                kv = k0 if i == points[-1] else kv_buf[: n.size]
                 # Theta has period 1 in x, and x - round(x) is exact, while the
                 # cosine of a huge x keeps no digits
                 tables = _phase_tables(xs[i] - round(xs[i]), int(n[-1]))
@@ -96,7 +113,6 @@ class ThetaForm:
                     np.multiply(k0[block], _phase(tables, n[block], odd=self.epsilon == 1), out=kv[block])
                     kv[block] *= a[block]
                 out[i] = math.sqrt(h) * np.sum(kv)
-            del k0, kv  # before the next height's
         return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
     def truncation_report(self, ys) -> dict:

@@ -30,13 +30,19 @@ and at each band's lower edge and the float below it.
 The approximate functional equation for L(1) weighs its terms by the
 incomplete Mellin transform G_s(x) = int_x^oo K_0(u) u^(s-1) du, computed
 here by one fixed pair of Gauss rules.
+
+Every Gauss rule is read from gauss_rules.json, the float reprs of the rules
+of numpy.polynomial's hermgauss, laggauss and leggauss, so that import runs
+no eigensolver; the test suite recomputes them.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -54,15 +60,10 @@ _K0_COEFFS = [float(h - Fraction(EULER_GAMMA)) / f for h, f in zip(_HARMONIC, _F
 # (lower edge of a band of t, nodes of the Gauss-Hermite rule used in it)
 K0_HERMITE_BANDS = ((K0_SPLIT, 60), (5.0, 24), (8.0, 20), (12.0, 16), (20.0, 14))
 _EDGES = np.array([edge for edge, _ in K0_HERMITE_BANDS])
-
-
-def _hermite_rule(nodes: int) -> list[tuple[float, float]]:
-    """The rule is symmetric: each pair of nodes +-w once, at w^2."""
-    w, wt = np.polynomial.hermite.hermgauss(nodes)
-    return list(zip(w[w > 0] ** 2, 2 * wt[w > 0]))
-
-
-_HERMITE = [_hermite_rule(nodes) for _, nodes in K0_HERMITE_BANDS]
+_RULES = json.loads(Path(__file__).with_name("gauss_rules.json").read_text())
+# each Hermite rule is symmetric, so it keeps the pair of nodes +-w once, as
+# (w^2, 2 weight), and "hermite" holds those two lists by the rule's nodes
+_HERMITE = [list(zip(*_RULES["hermite"][str(nodes)])) for _, nodes in K0_HERMITE_BANDS]
 
 # G_s is split at u = SPLIT.  Above it, K_0(u) = e^(-u) (e^u K_0(u)) with
 # e^u K_0(u) smooth and slowly varying, which Gauss-Laguerre integrates
@@ -71,8 +72,8 @@ _HERMITE = [_hermite_rule(nodes) for _, nodes in K0_HERMITE_BANDS]
 # nodes each, both rules agree with adaptive quadrature to 4e-14 relative
 # for s in {0, 1, 2} and x in [1e-4, 45].
 SPLIT = 2.5
-_LAGUERRE = np.polynomial.laguerre.laggauss(40)
-_LEGENDRE = np.polynomial.legendre.leggauss(40)
+_LAGUERRE = tuple(np.array(v) for v in _RULES["laguerre"])  # (nodes, weights)
+_LEGENDRE = tuple(np.array(v) for v in _RULES["legendre"])
 
 
 def _horner(coeffs: list[float], q: np.ndarray) -> np.ndarray:

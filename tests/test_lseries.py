@@ -342,20 +342,22 @@ def _smallest_prime_power(n: int) -> tuple[int, int]:
 def test_table_entry_is_the_full_power_of_the_smallest_prime(cg229, n_max):
     # each row n's entry is p^e || n for the smallest prime p of n, decoded
     # to that prime and exponent: primes lists every prime up to n_max, and
-    # an entry past it is a higher power, its prime's index in _base
+    # an entry past it is a higher power, its prime's index in _base.  An odd
+    # row's entry is at[(n - 3)//2]; an even row's is _two[e - 1] for its
+    # lowest set bit 2^e, and at keeps no even row
     table = ls.ClassCountTable(cg229, n_max)
-    assert table.at.size == max(n_max - 1, 0)
+    assert table.at.size == max((n_max - 1) // 2, 0)
     assert np.array_equal(table.primes, _primes_up_to(n_max))
     assert table.q.size == table.primes.size + table._base.size
     rows = range(2, n_max + 1)
     if n_max > 20000:
-        # 94,389 primes and 256 higher powers; a third of the rows have e >= 2
+        # 94,389 primes and 256 higher powers; a sixth of the odd rows have e >= 2
         assert table.primes.size == 94_389 and table._base.size == 256
-        assert np.mean(table.at >= table.primes.size) > 0.33
+        assert np.mean(table.at >= table.primes.size) > 0.15
         sample = np.random.default_rng(20).integers(2, n_max + 1, size=2000).tolist()
         rows = sample + [2**20, 3**12, 1103**2, n_max]
     for n in rows:
-        j = int(table.at[n - 2])
+        j = int(table.at[(n - 3) // 2]) if n % 2 else table._two[(n & -n).bit_length() - 2]
         if j < table.primes.size:
             p, e = int(table.primes[j]), 1
         else:
@@ -535,6 +537,22 @@ def test_cycle_forms_are_reduced_and_stay_in_their_class(D):
     assert set(classes.tolist()) == set(range(cg.h_narrow))
 
 
+def test_cycles_memory_per_form():
+    # the cycles collect (a, b, c) in one int64 array("q"), 24 bytes a form
+    # and its headroom, then hold them as float64, 24, and each form's class,
+    # 8: 57 bytes a form here.  Every form a tuple of Python ints in a dict
+    # took 256
+    cg = ClassGroup(QuadField(10000009))
+    tracemalloc.start()
+    try:
+        (a, _, _), _ = ls._cycles(cg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cg.h_narrow == 2 and a.size == 38_810
+    assert peak < 64 * a.size
+
+
 def test_phi_and_li2_match_mpmath():
     # the reference at 40 digits: at mpmath's default 15, psi_0(t) - log t
     # cancels in the reference itself, by 1.7e-11 at t = 10^4
@@ -647,10 +665,11 @@ def test_support_within_rounding_of_the_exact_cosine_sum(D):
 
 
 def test_support_memory_per_row():
-    # the table keeps 4 bytes a row, the index of the row's p^e || n for its
-    # smallest prime p, and a character's dense row 4 more, over n <= N/2,
-    # while its support is filled, whatever h is: counts per class alone
-    # would take 2h = 160 bytes a row at h = 80
+    # the table keeps 2 bytes a row, the index of the odd row's p^e || n for
+    # its smallest prime p, and a character's dense row 2 more, over the odd
+    # n <= N/2, while its support is filled, whatever h is: 16.7 bytes a row
+    # in all at h = 80, 18.7 with 4 bytes a row for each of the two, and
+    # counts per class alone would take 2h = 160 bytes a row
     cg = ClassGroup(QuadField(68905))
     assert cg.h_narrow == 80 and cg.is_cyclic()
     tracemalloc.start()
@@ -659,7 +678,7 @@ def test_support_memory_per_row():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 400_000
+    assert peak < 18 * 400_000
 
 
 def test_afe_weights_memory_per_value():
@@ -679,17 +698,21 @@ def test_afe_weights_memory_per_value():
 
 def test_check_automorphy_memory_per_row():
     # check-automorphy --samples 2 at D = 229 builds its table of
-    # N = 1,220,639 rows inside the check.  Its peak is the last pass of the
+    # N = 1,220,639 rows inside the check.  Its peak is the end of the
     # support's fill, which holds, in bytes a row: the table's index of
-    # p^e || n, 4; the table's 94,645 prime powers q, chi_D(p) and class logs
-    # of its primes, and the character's local factor at each q, 8 bytes
-    # each, 2.5; the dense row over n <= N/2, 4; and the support kept, 16
-    # bytes a kept row, on 1/6 of the rows, 2.7.  That is 13.2, and the bound
-    # leaves 1.8 for a pass's temporaries.  Evaluating Theta afterwards holds
-    # less: K_0 and its products with the phases take 8 bytes a kept row
-    # each, and the phases one block at a time.  A dense row over all of n <= N
-    # with its nonzero rows cut out at the end, phases over the whole
-    # support, and the primes classified in one pass read 18.
+    # p^e || n over the odd rows, 2; the table's 94,645 prime powers q,
+    # chi_D(p) and class logs of its primes, and the character's local
+    # factor at each q, 8 bytes each, 2.5; and the support kept, 16 bytes a
+    # kept row, on 1/6 of the rows, 2.7, pass by pass and again as the two
+    # arrays they are joined into.  That is 9.9, and the bound leaves 1.1 for
+    # a pass's temporaries.  The last pass holds the dense row, 2 bytes a
+    # row over the odd n <= N/2, in place of the joined arrays.  Evaluating
+    # Theta afterwards holds less: one K_0 buffer and one product buffer over
+    # the lowest height's support, 8 bytes a kept row each, with K_0 and the
+    # phases filled one block at a time.  The index and the dense row over
+    # every row read 13.7; a dense row over all of n <= N with its nonzero
+    # rows cut out at the end, phases over the whole support, and the primes
+    # classified in one pass read 18.
     th = ThetaForm(make_class_character(ClassGroup(QuadField(229)), 1))
     offsets = ((0.0, 0.3), (0.05, 0.4), (-0.05, 0.5), (0.1, 0.65), (-0.1, 0.8))
     checks = [(m, [(-m[3] / m[2] + dx, y) for dx, y in offsets]) for m in gamma0_matrices(229, 2)]
@@ -700,4 +723,4 @@ def test_check_automorphy_memory_per_row():
     finally:
         tracemalloc.stop()
     assert rows == 1_220_639
-    assert peak < 15 * rows
+    assert peak < 11 * rows

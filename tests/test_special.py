@@ -1,6 +1,11 @@
 import contextlib
 import io
 import math
+import shutil
+import subprocess
+import sys
+import tarfile
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -8,8 +13,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import k0, k0e
 
-from maassforge import lseries, maassform
+from maassforge import lseries, maassform, special
 from maassforge.cli import main
+from maassforge.quadfield import SIEVE_CHUNK
 from maassforge.special import K0_HERMITE_BANDS, bessel_k0_array, bessel_k0e_array, incomplete_k_mellin
 
 # a geometric grid, and the lower edge of each band of t, where its rule is
@@ -149,9 +155,12 @@ def test_k0_of_check_automorphy_against_scipy(monkeypatch):
     calls = _record(monkeypatch, maassform, "bessel_k0_array")
     heights = _record(monkeypatch, maassform.ThetaForm, "truncation_report")
     _run_cli("check-automorphy", "--disc", "229", "--index", "1", "--samples", "2")
-    # K_0 once per distinct height: 20 evaluations at 15 heights
+    # K_0 once per distinct height and row, one SIEVE_CHUNK block a call:
+    # 20 evaluations at 15 heights, whose supports hold 868,375 rows in all
     ((_, ys, _),) = heights
-    assert len(ys) == 20 and len(set(ys.tolist())) == len(calls) == 15
+    assert len(ys) == 20 and len(set(ys.tolist())) == 15
+    assert max(t.size for t, _ in calls) <= SIEVE_CHUNK
+    assert sum(t.size for t, _ in calls) == 868_375
     for t, v in calls:
         assert np.max(np.abs(v / k0(t) - 1)) <= 3e-15
 
@@ -215,3 +224,42 @@ def test_incomplete_k_mellin_limits():
 def test_incomplete_k_mellin_rejects_nonpositive_x():
     with pytest.raises(ValueError):
         incomplete_k_mellin(1.0, np.array([1.0, 0.0]))
+
+
+def _within_ulps(got, want, ulps: int) -> bool:
+    return bool(np.all(np.abs(np.asarray(got) - want) <= ulps * np.spacing(np.abs(want))))
+
+
+def test_gauss_rules_are_numpys():
+    # the rules read from gauss_rules.json are numpy.polynomial's to 2 ulp,
+    # with as many nodes as the code takes, and integrate low moments exactly
+    for (_, nodes), rule in zip(K0_HERMITE_BANDS, special._HERMITE):
+        w2, wt2 = np.array(rule).T
+        w, wt = np.polynomial.hermite.hermgauss(nodes)
+        assert w2.size == nodes // 2
+        assert _within_ulps(w2, w[w > 0] ** 2, 2) and _within_ulps(wt2, 2 * wt[w > 0], 2)
+        for k in range(4):  # int e^(-w^2) w^2k dw = Gamma(k + 1/2)
+            assert math.isclose(wt2 @ w2**k, math.gamma(k + 0.5), rel_tol=1e-14), (nodes, k)
+    for stored, rule in ((special._LAGUERRE, np.polynomial.laguerre.laggauss),
+                         (special._LEGENDRE, np.polynomial.legendre.leggauss)):
+        assert stored[0].size == stored[1].size == 40
+        assert all(_within_ulps(a, b, 2) for a, b in zip(stored, rule(40)))
+    (t, wt), (r, wr) = special._LAGUERRE, special._LEGENDRE
+    for k in range(4):  # int_0^oo e^(-t) t^k dt = k!, int_-1^1 r^k dr = 2/(k + 1) or 0
+        assert math.isclose(wt @ t**k, math.factorial(k), rel_tol=1e-13), k
+        assert abs(wr @ r**k - (2 / (k + 1) if k % 2 == 0 else 0)) <= 1e-14, k
+
+
+def test_sdist_ships_the_gauss_rules(tmp_path):
+    # special reads gauss_rules.json at import, so a source distribution
+    # without it would install a package that cannot be imported; build one
+    # offline with setuptools' own backend from a copy of the project files
+    root = Path(__file__).resolve().parents[1]
+    shutil.copy(root / "pyproject.toml", tmp_path)
+    shutil.copytree(root / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    build = "from setuptools import build_meta; print(build_meta.build_sdist('dist'))"
+    done = subprocess.run([sys.executable, "-c", build], cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    with tarfile.open(tmp_path / "dist" / done.stdout.split()[-1]) as sdist:
+        names = sdist.getnames()
+    assert any(name.endswith("src/maassforge/gauss_rules.json") for name in names), names
