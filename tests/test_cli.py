@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import resource
@@ -348,13 +349,20 @@ def test_value_error_from_a_bug_keeps_its_traceback(capsys, monkeypatch, owner, 
     assert capsys.readouterr() == ("", "")
 
 
+def child_env(drop=("OPENBLAS_NUM_THREADS",), **env_set) -> dict:
+    """The environment of a fresh interpreter that imports this checkout's
+    maassforge, without the variables in drop unless they are given."""
+    src = str(Path(maassforge.__file__).parent.parent)
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    env.update(env_set, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return env
+
+
 def run_child(code: str, **env_set) -> str:
     """stdout of a fresh interpreter running code, with OPENBLAS_NUM_THREADS
     removed from the environment unless it is given."""
-    src = str(Path(maassforge.__file__).parent.parent)
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env.update(env_set, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    res = subprocess.run([sys.executable, "-c", code], env=child_env(**env_set), capture_output=True, text=True,
+                         check=True)
     return res.stdout.strip()
 
 
@@ -377,6 +385,70 @@ def test_cli_import_runs_one_blas_thread():
 def test_users_openblas_threads_are_kept():
     code = "import os, maassforge.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])"
     assert run_child(code, OPENBLAS_NUM_THREADS="2") == "2"
+
+
+@pytest.mark.parametrize(
+    "code, argv",
+    [
+        (0, ("field", "--disc", "229")),
+        (1, ("check-automorphy", "--disc", "229", "--index", "1", "--samples", "1", "--tol", "1e-20")),
+        (2, ("lvalue", "--disc", "229", "--index", "0")),
+        (3, ("check-automorphy", "--disc", "229", "--index", "1", "--samples", "101")),
+    ],
+    ids=lambda x: f"exit {x}" if isinstance(x, int) else x[0],
+)
+def test_program_entry_matches_in_process_main(capfdbinary, code, argv):
+    # the process and the call print the same bytes, and the call leaves the
+    # collector unfrozen
+    prog = subprocess.run([sys.executable, "-m", "maassforge.cli", *argv], env=child_env(), capture_output=True)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capfdbinary.readouterr()
+    assert prog.returncode == code
+    assert (captured.out, captured.err, exc.value.code) == (prog.stdout, prog.stderr, prog.returncode)
+    assert gc.get_freeze_count() == 0
+
+
+def test_console_script_entry_freezes_before_exit():
+    # main() reads the process's own command line, as the maassforge script
+    # calls it, and freezes the collector once the report is out
+    code = (
+        "import atexit, gc, sys\n"
+        "from maassforge.cli import main\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+        "sys.argv = ['maassforge', 'field', '--disc', '229']\n"
+        "sys.exit(main())\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True)
+    assert res.returncode == 0 and json.loads(res.stdout)["D"] == 229
+    word, count = res.stderr.split()
+    assert word == "frozen" and int(count) > 0
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("target", ["/dev/full", "closed pipe"])
+def test_unwritable_stdout_exits_2(target, unbuffered):
+    # the print or the flush fails inside main: one error line and exit 2,
+    # and the interpreter's own flush at exit finds nothing left to fail on
+    if target == "/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    env = child_env(drop=("OPENBLAS_NUM_THREADS", "PYTHONUNBUFFERED"),
+                    **({"PYTHONUNBUFFERED": unbuffered} if unbuffered else {}))
+    argv = [sys.executable, "-m", "maassforge.cli", "field", "--disc", "229"]
+    if target == "/dev/full":
+        with open("/dev/full", "wb") as out:
+            res = subprocess.run(argv, env=env, stdout=out, stderr=subprocess.PIPE, text=True)
+        strerror = "No space left on device"
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            res = subprocess.run(argv, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        strerror = "Broken pipe"
+    assert res.returncode == 2
+    assert res.stderr == f"error: cannot write stdout: {strerror}\n"
 
 
 @pytest.fixture
