@@ -171,17 +171,16 @@ def _int_at_least(low: int):
     return parse
 
 
-def _field_and_group(disc: int) -> tuple[QuadField, ClassGroup]:
+def _field(disc: int) -> QuadField:
     if disc > DISC_BUDGET:
         raise BudgetError(f"--disc {disc} is over the budget of {DISC_BUDGET}")
-    F = QuadField(disc)
-    return F, ClassGroup(F)
+    return QuadField(disc)
 
 
 def _character(args):
-    F, cg = _field_and_group(args.disc)
+    cg = ClassGroup(_field(args.disc))
     if not cg.is_cyclic():
-        raise InvalidInputError(f"the narrow class group of D={F.D} is not cyclic; "
+        raise InvalidInputError(f"the narrow class group of D={cg.field.D} is not cyclic; "
                                 "class characters are indexed by a generator")
     if not 0 <= args.index < cg.h_narrow:
         raise InvalidInputError(f"character index must be in [0, {cg.h_narrow})")
@@ -189,14 +188,14 @@ def _character(args):
 
 
 def cmd_field(args) -> tuple[dict, int]:
-    F, cg = _field_and_group(args.disc)
+    cg = ClassGroup(_field(args.disc))
     u = cg.unit
     limit = sys.get_int_max_str_digits()  # 0 is no limit; x > y > 0
     if limit and u.x >= 10**limit:
         raise BudgetError(f"the fundamental unit has more than {limit} digits, the most "
                           "Python prints of an integer (sys.get_int_max_str_digits())")
     return {
-        "D": F.D,
+        "D": cg.field.D,
         "h_narrow": cg.h_narrow,
         "h_wide": cg.h_wide,
         "unit": {"x": u.x, "y": u.y, "norm": u.norm()},
@@ -228,7 +227,7 @@ def cmd_reproduce(args) -> tuple[dict, int]:
 
 
 def cmd_ideals(args) -> tuple[dict, int]:
-    F, _ = _field_and_group(args.disc)
+    F = _field(args.disc)
     ids = F.enumerate_ideals(args.max_norm)
     return {
         "D": F.D,
@@ -313,11 +312,15 @@ def cmd_lvalue(args) -> tuple[dict, int]:
         raise InvalidInputError("only s = 1 or s > 1 supported")
     n_max = 10**5
     n, b = lseries.support(psi, n_max)
+    # n^s overflows to inf for s above about 62, and b/inf = 0 is the term's
+    # exact limit, so the overflow is no error
+    with np.errstate(over="ignore"):
+        value = np.sum(b / n**args.s)
     return {
         "D": cg.field.D,
         "index": psi.index,
         "s": args.s,
-        "value": np.sum(b / n**args.s),
+        "value": value,
         "value_im": 0.0,
         "n_max": n_max,
     }, EXIT_OK
@@ -329,7 +332,7 @@ def cmd_petersson(args) -> tuple[dict, int]:
 
 
 def cmd_gauss_check(args) -> tuple[dict, int]:
-    F, _ = _field_and_group(args.disc)
+    F = _field(args.disc)
     p = args.p
     if p > GAUSS_PRIME_BUDGET:
         raise BudgetError(f"--p {p} is over the budget of {GAUSS_PRIME_BUDGET}")

@@ -15,7 +15,7 @@ as a Z-module in the basis (1, omega).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -222,22 +222,29 @@ class QuadField:
         return QfIdeal.make(self, 1, 1, 0)
 
     def ideal_mul(self, I: "QfIdeal", J: "QfIdeal") -> "QfIdeal":
+        """I*J by the composition of forms (Cohen, GTM 138, 5.4; Buell, ch. 4).
+
+        Write b_i + omega = beta_i = (B_i + sqrt(D))/2, B_i = 2 b_i + s = D
+        mod 2, so the halves below are integers.  The primitive parts multiply
+        to the module spanned by a1 a2, a1 beta2, a2 beta1 and
+        beta1 beta2 = ((B1 B2 + D)/2 + (B1 + B2)/2 sqrt(D))/2,
+        whose omega-coefficients are 0, a1, a2 and (B1 + B2)/2.  Those of
+        e (a, b + omega) are the multiples of e, so its content e is their gcd
+        x g + w (B1 + B2)/2, where g = u a1 + v a2 = gcd(a1, a2), and
+        a = a1 a2 / e^2 by the norm.  x (u a1 beta2 + v a2 beta1) + w beta1 beta2
+        has omega-coefficient e: it is e (B + sqrt(D))/2 in e O, so that
+        B = [x (u a1 B2 + v a2 B1) + w (B1 B2 + D)/2]/e is an integer = s mod 2,
+        and (B + sqrt(D))/2 = (B - s)/2 + omega gives b = (B - s)/2 mod a.
+        Taken mod 2a, B is the composition's B = B_i mod 2 a_i / e with
+        B^2 = D mod 4a; QfIdeal.make checks the last."""
         if I.field is not self or J.field is not self:
             raise ValueError("ideals belong to a different field")
-        s, w2_const = self.s, -self.omega_norm
-        # primitive-part generators (a, b + omega); scale by k at the end
-        a1, b1 = I.a, I.b
-        a2, b2 = J.a, J.b
-        # products of the module generators, coordinates in basis (1, omega):
-        # (b1+omega)(b2+omega) = b1*b2 + omega^2 + (b1+b2)*omega
-        cols = [
-            (a1 * a2, 0),
-            (a1 * b2, a1),
-            (a2 * b1, a2),
-            (b1 * b2 + w2_const, b1 + b2 + s),
-        ]
-        out = _hnf_to_ideal(self, cols)
-        return QfIdeal.make(self, out.k * I.k * J.k, out.a, out.b)
+        a1, a2, B1, B2 = I.a, J.a, 2 * I.b + self.s, 2 * J.b + self.s
+        g, u, v = _xgcd(a1, a2)
+        e, x, w = _xgcd(g, (B1 + B2) // 2)
+        a = a1 * a2 // (e * e)
+        B = (x * (u * a1 * B2 + v * a2 * B1) + w * ((B1 * B2 + self.D) // 2)) // e % (2 * a)
+        return QfIdeal.make(self, I.k * J.k * e, a, (B - self.s) // 2)
 
     # -- prime splitting ------------------------------------------------
 
@@ -329,39 +336,6 @@ class QfIdeal:
 
     def __repr__(self) -> str:
         return f"QfIdeal(D={self.field.D}, k={self.k}, a={self.a}, b={self.b})"
-
-
-def _hnf_to_ideal(field: QuadField, cols: list[tuple[int, int]]) -> QfIdeal:
-    """Hermite normal form of the Z-module spanned by columns (x, y) = x + y*omega."""
-    # reduce to a single column (X, g) with g = gcd of all y entries
-    X, g = 0, 0
-    rest: list[int] = []
-    for x, y in cols:
-        if g == 0:
-            if y != 0:
-                X, g = x, y
-            else:
-                rest.append(x)
-            continue
-        if y == 0:
-            rest.append(x)
-            continue
-        gg, u, v = _xgcd(g, y)
-        Xn = u * X + v * x
-        # both columns minus multiples of (Xn, gg) become y = 0
-        rest.append(x - (y // gg) * Xn)
-        rest.append(X - (g // gg) * Xn)
-        X, g = Xn, gg
-    if g < 0:
-        X, g = -X, -g
-    m = 0
-    for x in rest:
-        m = gcd(m, x)
-    if g == 0 or m == 0:
-        raise ValueError("module is not of full rank")
-    if m % g != 0 or X % g != 0:
-        raise ArithmeticError("module is not an ideal of the maximal order")
-    return QfIdeal.make(field, g, m // g, (X // g) % (m // g))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

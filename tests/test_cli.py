@@ -509,6 +509,29 @@ def test_disc_over_budget_exits_3(capsys, monkeypatch, argv):
     assert built == []  # refused before the class group search
 
 
+@pytest.mark.parametrize(
+    "argv, groups",
+    [
+        (("ideals", "--disc", "229", "--max-norm", "50"), 0),
+        (("gauss-check", "--disc", "229", "--p", "13"), 0),
+        (("field", "--disc", "229"), 1),
+    ],
+    ids=lambda x: x[0] if isinstance(x, tuple) else str(x),
+)
+def test_class_groups_built_per_command(capsys, monkeypatch, argv, groups):
+    # ideals and gauss-check read the field alone, so they search for no
+    # reduced forms
+    built = []
+
+    def counting(F):
+        built.append(F.D)
+        return ClassGroup(F)
+
+    monkeypatch.setattr(cli, "ClassGroup", counting)
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(built) == groups
+
+
 @pytest.mark.parametrize("disc,samples", [(136, "3"), (505, "1")])
 def test_check_automorphy_odd_character(capsys, disc, samples):
     # N(unit) = +1 and psi((sqrt D)) = -1: the form is a sine series
@@ -725,6 +748,16 @@ def test_lvalue_at_s_2_is_real(capsys):
     dense = dense_coefficients(ReferenceCountTable(ClassGroup(QuadField(229)), 10**5), 2, 10**5)
     assert abs(data["value"] - np.sum(dense[1:] / np.arange(1, 10**5 + 1) ** 2.0).real) < 1e-13
     validate(out)
+
+
+def test_lvalue_at_a_large_s_warns_nothing():
+    # n^s overflows to inf past s = 62 or so, and each term's limit b/inf = 0
+    # is exact: L(s) is b(1) = 1, and stderr stays empty
+    argv = ["lvalue", "--disc", "229", "--index", "1", "--s", "800"]
+    res = subprocess.run([sys.executable, "-m", "maassforge.cli", *argv], env=child_env(), capture_output=True,
+                         text=True)
+    assert res.returncode == 0 and res.stderr == ""
+    assert json.loads(res.stdout)["value"] == 1.0
 
 
 def test_lvalue_split_point_disagreement_exits_1(capsys, monkeypatch):

@@ -200,6 +200,65 @@ def test_ideal_multiplication_norms():
             assert (I * J).norm() == I.norm() * J.norm()
 
 
+def _contains(L, x, y):
+    """x + y omega lies in L = k (Z a + Z (b + omega))."""
+    return x % L.k == 0 == y % L.k and (x // L.k - y // L.k * L.b) % L.a == 0
+
+
+def _is_product(I, J, L):
+    """L = I J, read off the lattices alone: L holds k1 k2 times the four
+    products a1 a2, a1 (b2 + omega), a2 (b1 + omega) and (b1 + omega)(b2 + omega)
+    = b1 b2 - N(omega) + (b1 + b2 + s) omega, which span I J, and has its
+    index N(I) N(J) in O."""
+    F, k = I.field, I.k * J.k
+    gens = [(I.a * J.a, 0), (I.a * J.b, I.a), (J.a * I.b, J.a),
+            (I.b * J.b - F.omega_norm, I.b + J.b + F.s)]
+    return L.norm() == I.norm() * J.norm() and all(_contains(L, k * x, k * y) for x, y in gens)
+
+
+# 4 | D and 8 | D, one to three odd primes, non-cyclic groups (777, 940, 3305)
+@pytest.mark.parametrize("D", [5, 8, 12, 24, 28, 40, 136, 229, 401, 445, 505, 777, 940, 3305,
+                               40009])
+def test_ideal_mul_is_the_lattice_product(D):
+    # random pairs, inert ideals (k > 1), squares and conjugates (content
+    # e > 1) among them; every other ideal of the product's norm fails the
+    # same check, so the check tells the product from its neighbours
+    random.seed(D)
+    F = QuadField(D)
+    ids = F.enumerate_ideals(400)
+    by_norm = {}
+    for I in ids:
+        by_norm.setdefault(I.norm(), []).append(I)
+    pairs = [(random.choice(ids), random.choice(ids)) for _ in range(500)]
+    pairs += [(I, I) for I in ids[:40]] + [(I, ideal_conj(I)) for I in ids[:40]]
+    for I, J in pairs:
+        L = F.ideal_mul(I, J)
+        assert _is_product(I, J, L), (I, J, L)
+        for M in by_norm.get(L.norm(), []):
+            assert _is_product(I, J, M) == (M == L), (I, J, M)
+
+
+def test_ideal_mul_past_2_to_the_31():
+    # products of split primes above 2^15.5 at a field near the --disc
+    # budget, so a >= 2^31, chained past 2^62, and times conjugates and
+    # inert ideals
+    random.seed(6)
+    F = QuadField(94572769)
+    p = _primes_up_to(60000)
+    p = p[p > 46341]
+    chi, b = F.prime_roots(p)
+    split = [F.ideal(1, q, r) for q, c, r in zip(p.tolist(), chi.tolist(), b.tolist()) if c == 1]
+    inert = [F.ideal(q, 1, 0) for q, c in zip(p.tolist(), chi.tolist()) if c == -1]
+    for _ in range(200):
+        I, J, P = random.sample(split, 3)
+        L = F.ideal_mul(I, J)
+        assert L.a >= 2**31 and _is_product(I, J, L)
+        for K in (P, ideal_conj(L), random.choice(inert)):
+            assert _is_product(L, K, F.ideal_mul(L, K))
+        M = F.ideal_mul(L, F.ideal_mul(P, P))
+        assert M.a >= 2**62 and _is_product(L, F.ideal_mul(P, P), M)
+
+
 def test_conjugate_product_is_norm_ideal():
     for D in (229, 401):
         F = QuadField(D)
