@@ -37,7 +37,13 @@ from .heckechar import (
     gauss_sum_rational,
     make_class_character,
 )
-from .maassform import AUTOMORPHY_SAMPLE_BUDGET, ThetaForm, gamma0_matrix, gamma0_matrices
+from .maassform import (
+    AUTOMORPHY_SAMPLE_BUDGET,
+    ThetaForm,
+    gamma0_matrices,
+    gamma0_matrix,
+    isometric_circle_points,
+)
 from .petersson import PAPER_VALUES, petersson_norm
 from .quadfield import BudgetError, InvalidInputError, QuadField, prime_factors
 from . import lseries
@@ -274,22 +280,20 @@ def cmd_check_automorphy(args) -> tuple[dict, int]:
     if (args.c is None) != (args.d is None):
         raise InvalidInputError("--c and --d give one matrix and must be used together")
     if args.c == 0:
-        raise InvalidInputError("--c must be nonzero: the points are placed around x = -d/c")
+        raise InvalidInputError("--c must be nonzero: the points are placed on the circle |cz + d| = 1")
     cg, psi = _character(args)
     th = ThetaForm(psi)
     if args.c is not None:
         if args.c % cg.field.D != 0 or math.gcd(args.c, args.d) != 1:
             raise InvalidInputError("need c = 0 mod D and gcd(c, d) = 1")
         if abs(args.d) >= abs(args.c) << 1023:
-            raise InvalidInputError("need |d/c| < 2^1023: the points x = -d/c + offset are float64")
+            raise InvalidInputError("need |d/c| < 2^1023: the points on the circle |cz + d| = 1 are float64")
         mats = [gamma0_matrix(args.c, args.d)]
     elif args.samples > AUTOMORPHY_SAMPLE_BUDGET:
         raise BudgetError(f"--samples {args.samples} is over the budget of {AUTOMORPHY_SAMPLE_BUDGET}")
     else:
         mats = gamma0_matrices(cg.field.D, count=args.samples)
-    offsets = ((0.0, 0.3), (0.05, 0.4), (-0.05, 0.5), (0.1, 0.65), (-0.1, 0.8))
-    checks = [(m, [(-m[3] / m[2] + off, y) for off, y in offsets]) for m in mats]
-    rep = th.check_automorphy(checks)
+    rep = th.check_automorphy([(m, isometric_circle_points(m[2], m[3])) for m in mats])
     return {
         "D": cg.field.D,
         "index": psi.index,

@@ -15,8 +15,8 @@ Verification is numerical: automorphy and functional-equation residuals,
 a finite-difference eigenvalue check with Richardson ratio, and decay at
 the cusps.  Theta is evaluated at any height y > 0, as a real sum over
 the real a'(n) != 0 of lseries.support: about 7.2/y coefficient rows, under
-lseries.ROW_BUDGET.  They are few: 16.7% of n <= 1.22e6 for D = 229,
-index 1.
+lseries.ROW_BUDGET.  They are few: 2,325 of the n <= 11,100 that
+check-automorphy --samples 2 reads for D = 229, index 1.
 """
 
 from __future__ import annotations
@@ -36,10 +36,14 @@ TRUNCATION_EXPONENT = 45.0  # keep terms with 2 pi n y <= this
 EIGENVALUE = 0.25  # 1/4 - nu^2 with spectral parameter nu = 0
 EIGENVALUE_STEP = 0.04  # the largest of check_eigenvalue's three stencil steps
 SAMPLE_C_MULTIPLES = 3  # gamma0_matrices takes c = level, 2 level, 3 level in turn
+# check-automorphy's points on each isometric circle; the lowest, sin(0.3)/|c|,
+# sets the rows: 45 |c| / (2 pi sin 0.3) = 24.2 |c|, 72.7 D at c = 3D
+ISOMETRIC_ANGLES = (0.3, 0.5, 0.7, 0.9, 1.2)
 # Most matrices check-automorphy --samples may ask for.  Each adds ten points
-# but almost no new heights or rows, since c takes only SAMPLE_C_MULTIPLES
-# values: D = 229 took 0.53 s at 3 samples, 0.63 s at 30 and 1.2 s at 100
-# (61 MB each); D = 257, 3.46e6 rows, took 1.1 s at 100 (70 MB).
+# but no new rows, since the rows depend on c alone and c takes only
+# SAMPLE_C_MULTIPLES values.  Cold, D = 229 took 0.15 s at 3 samples, 0.17 s
+# at 30 and 0.29 s at 100 (32 MB each); D = 40009, 2.9e6 rows, took 0.68 s at
+# 3 and 6.7 s at 100 (84 MB), each point summing a support of up to 8.9e5 terms.
 AUTOMORPHY_SAMPLE_BUDGET = 100
 PHASE_BITS = 10  # eval reads cos(2 pi x n) from tables of 2^10 and n/2^10 entries
 
@@ -87,27 +91,30 @@ class ThetaForm:
         with two or more points and viewed in the same way.
 
         K_0 is shared per height, not made per point, because the automorphy
-        check's heights repeat: its points are x = -d/c + off, so
-        Im(gamma z) = y/(c^2 (off^2 + y^2)) does not depend on d, and matrices
-        of equal c share every height (--samples 30 on D = 229 evaluates 300
-        points at 20 heights).  One buffer with K_0 made per point, heights in
-        the same order, gave the same bytes and tied at --samples 2 (0.247 vs
-        0.242 s cold), but took 1.22 s against 0.54 s at --samples 30 (median
-        of 5, 2-core Xeon)."""
+        check's heights repeat: its points lie on isometric circles, where
+        z = -d/c + e^(i phi)/|c| and gamma z both sit at sin(phi)/|c| (gamma z
+        to within a rounding that varies with d), so matrices of equal c share
+        the heights of z, and often those of gamma z (--samples 100 on
+        D = 229 evaluates 1,000 points at 355 heights).  One buffer with K_0
+        made per point, heights in the same order, gave the same bytes and
+        tied at --samples 2 (0.017 vs 0.015 s in process), but took 0.29-0.31 s
+        against 0.15-0.17 s at --samples 100 (medians of 15, 2-core Xeon)."""
         x, y = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
         xs, ys = x.ravel().tolist(), y.ravel().tolist()
         if any(v <= 0 for v in ys):
             raise ValueError("y must be positive")
         out = np.empty(len(ys))
+        at = {}  # height -> its points, in order, found in one pass
+        for i, v in enumerate(ys):
+            at.setdefault(v, []).append(i)
         k0_buf = kv_buf = None
-        for h in sorted(set(ys)):
+        for h, points in sorted(at.items()):
             n, a = support(self.character, self.truncation_index(h))
             if k0_buf is None:
                 k0_buf = np.empty(n.size)
             k0 = k0_buf[: n.size]
             for lo in range(0, n.size, SIEVE_CHUNK):
                 k0[lo : lo + SIEVE_CHUNK] = bessel_k0_array(2 * math.pi * h * n[lo : lo + SIEVE_CHUNK])
-            points = [i for i, v in enumerate(ys) if v == h]
             for i in points:
                 # the last point at h multiplies into K_0's own buffer, which
                 # it no longer needs, and the others into the product buffer
@@ -145,11 +152,10 @@ class ThetaForm:
         BudgetError, before any row is built, if the evaluations need more
         than lseries.ROW_BUDGET coefficient rows, or a gamma z is too low for
         float64 to count its rows."""
-        points, chis = [], []  # gamma z then z, for each z; chi_D(d) of its gamma
+        points, ds = [], []  # gamma z then z, for each z; d mod D of its gamma
         for (a, b, c, d), zs in checks:
             if a * d - b * c != 1 or c % self.level != 0:
                 raise ValueError(f"({a},{b},{c},{d}) is not in Gamma_0({self.level})")
-            chi_d = self.field.chi(d)
             for x, y in zs:
                 # (az + b)/(cz + d) cancels near x = -d/c; a/c - 1/(c (cz + d)), with
                 # Re(cz + d) from the exact x, keeps Im(gamma z) = y/|cz + d|^2 to rounding
@@ -161,16 +167,17 @@ class ThetaForm:
                 else:
                     w = (a * (x + 1j * y) + b) / d
                 points += [(w.real, w.imag), (x, y)]
-                chis.append(chi_d)
+                ds.append(d % self.level)  # an int64 for _chi, however long d is
         ys = [y for _, y in points]
         # a huge c or d/c can put Im(gamma z) below every float64 height whose
         # row count 45/(2 pi y) is finite, let alone under the row budget
         if not all(v > 0 and TRUNCATION_EXPONENT / (2 * math.pi * v) < math.inf for v in ys):
             raise BudgetError("a point gamma z lies below every height of finite row count")
         v = self.eval(*np.reshape(points, (-1, 2)).T)
-        residuals = np.abs(v[0::2] - np.array(chis) * v[1::2])
+        chis = self.field._chi(np.array(ds, dtype=np.int64))
+        residuals = np.abs(v[0::2] - chis * v[1::2])
         return CheckReport(
-            "automorphy", float(residuals.max()), {"count": len(chis), **self.truncation_report(ys)}
+            "automorphy", float(residuals.max()), {"count": len(ds), **self.truncation_report(ys)}
         )
 
     def check_eigenvalue(self, x: float, y: float) -> "CheckReport":
@@ -269,6 +276,22 @@ class CheckReport:
     name: str
     residual: float
     details: dict
+
+
+def isometric_circle_points(c: int, d: int) -> list[tuple[float, float]]:
+    """The points z = -d/c + e^(i phi)/|c|, phi in ISOMETRIC_ANGLES, on the
+    isometric circle |cz + d| = 1 of the matrices with bottom row (c, d),
+    c != 0.  There Im(gamma z) = Im(z)/|cz + d|^2 = Im(z) = sin(phi)/|c|, so
+    z and gamma z need the same 45 |c| / (2 pi sin phi) rows, linear in c.
+    Each coordinate is one correctly rounded quotient of integers, from the
+    exact ratios of the float cos(phi) and sin(phi), so that no c or d is
+    converted to a float: a c past the float64 range gives height 0."""
+    sign = 1 if c > 0 else -1
+    points = []
+    for phi in ISOMETRIC_ANGLES:
+        (p, q), (r, t) = math.cos(phi).as_integer_ratio(), math.sin(phi).as_integer_ratio()
+        points.append(((p - q * sign * d) / (q * abs(c)), r / (t * abs(c))))
+    return points
 
 
 def gamma0_matrix(c: int, d: int) -> tuple[int, int, int, int]:

@@ -1,6 +1,7 @@
 import csv
 import gc
 import json
+import math
 import os
 import resource
 import subprocess
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import maassforge
-from maassforge import cli, lseries
+from maassforge import cli, lseries, maassform
 from maassforge.classforms import ClassGroup
 from maassforge.cli import COEFFS_ROW_BUDGET, DISC_BUDGET, GAUSS_PRIME_BUDGET, main
 from maassforge.maassform import AUTOMORPHY_SAMPLE_BUDGET, ThetaForm
@@ -543,13 +544,45 @@ def test_check_automorphy_odd_character(capsys, disc, samples):
     validate(out)
 
 
+@pytest.mark.parametrize("disc", [229, 401, 445, 505, 136, 3305, 40009])
+def test_check_automorphy_at_default_samples(capsys, disc):
+    # the points lie on the isometric circles |cz + d| = 1 of matrices with
+    # c <= 3D, where z and gamma z sit at the height sin(phi)/|c|, so the rows
+    # are at most 45 (3D) / (2 pi sin 0.3) = 72.7 D: linear in D
+    code, out = run_cli(capsys, "check-automorphy", "--disc", str(disc), "--index", "1")
+    assert code == 0
+    data = json.loads(out)
+    assert data["max_residual"] <= 1e-11
+    assert data["truncation"] <= 80 * disc
+    validate(out)
+
+
+@pytest.mark.parametrize("disc", [401, 445, 3305])
+@pytest.mark.parametrize("entry", [1, 20])
+def test_check_automorphy_fails_on_one_wrong_coefficient(capsys, monkeypatch, disc, entry):
+    # Theta with one a'(n) of its support scaled by 1.001 is not automorphic:
+    # the residual rises from 1e-13 or less to 1e-5 or more, far above --tol
+    support = maassform.support
+
+    def scaled(character, n_max):
+        n, a = support(character, n_max)
+        a = a.copy()
+        a[entry] *= 1.001
+        return n, a
+
+    monkeypatch.setattr(maassform, "support", scaled)
+    code, out = run_cli(capsys, "check-automorphy", "--disc", str(disc), "--index", "1")
+    assert code == 1 and json.loads(out)["max_residual"] > 1e-6
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ("check-automorphy", "--disc", "505", "--index", "1"),  # 1.34e7 rows
-        ("check-automorphy", "--disc", "3305", "--index", "1", "--samples", "1"),  # 6.36e7 rows
+        # 45 |c| / (2 pi sin 0.3) rows at the largest c of the matrices
+        ("check-automorphy", "--disc", "68905"),  # c = 3D: 5.01e6 rows
+        ("check-automorphy", "--disc", "3305", "--c", "661000", "--d", "1"),  # c = 200D: 1.60e7 rows
     ],
-    ids=lambda argv: " ".join(argv),
+    ids=lambda argv: " ".join(argv[1:]),
 )
 def test_check_automorphy_over_row_budget_exits_3(capsys, monkeypatch, argv):
     built = []
@@ -611,23 +644,25 @@ def test_check_automorphy_reports_worst_truncation(capsys):
     code, out = run_cli(capsys, "check-automorphy", "--disc", "229", "--index", "2", "--c", "229", "--d", "3")
     assert code == 0
     data = json.loads(out)
-    # the smallest height is Im(gamma z) = y / |cz + d|^2 at z = -3/229 - 0.1 + 0.8i
-    y = 0.8 / (229**2 * (0.1**2 + 0.8**2))
-    assert data["truncation"] == int(45 / (2 * 3.141592653589793 * y)) + 1 == 305160
-    assert data["terms"] == 54108
-    assert 0 < data["tail_bound"] < 1e-12
+    # the points lie on the circle |229 z + 3| = 1, where Im(gamma z) = Im(z),
+    # so the smallest height is sin(0.3)/229, on both sides
+    y = math.sin(0.3) / 229
+    assert data["truncation"] == int(45 / (2 * math.pi * y)) + 1 == 5550
+    assert data["terms"] == 1224
+    assert 0 < data["tail_bound"] < 1e-15
     validate(out)
 
 
 def test_check_automorphy_far_from_the_origin_exits_0(capsys):
-    # the points sit around x = -d/c = -4.4e6, where (az + b)/(cz + d)
-    # cancels to about -1/c; gamma z = a/c - 1/(c (cz + d)) keeps every
-    # digit of Im(gamma z) = y/|cz + d|^2, so the heights are those of d = 3
+    # the points sit on the circle |cz + d| = 1 around x = -d/c = -4.4e6,
+    # where (az + b)/(cz + d) cancels to about -1/c; gamma z = a/c - 1/(c (cz + d))
+    # keeps every digit of Im(gamma z) = y/|cz + d|^2, so the heights are
+    # those of d = 3
     code, out = run_cli(capsys, "check-automorphy", "--disc", "229", "--c", "229", "--d", "1000000001")
     assert code == 0
     data = json.loads(out)
     assert data["max_residual"] < 1e-12
-    assert data["truncation"] == 305160 and data["terms"] == 54108
+    assert data["truncation"] == 5550 and data["terms"] == 1224
     validate(out)
 
 
@@ -685,8 +720,8 @@ def record_table_builds(monkeypatch):
 def test_check_automorphy_builds_its_table_in_one_extension(capsys, monkeypatch):
     builds, classified = record_table_builds(monkeypatch)
     code, out = run_cli(capsys, "check-automorphy", "--disc", "229", "--index", "1", "--samples", "2")
-    assert code == 0 and json.loads(out)["truncation"] == 1220639
-    assert builds == [1220639]
+    assert code == 0 and json.loads(out)["truncation"] == 11100
+    assert builds == [11100]
     # the primes of that table are classified together, inside its build
     assert classified == [(1, True)]
 
@@ -706,7 +741,7 @@ def test_table_builds_per_command(capsys, monkeypatch):
     assert code == 0 and builds == [176, 351]
     builds.clear()
     code, _ = run_cli(capsys, "check-automorphy", "--disc", "229", "--index", "1", "--samples", "2")
-    assert code == 0 and builds == [1220639]
+    assert code == 0 and builds == [11100]
 
 
 def test_theta_eval_low_y_invalid(capsys):

@@ -11,7 +11,7 @@ from maassforge.classforms import ClassGroup
 from maassforge import lseries as ls
 from maassforge.cli import main
 from maassforge.heckechar import NormInducedError, make_class_character
-from maassforge.maassform import ThetaForm, _phase, _phase_tables, gamma0_matrices
+from maassforge.maassform import ThetaForm, _phase, _phase_tables, gamma0_matrices, isometric_circle_points
 from maassforge.quadfield import BudgetError, QuadField
 from maassforge.special import bessel_k0_array
 from oracles import ReferenceCountTable, cancelling_rows, dense_coefficients
@@ -113,6 +113,22 @@ def test_automorphy_over_row_budget_raises_before_building(theta229, monkeypatch
     # Im(gamma z) = 0.3 / (2290 * 0.3)^2 at z = -1/2290 + 0.3i needs 1.13e7 rows
     with pytest.raises(BudgetError):
         theta229.check_automorphy([((1, 0, 2290, 1), [(-1 / 2290, 0.3)])])
+
+
+@pytest.mark.parametrize("D", [229, 401, 445, 505, 136, 3305])
+def test_automorphy_fails_with_the_wrong_multiplier(D, monkeypatch):
+    th = ThetaForm(make_class_character(ClassGroup(QuadField(D)), 1))
+    checks = [(m, isometric_circle_points(m[2], m[3])) for m in gamma0_matrices(D, 3)]
+    assert th.check_automorphy(checks).residual <= 1e-11
+    # the clean check built the table, chi_D(p) of its primes included, and
+    # it is not built again: -chi_D reaches the multiplier of Theta(z) alone
+    def no_rows(*args, **kwargs):
+        raise AssertionError("classified primes again")
+
+    chi = QuadField._chi
+    monkeypatch.setattr(ClassGroup, "prime_classes", no_rows)
+    monkeypatch.setattr(QuadField, "_chi", lambda self, n: -chi(self, n))
+    assert th.check_automorphy(checks).residual > 0.1
 
 
 def test_eigenvalue_richardson(theta229):

@@ -156,11 +156,13 @@ def test_k0_of_check_automorphy_against_scipy(monkeypatch):
     heights = _record(monkeypatch, maassform.ThetaForm, "truncation_report")
     _run_cli("check-automorphy", "--disc", "229", "--index", "1", "--samples", "2")
     # K_0 once per distinct height and row, one SIEVE_CHUNK block a call:
-    # 20 evaluations at 15 heights, whose supports hold 868,375 rows in all
+    # 20 evaluations at 14 heights (z and gamma z share a height on the
+    # isometric circle, or differ in its last digit), whose supports hold
+    # 14,148 rows in all
     ((_, ys, _),) = heights
-    assert len(ys) == 20 and len(set(ys.tolist())) == 15
+    assert len(ys) == 20 and len(set(ys.tolist())) == 14
     assert max(t.size for t, _ in calls) <= SIEVE_CHUNK
-    assert sum(t.size for t, _ in calls) == 868_375
+    assert sum(t.size for t, _ in calls) == 14_148
     for t, v in calls:
         assert np.max(np.abs(v / k0(t) - 1)) <= 3e-15
 
