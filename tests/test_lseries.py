@@ -699,10 +699,10 @@ def test_afe_weights_memory_per_value():
 
 
 def test_check_automorphy_memory_per_row():
-    # Points 0.3-0.8 above x = -d/c, with the two matrices of
-    # check-automorphy --samples 2 at D = 229, put Im(gamma z) near
-    # 1/(c^2 y) and need N = 1,220,639 rows, built inside the check (the
-    # command itself, on the isometric circles, needs 11,100).  Its peak is the end of the
+    # Points 0.3-0.8 above x = -d/c, for the two matrices of
+    # check-automorphy --samples 2 at D = 229, need N = 1,220,639 rows
+    # (the command's isometric circles need 11,100), built inside the
+    # check.  Its peak is the end of the
     # support's fill, which holds, in bytes a row: the table's index of
     # p^e || n over the odd rows, 2; the table's 94,645 prime powers q,
     # chi_D(p) and class logs of its primes, and the character's local
