@@ -20,7 +20,7 @@ from math import isqrt, sqrt
 
 import numpy as np
 
-from .quadfield import SIEVE_CHUNK, QfIdeal, QuadField
+from .quadfield import SIEVE_CHUNK, InvalidInputError, QfIdeal, QuadField
 
 
 def _rho(A, B, C, D: int, r: int):
@@ -170,10 +170,12 @@ class ClassGroup:
                 for a, b in zip(A[first].tolist(), B[first].tolist())]
 
     @cached_property
-    def _dlog(self) -> np.ndarray:
+    def logs(self) -> np.ndarray:
         """Discrete logs of all classes w.r.t. a generator, an int64 array
         by class, built on first use: only class characters need them, and
-        only a cyclic group has them.
+        only a cyclic group has them.  A group that is not cyclic raises
+        InvalidInputError, the refusal of every command that takes a
+        character index.
 
         For a candidate g the classes of the h products class_ideals[c]
         class_ideals[g], classified together, are one row of the group law,
@@ -200,7 +202,8 @@ class ClassGroup:
             if log.min() >= 0:
                 return log
             reached |= log >= 0
-        raise ArithmeticError("narrow class group is not cyclic; unsupported")
+        raise InvalidInputError(f"the narrow class group of D={self.field.D} is not cyclic; "
+                                "class characters are indexed by a generator")
 
     # -- queries --------------------------------------------------------
 
@@ -219,16 +222,9 @@ class ClassGroup:
         """Index of the class of I."""
         return int(self._ideal_classes([I])[0])
 
-    def is_cyclic(self) -> bool:
-        try:
-            self._dlog
-        except ArithmeticError:
-            return False
-        return True
-
     def dlog(self, I: QfIdeal) -> int:
         """Discrete log of the narrow class of I w.r.t. the chosen generator."""
-        return int(self._dlog[self.class_index(I)])
+        return int(self.logs[self.class_index(I)])
 
     def prime_classes(self, p):
         """chi_D(p), and the discrete log of the class of the prime ideal
@@ -238,7 +234,8 @@ class ClassGroup:
         QuadField.prime_roots, and the forms (p, 2b + s, ...) are classified
         together by _classes, SIEVE_CHUNK primes a block, so that their
         temporaries stay the size of one block.  The class index maps to its
-        log last, so a group that is not cyclic raises ArithmeticError there."""
+        log in logs last, so a group that is not cyclic raises
+        InvalidInputError there."""
         chi, k = np.empty_like(p), np.zeros_like(p)
         for lo in range(0, p.size, SIEVE_CHUNK):
             block = p[lo : lo + SIEVE_CHUNK]
@@ -246,7 +243,7 @@ class ClassGroup:
             chi[lo : lo + block.size] = c
             idx = np.flatnonzero(c >= 0)
             if idx.size:
-                k[lo + idx] = self._dlog[self._classes(block[idx], 2 * b[idx] + self.field.s)]
+                k[lo + idx] = self.logs[self._classes(block[idx], 2 * b[idx] + self.field.s)]
         return chi, k
 
     def residue_zeta(self) -> float:

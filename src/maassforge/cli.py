@@ -37,13 +37,7 @@ from .heckechar import (
     gauss_sum_rational,
     make_class_character,
 )
-from .maassform import (
-    AUTOMORPHY_SAMPLE_BUDGET,
-    ThetaForm,
-    gamma0_matrices,
-    gamma0_matrix,
-    isometric_circle_points,
-)
+from .maassform import ThetaForm, gamma0_matrices, gamma0_matrix, isometric_circle_points
 from .petersson import PAPER_VALUES, petersson_norm
 from .quadfield import BudgetError, InvalidInputError, QuadField, prime_factors
 from . import lseries
@@ -68,6 +62,13 @@ GAUSS_PRIME_BUDGET = 2_000
 # takes 2.4 s, 0.6 s of it the unit.  Checked first, so that no D above it
 # costs even the trial division that tells whether it is fundamental.
 DISC_BUDGET = 100_000_000
+# Most matrices check-automorphy --samples may ask for.  Each adds ten points
+# but no new rows, since the rows depend on c alone and c takes only
+# maassform.SAMPLE_C_MULTIPLES values.  Cold, D = 229 took 0.15 s at 3
+# samples, 0.17 s at 30 and 0.29 s at 100 (32 MB each); D = 40009, 2.9e6 rows,
+# took 0.68 s at 3 and 6.7 s at 100 (84 MB), each point summing a support of
+# up to 8.9e5 terms.
+AUTOMORPHY_SAMPLE_BUDGET = 100
 # Lowest --y theta-eval takes, so that the inputs it accepts stay fixed;
 # ThetaForm.eval itself takes any y > 0, on about 7.2/y coefficient rows
 THETA_EVAL_MIN_Y = 0.05
@@ -185,11 +186,9 @@ def _field(disc: int) -> QuadField:
 
 def _character(args):
     cg = ClassGroup(_field(args.disc))
-    if not cg.is_cyclic():
-        raise InvalidInputError(f"the narrow class group of D={cg.field.D} is not cyclic; "
-                                "class characters are indexed by a generator")
-    if not 0 <= args.index < cg.h_narrow:
-        raise InvalidInputError(f"character index must be in [0, {cg.h_narrow})")
+    h = cg.logs.size  # a group that is not cyclic is refused first
+    if not 0 <= args.index < h:
+        raise InvalidInputError(f"character index must be in [0, {h})")
     return cg, make_class_character(cg, args.index)
 
 
@@ -342,8 +341,6 @@ def cmd_gauss_check(args) -> tuple[dict, int]:
         raise BudgetError(f"--p {p} is over the budget of {GAUSS_PRIME_BUDGET}")
     if p < 3 or prime_factors(p) != [p]:
         raise InvalidInputError(f"p={p} is not an odd prime")
-    if F.chi(p) != -1:
-        raise InvalidInputError(f"p={p} is not inert in Q(sqrt{F.D})")
     residuals = {}
     for k in range(1, min(p - 1, 4)):
         residuals[k] = _fmt(check_gauss_norm_lemma(F, p, k))

@@ -76,9 +76,6 @@ class HeckeCharacter:
         psi((sqrt(D))) = e^(pi i index) = (-1)^index."""
         return self.index % 2 if self.classgroup.unit_norm == 1 else 0
 
-    def conjugate(self) -> "HeckeCharacter":
-        return HeckeCharacter(self.classgroup, -self.index)
-
     def power(self, e: int) -> "HeckeCharacter":
         return HeckeCharacter(self.classgroup, self.index * e)
 
@@ -129,56 +126,36 @@ class DirichletCharacterModP:
             return 0.0j
         return self._vals[self._dlog[n]]
 
-    def is_primitive(self) -> bool:
-        return self.k != 0
-
-    def parity(self) -> int:
-        """0 if chi(-1) = 1, else 1; chi(-1) = (-1)^k since -1 = g^((p-1)/2)."""
-        return self.k % 2
-
 
 def gauss_sum_rational(chi, m: int) -> complex:
     """tau(chi) = sum_{x mod m} chi(x) e^(2*pi*i*x/m)."""
     return sum(chi(x) * root_of_unity(x / m) for x in range(m))
 
 
-def gauss_sum_quadratic_field(chi_fin, m: int, delta: int = 0) -> complex:
-    """Gauss sum of a finite character on (O_F / m*O_F), modulus f = m*O_F.
-
-    chi_fin(u, v) is the character value at u + v*omega (0 on non-units).
-    delta is the common sign exponent of the infinity type; the choice
-    alpha = m*sqrt(D) contributes psi_inf(alpha) = (-1)^delta because the
-    two real embeddings of sqrt(D) have opposite signs.
-    """
-    e = [root_of_unity(v / m) for v in range(m)]
-    total = 0.0j
-    for u in range(m):
-        for v in range(m):
-            c = chi_fin(u, v)
-            if c != 0:
-                total += c * e[v]
-    if delta % 2 == 1:
-        total = -total
-    return total
-
-
-def norm_composed_character(field: QuadField, sigma: DirichletCharacterModP):
-    """The finite character (u, v) -> sigma(N(u + v*omega)) mod p."""
-
-    def chi_fin(u: int, v: int) -> complex:
-        return sigma(field.elt_norm(u, v) % sigma.p)
-
-    return chi_fin
-
-
 def check_gauss_norm_lemma(field: QuadField, p: int, k: int = 1) -> float:
     """Residual of tau_F(sigma o N) = sigma(D) * chi_D(p) * tau(sigma)^2
-    for an inert prime p not dividing D and a primitive sigma mod p."""
+    for an inert prime p not dividing D and a primitive sigma mod p
+    (k != 0 mod p - 1); a prime that is not inert is invalid input.
+
+    tau_F is the Gauss sum of the finite character (u, v) ->
+    sigma(N(u + v*omega)) on O_F/(p), modulus f = p*O_F.  The sign exponent
+    of its infinity type is the parity of sigma, chi(-1) = (-1)^k since
+    -1 = g^((p-1)/2), and the choice alpha = p*sqrt(D) contributes
+    psi_inf(alpha) = (-1)^k because the two real embeddings of sqrt(D) have
+    opposite signs."""
     if field.chi(p) != -1:
-        raise ValueError(f"p={p} is not inert in Q(sqrt{field.D})")
+        raise InvalidInputError(f"p={p} is not inert in Q(sqrt{field.D})")
     sigma = DirichletCharacterModP(p, k)
-    if not sigma.is_primitive():
+    if sigma.k == 0:
         raise ValueError("sigma must be primitive (k != 0)")
-    lhs = gauss_sum_quadratic_field(norm_composed_character(field, sigma), p, delta=sigma.parity())
+    e = [root_of_unity(v / p) for v in range(p)]
+    lhs = 0.0j
+    for u in range(p):
+        for v in range(p):
+            c = sigma(field.elt_norm(u, v) % p)
+            if c != 0:
+                lhs += c * e[v]
+    if sigma.k % 2 == 1:
+        lhs = -lhs
     rhs = sigma(field.D) * field.chi(p) * gauss_sum_rational(sigma, p) ** 2
     return abs(lhs - rhs)

@@ -34,13 +34,15 @@ from .special import EULER_GAMMA, incomplete_k_mellin
 
 
 # Largest coefficient table ClassCountTable builds.  For D = 229 (h = 3) the
-# peak RSS of check-automorphy is about 31 MB plus 11 bytes per row (35 MB at
-# 3.1e5 rows, 45 MB at 1.22e6, 61 MB at 2.75e6, its default of 3 matrices):
-# the table keeps 2 bytes per row, the index of p^e || n for the smallest
-# prime p of each odd row, a character's dense row takes 2 more while it is
-# filled, over the odd n <= n_max/2, and the rest is its support, the
-# evaluations of Theta over it, and temporaries of one SIEVE_CHUNK block.
-# D = 3305 (h = 12) peaked at 71 MB evaluating Theta once on 4.0e6 rows.
+# peak RSS of check-automorphy is about 31 MB plus 9-11 bytes per row: 31.6 MB
+# at its default of 3 matrices (16,650 rows), and for the one matrix of bottom
+# row (229 k, 1), 35.2 MB at 3.1e5 rows, 44.5 at 1.22e6, 62.4 at 2.75e6 and
+# 69.3 at 4.0e6 (medians of 3 cold runs): the table keeps 2 bytes per row,
+# the index of p^e || n for the smallest prime p of each odd row, a
+# character's dense row takes 2 more while it is filled, over the odd
+# n <= n_max/2, and the rest is its support, the evaluations of Theta over
+# it, and temporaries of one SIEVE_CHUNK block.
+# D = 3305 (h = 12) peaked at 71.0 MB on 3.9e6 rows (c = 49 D).
 # Below the budget every prime p of a table has p^2 < 2^62, so the int64
 # arithmetic of ClassGroup.prime_classes cannot overflow, and every n is
 # below the 2^22 of maassform._phase.
@@ -445,7 +447,7 @@ def l_value_at_1_direct(character: HeckeCharacter) -> float:
         raise ValueError("L(s, trivial) has a pole at s = 1")
     cg = character.classgroup
     h = cg.h_narrow
-    cos = np.cos(2 * np.pi * (character.index * cg._dlog % h) / h)
+    cos = np.cos(2 * np.pi * (character.index * cg.logs % h) / h)
     return float(cos @ _cycle_sums(cg)) / math.sqrt(cg.field.D)
 
 
@@ -454,9 +456,12 @@ def l_value_at_1(character: HeckeCharacter) -> dict:
     (cutoff_agreement), and against the reduced cycles (direct_oracle,
     oracle_agreement), a route that shares only the class group with it.
     Either over its tolerance is a SplitPointError.  The split points are
-    compared first, so that refusal costs only the AFE's rows."""
-    v1 = l_value_at_1_afe(character, cutoff=1.0)
+    compared first, so that refusal costs only the AFE's rows.  Split point 2
+    is evaluated first: its dual sum needs the most rows, about
+    2 * 55 sqrt(D)/2 pi, so the one table it builds covers split point 1's,
+    and a row's b(n) does not depend on the size of its table."""
     v2 = l_value_at_1_afe(character, cutoff=2.0)
+    v1 = l_value_at_1_afe(character, cutoff=1.0)
     if abs(v1 - v2) > SPLIT_POINT_TOL:
         raise SplitPointError(f"split-point instability in L(1): {v1!r} vs {v2!r}")
     oracle = l_value_at_1_direct(character)

@@ -39,12 +39,6 @@ SAMPLE_C_MULTIPLES = 3  # gamma0_matrices takes c = level, 2 level, 3 level in t
 # check-automorphy's points on each isometric circle; the lowest, sin(0.3)/|c|,
 # sets the rows: 45 |c| / (2 pi sin 0.3) = 24.2 |c|, 72.7 D at c = 3D
 ISOMETRIC_ANGLES = (0.3, 0.5, 0.7, 0.9, 1.2)
-# Most matrices check-automorphy --samples may ask for.  Each adds ten points
-# but no new rows, since the rows depend on c alone and c takes only
-# SAMPLE_C_MULTIPLES values.  Cold, D = 229 took 0.15 s at 3 samples, 0.17 s
-# at 30 and 0.29 s at 100 (32 MB each); D = 40009, 2.9e6 rows, took 0.68 s at
-# 3 and 6.7 s at 100 (84 MB), each point summing a support of up to 8.9e5 terms.
-AUTOMORPHY_SAMPLE_BUDGET = 100
 PHASE_BITS = 10  # eval reads cos(2 pi x n) from tables of 2^10 and n/2^10 entries
 
 
@@ -167,14 +161,14 @@ class ThetaForm:
                 else:
                     w = (a * (x + 1j * y) + b) / d
                 points += [(w.real, w.imag), (x, y)]
-                ds.append(d % self.level)  # an int64 for _chi, however long d is
+                ds.append(d % self.level)  # an int64 for chi, however long d is
         ys = [y for _, y in points]
         # a huge c or d/c can put Im(gamma z) below every float64 height whose
         # row count 45/(2 pi y) is finite, let alone under the row budget
         if not all(v > 0 and TRUNCATION_EXPONENT / (2 * math.pi * v) < math.inf for v in ys):
             raise BudgetError("a point gamma z lies below every height of finite row count")
         v = self.eval(*np.reshape(points, (-1, 2)).T)
-        chis = self.field._chi(np.array(ds, dtype=np.int64))
+        chis = self.field.chi(np.array(ds, dtype=np.int64))
         residuals = np.abs(v[0::2] - chis * v[1::2])
         return CheckReport(
             "automorphy", float(residuals.max()), {"count": len(ds), **self.truncation_report(ys)}

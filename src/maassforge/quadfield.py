@@ -167,7 +167,7 @@ class QuadField:
         self.s = D % 2              # trace of omega
         self.omega_norm = (self.s * self.s - D) // 4   # norm of omega
         # D = 2^v m with m odd is d2 = 1, -4 or +-8 times the prime
-        # discriminants of the primes q | m (see _chi): chi_d2 at n mod 8
+        # discriminants of the primes q | m (see chi): chi_d2 at n mod 8
         v = (D & -D).bit_length() - 1
         m = D >> v
         self._odd_primes = prime_factors(m)
@@ -180,13 +180,10 @@ class QuadField:
     def __repr__(self) -> str:
         return f"QuadField({self.D})"
 
-    def chi(self, n: int) -> int:
+    def chi(self, n):
         """The quadratic character attached to the field, the Kronecker
-        symbol (D|n), for any integer n: _chi at n mod D."""
-        return int(self._chi(np.array([n % self.D]))[0])
-
-    def _chi(self, n):
-        """chi_D(n) = chi_d2(n) prod (n|q) for an int64 array n >= 0.
+        symbol (D|n): chi_D(n) = chi_d2(n) prod (n|q), for an int n of any
+        size and sign, taken at n mod D, or elementwise for an int64 array n.
 
         For a fundamental D > 0, n -> (D|n) is an even primitive character mod
         D on all of Z (Davenport, ch. 5; Cohen, GTM 138, 1.4.9), fixed by its
@@ -200,23 +197,17 @@ class QuadField:
         two therefore agree at every integer n, and n may be any residue of
         the integer asked for: chi_D(2) needs no case of its own, nor do
         negative or huge n."""
-        chi = self._chi_d2[n % 8]
+        a = n if isinstance(n, np.ndarray) else np.array([n % self.D])
+        chi = self._chi_d2[a % 8]
         for q in self._odd_primes:
-            chi *= _legendre(n, q)
-        return chi
+            chi *= _legendre(a, q)
+        return chi if a is n else int(chi[0])
 
     def elt_norm(self, x: int, y: int) -> int:
         """Norm of x + y*omega."""
         return x * x + self.s * x * y + self.omega_norm * y * y
 
-    def omega_image_norm(self, b: int) -> int:
-        """N(b + omega) = b^2 + s*b + (s^2 - D)/4."""
-        return b * b + self.s * b + self.omega_norm
-
     # -- ideals ---------------------------------------------------------
-
-    def ideal(self, k: int, a: int, b: int) -> "QfIdeal":
-        return QfIdeal.make(self, k, a, b)
 
     def unit_ideal(self) -> "QfIdeal":
         return QfIdeal.make(self, 1, 1, 0)
@@ -254,18 +245,18 @@ class QuadField:
 
         The prime ideals above p are then (p) when p is inert, (p, b) when it
         is ramified, and (p, b) and (p, -s - b) when it splits, since the two
-        roots sum to -s.  chi_D(p) is _chi(p).  Only the split p need
+        roots sum to -s.  chi_D(p) is chi(p).  Only the split p need
         sqrt(D), for b = (-s +- sqrt(D))/2, from tonelli_shanks_array; a
         ramified odd p has the one root -s/2, and mod 2 the least root is
         N(omega) mod 2."""
         D, s = self.D, self.s
-        chi = self._chi(p)
+        chi = self.chi(p)
         split = np.flatnonzero((chi == 1) & (p != 2))
         root = np.zeros_like(p)
         root[split] = tonelli_shanks_array(D % p[split], p[split])
         half = (p + 1) // 2  # the inverse of 2 mod odd p
         b = np.minimum((root - s) * half % p, (-root - s) * half % p)
-        b[p == 2] = self.omega_image_norm(0) % 2
+        b[p == 2] = self.omega_norm % 2
         b[chi == -1] = 0
         return chi, b
 
@@ -324,7 +315,7 @@ class QfIdeal:
         if k <= 0 or a <= 0:
             raise ValueError("ideal parameters must be positive")
         b %= a
-        if field.omega_image_norm(b) % a != 0:
+        if field.elt_norm(b, 1) % a != 0:
             raise ValueError(f"(k,a,b)=({k},{a},{b}) is not an ideal: a does not divide N(b+omega)")
         return QfIdeal(field, k, a, b)
 

@@ -16,7 +16,7 @@ Rankin-Selberg: rankin_local_factor, rankin_residue, rankin_euler_identity_resid
 Principal and conjugate ideals: principal_ideal, from the inverse of y mod N(x + y omega), and ideal_conj (test_quadfield, test_classforms).
 Sign exponent: epsilon_by_ideal, psi((sqrt D)) by ideal arithmetic (test_heckechar).
 Norm-induced characters: is_norm_induced, psi against psi o sigma class by class (test_heckechar).
-Gauss sums: gauss_abs_sq_residual and check_gauss_twisting, closed forms (test_heckechar, test_acceptance).
+Gauss sums: check_gauss_twisting, a closed form (test_heckechar, test_acceptance).
 Printed floats: report_floats, every float of a CLI report (test_cli, test_cli_fuzz).
 K_0 and G_s: mpmath, and scipy's k0, k0e and quad (test_special).
 Theta: dense_theta in test_maassform, every n up to the truncation on dense_coefficients (test_maassform).
@@ -115,7 +115,7 @@ def prime_roots(F: QuadField, p: int) -> list[int]:
     """The roots b mod p of N(b + omega) = 0, ascending, for p split or
     ramified: (-s +- sqrt(D))/2 for odd p, by trial for p = 2."""
     if p == 2:
-        roots = [b for b in (0, 1) if F.omega_image_norm(b) % 2 == 0]
+        roots = [b for b in (0, 1) if F.elt_norm(b, 1) % 2 == 0]
         return roots[:1] if kronecker(F.D, 2) == 0 else roots
     if F.D % p == 0:
         return [(-F.s * pow(2, p - 2, p)) % p]
@@ -249,7 +249,7 @@ class IndefiniteForm:
 def ideal_to_form(F: QuadField, I: QfIdeal) -> IndefiniteForm:
     """Form of the primitive part of I: (a, 2b + s, N(b + omega)/a)."""
     a, b = I.a, I.b
-    return IndefiniteForm(a, 2 * b + F.s, F.omega_image_norm(b) // a)
+    return IndefiniteForm(a, 2 * b + F.s, F.elt_norm(b, 1) // a)
 
 
 def scalar_cycles(D: int) -> list[list[IndefiniteForm]]:
@@ -295,12 +295,6 @@ def ideal_count(F: QuadField, n: int) -> int:
                 count += kronecker(F.D, n // d)
         d += 1
     return count
-
-
-def gauss_abs_sq_residual(tau: complex, m: int) -> float:
-    """| |tau|^2 - N(f) | for the modulus f = m O_F, of norm m^2, which
-    vanishes for primitive characters."""
-    return abs(abs(tau) ** 2 - m * m)
 
 
 def principal_ideal(F: QuadField, x: int, y: int) -> QfIdeal:

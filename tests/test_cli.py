@@ -17,8 +17,8 @@ import pytest
 import maassforge
 from maassforge import cli, lseries, maassform
 from maassforge.classforms import ClassGroup
-from maassforge.cli import COEFFS_ROW_BUDGET, DISC_BUDGET, GAUSS_PRIME_BUDGET, main
-from maassforge.maassform import AUTOMORPHY_SAMPLE_BUDGET, ThetaForm
+from maassforge.cli import AUTOMORPHY_SAMPLE_BUDGET, COEFFS_ROW_BUDGET, DISC_BUDGET, GAUSS_PRIME_BUDGET, main
+from maassforge.maassform import ThetaForm
 from maassforge.quadfield import IDEALS_NORM_BUDGET, QuadField
 from oracles import ReferenceCountTable, dense_coefficients, report_floats
 
@@ -162,6 +162,7 @@ def test_coeffs_csv_and_json_export(capsys, tmp_path):
         ("check-automorphy", "--disc", "229", "--tol", "nan"),
         ("check-automorphy", "--disc", "229", "--tol", "-1"),  # no residual is below it
         ("check-automorphy", "--disc", "229", "--tol", "0"),
+        ("check-automorphy", "--disc", "229", "--c", "230", "--d", "1"),  # c != 0 mod D
         ("gauss-check", "--disc", "5", "--p", "2"),
         ("gauss-check", "--disc", "229", "--p", "15"),
     ],
@@ -728,17 +729,17 @@ def test_check_automorphy_builds_its_table_in_one_extension(capsys, monkeypatch)
 
 def test_table_builds_per_command(capsys, monkeypatch):
     # the traffic the table is designed for: the L(1) route asks for the
-    # AFE's rows at split points 1 and 2, the second larger, so it builds a
-    # new table, and its second route, the reduced cycles, reads none;
+    # AFE's rows at split point 2 first, which covers split point 1's, so it
+    # builds one table, and its second route, the reduced cycles, reads none;
     # reproduce 401's two characters share the table of their field;
     # check-automorphy evaluates its lowest height first, so its one table
     # has every row
     builds, _ = record_table_builds(monkeypatch)
     code, _ = run_cli(capsys, "lvalue", "--disc", "229", "--index", "2")
-    assert code == 0 and builds == [133, 265]
+    assert code == 0 and builds == [265]
     builds.clear()
     code, _ = run_cli(capsys, "reproduce", "--example", "401")
-    assert code == 0 and builds == [176, 351]
+    assert code == 0 and builds == [351]
     builds.clear()
     code, _ = run_cli(capsys, "check-automorphy", "--disc", "229", "--index", "1", "--samples", "2")
     assert code == 0 and builds == [11100]

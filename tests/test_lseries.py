@@ -66,7 +66,7 @@ def prime_class_oracle(cg, primes):
     out = []
     for p in primes:
         chi, ideals = split_prime(F, p)
-        out.append((chi, 0 if chi == -1 else cg._dlog[label[ideal_to_form(F, ideals[0]).reduce()]]))
+        out.append((chi, 0 if chi == -1 else cg.logs[label[ideal_to_form(F, ideals[0]).reduce()]]))
     return out
 
 
@@ -101,7 +101,7 @@ def test_prime_roots_gives_the_kronecker_symbol(D):
     r = tonelli_shanks_array(D % primes[split], primes[split])
     assert np.array_equal(r**2 % primes[split], D % primes[split])
     # b is a root of N(b + omega) mod p at split and ramified p, and 0 at inert p
-    assert not (F.omega_image_norm(b[chi >= 0]) % primes[chi >= 0]).any()
+    assert not (F.elt_norm(b[chi >= 0], 1) % primes[chi >= 0]).any()
     assert not b[chi == -1].any()
 
 
@@ -146,7 +146,7 @@ def test_table_factors_no_discriminant(monkeypatch):
     # the field splits D into d2 and its odd primes once, when it is made:
     # prime_roots, called once per SIEVE_CHUNK block of primes, factors nothing
     cg = ClassGroup(QuadField(3305))  # 5 * 661
-    cg._dlog
+    cg.logs
     calls = []
     factor = quadfield.prime_factors
     monkeypatch.setattr(quadfield, "prime_factors", lambda n: calls.append(n) or factor(n))
@@ -172,6 +172,13 @@ def test_count_table_rejects_n_max_out_of_range_before_allocating(cg229, monkeyp
         with pytest.raises(BudgetError) as exc:
             ls.ClassCountTable(cg229, n_max)
         assert str(exc.value) == f"a'(n) up to n = {n_max} is over the budget of {ls.ROW_BUDGET} rows"
+
+
+def test_support_refuses_rows_past_its_table(cg229):
+    table = ls.ClassCountTable(cg229, 100)
+    assert table.support(1, 100)[0][-1] <= 100
+    with pytest.raises(ValueError, match="table too small"):
+        table.support(1, 101)
 
 
 TABLE_ROWS = 70001
@@ -468,7 +475,7 @@ def test_conjugate_characters_have_bitwise_equal_supports(D):
     cg = ClassGroup(QuadField(D))
     for i in range(1, cg.h_narrow):
         n, a = ls.support(make_class_character(cg, i), 200_000)
-        nc, ac = ls.support(make_class_character(cg, i).conjugate(), 200_000)
+        nc, ac = ls.support(make_class_character(cg, i).power(-1), 200_000)
         assert n.tobytes() == nc.tobytes() and a.tobytes() == ac.tobytes(), (D, i)
 
 
@@ -604,6 +611,8 @@ def test_f_and_its_reflection_match_mpmath():
 def test_l_value_trivial_character_rejected(cg229):
     with pytest.raises(ValueError):
         ls.l_value_at_1(make_class_character(cg229, 0))
+    with pytest.raises(ValueError, match="pole"):
+        ls.l_value_at_1_direct(make_class_character(cg229, 0))
 
 
 def test_l_value_445_genus_factorization():
@@ -673,7 +682,7 @@ def test_support_memory_per_row():
     # in all at h = 80, 18.7 with 4 bytes a row for each of the two, and
     # counts per class alone would take 2h = 160 bytes a row
     cg = ClassGroup(QuadField(68905))
-    assert cg.h_narrow == 80 and cg.is_cyclic()
+    assert cg.h_narrow == 80 and cg.logs.size == 80
     tracemalloc.start()
     try:
         ls.get_table(cg, 400_000).support(1, 400_000)

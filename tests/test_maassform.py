@@ -66,6 +66,9 @@ def test_tail_bound_dominates_truncation(theta229):
 def test_automorphy_small(theta229):
     rep = theta229.check_automorphy([((1, 0, 229, 1), [(-1 / 229, 0.3), (0.05 - 1 / 229, 0.45)])])
     assert rep.residual < 1e-10
+    # c = 0: the translations z + 1 and z - 3 of Gamma_0(D), d = +-1
+    rep = theta229.check_automorphy([((1, 1, 0, 1), [(0.1, 0.3)]), ((-1, 3, 0, -1), [(0.2, 0.45)])])
+    assert rep.residual < 1e-12 and rep.details["count"] == 2
 
 
 def test_theta_form_builds_no_table_and_eval_grows_it_to_its_truncation():
@@ -125,9 +128,9 @@ def test_automorphy_fails_with_the_wrong_multiplier(D, monkeypatch):
     def no_rows(*args, **kwargs):
         raise AssertionError("classified primes again")
 
-    chi = QuadField._chi
+    chi = QuadField.chi
     monkeypatch.setattr(ClassGroup, "prime_classes", no_rows)
-    monkeypatch.setattr(QuadField, "_chi", lambda self, n: -chi(self, n))
+    monkeypatch.setattr(QuadField, "chi", lambda self, n: -chi(self, n))
     assert th.check_automorphy(checks).residual > 0.1
 
 
@@ -341,7 +344,7 @@ def test_eval_of_check_automorphy_bitwise_equal_to_one_point_evaluation(monkeypa
 @pytest.mark.parametrize("D", [229, 136, 505])  # 136 and 505: sine series
 def test_checks_bitwise_equal_to_one_point_evaluation(D, monkeypatch):
     psi = make_class_character(ClassGroup(QuadField(D)), 1)
-    th, dual = ThetaForm(psi), ThetaForm(psi.conjugate())
+    th, dual = ThetaForm(psi), ThetaForm(psi.power(-1))
     y0 = 1 / math.sqrt(D)
     points = [(0.3 * y0, 0.9 * y0), (-0.2 * y0, y0), (0.5 * y0, 1.1 * y0)]
     calls = record_evals(monkeypatch)

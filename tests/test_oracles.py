@@ -30,7 +30,7 @@ REFERENCES = {
     "principal and conjugate ideals": {"principal_ideal", "ideal_conj"},
     "sign exponent": {"epsilon_by_ideal"},
     "norm-induced characters": {"is_norm_induced"},
-    "Gauss sums": {"gauss_abs_sq_residual", "check_gauss_twisting"},
+    "Gauss sums": {"check_gauss_twisting"},
     "printed floats": {"report_floats"},
 }
 

@@ -9,7 +9,9 @@ from sympy import factorint, jacobi_symbol
 import oracles
 from maassforge.cli import DISC_BUDGET
 from maassforge.quadfield import (
+    QfIdeal,
     QuadField,
+    _legendre,
     _primes_up_to,
     is_fundamental_discriminant,
     is_squarefree,
@@ -43,8 +45,8 @@ def test_kronecker_multiplicative_in_bottom():
 
 def test_chi_matches_kronecker():
     # chi_D(n) = chi_d2(n) prod (n|q) at n mod D, against the Jacobi loop:
-    # d2 = 1, -4 and +-8 all occur below 1000.  The helper takes [-60, 60]
-    # mod D as one array, and chi itself every n of size D and beyond
+    # d2 = 1, -4 and +-8 all occur below 1000.  chi takes [-60, 60] mod D
+    # as one int64 array, and each n of size D and beyond as an int
     random.seed(3)
     huge = [random.randrange(10**399, 10**400) for _ in range(2)]
     fields = [D for D in range(1000) if is_fundamental_discriminant(D)] + [95304805, 100000001]
@@ -53,7 +55,7 @@ def test_chi_matches_kronecker():
         F = QuadField(D)
         tables.add(tuple(F._chi_d2.tolist()))
         small = range(-60, 61)
-        assert F._chi(np.array([n % D for n in small])).tolist() == [kronecker(D, n) for n in small]
+        assert F.chi(np.array([n % D for n in small])).tolist() == [kronecker(D, n) for n in small]
         for n in [D, D - 1, D + 1, *huge]:
             assert F.chi(n) == kronecker(D, n) and F.chi(-n) == kronecker(D, -n), (D, n)
     assert len(tables) == 4
@@ -75,6 +77,14 @@ def test_non_fundamental_rejected():
         QuadField(100)
 
 
+def test_legendre_refuses_a_prime_past_2_to_the_31():
+    # Euler's criterion squares residues in int64, so q < 2^31: 2^31 - 1 is
+    # taken, and the prime 2^31 + 11 is refused before any power
+    assert _legendre(np.array([2, 3, 7]), 2**31 - 1).tolist() == [jacobi_symbol(a, 2**31 - 1) for a in (2, 3, 7)]
+    with pytest.raises(ValueError, match="over 2\\^31"):
+        _legendre(np.array([2]), 2**31 + 11)
+
+
 def test_tonelli_shanks():
     random.seed(2)
     for p in (3, 5, 13, 17, 97, 101, 229, 65537):
@@ -93,12 +103,18 @@ def test_splitting_229():
     chi, b = F.prime_roots(np.array([2, 3, 229], dtype=np.int64))
     assert chi.tolist() == [-1, 1, 0]
     # split: two distinct prime ideals of norm 3
-    above_3 = {F.ideal(1, 3, int(b[1])), F.ideal(1, 3, -F.s - int(b[1]))}
+    above_3 = {QfIdeal.make(F, 1, 3, int(b[1])), QfIdeal.make(F, 1, 3, -F.s - int(b[1]))}
     assert len(above_3) == 2
     for P in above_3:
         assert P.norm() == 3
-    assert F.ideal(2, 1, 0).norm() == 4  # inert
-    assert F.ideal(1, 229, int(b[2])).norm() == 229  # ramified
+    assert QfIdeal.make(F, 2, 1, 0).norm() == 4  # inert
+    assert QfIdeal.make(F, 1, 229, int(b[2])).norm() == 229  # ramified
+    # N(omega) = -57: 5 does not divide it, and k and a must be positive
+    with pytest.raises(ValueError, match="not an ideal"):
+        QfIdeal.make(F, 1, 5, 0)
+    for k, a in [(0, 3), (1, -3)]:
+        with pytest.raises(ValueError, match="must be positive"):
+            QfIdeal.make(F, k, a, 0)
 
 
 def test_prime_ideals_divide_norm_poly():
@@ -114,7 +130,7 @@ def test_prime_ideals_divide_norm_poly():
             roots = [r] if c == 0 else [r, (-F.s - r) % p]
             assert roots == oracles.prime_roots(F, p), (D, p)
             for root in roots:
-                assert F.omega_image_norm(root) % p == 0
+                assert F.elt_norm(root, 1) % p == 0
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +214,9 @@ def test_ideal_multiplication_norms():
         for _ in range(100):
             I, J = random.choice(ids), random.choice(ids)
             assert (I * J).norm() == I.norm() * J.norm()
+    # an ideal of another field, even one of the same D, is refused
+    with pytest.raises(ValueError, match="different field"):
+        F.ideal_mul(F.unit_ideal(), QuadField(F.D).unit_ideal())
 
 
 def _contains(L, x, y):
@@ -247,8 +266,8 @@ def test_ideal_mul_past_2_to_the_31():
     p = _primes_up_to(60000)
     p = p[p > 46341]
     chi, b = F.prime_roots(p)
-    split = [F.ideal(1, q, r) for q, c, r in zip(p.tolist(), chi.tolist(), b.tolist()) if c == 1]
-    inert = [F.ideal(q, 1, 0) for q, c in zip(p.tolist(), chi.tolist()) if c == -1]
+    split = [QfIdeal.make(F, 1, q, r) for q, c, r in zip(p.tolist(), chi.tolist(), b.tolist()) if c == 1]
+    inert = [QfIdeal.make(F, q, 1, 0) for q, c in zip(p.tolist(), chi.tolist()) if c == -1]
     for _ in range(200):
         I, J, P = random.sample(split, 3)
         L = F.ideal_mul(I, J)
