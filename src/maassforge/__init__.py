@@ -9,7 +9,8 @@ special     K_0 and its incomplete Mellin transform (the AFE weights)
 maassform   the theta cusp form: coefficients, evaluation, verification checks
 lseries     the Hecke L-series coefficient table, L(1) by two routes
 petersson   closed-form Petersson norm assembly
-cli         command-line interface
+errors      the three refusals the CLI maps to exit codes
+cli         command-line interface; each command imports the modules it runs
 """
 
 import os

@@ -20,7 +20,8 @@ from math import isqrt, sqrt
 
 import numpy as np
 
-from .quadfield import SIEVE_CHUNK, InvalidInputError, QfIdeal, QuadField
+from .errors import InvalidInputError
+from .quadfield import SIEVE_CHUNK, QfIdeal, QuadField
 
 
 def _rho(A, B, C, D: int, r: int):

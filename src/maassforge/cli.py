@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 tolerance failure (lseries.SplitPointError), 2
-invalid input (quadfield.InvalidInputError, such as a norm-induced character,
+Exit codes: 0 success, 1 tolerance failure (errors.SplitPointError), 2
+invalid input (errors.InvalidInputError, such as a norm-induced character,
 whose theta series is not cuspidal), 3 resource cap exceeded
-(quadfield.BudgetError).  Each is raised where its limit is known; main alone
+(errors.BudgetError).  Each is raised where its limit is known; main alone
 prints it as one "error:" line and picks the code.  Anything else raised is a
 bug and keeps its traceback.  An --out or --csv path that cannot be opened
 or written is invalid input: both are opened before either is written,
@@ -15,6 +15,11 @@ So is a stdout that refuses the report (a full device, a closed pipe), once
 Each command returns its report and exit code, and main alone writes the
 report: to --csv and --out, then to stdout.  All floats are printed with 15
 significant digits and JSON output is byte-deterministic for fixed flags.
+
+This module imports the standard library and maassforge.errors alone.  Each
+command imports numpy and the modules it runs in its own body, once --disc
+is within its budget, so --help, a refused argument and the budget load
+neither, and each command compiles only the modules it needs.
 """
 
 from __future__ import annotations
@@ -28,19 +33,7 @@ import os
 import stat
 import sys
 
-import numpy as np
-
-from .classforms import ClassGroup
-from .heckechar import (
-    DirichletCharacterModP,
-    check_gauss_norm_lemma,
-    gauss_sum_rational,
-    make_class_character,
-)
-from .maassform import ThetaForm, gamma0_matrices, gamma0_matrix, isometric_circle_points
-from .petersson import PAPER_VALUES, petersson_norm
-from .quadfield import BudgetError, InvalidInputError, QuadField, prime_factors
-from . import lseries
+from .errors import BudgetError, InvalidInputError, SplitPointError
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -72,6 +65,12 @@ AUTOMORPHY_SAMPLE_BUDGET = 100
 # Lowest --y theta-eval takes, so that the inputs it accepts stay fixed;
 # ThetaForm.eval itself takes any y > 0, on about 7.2/y coefficient rows
 THETA_EVAL_MIN_Y = 0.05
+# The paper's worked examples: the Petersson norm reproduce --example checks
+PAPER_VALUES = {
+    229: 38.3345331336184,
+    445: 81.0223272397348,
+    401: 12489.3392834563,  # product of the norms for psi and psi^2
+}
 
 
 def _fmt(x) -> float:
@@ -178,14 +177,20 @@ def _int_at_least(low: int):
     return parse
 
 
-def _field(disc: int) -> QuadField:
+def _field(disc: int):
     if disc > DISC_BUDGET:
         raise BudgetError(f"--disc {disc} is over the budget of {DISC_BUDGET}")
+    from .quadfield import QuadField
+
     return QuadField(disc)
 
 
 def _character(args):
-    cg = ClassGroup(_field(args.disc))
+    F = _field(args.disc)
+    from .classforms import ClassGroup
+    from .heckechar import make_class_character
+
+    cg = ClassGroup(F)
     h = cg.logs.size  # a group that is not cyclic is refused first
     if not 0 <= args.index < h:
         raise InvalidInputError(f"character index must be in [0, {h})")
@@ -193,7 +198,10 @@ def _character(args):
 
 
 def cmd_field(args) -> tuple[dict, int]:
-    cg = ClassGroup(_field(args.disc))
+    F = _field(args.disc)
+    from .classforms import ClassGroup
+
+    cg = ClassGroup(F)
     u = cg.unit
     limit = sys.get_int_max_str_digits()  # 0 is no limit; x > y > 0
     if limit and u.x >= 10**limit:
@@ -210,6 +218,11 @@ def cmd_field(args) -> tuple[dict, int]:
 
 
 def cmd_reproduce(args) -> tuple[dict, int]:
+    from .classforms import ClassGroup
+    from .heckechar import make_class_character
+    from .petersson import petersson_norm
+    from .quadfield import QuadField
+
     D = args.example
     cg = ClassGroup(QuadField(D))
     target = PAPER_VALUES[D]
@@ -244,10 +257,14 @@ def cmd_ideals(args) -> tuple[dict, int]:
 
 def cmd_coeffs(args) -> tuple[dict, int]:
     cg, psi = _character(args)
+    import numpy as np
+
+    from .lseries import support
+
     if args.n_max > COEFFS_ROW_BUDGET:
         raise BudgetError(f"--n-max {args.n_max} is over the budget of {COEFFS_ROW_BUDGET} rows")
     # a'(n) is real, and exactly 0 off the support
-    live, a = lseries.support(psi, args.n_max)
+    live, a = support(psi, args.n_max)
     b = np.zeros(args.n_max + 1)
     b[live] = a
     return {
@@ -261,6 +278,8 @@ def cmd_coeffs(args) -> tuple[dict, int]:
 
 def cmd_theta_eval(args) -> tuple[dict, int]:
     cg, psi = _character(args)
+    from .maassform import ThetaForm
+
     th = ThetaForm(psi)
     if args.y < THETA_EVAL_MIN_Y:
         raise InvalidInputError(f"--y {args.y} is below the lowest height {THETA_EVAL_MIN_Y}")
@@ -281,6 +300,8 @@ def cmd_check_automorphy(args) -> tuple[dict, int]:
     if args.c == 0:
         raise InvalidInputError("--c must be nonzero: the points are placed on the circle |cz + d| = 1")
     cg, psi = _character(args)
+    from .maassform import ThetaForm, gamma0_matrices, gamma0_matrix, isometric_circle_points
+
     th = ThetaForm(psi)
     if args.c is not None:
         if args.c % cg.field.D != 0 or math.gcd(args.c, args.d) != 1:
@@ -305,16 +326,20 @@ def cmd_check_automorphy(args) -> tuple[dict, int]:
 
 def cmd_lvalue(args) -> tuple[dict, int]:
     cg, psi = _character(args)
+    import numpy as np
+
+    from .lseries import l_value_at_1, support
+
     if psi.is_trivial():
         raise InvalidInputError("L(s, trivial) has a pole at s = 1")
     # an s that prints as 1.0 takes the s = 1 route, so that the value
     # printed is the one for the s printed beside it
     if _fmt(args.s) == 1.0:
-        return {"D": cg.field.D, "index": psi.index, "s": 1.0, **lseries.l_value_at_1(psi)}, EXIT_OK
+        return {"D": cg.field.D, "index": psi.index, "s": 1.0, **l_value_at_1(psi)}, EXIT_OK
     if args.s < 1.0:
         raise InvalidInputError("only s = 1 or s > 1 supported")
     n_max = 10**5
-    n, b = lseries.support(psi, n_max)
+    n, b = support(psi, n_max)
     # n^s overflows to inf for s above about 62, and b/inf = 0 is the term's
     # exact limit, so the overflow is no error
     with np.errstate(over="ignore"):
@@ -331,11 +356,16 @@ def cmd_lvalue(args) -> tuple[dict, int]:
 
 def cmd_petersson(args) -> tuple[dict, int]:
     cg, psi = _character(args)
+    from .petersson import petersson_norm
+
     return {"D": cg.field.D, "index": psi.index, **petersson_norm(psi).to_json_dict()}, EXIT_OK
 
 
 def cmd_gauss_check(args) -> tuple[dict, int]:
     F = _field(args.disc)
+    from .heckechar import DirichletCharacterModP, check_gauss_norm_lemma, gauss_sum_rational
+    from .quadfield import prime_factors
+
     p = args.p
     if p > GAUSS_PRIME_BUDGET:
         raise BudgetError(f"--p {p} is over the budget of {GAUSS_PRIME_BUDGET}")
@@ -432,9 +462,9 @@ def main(argv=None) -> None:
     try:
         report, code = args.func(args)
         _emit(report, args)
-    except (lseries.SplitPointError, InvalidInputError, BudgetError) as exc:
+    except (SplitPointError, InvalidInputError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        code = (EXIT_TOLERANCE if isinstance(exc, lseries.SplitPointError)
+        code = (EXIT_TOLERANCE if isinstance(exc, SplitPointError)
                 else EXIT_INVALID if isinstance(exc, InvalidInputError) else EXIT_RESOURCE)
     if argv is None:
         gc.freeze()

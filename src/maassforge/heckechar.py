@@ -21,7 +21,8 @@ import math
 from fractions import Fraction
 
 from .classforms import ClassGroup
-from .quadfield import InvalidInputError, QfIdeal, QuadField, prime_factors
+from .errors import InvalidInputError
+from .quadfield import QfIdeal, QuadField, prime_factors
 
 
 def root_of_unity(exponent: float) -> complex:

@@ -28,8 +28,9 @@ from array import array
 import numpy as np
 
 from .classforms import ClassGroup
+from .errors import BudgetError, SplitPointError
 from .heckechar import HeckeCharacter
-from .quadfield import SIEVE_CHUNK, BudgetError, _primes_up_to
+from .quadfield import SIEVE_CHUNK, _primes_up_to
 from .special import EULER_GAMMA, incomplete_k_mellin
 
 
@@ -233,11 +234,6 @@ SPLIT_POINT_TOL = 1e-9  # largest difference of the AFE's L(1) at split points 1
 # largest difference of the AFE's L(1) and the reduced cycles': 8.9e-15 was
 # the most measured over 15 characters with D up to 40009, 4.7e-14 at D = 78327121
 ORACLE_TOL = 1e-11
-
-
-class SplitPointError(ArithmeticError):
-    """Two routes to L(1) disagree: the approximate functional equation at two
-    split points, or it and the reduced cycles.  The CLI exits 1."""
 
 
 def l_value_at_1_afe(character: HeckeCharacter, cutoff: float = 1.0) -> float:

@@ -27,9 +27,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import BudgetError
 from .heckechar import HeckeCharacter, NormInducedError
 from .lseries import support
-from .quadfield import SIEVE_CHUNK, BudgetError, _xgcd
+from .quadfield import SIEVE_CHUNK, _xgcd
 from .special import bessel_k0_array
 
 TRUNCATION_EXPONENT = 45.0  # keep terms with 2 pi n y <= this

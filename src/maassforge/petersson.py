@@ -92,10 +92,3 @@ def petersson_norm(character: HeckeCharacter, paper_value: float | None = None) 
     total = c1 * c2 * c3 * res * ldata["value"]
     rel = abs(total / paper_value - 1) if paper_value else None
     return PeterssonReport(c1, c2, c3, res, ldata["value"], total, paper_value, rel, ldata)
-
-
-PAPER_VALUES = {
-    229: 38.3345331336184,
-    445: 81.0223272397348,
-    401: 12489.3392834563,  # product of the norms for psi and psi^2
-}

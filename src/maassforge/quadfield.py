@@ -19,6 +19,8 @@ from math import isqrt
 
 import numpy as np
 
+from .errors import BudgetError, InvalidInputError
+
 # Largest max_norm enumerate_ideals accepts.  The ideals command costs about
 # 1.35 KB of resident memory per ideal, on 55 MB at start: at this budget the
 # peak RSS was 202 MB for D = 229 (107,520 ideals), 305 MB for D = 401 and
@@ -29,14 +31,6 @@ IDEALS_NORM_BUDGET = 100_000
 # hold temporaries the size of the array: the coefficient table's row fill,
 # its classification of primes, and K_0 and the phases of Theta
 SIEVE_CHUNK = 1 << 14
-
-
-class InvalidInputError(ValueError):
-    """The input names nothing that maassforge computes: the CLI exits 2."""
-
-
-class BudgetError(ValueError):
-    """The request is over a stated resource budget: the CLI exits 3."""
 
 
 def prime_factors(n: int) -> list[int]:

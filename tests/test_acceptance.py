@@ -12,6 +12,7 @@ import time
 import pytest
 
 from maassforge.classforms import ClassGroup, fundamental_unit
+from maassforge.cli import PAPER_VALUES
 from maassforge.heckechar import (
     DirichletCharacterModP,
     NormInducedError,
@@ -20,7 +21,7 @@ from maassforge.heckechar import (
     make_class_character,
 )
 from maassforge.maassform import ThetaForm, gamma0_matrices
-from maassforge.petersson import PAPER_VALUES, petersson_norm
+from maassforge.petersson import petersson_norm
 from maassforge.quadfield import QuadField, _primes_up_to
 from oracles import (
     check_gauss_twisting,

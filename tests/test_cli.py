@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import maassforge
-from maassforge import cli, lseries, maassform
+from maassforge import classforms, heckechar, lseries, maassform
 from maassforge.classforms import ClassGroup
 from maassforge.cli import AUTOMORPHY_SAMPLE_BUDGET, COEFFS_ROW_BUDGET, DISC_BUDGET, GAUSS_PRIME_BUDGET, main
 from maassforge.maassform import ThetaForm
@@ -296,8 +296,8 @@ def test_check_automorphy_c_zero_exits_2(capsys, monkeypatch, d):
 
 def test_gauss_check_over_prime_budget_exits_3(capsys, monkeypatch):
     summed = []
-    monkeypatch.setattr(cli, "check_gauss_norm_lemma", lambda *a: summed.append(a))
-    monkeypatch.setattr(cli, "gauss_sum_rational", lambda *a: summed.append(a))
+    monkeypatch.setattr(heckechar, "check_gauss_norm_lemma", lambda *a: summed.append(a))
+    monkeypatch.setattr(heckechar, "gauss_sum_rational", lambda *a: summed.append(a))
     # 2011 is prime and inert in Q(sqrt 229)
     with pytest.raises(SystemExit) as exc:
         main(["gauss-check", "--disc", "229", "--p", "2011"])
@@ -375,6 +375,39 @@ def test_cli_import_loads_no_optional_package():
         "             if m.split('.')[0] in ('mpmath', 'scipy', 'sympy')))"
     )
     assert run_child(code) == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, code, loaded",
+    [
+        (None, None, ()),
+        (["--help"], 0, ()),
+        (["lvalue", "--disc", "229", "--s", "nan"], 2, ()),
+        (["field", "--disc", "1000000009"], 3, ()),
+        (["field", "--disc", "229"], 0, ("classforms", "quadfield")),
+        (["ideals", "--disc", "229", "--max-norm", "50"], 0, ("quadfield",)),
+        (["gauss-check", "--disc", "229", "--p", "13"], 0, ("classforms", "heckechar", "quadfield")),
+    ],
+    ids=["import", "--help", "lvalue --s nan", "field over budget", "field", "ideals", "gauss-check"],
+)
+def test_cli_loads_only_the_modules_a_command_runs(argv, code, loaded):
+    # importing the CLI loads maassforge.errors and the standard library
+    # alone, so --help, a refused argument and the --disc budget load no
+    # numpy; a command loads the modules it runs, and numpy with the first
+    child = (
+        "import contextlib, io, json, sys\n"
+        "from maassforge.cli import main\n"
+        f"argv, code = {argv!r}, None\n"
+        "if argv is not None:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        try:\n"
+        "            main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        "print(json.dumps([code, 'numpy' in sys.modules, sorted(m for m in sys.modules if m.startswith('maassforge.'))]))"
+    )
+    modules = sorted(f"maassforge.{m}" for m in ("cli", "errors", *loaded))
+    assert json.loads(run_child(child)) == [code, bool(loaded), modules]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
@@ -499,7 +532,7 @@ def test_field_of_a_unit_too_long_to_print_exits_3(capsys, int_str_limit_640):
 def test_disc_over_budget_exits_3(capsys, monkeypatch, argv):
     # D = 1000000009 is prime, 1 mod 4, and its class group search took 31 s
     built = []
-    monkeypatch.setattr(cli, "ClassGroup", lambda *a: built.append(a))
+    monkeypatch.setattr(classforms, "ClassGroup", lambda *a: built.append(a))
     start = time.perf_counter()
     with pytest.raises(SystemExit) as exc:
         main([argv[0], "--disc", "1000000009", *argv[1:]])
@@ -529,7 +562,7 @@ def test_class_groups_built_per_command(capsys, monkeypatch, argv, groups):
         built.append(F.D)
         return ClassGroup(F)
 
-    monkeypatch.setattr(cli, "ClassGroup", counting)
+    monkeypatch.setattr(classforms, "ClassGroup", counting)
     code, _ = run_cli(capsys, *argv)
     assert code == 0 and len(built) == groups
 
@@ -604,7 +637,7 @@ def test_check_automorphy_over_sample_budget_exits_3(capsys, monkeypatch, sample
     def no_matrices(*args, **kwargs):
         raise AssertionError("sampled the matrices")
 
-    monkeypatch.setattr(cli, "gamma0_matrices", no_matrices)
+    monkeypatch.setattr(maassform, "gamma0_matrices", no_matrices)
     with pytest.raises(SystemExit) as exc:
         main(["check-automorphy", "--disc", "229", "--index", "1", "--samples", str(samples)])
     captured = capsys.readouterr()

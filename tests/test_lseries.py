@@ -449,7 +449,7 @@ def test_rankin_residual_decreases(psi229):
 @pytest.mark.parametrize("D", [229, 445])
 def test_rankin_residue_matches_paper_norm(D):
     # <Theta, Theta> = (pi vol/8) kappa with vol = (pi/3) D prod_{p|D} (1 + 1/p)
-    from maassforge.petersson import PAPER_VALUES
+    from maassforge.cli import PAPER_VALUES
 
     psi = make_class_character(ClassGroup(QuadField(D)), 1)
     index_factor = math.prod(1 + 1 / p for p in _primes_up_to(D).tolist() if D % p == 0)
