@@ -173,10 +173,10 @@ class ClassGroup:
     @cached_property
     def logs(self) -> np.ndarray:
         """Discrete logs of all classes w.r.t. a generator, an int64 array
-        by class, built on first use: only class characters need them, and
-        only a cyclic group has them.  A group that is not cyclic raises
-        InvalidInputError, the refusal of every command that takes a
-        character index.
+        by class, built on first use: HeckeCharacter reads them once, for
+        its value on every class, and only a cyclic group has them.  A group
+        that is not cyclic raises InvalidInputError, the refusal of every
+        command that takes a character index.
 
         For a candidate g the classes of the h products class_ideals[c]
         class_ideals[g], classified together, are one row of the group law,
@@ -223,29 +223,24 @@ class ClassGroup:
         """Index of the class of I."""
         return int(self._ideal_classes([I])[0])
 
-    def dlog(self, I: QfIdeal) -> int:
-        """Discrete log of the narrow class of I w.r.t. the chosen generator."""
-        return int(self.logs[self.class_index(I)])
-
     def prime_classes(self, p):
-        """chi_D(p), and the discrete log of the class of the prime ideal
-        (p, b) above p (0 for inert p), for an int64 array of primes p < 2^31.
+        """chi_D(p), and the class of the prime ideal (p, b) above p (0, the
+        class of (p), for inert p), for an int64 array of primes p < 2^31.
 
         chi_D(p) and b, the least root of N(b + omega) = 0 mod p, come from
         QuadField.prime_roots, and the forms (p, 2b + s, ...) are classified
         together by _classes, SIEVE_CHUNK primes a block, so that their
-        temporaries stay the size of one block.  The class index maps to its
-        log in logs last, so a group that is not cyclic raises
-        InvalidInputError there."""
-        chi, k = np.empty_like(p), np.zeros_like(p)
+        temporaries stay the size of one block.  No discrete log is taken,
+        so the classes of any narrow class group are found."""
+        chi, cls = np.empty_like(p), np.zeros_like(p)
         for lo in range(0, p.size, SIEVE_CHUNK):
             block = p[lo : lo + SIEVE_CHUNK]
             c, b = self.field.prime_roots(block)
             chi[lo : lo + block.size] = c
             idx = np.flatnonzero(c >= 0)
             if idx.size:
-                k[lo + idx] = self.logs[self._classes(block[idx], 2 * b[idx] + self.field.s)]
-        return chi, k
+                cls[lo + idx] = self._classes(block[idx], 2 * b[idx] + self.field.s)
+        return chi, cls
 
     def residue_zeta(self) -> float:
         """Residue at s=1 of the Dedekind zeta function: 2*h*R/sqrt(D)."""

@@ -191,10 +191,10 @@ def _character(args):
     from .heckechar import make_class_character
 
     cg = ClassGroup(F)
-    h = cg.logs.size  # a group that is not cyclic is refused first
-    if not 0 <= args.index < h:
-        raise InvalidInputError(f"character index must be in [0, {h})")
-    return cg, make_class_character(cg, args.index)
+    psi = make_class_character(cg, args.index)  # a group that is not cyclic is refused first
+    if not 0 <= args.index < cg.h_narrow:
+        raise InvalidInputError(f"character index must be in [0, {cg.h_narrow})")
+    return cg, psi
 
 
 def cmd_field(args) -> tuple[dict, int]:

@@ -1,11 +1,11 @@
 """Class-group Hecke characters of real quadratic fields, and Gauss sums.
 
-A class character sends an ideal to exp(2*pi*i * index * dlog / h) where
-dlog is the discrete log of its narrow class.  A character keeps only its
-index: exponent gives one value exactly, as the Fraction j/h of
-e^(2*pi*i*j/h), the sign exponent epsilon is read off the index, and
-lseries realizes the coefficients a'(n) in float64 from the class logs of
-primes.
+A class character sends an ideal in the narrow class B to
+exp(2*pi*i * t[B] / h).  A character keeps its index and t, an int64 array
+by class, t = index * log mod h for the discrete log of each class: it is
+the one owner of its values on classes.  The sign exponent epsilon is read
+off the index, and lseries realizes the coefficients a'(n) in float64 from
+t at the classes of primes.
 
 Gauss sums follow the convention tau(psi) = (psi_inf(alpha)/psi(A)) *
 sum over x in A mod fA of psi_f(x) e^(2*pi*i*Tr(x/alpha)) with the
@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 
 from .classforms import ClassGroup
 from .errors import InvalidInputError
-from .quadfield import QfIdeal, QuadField, prime_factors
+from .quadfield import QuadField, prime_factors
 
 
 def root_of_unity(exponent: float) -> complex:
@@ -53,16 +52,14 @@ class HeckeCharacter:
         self.field = classgroup.field
         self.h = classgroup.h_narrow
         self.index = index % self.h
+        # psi(B) = e^(2 pi i t[B]/h); a group that is not cyclic raises here
+        self.t = self.index * classgroup.logs % self.h
 
     def __repr__(self) -> str:
         return f"HeckeCharacter(D={self.field.D}, index={self.index}/{self.h})"
 
     def order(self) -> int:
         return self.h // math.gcd(self.index, self.h)
-
-    def exponent(self, I: QfIdeal) -> Fraction:
-        """Exact exponent j/h with psi(I) = e^(2*pi*i*j/h)."""
-        return Fraction(self.index * self.classgroup.dlog(I), self.h)
 
     @property
     def epsilon(self) -> int:

@@ -7,11 +7,13 @@ field shares: for each odd n, p^e || n for the smallest prime p of n (for
 even n it is the lowest set bit of n), and chi_D(p) and the class of a
 prime above p for each prime p, found for arrays of primes
 (ClassGroup.prime_classes, on QuadField.prime_roots) with no Python call per
-prime.  A character's coefficients are read from it by one route,
-support(): it fills b(n) = b(n/p^e) a'(p^e) in passes, with the a'(n) = 0
-exactly 0.0, keeps each pass's others, and holds a dense float64 row only
-over the odd n <= n_max/2 that are read as cofactors.  A table is built once, at
-the size asked for; a request for more rows builds a new one in its place.
+prime, for any narrow class group.  A character's coefficients are read from
+it by one route, support(): it takes psi(P) from the character's exponent t
+at the class of P, fills b(n) = b(n/p^e) a'(p^e) in passes, with the
+a'(n) = 0 exactly 0.0, keeps each pass's others, and holds a dense float64
+row only over the odd n <= n_max/2 that are read as cofactors.  A table is
+built once, at the size asked for; a request for more rows builds a new one
+in its place.
 
 L(1) is computed two independent ways: an approximate functional equation
 whose terms are weighted by incomplete K_0-Mellin transforms, summed as
@@ -57,8 +59,8 @@ class ClassCountTable:
     prefix.  For odd n >= 3, at[(n - 3)//2] is the index in q of p^e || n for
     the smallest prime p of n.  For even n that prime power is 2^e = n & -n,
     the lowest set bit of n, whose index in q is _two[e - 1], so at keeps no
-    even row.  chi_D(p) and the class log k of a prime above p (0 for inert p)
-    of every prime come from one ClassGroup.prime_classes call.  support()
+    even row.  chi_D(p) and the class of a prime above p (0 for inert p) of
+    every prime come from one ClassGroup.prime_classes call.  support()
     fills and keeps each character's nonzero coefficients."""
 
     def __init__(self, classgroup: ClassGroup, n_max: int):
@@ -97,24 +99,24 @@ class ClassCountTable:
         self._base, self._e = np.array(high, dtype=np.int64).reshape(-1, 2).T
         self.q = np.concatenate([small, 2 * new + 3, small[self._base] ** self._e])
         self.primes = self.q[:count]
-        self.chi, self.k = classgroup.prime_classes(self.primes)
+        self.chi, self.classes = classgroup.prime_classes(self.primes)
 
-    def support(self, index: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    def support(self, character: HeckeCharacter, n_max: int) -> tuple[np.ndarray, np.ndarray]:
         """The n <= n_max with b(n) != 0, ascending, and those b(n), as
         read-only float64 arrays.  The first call for a character fills its
         support over the whole table (_row), where b(n) is exactly 0.0 when a
         local factor is, and keeps it; every call cuts it at n_max."""
         if n_max > self.n_max:
             raise ValueError("table too small")
-        if index not in self._supports:
-            n, b = self._row(index)
+        if character.index not in self._supports:
+            n, b = self._row(character)
             n.flags.writeable = b.flags.writeable = False
-            self._supports[index] = n, b
-        n, b = self._supports[index]
+            self._supports[character.index] = n, b
+        n, b = self._supports[character.index]
         cut = np.searchsorted(n, n_max, side="right")
         return n[:cut], b[:cut]
 
-    def _row(self, index: int) -> tuple[np.ndarray, np.ndarray]:
+    def _row(self, character: HeckeCharacter) -> tuple[np.ndarray, np.ndarray]:
         """The n <= n_max with b(n) != 0 and those b(n): b(1) = 1 and
         b(n) = b(n/q) a'(q) for the table's q = p^e || n, SIEVE_CHUNK rows a
         pass, the local factors from _local_factor.  Every cofactor n/q is
@@ -123,7 +125,7 @@ class ClassCountTable:
         the odd m <= n_max/2 alone, and each pass keeps its own nonzero rows.
         The even n = 2^e m of a pass, for each e, are one stride-2^(e+1)
         slice, and their odd m one run of consecutive m >> 1."""
-        t = index * self.k % self.h
+        t = character.t[self.classes]
         # a'(q) of every entry of q: the primes at e = 1, then the higher powers
         f = _local_factor(self.h, self.chi, t, 1)
         f = np.concatenate([f, _local_factor(self.h, self.chi[self._base], t[self._base], self._e)])
@@ -177,8 +179,8 @@ def _sin_pi(u: np.ndarray, h: int) -> np.ndarray:
 def _local_factor(h: int, chi: np.ndarray, t: np.ndarray, e: np.ndarray | int) -> np.ndarray:
     """a'(p^e), the sum of psi over the ideals of norm p^e, for arrays of
     chi_D(p), e >= 1 (or one e) and t, where psi(P) = exp(i theta),
-    theta = 2 pi t/h, for the prime P above p whose class log is k and
-    t = index k mod h.
+    theta = 2 pi t/h, for the prime P above p and t the character's
+    exponent at its class.
 
     Split p: (p) = P P' with P' = sigma(P), and P P' = (p) is principal and
     totally positive, so psi(P') = exp(-i theta).  The ideals of norm p^e
@@ -224,7 +226,7 @@ def support(character: HeckeCharacter, n_max: int) -> tuple[np.ndarray, np.ndarr
     """The n <= n_max with a'(n) != 0 for the class character, ascending,
     and those real a'(n), from its class group's table of at least n_max
     rows (ClassCountTable.support)."""
-    return get_table(character.classgroup, n_max).support(character.index, n_max)
+    return get_table(character.classgroup, n_max).support(character, n_max)
 
 
 # -- L(1) ----------------------------------------------------------------
@@ -434,16 +436,15 @@ def l_value_at_1_direct(character: HeckeCharacter) -> float:
     (_cycle_sums) and F as in _f_series.  L(s, psi) = sum_B psi(B) zeta(s, B),
     the poles cancel as sum_B psi(B) = 0, and L(1, psi) is real (a'(n) is):
 
-        L(1, psi) = D^(-1/2) sum_B cos(2 pi index dlog(B)/h) sum P(w, w').
+        L(1, psi) = D^(-1/2) sum_B cos(2 pi t[B]/h) sum P(w, w').
 
-    The cycle of B is that of its class_ideals form, whose a > 0: the form
+    t is HeckeCharacter.t.  The cycle of B is that of its class_ideals form, whose a > 0: the form
     with -a lies in B times the class of (sqrt(D)), which flips the sign of
     an odd psi."""
     if character.is_trivial():
         raise ValueError("L(s, trivial) has a pole at s = 1")
     cg = character.classgroup
-    h = cg.h_narrow
-    cos = np.cos(2 * np.pi * (character.index * cg.logs % h) / h)
+    cos = np.cos(2 * np.pi * (character.t / character.h))
     return float(cos @ _cycle_sums(cg)) / math.sqrt(cg.field.D)
 
 

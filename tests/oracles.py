@@ -7,6 +7,7 @@ chi_D(n): kronecker, the Jacobi reciprocity loop; at primes, Euler's criterion b
 Prime ideals and ideals: tonelli_shanks, prime_roots, split_prime, enumerate_ideals, one prime at a time (test_quadfield, test_lseries).
 Ideal counts: ideal_count, the divisor sum of chi_D (test_quadfield).
 Class group: IndefiniteForm, ideal_to_form, scalar_cycles, the scalar rho-reduction and its cycles (test_classforms, test_lseries).
+Character values on ideals: dlog and exponent, exact through ClassGroup.logs, one ideal at a time (test_classforms, test_heckechar, test_lseries).
 a'(n) per class: ReferenceCountTable, the Hecke recursion in the group ring in passes of SIEVE_CHUNK rows, read by row (test_lseries, test_maassform, test_cli).
 The support of a'(n): exact_zeros and cancelling_rows, exact zero tests on the reference counts (test_lseries, test_maassform).
 a'(n) as numbers: dense_coefficients, the complex product of every row, zeros included (test_lseries, test_maassform, test_cli).
@@ -318,12 +319,23 @@ def ideal_conj(I: QfIdeal) -> QfIdeal:
     return QfIdeal.make(I.field, I.k, I.a, -(I.b + I.field.s) % I.a)
 
 
+def dlog(classgroup: ClassGroup, I: QfIdeal) -> int:
+    """Discrete log of the narrow class of I w.r.t. the generator of
+    ClassGroup.logs."""
+    return int(classgroup.logs[classgroup.class_index(I)])
+
+
+def exponent(character: HeckeCharacter, I: QfIdeal) -> Fraction:
+    """Exact exponent j/h with psi(I) = e^(2*pi*i*j/h), j = index * dlog(I)."""
+    return Fraction(character.index * dlog(character.classgroup, I), character.h)
+
+
 def epsilon_by_ideal(character: HeckeCharacter) -> int:
     """The sign exponent by ideal arithmetic: 1 if psi((sqrt(D))) = -1, with
     sqrt(D) = 2 omega - s and its class's discrete log, else 0."""
     F = character.field
     sqrt_d = principal_ideal(F, -F.s, 2)
-    return 1 if character.exponent(sqrt_d) % 1 == Fraction(1, 2) else 0
+    return 1 if exponent(character, sqrt_d) % 1 == Fraction(1, 2) else 0
 
 
 def report_floats(value):
@@ -340,7 +352,7 @@ def is_norm_induced(character: HeckeCharacter) -> bool:
     cg = character.classgroup
     for i in range(character.h):
         I = cg.class_ideals[i]
-        if character.exponent(I) % 1 != character.exponent(ideal_conj(I)) % 1:
+        if exponent(character, I) % 1 != exponent(character, ideal_conj(I)) % 1:
             return False
     return True
 
@@ -365,15 +377,16 @@ SIEVE_CHUNK = 1 << 14  # rows sieved per pass: bounds the temporaries of one
 
 
 class ReferenceCountTable:
-    """counts[n, j] = number of integral ideals of norm n in narrow class j,
-    for n <= n_max: the tests' reference for the coefficients that
-    lseries.ClassCountTable.support finds by multiplicativity.
+    """counts[n, j] = number of integral ideals of norm n in the narrow class
+    of discrete log j (ClassGroup.logs), for n <= n_max: the tests' reference
+    for the coefficients that lseries.ClassCountTable.support finds by
+    multiplicativity.
 
     Row n is filled by the Hecke recursion at its smallest prime factor p,
     row(n) = v_p * row(n/p) - chi_D(p) row(n/p^2) in the group ring, the last
     term only when p^2 | n: v_p is [k] + [-k] at split p, [k] at ramified p
-    and 0 at inert p, for k the class of a prime above p, and (p) is
-    principal and totally positive.  The primes are classified in one
+    and 0 at inert p, for k the log of the class of a prime above p, and (p)
+    is principal and totally positive.  The primes are classified in one
     ClassGroup.prime_classes call, and the smallest prime factor of every
     row is found once: the primes up to sqrt(n_max) mark their multiples,
     and the rows left are the other primes.
@@ -406,7 +419,8 @@ class ReferenceCountTable:
         new = np.flatnonzero(at < 0)
         at[new] = np.arange(small.size, small.size + new.size)
         primes = np.concatenate([small, new + 2])
-        chi, k = classgroup.prime_classes(primes)
+        chi, cls = classgroup.prime_classes(primes)
+        k = classgroup.logs[cls]
         self.prime_class = dict(zip(primes.tolist(), zip(chi.tolist(), k.tolist())))
         lo = 1
         while lo < n_max:
@@ -509,7 +523,8 @@ def prime_power_vector(table: ReferenceCountTable, p: int, e: int) -> tuple[int,
     h = table.h
     v = [0] * h
     if p not in table.prime_class:  # a prime past the table's rows
-        table.prime_class[p] = tuple(int(x[0]) for x in table.classgroup.prime_classes(np.array([p], dtype=np.int64)))
+        chi, cls = table.classgroup.prime_classes(np.array([p], dtype=np.int64))
+        table.prime_class[p] = int(chi[0]), int(table.classgroup.logs[cls[0]])
     chi, k = table.prime_class[p]
     if chi == -1:
         if e % 2 == 0:
@@ -619,9 +634,10 @@ def _prime_values(character: HeckeCharacter, p: np.ndarray) -> tuple[np.ndarray,
     int64 array of primes; psi((p)) = 1 for inert p, as (p) is principal and
     totally positive.  At split p the other prime P' has psi(P') = conj psi(P),
     since P P' = (p)."""
-    chi, k = character.classgroup.prime_classes(p)
+    cg = character.classgroup
+    chi, cls = cg.prime_classes(p)
     h = character.h
-    return chi, np.exp(2j * np.pi * (character.index * k % h) / h)
+    return chi, np.exp(2j * np.pi * (character.index * cg.logs[cls] % h) / h)
 
 
 def euler_factor(character: HeckeCharacter, p: np.ndarray, s: complex) -> np.ndarray:

@@ -7,7 +7,7 @@ import pytest
 
 from maassforge.classforms import ClassGroup, _rho, fundamental_unit, reduce_forms
 from maassforge.quadfield import QuadField, is_fundamental_discriminant
-from oracles import IndefiniteForm, ideal_conj, ideal_to_form, principal_ideal, scalar_cycles
+from oracles import IndefiniteForm, dlog, ideal_conj, ideal_to_form, principal_ideal, scalar_cycles
 
 
 def _forms(A, B, C):
@@ -168,7 +168,7 @@ def test_class_map_is_homomorphism():
         ids = F.enumerate_ideals(300)
         for _ in range(150):
             I, J = random.choice(ids), random.choice(ids)
-            assert (cg.dlog(I * J) - cg.dlog(I) - cg.dlog(J)) % cg.h_narrow == 0
+            assert (dlog(cg, I * J) - dlog(cg, I) - dlog(cg, J)) % cg.h_narrow == 0
 
 
 def test_totally_positive_principal_is_trivial():
@@ -191,7 +191,7 @@ def test_conjugate_class_is_inverse():
         F = QuadField(D)
         cg = ClassGroup(F)
         for I in F.enumerate_ideals(120):
-            assert (cg.dlog(I) + cg.dlog(ideal_conj(I))) % cg.h_narrow == 0
+            assert (dlog(cg, I) + dlog(cg, ideal_conj(I))) % cg.h_narrow == 0
 
 
 def test_narrow_vs_wide_negative_norm_generator():
@@ -233,7 +233,7 @@ def test_dlog_row_of_the_group_law_against_repeated_multiplication(D):
     assert len(logs) == h
     assert cg.logs.dtype == np.int64
     assert cg.logs.tolist() == [logs[c] for c in range(h)]
-    assert all(type(cg.dlog(reps[c])) is int and cg.dlog(reps[c]) == logs[c] for c in range(h))
+    assert all(type(dlog(cg, reps[c])) is int and dlog(cg, reps[c]) == logs[c] for c in range(h))
 
 
 def test_class_index_beyond_int64():

@@ -886,19 +886,21 @@ def test_field_of_non_cyclic_group(capsys):
 
 
 @pytest.mark.parametrize(
-    "command",
+    "argv",
     [
-        ("petersson",),
-        ("lvalue",),
-        ("coeffs",),
-        ("theta-eval", "--x", "0.2", "--y", "0.5"),
-        ("check-automorphy",),
+        ("petersson", "--disc", "1105", "--index", "1"),
+        ("lvalue", "--disc", "1105", "--index", "1"),
+        ("coeffs", "--disc", "1105", "--index", "1"),
+        ("theta-eval", "--disc", "1105", "--index", "1", "--x", "0.2", "--y", "0.5"),
+        ("check-automorphy", "--disc", "1105", "--index", "1"),
+        # out of range too: the group is refused before the index
+        pytest.param(("petersson", "--disc", "777", "--index", "99"), id="petersson-777-index-99"),
     ],
-    ids=lambda command: command[0],
+    ids=lambda argv: argv[0],
 )
-def test_character_of_non_cyclic_group_exits_2(capsys, command):
+def test_character_of_non_cyclic_group_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main([command[0], "--disc", "1105", "--index", "1", *command[1:]])
+        main(list(argv))
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from sympy import primitive_root
 
@@ -18,7 +19,7 @@ def test_character_values_are_exact_roots_of_unity():
     cg = ClassGroup(QuadField(229))
     psi = make_class_character(cg, 1)
     for I in cg.field.enumerate_ideals(50):
-        e = psi.exponent(I)
+        e = oracles.exponent(psi, I)
         assert isinstance(e, Fraction)
         assert (e * 3) % 1 == 0  # h = 3: all values are cube roots of unity
 
@@ -29,7 +30,22 @@ def test_character_is_multiplicative():
     ids = cg.field.enumerate_ideals(60)
     for I in ids[:25]:
         for J in ids[:25]:
-            assert (psi.exponent(I * J) - psi.exponent(I) - psi.exponent(J)) % 1 == 0
+            e_ij, e_i, e_j = (oracles.exponent(psi, K) for K in (I * J, I, J))
+            assert (e_ij - e_i - e_j) % 1 == 0
+
+
+@pytest.mark.parametrize("D", [229, 401, 445, 505, 3305, 136])
+def test_character_keeps_its_exponent_on_every_class(D):
+    # psi(B) = e^(2 pi i t[B]/h) with t = index * log(B) mod h, an int64
+    # array by class, and the exact exponent of each class's ideal
+    cg = ClassGroup(QuadField(D))
+    h = cg.h_narrow
+    for index in range(h):
+        psi = make_class_character(cg, index)
+        assert psi.t.dtype == np.int64
+        assert psi.t.tolist() == (index * cg.logs % h).tolist()
+        exact = [oracles.exponent(psi, I) % 1 for I in cg.class_ideals]
+        assert [Fraction(t, h) for t in psi.t.tolist()] == exact
 
 
 def test_orders_and_powers():

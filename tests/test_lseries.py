@@ -11,13 +11,21 @@ from maassforge import quadfield, special
 from maassforge.classforms import ClassGroup
 from maassforge.heckechar import make_class_character
 from maassforge.maassform import ThetaForm, gamma0_matrices
-from maassforge.quadfield import BudgetError, QuadField, _primes_up_to, tonelli_shanks_array
+from maassforge.quadfield import (
+    BudgetError,
+    InvalidInputError,
+    QfIdeal,
+    QuadField,
+    _primes_up_to,
+    tonelli_shanks_array,
+)
 from oracles import (
     SIEVE_CHUNK,
     ReferenceCountTable,
     coefficients,
     convolve,
     dense_coefficients,
+    dlog,
     euler_factor,
     exact_zeros,
     hecke_recursion_residual,
@@ -52,7 +60,7 @@ def test_count_table_matches_ideal_enumeration(cg229):
     table = ReferenceCountTable(cg229, 500)
     ref: dict[int, list[int]] = {}
     for I in F.enumerate_ideals(500):
-        ref.setdefault(I.norm(), [0] * 3)[cg229.dlog(I)] += 1
+        ref.setdefault(I.norm(), [0] * 3)[dlog(cg229, I)] += 1
     for n in range(1, 501):
         assert tuple(ref.get(n, [0, 0, 0])) == row(table, n)
 
@@ -77,10 +85,34 @@ def test_prime_classes_match_per_prime_oracle(D):
     cg = ClassGroup(QuadField(D))
     primes = _primes_up_to(400000)
     assert primes.size > 2 * ls.SIEVE_CHUNK
-    chi, k = cg.prime_classes(primes)
-    got = list(zip(chi.tolist(), k.tolist()))
+    chi, cls = cg.prime_classes(primes)
+    got = list(zip(chi.tolist(), cg.logs[cls].tolist()))
     assert got == prime_class_oracle(cg, primes.tolist())
     assert {c for c, _ in got} == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("D, h", [(777, 8), (940, 12)])
+def test_count_table_builds_for_a_non_cyclic_group(D, h):
+    # exponents 4 and 6: the table keeps each prime's class and takes no
+    # discrete log, so it builds where the class characters are refused
+    F = QuadField(D)
+    cg = ClassGroup(F)
+    assert cg.h_narrow == h
+    table = ls.ClassCountTable(cg, 2000)
+    primes = _primes_up_to(2000)
+    assert np.array_equal(table.primes, primes)
+    assert table.chi.tolist() == [F.chi(p) for p in primes.tolist()]
+    _, roots = F.prime_roots(primes)
+    reached = set()
+    for p, chi, c, b in zip(primes.tolist(), table.chi.tolist(), table.classes.tolist(), roots.tolist()):
+        if chi == -1:
+            assert c == 0, p  # (p) is principal and totally positive
+        else:
+            assert c == cg.class_index(QfIdeal.make(F, 1, p, b)), p
+            reached.add(c)
+    assert reached == set(range(h))
+    with pytest.raises(InvalidInputError, match=f"^the narrow class group of D={D} is not cyclic; "):
+        make_class_character(cg, 1)
 
 
 def _check_sqrt_against_scalar(n, p):
@@ -174,11 +206,11 @@ def test_count_table_rejects_n_max_out_of_range_before_allocating(cg229, monkeyp
         assert str(exc.value) == f"a'(n) up to n = {n_max} is over the budget of {ls.ROW_BUDGET} rows"
 
 
-def test_support_refuses_rows_past_its_table(cg229):
+def test_support_refuses_rows_past_its_table(cg229, psi229):
     table = ls.ClassCountTable(cg229, 100)
-    assert table.support(1, 100)[0][-1] <= 100
+    assert table.support(psi229, 100)[0][-1] <= 100
     with pytest.raises(ValueError, match="table too small"):
-        table.support(1, 101)
+        table.support(psi229, 101)
 
 
 TABLE_ROWS = 70001
@@ -198,7 +230,7 @@ def test_grown_table_equals_one_shot_build(D, h):
     # the first rows against enumerated ideals per class
     ref = np.zeros((1501, h), dtype=np.int64)
     for I in cg.field.enumerate_ideals(1500):
-        ref[I.norm(), cg.dlog(I)] += 1
+        ref[I.norm(), dlog(cg, I)] += 1
     assert np.array_equal(table.counts[:1501], ref)
     # and far rows against the ideal count sum_{d|n} chi_D(d)
     for n in (TABLE_ROWS - 1, TABLE_ROWS):
@@ -253,7 +285,7 @@ def test_chunked_coefficients_equal_one_shot_product(D):
         for index in range(h):
             cosines = np.cos(2 * np.pi * (index * np.arange(h) % h) / h)
             one_shot = (ref.counts[: n_max + 1] * cosines).sum(axis=1)
-            n, b = table.support(index, n_max)
+            n, b = table.support(make_class_character(cg, index), n_max)
             assert np.max(np.abs(b - one_shot[n])) < 1e-12, (D, n_max, index)
             # the rows left out are those the product realises as rounding noise
             dropped = np.ones(n_max + 1, dtype=bool)
@@ -297,7 +329,7 @@ def test_support_bitwise_equal_to_the_dense_row(D):
         for index in range(h):
             order = orders[index]
             cut = np.searchsorted(live[order], n_max, side="right")
-            n, b = table.support(index, n_max)
+            n, b = table.support(make_class_character(cg, index), n_max)
             assert n.dtype == np.int64 and np.array_equal(n, live[order][:cut]), (n_max, index)
             ref_b = values[index][:cut]
             if order in (1, 2, 3, 4, 6):
@@ -331,7 +363,7 @@ def test_one_table_per_class_group_across_growing_callers(monkeypatch):
     new = cg.count_table
     assert new is not first and new.n_max == 100000
     assert np.array_equal(new.q.take(new.at[: first.at.size]), first.q.take(first.at))
-    for old, new in zip(first.support(1, 25000), cg.count_table.support(1, 25000)):
+    for old, new in zip(first.support(psi, 25000), cg.count_table.support(psi, 25000)):
         assert np.array_equal(old, new)
 
 
@@ -646,7 +678,7 @@ def test_support_is_the_reference_nonzero_set(D, n_max):
         order = cg.h_narrow // math.gcd(cg.h_narrow, index)
         if order not in zeros:
             zeros[order] = exact_zeros(ref, index, n_max)
-        n, _ = table.support(index, n_max)
+        n, _ = table.support(make_class_character(cg, index), n_max)
         assert np.array_equal(np.setdiff1d(np.arange(1, n_max + 1), n), zeros[order]), (D, index)
 
 
@@ -683,9 +715,10 @@ def test_support_memory_per_row():
     # counts per class alone would take 2h = 160 bytes a row
     cg = ClassGroup(QuadField(68905))
     assert cg.h_narrow == 80 and cg.logs.size == 80
+    psi = make_class_character(cg, 1)
     tracemalloc.start()
     try:
-        ls.get_table(cg, 400_000).support(1, 400_000)
+        ls.get_table(cg, 400_000).support(psi, 400_000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -714,7 +747,7 @@ def test_check_automorphy_memory_per_row():
     # check.  Its peak is the end of the
     # support's fill, which holds, in bytes a row: the table's index of
     # p^e || n over the odd rows, 2; the table's 94,645 prime powers q,
-    # chi_D(p) and class logs of its primes, and the character's local
+    # chi_D(p) and classes of its primes, and the character's local
     # factor at each q, 8 bytes each, 2.5; and the support kept, 16 bytes a
     # kept row, on 1/6 of the rows, 2.7, pass by pass and again as the two
     # arrays they are joined into.  That is 9.9, and the bound leaves 1.1 for

@@ -262,9 +262,9 @@ def test_support_is_kept_and_realised_once(D, monkeypatch):
     filled = []
     fill = ls.ClassCountTable._row
 
-    def recording_row(self, index):
-        n, b = fill(self, index)
-        filled.append((self, index, n))
+    def recording_row(self, character):
+        n, b = fill(self, character)
+        filled.append((self, character.index, n))
         return n, b
 
     monkeypatch.setattr(ls.ClassCountTable, "_row", recording_row)

@@ -18,6 +18,7 @@ REFERENCES = {
     "prime ideals and ideals": {"tonelli_shanks", "prime_roots", "split_prime", "enumerate_ideals"},
     "ideal counts": {"ideal_count"},
     "class group": {"IndefiniteForm", "ideal_to_form", "scalar_cycles"},
+    "character values on ideals": {"dlog", "exponent"},
     "a'(n) per class": {"SIEVE_CHUNK", "ReferenceCountTable", "row"},
     "the support of a'(n)": {"exact_zeros", "_vanishing", "_cyclotomic", "cancelling_rows"},
     "a'(n) as numbers": {"dense_coefficients"},
