@@ -9,8 +9,10 @@ special     K_0 and its incomplete Mellin transform (the AFE weights)
 maassform   the theta cusp form: coefficients, evaluation, verification checks
 lseries     the Hecke L-series coefficient table, L(1) by two routes
 petersson   closed-form Petersson norm assembly
-errors      the three refusals the CLI maps to exit codes
 cli         command-line interface; each command imports the modules it runs
+
+The three refusals cli.main maps to exit codes live here, in the file every
+process loads first, which imports os alone: the CLI names them before numpy.
 """
 
 import os
@@ -21,3 +23,16 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
+
+
+class SplitPointError(ArithmeticError):
+    """Two routes to L(1) disagree: the approximate functional equation at two
+    split points, or it and the reduced cycles.  The CLI exits 1."""
+
+
+class InvalidInputError(ValueError):
+    """The input names nothing that maassforge computes: the CLI exits 2."""
+
+
+class BudgetError(ValueError):
+    """The request is over a stated resource budget: the CLI exits 3."""

@@ -20,7 +20,7 @@ from math import isqrt, sqrt
 
 import numpy as np
 
-from .errors import InvalidInputError
+from . import InvalidInputError
 from .quadfield import SIEVE_CHUNK, QfIdeal, QuadField
 
 
@@ -136,7 +136,7 @@ class ClassGroup:
         self.h_wide = self.h_narrow if self.unit_norm == -1 else self.h_narrow // 2
         ident = self.class_index(field.unit_ideal())
         self.cycle = np.where(self.cycle == ident, 0, np.where(self.cycle == 0, ident, self.cycle))
-        # the coefficient table of the field, built by lseries.get_table and
+        # the coefficient table of the field, built by lseries.support and
         # replaced by a larger one when more rows are asked for
         self.count_table = None
 

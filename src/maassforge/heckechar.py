@@ -19,8 +19,8 @@ from __future__ import annotations
 import cmath
 import math
 
+from . import InvalidInputError
 from .classforms import ClassGroup
-from .errors import InvalidInputError
 from .quadfield import QuadField, prime_factors
 
 

@@ -29,8 +29,8 @@ from array import array
 
 import numpy as np
 
+from . import BudgetError, SplitPointError
 from .classforms import ClassGroup
-from .errors import BudgetError, SplitPointError
 from .heckechar import HeckeCharacter
 from .quadfield import SIEVE_CHUNK, _primes_up_to
 from .special import EULER_GAMMA, incomplete_k_mellin
@@ -212,21 +212,17 @@ def _local_factor(h: int, chi: np.ndarray, t: np.ndarray, e: np.ndarray | int) -
     return out
 
 
-def get_table(classgroup: ClassGroup, n_max: int) -> ClassCountTable:
-    """The class group's coefficient table if it has at least n_max rows,
-    else a new table of exactly n_max rows, which replaces it.  The old
-    table is dropped first, so the two are never held together."""
-    if classgroup.count_table is None or classgroup.count_table.n_max < n_max:
-        classgroup.count_table = None
-        classgroup.count_table = ClassCountTable(classgroup, n_max)
-    return classgroup.count_table
-
-
 def support(character: HeckeCharacter, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The n <= n_max with a'(n) != 0 for the class character, ascending,
-    and those real a'(n), from its class group's table of at least n_max
-    rows (ClassCountTable.support)."""
-    return get_table(character.classgroup, n_max).support(character, n_max)
+    and those real a'(n) (ClassCountTable.support), from its class group's
+    table if that has at least n_max rows, else from a new table of exactly
+    n_max rows, which replaces it.  The old table is dropped first, so the
+    two are never held together."""
+    cg = character.classgroup
+    if cg.count_table is None or cg.count_table.n_max < n_max:
+        cg.count_table = None
+        cg.count_table = ClassCountTable(cg, n_max)
+    return cg.count_table.support(character, n_max)
 
 
 # -- L(1) ----------------------------------------------------------------

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetError
+from . import BudgetError
 from .heckechar import HeckeCharacter, NormInducedError
 from .lseries import support
 from .quadfield import SIEVE_CHUNK, _xgcd
@@ -51,9 +51,7 @@ class ThetaForm:
         if character.is_norm_induced():
             raise NormInducedError(character)
         self.character = character
-        self.field = character.field
-        self.level = self.field.D  # conductor (1): level D * N(f) = D
-        self.epsilon = character.epsilon
+        self.level = character.field.D  # conductor (1): level D * N(f) = D
 
     # -- evaluation -----------------------------------------------------
 
@@ -121,7 +119,7 @@ class ThetaForm:
                 tables = _phase_tables(xs[i] - round(xs[i]), int(n[-1]))
                 for lo in range(0, n.size, SIEVE_CHUNK):
                     block = slice(lo, lo + SIEVE_CHUNK)
-                    np.multiply(k0[block], _phase(tables, n[block], odd=self.epsilon == 1), out=kv[block])
+                    np.multiply(k0[block], _phase(tables, n[block], odd=self.character.epsilon == 1), out=kv[block])
                     kv[block] *= a[block]
                 out[i] = math.sqrt(h) * np.sum(kv)
         return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
@@ -169,7 +167,7 @@ class ThetaForm:
         if not all(v > 0 and TRUNCATION_EXPONENT / (2 * math.pi * v) < math.inf for v in ys):
             raise BudgetError("a point gamma z lies below every height of finite row count")
         v = self.eval(*np.reshape(points, (-1, 2)).T)
-        chis = self.field.chi(np.array(ds, dtype=np.int64))
+        chis = self.character.field.chi(np.array(ds, dtype=np.int64))
         residuals = np.abs(v[0::2] - chis * v[1::2])
         return CheckReport(
             "automorphy", float(residuals.max()), {"count": len(ds), **self.truncation_report(ys)}

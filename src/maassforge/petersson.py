@@ -23,9 +23,6 @@ from .heckechar import HeckeCharacter, NormInducedError
 from .lseries import l_value_at_1
 from .quadfield import prime_factors
 
-# N(f) for the conductor f = (1) of every class character
-CONDUCTOR_NORM = 1
-
 
 @dataclass
 class PeterssonReport:
@@ -56,8 +53,8 @@ class PeterssonReport:
         return out
 
 
-def constant_c1(D: int) -> float:
-    N = D * CONDUCTOR_NORM
+def constant_c1(N: int) -> float:
+    """N^2/(4 pi phi(N)) at the level N = D of a class character: conductor (1)."""
     phi = N
     for p in prime_factors(N):
         phi = phi // p * (p - 1)

@@ -19,7 +19,7 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import BudgetError, InvalidInputError
+from . import BudgetError, InvalidInputError
 
 # Largest max_norm enumerate_ideals accepts.  The ideals command costs about
 # 1.35 KB of resident memory per ideal, on 55 MB at start: at this budget the

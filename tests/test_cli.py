@@ -391,7 +391,7 @@ def test_cli_import_loads_no_optional_package():
     ids=["import", "--help", "lvalue --s nan", "field over budget", "field", "ideals", "gauss-check"],
 )
 def test_cli_loads_only_the_modules_a_command_runs(argv, code, loaded):
-    # importing the CLI loads maassforge.errors and the standard library
+    # importing the CLI loads the package root and the standard library
     # alone, so --help, a refused argument and the --disc budget load no
     # numpy; a command loads the modules it runs, and numpy with the first
     child = (
@@ -406,7 +406,7 @@ def test_cli_loads_only_the_modules_a_command_runs(argv, code, loaded):
         "            code = exc.code\n"
         "print(json.dumps([code, 'numpy' in sys.modules, sorted(m for m in sys.modules if m.startswith('maassforge.'))]))"
     )
-    modules = sorted(f"maassforge.{m}" for m in ("cli", "errors", *loaded))
+    modules = sorted(f"maassforge.{m}" for m in ("cli", *loaded))
     assert json.loads(run_child(child)) == [code, bool(loaded), modules]
 
 
@@ -819,6 +819,23 @@ def test_lvalue_at_s_2_is_real(capsys):
     validate(out)
 
 
+@pytest.mark.parametrize("s", ["1.5", "2", "3"])
+def test_lvalue_tail_bound_covers_the_sum_to_4e5(capsys, s):
+    # the tail bound covers every n > n_max, so the sum to 4 n_max is within
+    # it of the printed partial sum to n_max
+    code, out = run_cli(capsys, "lvalue", "--disc", "229", "--index", "2", "--s", s)
+    data = json.loads(out)
+    n, b = lseries.support(heckechar.make_class_character(ClassGroup(QuadField(229)), 2), 4 * data["n_max"])
+    assert code == 0 and abs(np.sum(b / n ** float(s)) - data["value"]) <= data["tail_bound"]
+    validate(out)
+
+
+def test_lvalue_tail_bound_near_1_says_the_sum_is_no_estimate(capsys):
+    # the partial sum at s = 1.000001 is 0.62246038684998, L(1) 0.622611282462969
+    code, out = run_cli(capsys, "lvalue", "--disc", "229", "--index", "2", "--s", "1.000001")
+    assert code == 0 and json.loads(out)["tail_bound"] > 1e11
+
+
 def test_lvalue_at_a_large_s_warns_nothing():
     # n^s overflows to inf past s = 62 or so, and each term's limit b/inf = 0
     # is exact: L(s) is b(1) = 1, and stderr stays empty
@@ -830,15 +847,15 @@ def test_lvalue_at_a_large_s_warns_nothing():
 
 
 def test_lvalue_split_point_disagreement_exits_1(capsys, monkeypatch):
-    afe, get_table, groups = lseries.l_value_at_1_afe, lseries.get_table, []
+    afe, build, groups = lseries.l_value_at_1_afe, lseries.ClassCountTable.__init__, []
 
-    def recording_get_table(classgroup, n_max):
+    def recording_build(table, classgroup, n_max):
         groups.append(classgroup)
-        return get_table(classgroup, n_max)
+        build(table, classgroup, n_max)
 
     # the real AFE, off by its split point
     monkeypatch.setattr(lseries, "l_value_at_1_afe", lambda psi, cutoff=1.0: afe(psi, cutoff) + cutoff)
-    monkeypatch.setattr(lseries, "get_table", recording_get_table)
+    monkeypatch.setattr(lseries.ClassCountTable, "__init__", recording_build)
     with pytest.raises(SystemExit) as exc:
         main(["lvalue", "--disc", "229", "--index", "1"])
     captured = capsys.readouterr()

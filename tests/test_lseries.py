@@ -294,7 +294,7 @@ def test_chunked_coefficients_equal_one_shot_product(D):
 
 
 @pytest.mark.parametrize("D", [40, 229, 445, 401, 505, 3305, 14165, 68905])
-def test_support_bitwise_equal_to_the_dense_row(D):
+def test_support_matches_the_dense_row(D):
     # every character's support, kept pass by pass from a row over half the
     # table, against the dense row of the reference counts, at sizes around
     # the edges of the passes.  At 8C + 2 and 8C + 3 the row over half the
@@ -672,13 +672,13 @@ def test_dirichlet_l1_real_pinned():
 )
 def test_support_is_the_reference_nonzero_set(D, n_max):
     cg = ClassGroup(QuadField(D))
-    table, ref = ls.get_table(cg, n_max), ReferenceCountTable(cg, n_max)
+    ref = ReferenceCountTable(cg, n_max)
     zeros = {}  # the zero set depends on the character's order alone
     for index in range(cg.h_narrow):
         order = cg.h_narrow // math.gcd(cg.h_narrow, index)
         if order not in zeros:
             zeros[order] = exact_zeros(ref, index, n_max)
-        n, _ = table.support(make_class_character(cg, index), n_max)
+        n, _ = ls.support(make_class_character(cg, index), n_max)
         assert np.array_equal(np.setdiff1d(np.arange(1, n_max + 1), n), zeros[order]), (D, index)
 
 
@@ -718,7 +718,7 @@ def test_support_memory_per_row():
     psi = make_class_character(cg, 1)
     tracemalloc.start()
     try:
-        ls.get_table(cg, 400_000).support(psi, 400_000)
+        ls.ClassCountTable(cg, 400_000).support(psi, 400_000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

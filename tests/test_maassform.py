@@ -172,7 +172,7 @@ def test_functional_equation_off_axis_505(index, epsilon):
     th = ThetaForm(psi)
     y0 = 1 / math.sqrt(505)
     points = [(0.3 * y0, 0.9 * y0), (-0.2 * y0, y0), (0.5 * y0, 1.1 * y0)]
-    assert th.epsilon == epsilon
+    assert th.character.epsilon == epsilon
     assert min(abs(th.eval(x, y)) for x, y in points) > 1e-2
     rep = th.check_functional_equation(points)
     assert rep.details["root_number"] == (-1) ** epsilon
@@ -201,7 +201,7 @@ def dense_theta_terms(th: ThetaForm, x: float, y: float) -> np.ndarray:
     n = np.arange(1, n_cut + 1)
     psi = th.character
     a = dense_coefficients(ReferenceCountTable(psi.classgroup, n_cut), psi.index, n_cut)[1:]
-    trig = np.cos if th.epsilon == 0 else np.sin
+    trig = np.cos if th.character.epsilon == 0 else np.sin
     return math.sqrt(y) * a * k0(2 * math.pi * y * n) * trig(2 * math.pi * x * n)
 
 
