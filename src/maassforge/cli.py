@@ -6,11 +6,11 @@ not cuspidal), 3 resource cap exceeded (BudgetError); the package root
 defines the three.  Each is raised where its limit is known; main alone
 prints it as one "error:" line and picks the code.  Anything else raised is a
 bug and keeps its traceback.  An --out or --csv path that cannot be opened or
-written is invalid input: both are opened before either is written, nothing
-is printed, a file the run created is removed, and one that existed is
-truncated only when its turn to be written comes, last (_write_files).  So is
-a stdout that refuses the report (a full device, a closed pipe), once --csv
-and --out are complete.
+written is invalid input, as are two that open one regular file: both are
+opened before either is written, nothing is printed, a file the run created
+is removed, and one that existed is truncated only when its turn to be
+written comes, last (_write_files).  So is a stdout that refuses the report
+(a full device, a closed pipe), once --csv and --out are complete.
 
 Each command returns its report and exit code, and main alone writes the
 report: to --csv and --out, then to stdout.  All floats are printed with 15
@@ -59,7 +59,7 @@ DISC_BUDGET = 100_000_000
 # but no new rows, since the rows depend on c alone and c takes only
 # maassform.SAMPLE_C_MULTIPLES values.  Cold, D = 229 took 0.15 s at 3
 # samples, 0.17 s at 30 and 0.29 s at 100 (32 MB each); D = 40009, 2.9e6 rows,
-# took 0.68 s at 3 and 6.7 s at 100 (84 MB), each point summing a support of
+# took 0.68 s at 3 and 6.7 s at 100 (72 MB), each point summing a support of
 # up to 8.9e5 terms.
 AUTOMORPHY_SAMPLE_BUDGET = 100
 # Lowest --y theta-eval takes, so that the inputs it accepts stay fixed;
@@ -84,37 +84,46 @@ def _round_floats(data: dict) -> dict:
     }
 
 
-def _write_files(writers: dict) -> None:
-    """Call each writer on its path, opened for writing.  Every path is opened
-    before any is written, and without truncating it.  Devices such as
-    /dev/full, whose writes fail and which ftruncate refuses, are written
-    first, then the files this call created, and last the regular files that
-    existed, each emptied only when its turn comes.  So a path refused in
-    opening, or a write refused before the first of those files, leaves each
-    of them as it was; a write refused after it leaves that first rewritten.
-    An OSError in opening, writing or closing is invalid input, after which
+def _write_files(writers: list) -> None:
+    """Call each writer of the (path, writer) pairs on its path, opened
+    for writing.  Every path is opened before any is written, and without
+    truncating it; two that open one regular file (X and ./X, or a link to
+    X) are invalid input, as the second write would truncate the first,
+    but /dev/null may come twice.  Devices such as /dev/full, whose writes
+    fail and which ftruncate refuses, are written first, then the files
+    this call created, and last the regular files that existed, each
+    emptied only when its turn comes.  So a path refused in opening, or a
+    write refused before the first of those files, leaves each of them as
+    it was; a write refused after it leaves that first rewritten.  An
+    OSError in opening, writing or closing is invalid input, after which
     the files this call created are removed."""
     created, handles, path = [], [], None
     try:
-        for path in writers:
+        for path, _ in writers:
             new = not os.path.lexists(path)
             handles.append(open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline=""))
             if new:
                 created.append(path)
-        regular = {path: stat.S_ISREG(os.fstat(fh.fileno()).st_mode) for path, fh in zip(writers, handles)}
-        order = sorted(zip(writers.items(), handles), key=lambda t: (regular[t[0][0]], t[0][0] not in created))
-        for (path, write), fh in order:
+        stats = [os.fstat(fh.fileno()) for fh in handles]
+        regular = [stat.S_ISREG(st.st_mode) for st in stats]
+        files = [(st.st_dev, st.st_ino) for st, reg in zip(stats, regular) if reg]
+        if len(set(files)) < len(files):
+            raise InvalidInputError(f"cannot write {' and '.join(repr(p) for p, _ in writers)}: one file")
+        order = sorted(zip(writers, handles, regular), key=lambda t: (t[2], t[0][0] not in created))
+        for (path, write), fh, reg in order:
             with fh:
-                if regular[path]:
+                if reg:
                     fh.truncate()
                 write(fh)
-    except OSError as exc:
+    except (OSError, InvalidInputError) as exc:
         for fh in handles:
             with contextlib.suppress(OSError):
                 fh.close()
         for name in created:
             with contextlib.suppress(OSError):
                 os.remove(name)
+        if isinstance(exc, InvalidInputError):
+            raise
         raise InvalidInputError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
@@ -136,11 +145,11 @@ def _emit(data: dict, args) -> None:
     --csv and --out are complete; fd 1 is then pointed at os.devnull, so that
     the interpreter's own flush at exit has nothing left to fail on."""
     text = json.dumps(_round_floats(data), indent=1, sort_keys=True)
-    writers = {}
+    writers = []
     if getattr(args, "csv", None):
-        writers[args.csv] = lambda fh: _write_csv(fh, data)
+        writers.append((args.csv, lambda fh: _write_csv(fh, data)))
     if getattr(args, "out", None):
-        writers[args.out] = lambda fh: fh.write(text + "\n")
+        writers.append((args.out, lambda fh: fh.write(text + "\n")))
     _write_files(writers)
     try:
         print(text)

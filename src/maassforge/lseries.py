@@ -37,15 +37,15 @@ from .special import EULER_GAMMA, incomplete_k_mellin
 
 
 # Largest coefficient table ClassCountTable builds.  For D = 229 (h = 3) the
-# peak RSS of check-automorphy is about 31 MB plus 9-11 bytes per row: 31.6 MB
+# peak RSS of check-automorphy is about 31 MB plus 9-12 bytes per row: 31.6 MB
 # at its default of 3 matrices (16,650 rows), and for the one matrix of bottom
-# row (229 k, 1), 35.2 MB at 3.1e5 rows, 44.5 at 1.22e6, 62.4 at 2.75e6 and
-# 69.3 at 4.0e6 (medians of 3 cold runs): the table keeps 2 bytes per row,
+# row (229 k, 1), 34.7 MB at 3.1e5 rows, 43.5 at 1.22e6, 56.8 at 2.75e6 and
+# 68.2 at 4.0e6 (medians of 3 cold runs): the table keeps 2 bytes per row,
 # the index of p^e || n for the smallest prime p of each odd row, a
 # character's dense row takes 2 more while it is filled, over the odd
-# n <= n_max/2, and the rest is its support, the evaluations of Theta over
-# it, and temporaries of one SIEVE_CHUNK block.
-# D = 3305 (h = 12) peaked at 71.0 MB on 3.9e6 rows (c = 49 D).
+# n <= n_max/2, and the rest is its support and temporaries of one
+# SIEVE_CHUNK block, Theta's evaluations among them.
+# D = 3305 (h = 12) peaked at 70.5 MB on 3.9e6 rows (c = 49 D).
 # Below the budget every prime p of a table has p^2 < 2^62, so the int64
 # arithmetic of ClassGroup.prime_classes cannot overflow, and every n is
 # below the 2^22 of maassform._phase.

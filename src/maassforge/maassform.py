@@ -73,15 +73,12 @@ class ThetaForm:
         """Theta at the points z = x + iy, x and y scalars or arrays that
         broadcast together, by truncated Fourier expansion summed over the
         support of a': a float at a scalar point, else an array of the points'
-        shape.  Each distinct height takes its support and K_0 once, the lowest
-        first, so that the first builds the table at the size all of them need.
-        That height has the largest support, so it allocates the one K_0
-        buffer, and later heights take its leading views.  K_0 is filled one
-        SIEVE_CHUNK block at a time, so no array of 2 pi h n is ever full
-        size.  Each point sums its own product over the whole support with
-        one np.sum: the last point of a height forms it in the K_0 buffer,
-        and the others in one product buffer, allocated at the lowest height
-        with two or more points and viewed in the same way.
+        shape.  Each distinct height takes its support once, the lowest first,
+        so that the first builds the table at the size all of them need, and
+        walks it one SIEVE_CHUNK block at a time: K_0 of the block once, then
+        each point's (K_0 phase) a', whose np.sum joins the point's running
+        sum, its phase tables held meanwhile.  No array over the whole support
+        is made, and a support of one block is summed as one np.sum.
 
         K_0 is shared per height, not made per point, because the automorphy
         check's heights repeat: its points lie on isometric circles, where
@@ -100,28 +97,20 @@ class ThetaForm:
         at = {}  # height -> its points, in order, found in one pass
         for i, v in enumerate(ys):
             at.setdefault(v, []).append(i)
-        k0_buf = kv_buf = None
         for h, points in sorted(at.items()):
             n, a = support(self.character, self.truncation_index(h))
-            if k0_buf is None:
-                k0_buf = np.empty(n.size)
-            k0 = k0_buf[: n.size]
+            # Theta has period 1 in x, and x - round(x) is exact, while the
+            # cosine of a huge x keeps no digits
+            tables = [_phase_tables(xs[i] - round(xs[i]), int(n[-1])) for i in points]
+            sums = [-0.0] * len(points)  # -0.0 + s is s for every float s, -0.0 too
             for lo in range(0, n.size, SIEVE_CHUNK):
-                k0[lo : lo + SIEVE_CHUNK] = bessel_k0_array(2 * math.pi * h * n[lo : lo + SIEVE_CHUNK])
-            for i in points:
-                # the last point at h multiplies into K_0's own buffer, which
-                # it no longer needs, and the others into the product buffer
-                if i != points[-1] and kv_buf is None:
-                    kv_buf = np.empty(n.size)
-                kv = k0 if i == points[-1] else kv_buf[: n.size]
-                # Theta has period 1 in x, and x - round(x) is exact, while the
-                # cosine of a huge x keeps no digits
-                tables = _phase_tables(xs[i] - round(xs[i]), int(n[-1]))
-                for lo in range(0, n.size, SIEVE_CHUNK):
-                    block = slice(lo, lo + SIEVE_CHUNK)
-                    np.multiply(k0[block], _phase(tables, n[block], odd=self.character.epsilon == 1), out=kv[block])
-                    kv[block] *= a[block]
-                out[i] = math.sqrt(h) * np.sum(kv)
+                block = slice(lo, lo + SIEVE_CHUNK)
+                k0 = bessel_k0_array(2 * math.pi * h * n[block])
+                for j, t in enumerate(tables):
+                    kv = k0 * _phase(t, n[block], odd=self.character.epsilon == 1)
+                    kv *= a[block]
+                    sums[j] += np.sum(kv)
+            out[points] = [math.sqrt(h) * s for s in sums]
         return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
     def truncation_report(self, ys) -> dict:
@@ -234,10 +223,11 @@ def _turns(x: float, m: np.ndarray) -> np.ndarray:
 
 
 def _phase_tables(x: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """e^(2 pi i x l) for 0 <= l < 2^PHASE_BITS, and e^(2 pi i x 2^PHASE_BITS j)
-    for 2^PHASE_BITS j <= n_max, with the angles from _turns: the two short
-    tables _phase reads, for |x| <= 1/2 and n_max < 2^22."""
-    lo = np.exp(2j * np.pi * _turns(x, np.arange(1 << PHASE_BITS)))
+    """e^(2 pi i x l) for 0 <= l < 2^PHASE_BITS, l <= n_max, and
+    e^(2 pi i x 2^PHASE_BITS j) for 2^PHASE_BITS j <= n_max, with the angles
+    from _turns: the two short tables _phase reads, for |x| <= 1/2 and
+    n_max < 2^22.  eval holds those of every point of a height at once."""
+    lo = np.exp(2j * np.pi * _turns(x, np.arange(min(1 << PHASE_BITS, n_max + 1))))
     hi = np.exp(2j * np.pi * _turns(x, np.arange((n_max >> PHASE_BITS) + 1) << PHASE_BITS))
     return lo, hi
 

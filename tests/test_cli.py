@@ -231,6 +231,37 @@ def test_refused_out_path_keeps_an_existing_csv(capsys, tmp_path, out):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["coeffs.csv", "file"]
 
 
+@pytest.mark.parametrize(
+    "spelling, exists",
+    [("same", False), ("same", True), ("dot", False), ("dot", True), ("symlink", True), ("hard link", True)],
+)
+def test_csv_and_out_naming_one_file_exit_2(capsys, tmp_path, monkeypatch, spelling, exists):
+    # the second write would truncate the first: refused after both are
+    # opened and before either is written, a file the run created removed
+    monkeypatch.chdir(tmp_path)
+    if exists:
+        Path("X").write_text("precious\n")
+    out = {"same": "X", "dot": "./X", "symlink": "Y", "hard link": "Z"}[spelling]
+    if spelling == "symlink":
+        os.symlink("X", "Y")
+    elif spelling == "hard link":
+        os.link("X", "Z")
+    before = sorted(os.listdir())
+    with pytest.raises(SystemExit) as exc:
+        main(["coeffs", "--disc", "229", "--n-max", "3", "--csv", "X", "--out", out])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err == f"error: cannot write 'X' and '{out}': one file\n"
+    assert sorted(os.listdir()) == before
+    if before:
+        assert Path("X").read_bytes() == b"precious\n"
+
+
+def test_csv_and_out_may_both_be_dev_null(capsys):
+    code, out = run_cli(capsys, "coeffs", "--disc", "229", "--n-max", "3", "--csv", os.devnull, "--out", os.devnull)
+    assert code == 0 and json.loads(out)["coefficients"][2]["re"] == -1.0
+
+
 def test_existing_csv_longer_than_the_new_one_is_overwritten(capsys, tmp_path):
     csv_path = tmp_path / "coeffs.csv"
     csv_path.write_text("x" * 1000)
@@ -828,6 +859,39 @@ def test_lvalue_tail_bound_covers_the_sum_to_4e5(capsys, s):
     n, b = lseries.support(heckechar.make_class_character(ClassGroup(QuadField(229)), 2), 4 * data["n_max"])
     assert code == 0 and abs(np.sum(b / n ** float(s)) - data["value"]) <= data["tail_bound"]
     validate(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("field", "--disc", "229"),
+        ("reproduce", "--example", "229"),
+        ("reproduce", "--example", "401"),
+        ("petersson", "--disc", "229", "--index", "1"),
+        ("coeffs", "--disc", "229", "--n-max", "3"),
+        ("theta-eval", "--disc", "229", "--x", "0.2", "--y", "0.5"),
+        ("lvalue", "--disc", "229", "--index", "2"),
+        ("lvalue", "--disc", "229", "--index", "2", "--s", "2"),
+    ],
+    ids=" ".join,
+)
+def test_schema_refuses_a_key_no_report_prints(capsys, argv):
+    # each report's schema lists its keys: one more, at the top or in a
+    # nested dict, or one misspelt, fails where it used to pass unseen
+    code, out = run_cli(capsys, *argv)
+    report = json.loads(out)
+    jsonschema.validate(report, SCHEMA)
+    bad = [{**report, "extra": 0.0}]
+    if "tail_bound" in report:
+        bad.append({("tail_bund" if k == "tail_bound" else k): v for k, v in report.items()})
+    for key in ("factors", "coefficients"):
+        if key in report:
+            bad.append({**report, key: [{**report[key][0], "extra": 0.0}, *report[key][1:]]})
+    if "unit" in report:
+        bad.append({**report, "unit": {**report["unit"], "extra": 0}})
+    for payload in bad:
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(payload, SCHEMA)
 
 
 def test_lvalue_tail_bound_near_1_says_the_sum_is_no_estimate(capsys):

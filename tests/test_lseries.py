@@ -753,12 +753,11 @@ def test_check_automorphy_memory_per_row():
     # arrays they are joined into.  That is 9.9, and the bound leaves 1.1 for
     # a pass's temporaries.  The last pass holds the dense row, 2 bytes a
     # row over the odd n <= N/2, in place of the joined arrays.  Evaluating
-    # Theta afterwards holds less: one K_0 buffer and one product buffer over
-    # the lowest height's support, 8 bytes a kept row each, with K_0 and the
-    # phases filled one block at a time.  The index and the dense row over
-    # every row read 13.7; a dense row over all of n <= N with its nonzero
-    # rows cut out at the end, phases over the whole support, and the primes
-    # classified in one pass read 18.
+    # Theta afterwards holds less: K_0, the phases and the products of one
+    # SIEVE_CHUNK block, and each point's two phase tables.  The index and
+    # the dense row over every row read 13.7; a dense row over all of
+    # n <= N with its nonzero rows cut out at the end, phases over the whole
+    # support, and the primes classified in one pass read 18.
     th = ThetaForm(make_class_character(ClassGroup(QuadField(229)), 1))
     offsets = ((0.0, 0.3), (0.05, 0.4), (-0.05, 0.5), (0.1, 0.65), (-0.1, 0.8))
     checks = [(m, [(-m[3] / m[2] + dx, y) for dx, y in offsets]) for m in gamma0_matrices(229, 2)]
@@ -770,3 +769,22 @@ def test_check_automorphy_memory_per_row():
         tracemalloc.stop()
     assert rows == 1_220_639
     assert peak < 11 * rows
+
+
+def test_eval_memory_is_one_block():
+    # Theta at three points of one height, its support of 295,562 terms
+    # built first, holds K_0, the phases and the products of one
+    # SIEVE_CHUNK block, and each point's two phase tables of 1,024 and
+    # 1,749 entries: about 1.2 MB.  K_0 and a product buffer over the whole
+    # support took 5.4 MB
+    th = ThetaForm(make_class_character(ClassGroup(QuadField(229)), 1))
+    y = 4e-6
+    assert th.truncation_index(y) == 1_790_494
+    assert ls.support(th.character, 1_790_494)[0].size == 295_562
+    tracemalloc.start()
+    try:
+        th.eval([0.1, -0.2, 0.3], y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
