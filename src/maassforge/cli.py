@@ -62,9 +62,6 @@ DISC_BUDGET = 100_000_000
 # took 0.68 s at 3 and 6.7 s at 100 (72 MB), each point summing a support of
 # up to 8.9e5 terms.
 AUTOMORPHY_SAMPLE_BUDGET = 100
-# Lowest --y theta-eval takes, so that the inputs it accepts stay fixed;
-# ThetaForm.eval itself takes any y > 0, on about 7.2/y coefficient rows
-THETA_EVAL_MIN_Y = 0.05
 # The paper's worked examples: the Petersson norm reproduce --example checks
 PAPER_VALUES = {
     229: 38.3345331336184,
@@ -290,8 +287,6 @@ def cmd_theta_eval(args) -> tuple[dict, int]:
     from .maassform import ThetaForm
 
     th = ThetaForm(psi)
-    if args.y < THETA_EVAL_MIN_Y:
-        raise InvalidInputError(f"--y {args.y} is below the lowest height {THETA_EVAL_MIN_Y}")
     return {
         "D": cg.field.D,
         "index": psi.index,
@@ -435,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theta-eval", help="evaluate the theta form at a point")
     add_common(p)
     p.add_argument("--x", type=_finite_float, required=True)
-    p.add_argument("--y", type=_finite_float, required=True)
+    p.add_argument("--y", type=_positive_float, required=True)
     p.set_defaults(func=cmd_theta_eval)
 
     p = sub.add_parser("check-automorphy", help="automorphy residuals on Gamma_0(D)")

@@ -58,9 +58,6 @@ class HeckeCharacter:
     def __repr__(self) -> str:
         return f"HeckeCharacter(D={self.field.D}, index={self.index}/{self.h})"
 
-    def order(self) -> int:
-        return self.h // math.gcd(self.index, self.h)
-
     @property
     def epsilon(self) -> int:
         """Sign exponent: 1 if psi((sqrt(D))) = -1, else 0, read off the index.

@@ -88,11 +88,16 @@ class ThetaForm:
         D = 229 evaluates 1,000 points at 355 heights).  One buffer with K_0
         made per point, heights in the same order, gave the same bytes and
         tied at --samples 2 (0.017 vs 0.015 s in process), but took 0.29-0.31 s
-        against 0.15-0.17 s at --samples 100 (medians of 15, 2-core Xeon)."""
+        against 0.15-0.17 s at --samples 100 (medians of 15, 2-core Xeon).
+
+        Every height is checked before any row is built: one that is not
+        positive, or so low that its row count 45/(2 pi y) overflows float64,
+        raises BudgetError, as the table does for rows past lseries.ROW_BUDGET."""
         x, y = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
         xs, ys = x.ravel().tolist(), y.ravel().tolist()
-        if any(v <= 0 for v in ys):
-            raise ValueError("y must be positive")
+        if not all(v > 0 and TRUNCATION_EXPONENT / (2 * math.pi * v) < math.inf for v in ys):
+            raise BudgetError("every height y must be positive, and high enough for float64 "
+                              "to count its 45/(2 pi y) rows")
         out = np.empty(len(ys))
         at = {}  # height -> its points, in order, found in one pass
         for i, v in enumerate(ys):
@@ -131,9 +136,10 @@ class ThetaForm:
         """max |Theta(gamma z) - chi_D(d) Theta(z)| over the (gamma, points)
         pairs of checks, gamma in Gamma_0(D), and the points z of each; the
         details add the truncation_report of every evaluation.  Raises
-        BudgetError, before any row is built, if the evaluations need more
-        than lseries.ROW_BUDGET coefficient rows, or a gamma z is too low for
-        float64 to count its rows."""
+        BudgetError, from eval and before any row is built, if the evaluations
+        need more than lseries.ROW_BUDGET coefficient rows, or a gamma z is too
+        low for float64 to count its rows: a huge c or d/c can round
+        Im(gamma z) to 0."""
         points, ds = [], []  # gamma z then z, for each z; d mod D of its gamma
         for (a, b, c, d), zs in checks:
             if a * d - b * c != 1 or c % self.level != 0:
@@ -150,16 +156,11 @@ class ThetaForm:
                     w = (a * (x + 1j * y) + b) / d
                 points += [(w.real, w.imag), (x, y)]
                 ds.append(d % self.level)  # an int64 for chi, however long d is
-        ys = [y for _, y in points]
-        # a huge c or d/c can put Im(gamma z) below every float64 height whose
-        # row count 45/(2 pi y) is finite, let alone under the row budget
-        if not all(v > 0 and TRUNCATION_EXPONENT / (2 * math.pi * v) < math.inf for v in ys):
-            raise BudgetError("a point gamma z lies below every height of finite row count")
         v = self.eval(*np.reshape(points, (-1, 2)).T)
         chis = self.character.field.chi(np.array(ds, dtype=np.int64))
         residuals = np.abs(v[0::2] - chis * v[1::2])
         return CheckReport(
-            "automorphy", float(residuals.max()), {"count": len(ds), **self.truncation_report(ys)}
+            float(residuals.max()), {"count": len(ds), **self.truncation_report([y for _, y in points])}
         )
 
     def check_eigenvalue(self, x: float, y: float) -> "CheckReport":
@@ -177,11 +178,7 @@ class ThetaForm:
         )
         ratio = (e1 - e2) / (e2 - e3)
         err = abs(e3 - EIGENVALUE)
-        return CheckReport(
-            "eigenvalue",
-            err,
-            {"richardson_ratio": ratio, "fd_values": [e1, e2, e3], "target": EIGENVALUE},
-        )
+        return CheckReport(err, {"richardson_ratio": ratio, "fd_values": [e1, e2, e3], "target": EIGENVALUE})
 
     def check_functional_equation(self, points) -> "CheckReport":
         """max over z = x + iy of |Theta_psi(z) - T Theta_psibar(-1/(D z))|.
@@ -195,9 +192,7 @@ class ThetaForm:
         ws = [-1.0 / (self.level * complex(x, y)) for x, y in points]
         v = self.eval(*np.reshape(list(points) + [(w.real, w.imag) for w in ws], (-1, 2)).T)
         res = np.abs(v[: len(ws)] - T * v[len(ws) :])
-        return CheckReport(
-            "functional_equation", float(res.max()), {"points": list(points), "root_number": T}
-        )
+        return CheckReport(float(res.max()), {"points": list(points), "root_number": T})
 
     def check_cuspidal_decay(self, ys) -> "CheckReport":
         """Verify |Theta(iy)| <= C e^(-2 pi y) at the cusp at infinity and,
@@ -207,7 +202,7 @@ class ThetaForm:
             bound = 2.0 * math.sqrt(y) * math.exp(-2 * math.pi * y)
             data[y] = (v, bound)
             worst = max(worst, v / bound if bound > 0 else math.inf)
-        return CheckReport("cuspidal_decay", worst, {"ratio_vs_bound": data})
+        return CheckReport(worst, {"ratio_vs_bound": data})
 
 
 def _turns(x: float, m: np.ndarray) -> np.ndarray:
@@ -256,7 +251,6 @@ def _phase(tables: tuple[np.ndarray, np.ndarray], n: np.ndarray, odd: bool) -> n
 
 @dataclass
 class CheckReport:
-    name: str
     residual: float
     details: dict
 

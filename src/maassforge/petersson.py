@@ -17,7 +17,7 @@ psi of order <= 2) give a non-cuspidal theta series and are refused.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .heckechar import HeckeCharacter, NormInducedError
 from .lseries import l_value_at_1
@@ -37,16 +37,7 @@ class PeterssonReport:
     l_diagnostics: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        out = {
-            "c1": self.c1,
-            "c2": self.c2,
-            "c3": self.c3,
-            "res_zeta_f": self.res_zeta_f,
-            "l_value": self.l_value,
-            "total": self.total,
-            "paper_value": self.paper_value,
-            "rel_err": self.rel_err,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "l_diagnostics"}
         # L(1)'s checks: split points 1 and 2, and the reduced cycles' value
         for k in ("cutoff_agreement", "direct_oracle", "oracle_agreement"):
             out[k] = self.l_diagnostics[k]

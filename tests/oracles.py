@@ -20,7 +20,7 @@ Norm-induced characters: is_norm_induced, psi against psi o sigma class by class
 Gauss sums: check_gauss_twisting, a closed form (test_heckechar, test_acceptance).
 Printed floats: report_floats, every float of a CLI report (test_cli, test_cli_fuzz).
 K_0 and G_s: mpmath, and scipy's k0, k0e and quad (test_special).
-Theta: dense_theta in test_maassform, every n up to the truncation on dense_coefficients (test_maassform).
+Theta: dense_theta in test_maassform, every n up to the truncation on dense_coefficients (test_maassform, test_cli).
 """
 
 from __future__ import annotations

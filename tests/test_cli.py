@@ -21,6 +21,7 @@ from maassforge.cli import AUTOMORPHY_SAMPLE_BUDGET, COEFFS_ROW_BUDGET, DISC_BUD
 from maassforge.maassform import ThetaForm
 from maassforge.quadfield import IDEALS_NORM_BUDGET, QuadField
 from oracles import ReferenceCountTable, dense_coefficients, report_floats
+from test_maassform import dense_theta
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "schemas" / "report.json").read_text())
 
@@ -809,9 +810,53 @@ def test_table_builds_per_command(capsys, monkeypatch):
     assert code == 0 and builds == [11100]
 
 
-def test_theta_eval_low_y_invalid(capsys):
-    code, _ = run_cli(capsys, "theta-eval", "--disc", "229", "--index", "1", "--x", "0", "--y", "0.01")
-    assert code == 2
+def test_theta_eval_low_y_exits_0(capsys):
+    # no height floor under the row budget: y = 0.01 sums 717 rows
+    code, out = run_cli(capsys, "theta-eval", "--disc", "229", "--index", "1", "--x", "0", "--y", "0.01")
+    assert code == 0
+    data = json.loads(out)
+    th = ThetaForm(heckechar.make_class_character(ClassGroup(QuadField(229)), 1))
+    assert abs(data["re"] - dense_theta(th, 0.0, 0.01).real) <= data["tail_bound"] + 1e-15
+    validate(out)
+
+
+@pytest.mark.parametrize("y, code", [
+    ("2e-6", 0),  # 45 / (2 pi y) = 3.58e6 rows, under lseries.ROW_BUDGET
+    ("1.7e-6", 3),  # 4.21e6 rows
+    ("5e-324", 3),  # a row count past float64
+])
+def test_theta_eval_heights_are_bounded_by_the_row_budget(capsys, monkeypatch, y, code):
+    classified = []
+    prime_classes = ClassGroup.prime_classes
+    monkeypatch.setattr(ClassGroup, "prime_classes", lambda self, p: classified.append(p) or prime_classes(self, p))
+    with pytest.raises(SystemExit) as exc:
+        main(["theta-eval", "--disc", "229", "--index", "1", "--x", "0.2", "--y", y])
+    assert exc.value.code == code
+    if code:  # refused before a table is built; tests/golden/refusals.json holds its line
+        assert classified == []
+    else:
+        assert json.loads(capsys.readouterr().out)["truncation"] == 3580987 and classified
+
+
+@pytest.mark.parametrize("y", ["0", "-1"])
+def test_theta_eval_nonpositive_y_exits_2(capsys, y):
+    code, out = run_cli(capsys, "theta-eval", "--disc", "229", "--index", "1", "--x", "0.2", "--y", y)
+    assert code == 2 and out == ""
+
+
+REFUSALS = json.loads((Path(__file__).parent / "golden" / "refusals.json").read_text())
+
+
+@pytest.mark.parametrize("refusal", REFUSALS, ids=lambda r: " ".join(r["argv"])[:80])
+def test_refusals_are_pinned(capsys, monkeypatch, tmp_path, refusal):
+    # the exit code and the one stderr line of each refusal are output, held
+    # to their bytes as the reports are; nothing goes to stdout.  Run in
+    # tmp_path, where --csv x --out x would write
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(refusal["argv"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == (refusal["code"], "", refusal["stderr"])
 
 
 def test_lvalue_command(capsys):

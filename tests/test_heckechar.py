@@ -51,9 +51,8 @@ def test_character_keeps_its_exponent_on_every_class(D):
 def test_orders_and_powers():
     cg = ClassGroup(QuadField(445))
     psi = make_class_character(cg, 1)
-    assert psi.order() == 4
-    assert psi.power(2).order() == 2
-    assert psi.power(4).is_trivial()
+    # psi has order 4 and psi^2 order 2
+    assert [psi.power(k).is_trivial() for k in range(1, 5)] == [False, False, False, True]
     assert psi.power(-1).index == 3
 
 

@@ -35,6 +35,8 @@ def test_eval_takes_any_positive_y(theta229):
     assert abs(v) < 1.0
     with pytest.raises(ValueError, match="positive"):
         theta229.eval(0.0, 0.0)
+    with pytest.raises(BudgetError):  # 45/(2 pi y) rows overflow float64
+        theta229.eval(0.0, 5e-324)
 
 
 def test_eval_periodicity(theta229):
