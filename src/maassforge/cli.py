@@ -159,9 +159,11 @@ def _emit(data: dict, args) -> None:
 
 
 def _finite_float(text: str) -> float:
+    """A number the report can echo: finite at 15 digits, so that
+    1.7976931348623157e308, which _fmt rounds up to inf, is refused too."""
     x = float(text)
-    if not math.isfinite(x):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    if not math.isfinite(_fmt(x)):
+        raise argparse.ArgumentTypeError(f"not a finite number at 15 digits: {text!r}")
     return x
 
 

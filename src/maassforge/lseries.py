@@ -32,8 +32,8 @@ import numpy as np
 from . import BudgetError, SplitPointError
 from .classforms import ClassGroup
 from .heckechar import HeckeCharacter
-from .quadfield import SIEVE_CHUNK, _primes_up_to
-from .special import EULER_GAMMA, incomplete_k_mellin
+from .quadfield import SIEVE_CHUNK, primes_up_to
+from .special import EULER_GAMMA, horner, incomplete_k_mellin
 
 
 # Largest coefficient table ClassCountTable builds.  For D = 229 (h = 3) the
@@ -78,7 +78,7 @@ class ClassCountTable:
         # until the primes are counted.  The odd rows none marks are the
         # primes above sqrt(n_max).  2 marks nothing, so it heads small from
         # n_max = 2 on, and its powers come last.
-        small = _primes_up_to(max(math.isqrt(n_max), min(n_max, 2)))
+        small = primes_up_to(max(math.isqrt(n_max), min(n_max, 2)))
         self.at = np.full(max((n_max - 1) // 2, 0), -1, dtype=np.int32)
         high = []  # (index of p, e) of each higher power p^e, as marked
         for j in range(small.size - 1, 0, -1):
@@ -317,9 +317,7 @@ def _phi(t: np.ndarray) -> np.ndarray:
     low = t < 10
     u = np.where(low, t + 10, t)
     r2 = 1 / (u * u)
-    out = np.zeros_like(u)
-    for _, c in _PHI_SERIES[:0:-1]:  # Horner in 1/u^2
-        out = (out + c) * r2
+    out = r2 * horner([c for _, c in _PHI_SERIES[1:]], r2)  # the series in 1/u^2
     out -= 0.5 / u
     t = t[low]
     out[low] += np.log1p(10 / t) - sum(1 / (t + j) for j in range(10))
@@ -332,9 +330,7 @@ def _li2(z: np.ndarray) -> np.ndarray:
     1.6e-18, and Li_2(z) = pi^2/6 - log z log(1 - z) - Li_2(1 - z) above."""
     high = z > 0.5
     x = np.where(high, 1 - z, z)
-    out = np.zeros_like(x)
-    for k in range(48, 0, -1):
-        out = (out + 1 / (k * k)) * x
+    out = x * horner([1 / (k * k) for k in range(1, 49)], x)
     return np.where(high, math.pi**2 / 6 - np.log(z) * np.log1p(-z) - out, out)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import BudgetError
 from .heckechar import HeckeCharacter, NormInducedError
 from .lseries import support
-from .quadfield import SIEVE_CHUNK, _xgcd
+from .quadfield import SIEVE_CHUNK, xgcd
 from .special import bessel_k0_array
 
 TRUNCATION_EXPONENT = 45.0  # keep terms with 2 pi n y <= this
@@ -274,7 +274,9 @@ def isometric_circle_points(c: int, d: int) -> list[tuple[float, float]]:
 def gamma0_matrix(c: int, d: int) -> tuple[int, int, int, int]:
     """The matrix (a, b, c, d) of determinant 1 with bottom row (c, d), for
     gcd(c, d) = 1: it lies in Gamma_0(D) when D | c."""
-    _, a, mb = _xgcd(d, c)  # a*d + mb*c = 1
+    g, a, mb = xgcd(d, c)  # a*d + mb*c = g
+    if g != 1:
+        raise ValueError(f"no matrix of determinant 1 has bottom row ({c}, {d})")
     return a, -mb, c, d
 
 

@@ -120,7 +120,7 @@ def tonelli_shanks_array(n, p):
     P, Q, m = p[act], q[act], s[act]
     z = np.where(P % 8 == 5, 2, 0)
     todo = np.flatnonzero(z == 0)
-    for y in _primes_up_to(isqrt(int(P.max())) + 1)[1:].tolist():
+    for y in primes_up_to(isqrt(int(P.max())) + 1)[1:].tolist():
         if not todo.size:
             break
         nonres = _legendre(P[todo], y) == -1
@@ -225,8 +225,8 @@ class QuadField:
         if I.field is not self or J.field is not self:
             raise ValueError("ideals belong to a different field")
         a1, a2, B1, B2 = I.a, J.a, 2 * I.b + self.s, 2 * J.b + self.s
-        g, u, v = _xgcd(a1, a2)
-        e, x, w = _xgcd(g, (B1 + B2) // 2)
+        g, u, v = xgcd(a1, a2)
+        e, x, w = xgcd(g, (B1 + B2) // 2)
         a = a1 * a2 // (e * e)
         B = (x * (u * a1 * B2 + v * a2 * B1) + w * ((B1 * B2 + self.D) // 2)) // e % (2 * a)
         return QfIdeal.make(self, I.k * J.k * e, a, (B - self.s) // 2)
@@ -265,7 +265,7 @@ class QuadField:
             raise BudgetError(f"max_norm {max_norm} is over the budget of {IDEALS_NORM_BUDGET}")
         if max_norm < 1:
             return []
-        primes = _primes_up_to(max_norm)
+        primes = primes_up_to(max_norm)
         chi, root = self.prime_roots(primes)
         # (p, prime ideal above p, its norm)
         prime_ideals: list[tuple[int, QfIdeal, int]] = []
@@ -323,7 +323,7 @@ class QfIdeal:
         return f"QfIdeal(D={self.field.D}, k={self.k}, a={self.a}, b={self.b})"
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, u, v) with u*a + v*b = g = gcd(a, b), g sign following python gcd > 0."""
     old_r, r = a, b
     old_s, s = 1, 0
@@ -338,7 +338,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _primes_up_to(n: int) -> np.ndarray:
+def primes_up_to(n: int) -> np.ndarray:
     """The primes p <= n, ascending, as an int64 array."""
     if n < 2:
         return np.zeros(0, dtype=np.int64)

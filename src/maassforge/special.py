@@ -1,4 +1,4 @@
-"""K_0, e^t K_0 and the incomplete Mellin transform of K_0, in numpy.
+"""K_0 and the incomplete Mellin transform of K_0, in numpy.
 
 The theta forms of class characters need only K_0.  Below t = 2 it is the
 power series
@@ -17,15 +17,15 @@ to 1.1e-14).  As the poles recede, fewer nodes do, so each t takes the rule
 of its band.  The arrays of t come ascending (Theta's 2 pi y n, and the
 AFE's nodes once sorted), so one searchsorted of the band edges cuts an
 array into the series part and each band as contiguous slices.  The
-largest relative error of e^t K_0 against mpmath on 600 points of each
-band and its lower edge, where the rule is weakest:
+largest relative error of K_0 = e^(-t) (e^t K_0) against mpmath on 600
+points of each band from its lower edge, where the rule is weakest:
 
     t        [2, 5)   [5, 8)   [8, 12)  [12, 20)  [20, 700]
     nodes    60       24       20       16        14
-    error    1.0e-15  1.0e-15  4.4e-16  5.6e-16   6.7e-16
+    error    1.1e-15  8.9e-16  4.4e-16  5.6e-16   6.7e-16
 
-The test suite checks both routes against mpmath and scipy on [1e-8, 700]
-and at each band's lower edge and the float below it.
+The test suite checks K_0 against mpmath and scipy on [1e-8, 700] and at
+each band's lower edge and the float below it.
 
 The approximate functional equation for L(1) weighs its terms by the
 incomplete Mellin transform G_s(x) = int_x^oo K_0(u) u^(s-1) du, computed
@@ -38,7 +38,6 @@ no eigensolver; the test suite recomputes them.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from fractions import Fraction
@@ -67,16 +66,21 @@ _HERMITE = [list(zip(*_RULES["hermite"][str(nodes)])) for _, nodes in K0_HERMITE
 
 # G_s is split at u = SPLIT.  Above it, K_0(u) = e^(-u) (e^u K_0(u)) with
 # e^u K_0(u) smooth and slowly varying, which Gauss-Laguerre integrates
-# against e^(-u); below it, K_0(e^v) e^(sv) is smooth in v = ln u down to
-# v = -oo, which Gauss-Legendre integrates on [ln x, ln SPLIT].  With 40
-# nodes each, both rules agree with adaptive quadrature to 4e-14 relative
-# for s in {0, 1, 2} and x in [1e-4, 45].
+# against e^(-u), its weights times e^t taking K_0 itself; below it,
+# K_0(e^v) e^(sv) is smooth in v = ln u down to v = -oo, which
+# Gauss-Legendre integrates on [ln x, ln SPLIT].  With 40 nodes each, both
+# rules agree with adaptive quadrature to 4e-14 relative for s in {0, 1, 2}
+# and x in [1e-4, 61].  The largest Laguerre node is 142.3, so the AFE's
+# largest x, 58.0 at D = 12, takes K_0 at u < 201, where K_0 ~ 1e-88 is
+# still a normal float64.
 SPLIT = 2.5
 _LAGUERRE = tuple(np.array(v) for v in _RULES["laguerre"])  # (nodes, weights)
+_LAGUERRE_SCALED = _LAGUERRE[1] * np.exp(_LAGUERRE[0])
 _LEGENDRE = tuple(np.array(v) for v in _RULES["legendre"])
 
 
-def _horner(coeffs: list[float], q: np.ndarray) -> np.ndarray:
+def horner(coeffs: list[float], q: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] q^k, elementwise over the float64 array q."""
     acc = np.full_like(q, coeffs[-1])
     for c in coeffs[-2::-1]:
         acc *= q
@@ -87,7 +91,7 @@ def _horner(coeffs: list[float], q: np.ndarray) -> np.ndarray:
 def _k0_series(t: np.ndarray) -> np.ndarray:
     """K_0(t) for 0 < t < K0_SPLIT."""
     q = t * t / 4
-    return _horner(_K0_COEFFS, q) - np.log(t / 2) * _horner(_I0_COEFFS, q)
+    return horner(_K0_COEFFS, q) - np.log(t / 2) * horner(_I0_COEFFS, q)
 
 
 def _hermite_sum(t: np.ndarray, rule: list[tuple[float, float]]) -> np.ndarray:
@@ -102,62 +106,50 @@ def _hermite_sum(t: np.ndarray, rule: list[tuple[float, float]]) -> np.ndarray:
     return acc
 
 
-def _banded(t, series, hermite) -> np.ndarray:
-    """series(u) on the u of ascending t below K0_SPLIT, and hermite(u, rule)
-    on each Hermite band with its rule: one searchsorted of the band edges
-    cuts t into contiguous slices of one output array, each filled
-    SIEVE_CHUNK entries at a time, so that the temporaries of the rules
-    stay the size of one block."""
+def bessel_k0_array(t) -> np.ndarray:
+    """K_0(t), elementwise over ascending t > 0: the power series below
+    K0_SPLIT and e^(-t) times the Hermite sum of its band above, on the
+    contiguous slices that one searchsorted of the band edges cuts.  Its
+    temporaries are the size of t, which no caller makes over SIEVE_CHUNK."""
     t = np.asarray(t, dtype=np.float64)
     flat = t.ravel()
     if np.any(flat[1:] < flat[:-1]):
         raise ValueError("t must be ascending")
     cuts = [0, *np.searchsorted(flat, _EDGES).tolist(), flat.size]
     out = np.empty_like(flat)
-    fills = [series, *(functools.partial(hermite, rule=rule) for rule in _HERMITE)]
-    for lo, hi, fill in zip(cuts, cuts[1:], fills):
-        for a in range(lo, hi, SIEVE_CHUNK):
-            b = min(a + SIEVE_CHUNK, hi)
-            out[a:b] = fill(flat[a:b])
+    out[: cuts[1]] = _k0_series(flat[: cuts[1]])
+    for lo, hi, rule in zip(cuts[1:], cuts[2:], _HERMITE):
+        u = flat[lo:hi]
+        out[lo:hi] = np.exp(-u) * _hermite_sum(u, rule)
     return out.reshape(t.shape)
-
-
-def bessel_k0_array(t) -> np.ndarray:
-    """K_0(t), elementwise over ascending t > 0."""
-    return _banded(t, _k0_series, lambda u, rule: np.exp(-u) * _hermite_sum(u, rule))
-
-
-def bessel_k0e_array(t) -> np.ndarray:
-    """e^t K_0(t), elementwise over ascending t > 0."""
-    return _banded(t, lambda u: np.exp(u) * _k0_series(u), _hermite_sum)
 
 
 def incomplete_k_mellin(s: float, x) -> np.ndarray:
     """G_s(x) = int_x^oo K_0(u) u^(s-1) du for s >= 0, elementwise over x > 0.
 
-    The tail from a = max(x, SPLIT) is e^(-a) int_0^oo e^(-t) e^(a+t)
-    K_0(a + t) (a + t)^(s-1) dt, a Gauss-Laguerre sum; the head from x to
-    SPLIT, empty when x >= SPLIT, is int_{ln x}^{ln SPLIT} K_0(e^v) e^(sv) dv,
-    a Gauss-Legendre sum; SIEVE_CHUNK nodes of the two rules a block."""
+    The tail from a = max(x, SPLIT) is int_0^oo K_0(a + t) (a + t)^(s-1) dt,
+    a Gauss-Laguerre sum with each weight times e^t at its node t; the head
+    from x to SPLIT, empty when x >= SPLIT, is
+    int_{ln x}^{ln SPLIT} K_0(e^v) e^(sv) dv, a Gauss-Legendre sum;
+    SIEVE_CHUNK nodes of the two rules a block."""
     x = np.asarray(x, dtype=np.float64)
     if np.any(x <= 0):
         raise ValueError("x must be > 0")
-    (t, wt), (r, wr) = _LAGUERRE, _LEGENDRE
+    t, wt, (r, wr) = _LAGUERRE[0], _LAGUERRE_SCALED, _LEGENDRE
     flat, out = x.ravel(), np.empty(x.size)
     step = SIEVE_CHUNK // (t.size + r.size)
     for i in range(0, x.size, step):
-        a = np.maximum(flat[i : i + step, None], SPLIT)
-        u = a + t
+        u = np.maximum(flat[i : i + step, None], SPLIT) + t
         lo = np.log(np.minimum(flat[i : i + step, None], SPLIT))
         half = (math.log(SPLIT) - lo) / 2
         v = lo + half * (r + 1)
         w = np.exp(v)
-        # e^u K_0(u) at the nodes of both rules, through one sort of them
+        # K_0 at the nodes of both rules, through one sort of them
         nodes = np.concatenate([u.ravel(), w.ravel()])
         order = np.argsort(nodes)
-        k0e = np.empty_like(nodes)
-        k0e[order] = bessel_k0e_array(nodes[order])
-        tail = np.exp(-a[:, 0]) * ((k0e[: u.size].reshape(u.shape) * u ** (s - 1)) @ wt)
-        head = half[:, 0] * ((k0e[u.size :].reshape(w.shape) * np.exp(s * v - w)) @ wr)
+        k0 = np.empty_like(nodes)
+        k0[order] = bessel_k0_array(nodes[order])
+        tail = (k0[: u.size].reshape(u.shape) * u ** (s - 1)) @ wt
+        head = half[:, 0] * ((k0[u.size :].reshape(w.shape) * np.exp(s * v)) @ wr)
         out[i : i + step] = tail + head
     return out.reshape(x.shape)

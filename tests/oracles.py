@@ -1,6 +1,6 @@
 """Independent references for the tests: routes to each quantity that share no
 code with the route maassforge takes, beyond the field or class group they are
-given and the primes of _primes_up_to.  One line per quantity: its reference,
+given and the primes of primes_up_to.  One line per quantity: its reference,
 and the tests that use it.
 
 chi_D(n): kronecker, the Jacobi reciprocity loop; at primes, Euler's criterion by pow (test_quadfield, test_lseries).
@@ -19,7 +19,7 @@ Sign exponent: epsilon_by_ideal, psi((sqrt D)) by ideal arithmetic (test_heckech
 Norm-induced characters: is_norm_induced, psi against psi o sigma class by class (test_heckechar).
 Gauss sums: check_gauss_twisting, a closed form (test_heckechar, test_acceptance).
 Printed floats: report_floats, every float of a CLI report (test_cli, test_cli_fuzz).
-K_0 and G_s: mpmath, and scipy's k0, k0e and quad (test_special).
+K_0 and G_s: mpmath, and scipy's k0 and quad (test_special).
 Theta: dense_theta in test_maassform, every n up to the truncation on dense_coefficients (test_maassform, test_cli).
 """
 
@@ -40,7 +40,7 @@ from maassforge.heckechar import (
     gauss_sum_rational,
 )
 from maassforge.lseries import l_value_at_1_afe, support
-from maassforge.quadfield import QfIdeal, QuadField, _primes_up_to, prime_factors
+from maassforge.quadfield import QfIdeal, QuadField, prime_factors, primes_up_to
 
 
 def kronecker(a: int, n: int) -> int:
@@ -141,7 +141,7 @@ def enumerate_ideals(F: QuadField, max_norm: int) -> list[QfIdeal]:
     prime at a time, sorted by (norm, k, a, b)."""
     if max_norm < 1:
         return []
-    primes = _primes_up_to(max_norm).tolist()
+    primes = primes_up_to(max_norm).tolist()
     splits = [split_prime(F, p) for p in primes]
     out: list[QfIdeal] = []
 
@@ -411,7 +411,7 @@ class ReferenceCountTable:
         # the primes up to sqrt(n_max) mark their multiples, the smallest
         # last, and the rows none marks are the primes above sqrt(n_max),
         # which follow those in primes
-        small = _primes_up_to(math.isqrt(n_max))
+        small = primes_up_to(math.isqrt(n_max))
         at = np.full(n_max - 1, -1, dtype=np.int32)
         for j in range(small.size - 1, -1, -1):
             q = int(small[j])
@@ -670,7 +670,7 @@ def _rankin_partials(character: HeckeCharacter, s: float, X: int) -> tuple[float
     n = np.arange(X + 1, dtype=np.float64)
     n[0] = 1.0
     partial_sum = float(np.sum(b2[1:] / n[1:] ** s))
-    primes = _primes_up_to(X)
+    primes = primes_up_to(X)
     return partial_sum, float(np.prod(rankin_local_factor(character, primes, s)))
 
 

@@ -849,10 +849,12 @@ REFUSALS = json.loads((Path(__file__).parent / "golden" / "refusals.json").read_
 
 @pytest.mark.parametrize("refusal", REFUSALS, ids=lambda r: " ".join(r["argv"])[:80])
 def test_refusals_are_pinned(capsys, monkeypatch, tmp_path, refusal):
-    # the exit code and the one stderr line of each refusal are output, held
-    # to their bytes as the reports are; nothing goes to stdout.  Run in
-    # tmp_path, where --csv x --out x would write
+    # the exit code and the stderr of each refusal are output, held to
+    # their bytes as the reports are; nothing goes to stdout.  Run in
+    # tmp_path, where --csv x --out x would write, and 80 columns wide, to
+    # which argparse wraps the usage lines of the refusals it prints
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         main(refusal["argv"])
     captured = capsys.readouterr()

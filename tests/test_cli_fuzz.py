@@ -9,7 +9,7 @@ import json
 from pathlib import Path
 
 import jsonschema
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from maassforge.cli import main
@@ -20,8 +20,9 @@ SCHEMA = json.loads((Path(__file__).parent.parent / "schemas" / "report.json").r
 # invalid discriminants first, then fields with h+ = 1, 2 (norm-induced), h+ = 4
 # with an odd character (136), h+ = 3 (229) and a non-cyclic group (1105)
 DISCS = [-5, 0, 1, 4, 9, 5, 8, 12, 40, 136, 229, 1105]
-NUMBERS = ["-inf", "-1e300", "-1", "0", "1e-300", "0.001", "0.05", "0.12345678901234567", "0.2",
-           "0.5", "1", "1.5", "3", "1e300", "inf", "nan", "x"]
+NUMBERS = ["-inf", "-1.7976931348623157e308", "-1e300", "-1", "0", "1e-300", "0.001", "0.05",
+           "0.12345678901234567", "0.2", "0.5", "1", "1.5", "3", "1e300", "1.7976931348623157e308", "inf",
+           "nan", "x"]
 numbers = st.sampled_from(NUMBERS)
 
 
@@ -85,8 +86,17 @@ FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None
                 suppress_health_check=[HealthCheck.too_slow])
 
 
+# the largest float64 rounds up to inf at 15 digits, which JSON cannot
+# hold, whichever number option echoes it
+MAX = "1.7976931348623157e308"
+
+
 @FUZZ
 @given(argvs())
+@example(["theta-eval", "--disc", "229", "--index", "1", "--x", MAX, "--y", "0.5"])
+@example(["theta-eval", "--disc", "229", "--index", "1", "--x", "0.5", "--y", MAX])
+@example(["check-automorphy", "--disc", "229", "--samples", "1", "--tol", MAX])
+@example(["lvalue", "--disc", "229", "--s", MAX])
 def test_cli_exit_code_contract(argv):
     check_contract(argv)
 

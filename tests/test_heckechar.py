@@ -12,7 +12,7 @@ from maassforge.heckechar import (
     gauss_sum_rational,
     make_class_character,
 )
-from maassforge.quadfield import InvalidInputError, QuadField, _primes_up_to, is_fundamental_discriminant
+from maassforge.quadfield import InvalidInputError, QuadField, is_fundamental_discriminant, primes_up_to
 
 
 def test_character_values_are_exact_roots_of_unity():
@@ -98,7 +98,7 @@ def test_epsilon_read_off_the_index_matches_the_ideal_route():
 
 
 def test_primitive_root_is_sympys_smallest():
-    for p in _primes_up_to(1000)[1:].tolist():
+    for p in primes_up_to(1000)[1:].tolist():
         assert DirichletCharacterModP(p, 1).g == primitive_root(p)
 
 
@@ -123,7 +123,7 @@ def test_trivial_character_gauss_sum():
 
 def test_gauss_norm_lemma_inert_primes():
     F = QuadField(229)
-    inert = [p for p in _primes_up_to(50).tolist() if p > 2 and F.chi(p) == -1]
+    inert = [p for p in primes_up_to(50).tolist() if p > 2 and F.chi(p) == -1]
     assert len(inert) >= 3
     for p in inert[:3]:
         for k in (1, 2):

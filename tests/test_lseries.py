@@ -16,7 +16,7 @@ from maassforge.quadfield import (
     InvalidInputError,
     QfIdeal,
     QuadField,
-    _primes_up_to,
+    primes_up_to,
     tonelli_shanks_array,
 )
 from oracles import (
@@ -83,7 +83,7 @@ def test_prime_classes_match_per_prime_oracle(D):
     # 2 ramified (40), inert (229, 445, 14165) and split (401, 505, 3305), every
     # p | D, and primes over three of prime_classes' blocks
     cg = ClassGroup(QuadField(D))
-    primes = _primes_up_to(400000)
+    primes = primes_up_to(400000)
     assert primes.size > 2 * ls.SIEVE_CHUNK
     chi, cls = cg.prime_classes(primes)
     got = list(zip(chi.tolist(), cg.logs[cls].tolist()))
@@ -99,7 +99,7 @@ def test_count_table_builds_for_a_non_cyclic_group(D, h):
     cg = ClassGroup(F)
     assert cg.h_narrow == h
     table = ls.ClassCountTable(cg, 2000)
-    primes = _primes_up_to(2000)
+    primes = primes_up_to(2000)
     assert np.array_equal(table.primes, primes)
     assert table.chi.tolist() == [F.chi(p) for p in primes.tolist()]
     _, roots = F.prime_roots(primes)
@@ -124,7 +124,7 @@ def _check_sqrt_against_scalar(n, p):
 def test_prime_roots_gives_the_kronecker_symbol(D):
     # every odd prime to 2e5 (65537 = 2^16 + 1 among them), 786433 = 3 2^18 + 1,
     # whose Tonelli-Shanks t = D^q needs up to 17 squarings, and the p | D
-    primes = np.append(_primes_up_to(200000)[1:], 786433)
+    primes = np.append(primes_up_to(200000)[1:], 786433)
     F = QuadField(D)
     chi, b = F.prime_roots(primes)
     assert chi.tolist() == [kronecker(D, p) for p in primes.tolist()]
@@ -165,7 +165,7 @@ def test_tonelli_shanks_array_refuses_a_non_residue_promptly(n, p):
 
 
 def test_tonelli_shanks_array_below_automorphy_row_budget():
-    divisors = _primes_up_to(math.isqrt(ls.ROW_BUDGET)).tolist()
+    divisors = primes_up_to(math.isqrt(ls.ROW_BUDGET)).tolist()
     primes = [q for q in range(ls.ROW_BUDGET - 3000, ls.ROW_BUDGET)
               if all(q % d for d in divisors)]
     assert len(primes) > 150
@@ -244,7 +244,7 @@ def _check_prime_power_route(table, every=10**4):
     recursion: row(p^e) = prime_power_vector(p, e) for every p^e <= every,
     and row(n) = prime_power_vector(p, e) * row(n/p^e) for each p^e exactly
     dividing n, over a fixed sample of the table's n."""
-    for p in _primes_up_to(every).tolist():
+    for p in primes_up_to(every).tolist():
         q, e = p, 1
         while q <= every:
             assert row(table, q) == prime_power_vector(table, p, e), (p, e)
@@ -386,7 +386,7 @@ def test_table_entry_is_the_full_power_of_the_smallest_prime(cg229, n_max):
     # lowest set bit 2^e, and at keeps no even row
     table = ls.ClassCountTable(cg229, n_max)
     assert table.at.size == max((n_max - 1) // 2, 0)
-    assert np.array_equal(table.primes, _primes_up_to(n_max))
+    assert np.array_equal(table.primes, primes_up_to(n_max))
     assert table.q.size == table.primes.size + table._base.size
     rows = range(2, n_max + 1)
     if n_max > 20000:
@@ -454,7 +454,7 @@ def test_euler_factor_matches_coefficients(D, index):
     n = np.arange(5001, dtype=np.float64)
     n[0] = 1
     lhs = complex(np.sum(b[1:] / n[1:] ** s))
-    prod = complex(np.prod(euler_factor(psi, _primes_up_to(5000), s)))
+    prod = complex(np.prod(euler_factor(psi, primes_up_to(5000), s)))
     assert abs(lhs - prod) < 1e-9
 
 
@@ -484,7 +484,7 @@ def test_rankin_residue_matches_paper_norm(D):
     from maassforge.cli import PAPER_VALUES
 
     psi = make_class_character(ClassGroup(QuadField(D)), 1)
-    index_factor = math.prod(1 + 1 / p for p in _primes_up_to(D).tolist() if D % p == 0)
+    index_factor = math.prod(1 + 1 / p for p in primes_up_to(D).tolist() if D % p == 0)
     norm = math.pi**2 / 24 * D * index_factor * rankin_residue(psi)
     assert abs(norm / PAPER_VALUES[D] - 1) < 1e-6
 

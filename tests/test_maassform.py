@@ -11,7 +11,7 @@ from maassforge.classforms import ClassGroup
 from maassforge import lseries as ls
 from maassforge.cli import main
 from maassforge.heckechar import NormInducedError, make_class_character
-from maassforge.maassform import ThetaForm, _phase, _phase_tables, gamma0_matrices, isometric_circle_points
+from maassforge.maassform import ThetaForm, _phase, _phase_tables, gamma0_matrices, gamma0_matrix, isometric_circle_points
 from maassforge.quadfield import BudgetError, QuadField
 from maassforge.special import bessel_k0_array
 from oracles import ReferenceCountTable, cancelling_rows, dense_coefficients
@@ -187,11 +187,19 @@ def test_cuspidal_decay(theta229):
 
 
 def test_gamma0_matrices_valid():
-    mats = gamma0_matrices(229, count=10)
-    assert len(mats) == 10
+    mats = gamma0_matrices(229, count=100)
+    assert len(mats) == 100
     for a, b, c, d in mats:
         assert a * d - b * c == 1
         assert c % 229 == 0 and abs(c) <= 3 * 229
+
+
+def test_gamma0_matrix_needs_a_coprime_bottom_row():
+    # a common factor g of c and d leaves no matrix of determinant 1: xgcd's
+    # solution of a d - b c = g would be returned as one of determinant g
+    for c, d in ((4, 2), (458, 4)):
+        with pytest.raises(ValueError):
+            gamma0_matrix(c, d)
 
 
 def dense_theta_terms(th: ThetaForm, x: float, y: float) -> np.ndarray:

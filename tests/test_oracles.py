@@ -4,7 +4,7 @@ tests/oracles.py holds one reference per quantity, each sharing no code with
 the route maassforge takes to it.  An earlier implementation kept there to be
 compared with bit for bit checks the refactor that replaced it, not the
 mathematics, so the module may define only the names below, and may import
-no private name of maassforge but those allowed here.
+no private name of maassforge.
 """
 
 import ast
@@ -33,14 +33,6 @@ REFERENCES = {
     "norm-induced characters": {"is_norm_induced"},
     "Gauss sums": {"check_gauss_twisting"},
     "printed floats": {"report_floats"},
-}
-
-# the private names of maassforge the oracles may use, and why
-ALLOWED_PRIVATE = {
-    # the primes up to n, which the references run over; it computes no
-    # quantity they check, and test_primes_up_to_is_an_int64_sieve checks it
-    # by trial division
-    "_primes_up_to",
 }
 
 
@@ -73,7 +65,7 @@ def test_oracles_import_no_private_name_of_the_library():
                 modules.update(a.asname or a.name for a in node.names)
         elif isinstance(node, ast.Import):
             modules.update(a.asname or a.name.split(".")[0] for a in node.names if a.name.startswith("maassforge"))
-    assert set(private) <= ALLOWED_PRIVATE, private
+    assert private == []
     # nor reach one through a module: special._hermite_sum, say
     reached = [
         node.attr for node in ast.walk(tree)

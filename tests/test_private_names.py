@@ -3,7 +3,8 @@
 A name with one leading underscore is private to the module that defines it:
 another module that reads it couples itself to how that module stores its
 data, where a public name would say what it promises.  So no module of src/maassforge may read an attribute
-x._name of any x but self or cls unless the module itself defines _name.
+x._name of any x but self or cls unless the module itself defines _name,
+nor import a private name from another module of the package.
 """
 
 import ast
@@ -21,7 +22,8 @@ def _private(name: str) -> bool:
 def foreign_private_reads(source: str) -> list[str]:
     """Each attribute x._name read in source whose x is not self or cls and
     whose _name source does not define (as a function, class, or the target
-    of an assignment), as "x._name"."""
+    of an assignment), as "x._name", and each private name imported from
+    another module of the package, as "from .module import _name"."""
     tree = ast.parse(source)
     defined = set()
     for node in ast.walk(tree):
@@ -38,6 +40,10 @@ def foreign_private_reads(source: str) -> list[str]:
         f"{ast.unparse(node.value)}.{node.attr}" for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and _private(node.attr) and node.attr not in defined
         and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ] + [
+        f"from {'.' * node.level}{node.module or ''} import {alias.name}" for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("maassforge"))
+        for alias in node.names if _private(alias.name)
     ]
 
 
@@ -52,3 +58,11 @@ def test_the_guard_sees_a_foreign_private_read():
     # a module's own private names, and those of self and cls, are its own
     assert foreign_private_reads("def _g():\n    pass\nclass A:\n    def f(self, o):\n"
                                  "        o._h = self._x\n        return o._g, o._h, cls._y\n") == []
+
+
+def test_the_guard_sees_a_private_import():
+    assert foreign_private_reads("from .quadfield import _x\n") == ["from .quadfield import _x"]
+    assert foreign_private_reads("from maassforge.special import horner, _hermite_sum\n") == [
+        "from maassforge.special import _hermite_sum"]
+    # a dunder and another package's private name are not the package's own
+    assert foreign_private_reads("from . import __version__\nfrom os import _exit\n") == []

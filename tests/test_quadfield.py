@@ -12,10 +12,10 @@ from maassforge.quadfield import (
     QfIdeal,
     QuadField,
     _legendre,
-    _primes_up_to,
     is_fundamental_discriminant,
     is_squarefree,
     prime_factors,
+    primes_up_to,
 )
 from oracles import ideal_conj, kronecker, principal_ideal
 
@@ -118,7 +118,7 @@ def test_splitting_229():
 
 
 def test_prime_ideals_divide_norm_poly():
-    primes = _primes_up_to(10**4)
+    primes = primes_up_to(10**4)
     for D in (40, 229, 445, 401, 505, 3305, 14165):
         F = QuadField(D)
         chi, b = F.prime_roots(primes)
@@ -136,7 +136,7 @@ def test_prime_ideals_divide_norm_poly():
 @pytest.fixture(scope="module")
 def primes_of_a_full_table():
     """Every prime of the automorphy workload's table, N = 1,220,639."""
-    return _primes_up_to(1220639)
+    return primes_up_to(1220639)
 
 
 # every 2-part (1, -4, 8, -8), one to three odd prime factors, and the largest
@@ -263,7 +263,7 @@ def test_ideal_mul_past_2_to_the_31():
     # inert ideals
     random.seed(6)
     F = QuadField(94572769)
-    p = _primes_up_to(60000)
+    p = primes_up_to(60000)
     p = p[p > 46341]
     chi, b = F.prime_roots(p)
     split = [QfIdeal.make(F, 1, q, r) for q, c, r in zip(p.tolist(), chi.tolist(), b.tolist()) if c == 1]
@@ -299,7 +299,7 @@ def test_principal_ideal_norm():
 
 def test_primes_up_to_is_an_int64_sieve():
     for n in (-3, 0, 1, 2, 3, 4, 97, 1000):
-        primes = _primes_up_to(n)
+        primes = primes_up_to(n)
         assert primes.dtype == np.int64
         assert primes.tolist() == [p for p in range(2, n + 1) if all(p % d for d in range(2, p))]
-    assert _primes_up_to(10**6).size == 78498
+    assert primes_up_to(10**6).size == 78498

@@ -11,12 +11,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import k0, k0e
+from scipy.special import k0
 
 from maassforge import lseries, maassform, special
 from maassforge.cli import main
 from maassforge.quadfield import SIEVE_CHUNK
-from maassforge.special import K0_HERMITE_BANDS, bessel_k0_array, bessel_k0e_array, incomplete_k_mellin
+from maassforge.special import K0_HERMITE_BANDS, bessel_k0_array, incomplete_k_mellin
 
 # a geometric grid, and the lower edge of each band of t, where its rule is
 # least accurate, with the float below it, the top of the band before (the
@@ -87,23 +87,14 @@ def test_bessel_k0_array_matches_scalar():
         assert abs(v - bessel_k(0.0, float(y))) < 1e-12 * abs(v)
 
 
-@pytest.fixture(scope="module")
-def k0_mpmath():
-    """K_0 and e^t K_0 on K0_GRID at 30 digits."""
+def test_k0_and_k0e_against_mpmath():
     with mp.workdps(30):
-        pairs = [(mp.besselk(0, t), mp.exp(t)) for t in map(mp.mpf, K0_GRID.tolist())]
-        return np.array([float(k) for k, _ in pairs]), np.array([float(k * e) for k, e in pairs])
-
-
-def test_k0_and_k0e_against_mpmath(k0_mpmath):
-    k, ke = k0_mpmath
+        k = np.array([float(mp.besselk(0, t)) for t in map(mp.mpf, K0_GRID.tolist())])
     assert np.max(np.abs(bessel_k0_array(K0_GRID) / k - 1)) <= 2e-15
-    assert np.max(np.abs(bessel_k0e_array(K0_GRID) / ke - 1)) <= 2e-15
 
 
 def test_k0_and_k0e_against_scipy():
     assert np.max(np.abs(bessel_k0_array(K0_GRID) / k0(K0_GRID) - 1)) <= 3e-15
-    assert np.max(np.abs(bessel_k0e_array(K0_GRID) / k0e(K0_GRID) - 1)) <= 3e-15
 
 
 def test_k0_keeps_the_shape_of_its_argument():
@@ -113,7 +104,7 @@ def test_k0_keeps_the_shape_of_its_argument():
     assert np.array_equal(bessel_k0_array(t), bessel_k0_array(t.ravel()).reshape(t.shape))
 
 
-@pytest.mark.parametrize("f", [bessel_k0_array, bessel_k0e_array])
+@pytest.mark.parametrize("f", [bessel_k0_array])
 def test_k0_refuses_an_argument_out_of_order(f):
     # the bands are cut from ascending t, so t out of order would take wrong rules
     with pytest.raises(ValueError):
@@ -123,13 +114,12 @@ def test_k0_refuses_an_argument_out_of_order(f):
 
 
 def test_k0_over_blocks_against_scipy():
-    # an array of several SIEVE_CHUNK blocks whose band edges fall inside
-    # blocks: every entry of every block is filled, by its band's rule (the
-    # 24-node rule of [5, 8) is off by 3.3e-11 on [2, 5))
+    # accuracy over a long array, longer than any caller passes, whose band
+    # edges fall off the SIEVE_CHUNK boundaries: every entry is filled, by
+    # its band's rule (the 24-node rule of [5, 8) is off by 3.3e-11 on [2, 5))
     t = np.linspace(0.5, 45.0, 5 * lseries.SIEVE_CHUNK + 3)
     assert np.all(np.searchsorted(t, _EDGES) % lseries.SIEVE_CHUNK != 0)
     assert np.max(np.abs(bessel_k0_array(t) / k0(t) - 1)) <= 3e-15
-    assert np.max(np.abs(bessel_k0e_array(t) / k0e(t) - 1)) <= 3e-15
 
 
 def _record(monkeypatch, module, name):
@@ -165,6 +155,23 @@ def test_k0_of_check_automorphy_against_scipy(monkeypatch):
     assert sum(t.size for t, _ in calls) == 14_148
     for t, v in calls:
         assert np.max(np.abs(v / k0(t) - 1)) <= 3e-15
+
+
+def test_k0_is_taken_one_block_at_a_time(monkeypatch):
+    # bessel_k0_array cuts its argument into band slices and no smaller, so
+    # its temporaries stay one SIEVE_CHUNK block only while every caller
+    # passes at most one: Theta one block of a height's support, and
+    # incomplete_k_mellin the nodes of SIEVE_CHUNK // 80 arguments
+    real, sizes = special.bessel_k0_array, {maassform: [], special: []}
+    for module, seen in sizes.items():
+        monkeypatch.setattr(module, "bessel_k0_array", lambda t, seen=seen: seen.append(np.size(t)) or real(t))
+    _run_cli("theta-eval", "--disc", "229", "--index", "1", "--x", "0.2", "--y", "0.5")
+    _run_cli("check-automorphy", "--disc", "229", "--index", "1", "--samples", "2")
+    _run_cli("check-automorphy", "--disc", "40009", "--index", "1")
+    _run_cli("lvalue", "--disc", "229", "--index", "1")
+    _run_cli("lvalue", "--disc", "94572769", "--index", "1")
+    for seen in sizes.values():
+        assert max(seen) <= SIEVE_CHUNK < sum(seen)
 
 
 @pytest.mark.parametrize("D", [229, 401])
@@ -203,7 +210,8 @@ def _incomplete_k_mellin_quad(s: float, x: float) -> float:
 
 
 def test_incomplete_k_mellin_against_quad():
-    xs = np.geomspace(1e-4, 45.0, 31)
+    # to 61, past the AFE's largest x, 58.0 at D = 12
+    xs = np.geomspace(1e-4, 61.0, 31)
     for s in (0.0, 1.0, 2.0):
         got = incomplete_k_mellin(s, xs)
         ref = np.array([_incomplete_k_mellin_quad(s, float(x)) for x in xs])
