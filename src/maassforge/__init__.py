@@ -6,8 +6,8 @@ quadfield   real quadratic fields, ideals in Hermite normal form, prime splittin
 classforms  indefinite binary quadratic forms, class groups, fundamental units
 heckechar   class-group Hecke characters and Gauss sums
 special     K_0 and its incomplete Mellin transform (the AFE weights)
-maassform   the theta cusp form: coefficients, evaluation, verification checks
-lseries     the Hecke L-series coefficient table, L(1) by two routes
+maassform   the theta cusp form: evaluation, truncation, automorphy checks
+lseries     the coefficients a'(n) and their table, L(1) by two routes
 petersson   closed-form Petersson norm assembly
 cli         command-line interface; each command imports the modules it runs
 

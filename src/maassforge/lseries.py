@@ -29,7 +29,7 @@ from array import array
 
 import numpy as np
 
-from . import BudgetError, SplitPointError
+from . import BudgetError, InvalidInputError, SplitPointError
 from .classforms import ClassGroup
 from .heckechar import HeckeCharacter
 from .quadfield import SIEVE_CHUNK, primes_up_to
@@ -272,7 +272,7 @@ def l_value_at_1_afe(character: HeckeCharacter, cutoff: float = 1.0) -> float:
     cutoff rescales Y = cutoff/sqrt(D); the value is cutoff-independent.
     """
     if character.is_trivial():
-        raise ValueError("L(s, trivial) has a pole at s = 1")
+        raise InvalidInputError("L(s, trivial) has a pole at s = 1")
     eps = character.epsilon
     D = character.field.D
     Y = cutoff / math.sqrt(D)
@@ -434,7 +434,7 @@ def l_value_at_1_direct(character: HeckeCharacter) -> float:
     with -a lies in B times the class of (sqrt(D)), which flips the sign of
     an odd psi."""
     if character.is_trivial():
-        raise ValueError("L(s, trivial) has a pole at s = 1")
+        raise InvalidInputError("L(s, trivial) has a pole at s = 1")
     cg = character.classgroup
     cos = np.cos(2 * np.pi * (character.t / character.h))
     return float(cos @ _cycle_sums(cg)) / math.sqrt(cg.field.D)

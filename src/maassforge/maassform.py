@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import BudgetError
+from . import BudgetError, InvalidInputError
 from .heckechar import HeckeCharacter, NormInducedError
 from .lseries import support
 from .quadfield import SIEVE_CHUNK, xgcd
@@ -136,14 +136,14 @@ class ThetaForm:
         """max |Theta(gamma z) - chi_D(d) Theta(z)| over the (gamma, points)
         pairs of checks, gamma in Gamma_0(D), and the points z of each; the
         details add the truncation_report of every evaluation.  Raises
-        BudgetError, from eval and before any row is built, if the evaluations
-        need more than lseries.ROW_BUDGET coefficient rows, or a gamma z is too
-        low for float64 to count its rows: a huge c or d/c can round
-        Im(gamma z) to 0."""
+        InvalidInputError for a gamma not in Gamma_0(D), and BudgetError, from
+        eval and before any row is built, if the evaluations need more than
+        lseries.ROW_BUDGET coefficient rows, or a gamma z is too low for
+        float64 to count its rows: a huge c or d/c can round Im(gamma z) to 0."""
         points, ds = [], []  # gamma z then z, for each z; d mod D of its gamma
         for (a, b, c, d), zs in checks:
             if a * d - b * c != 1 or c % self.level != 0:
-                raise ValueError(f"({a},{b},{c},{d}) is not in Gamma_0({self.level})")
+                raise InvalidInputError(f"({a},{b},{c},{d}) is not in Gamma_0({self.level})")
             for x, y in zs:
                 # (az + b)/(cz + d) cancels near x = -d/c; a/c - 1/(c (cz + d)), with
                 # Re(cz + d) from the exact x, keeps Im(gamma z) = y/|cz + d|^2 to rounding
@@ -276,7 +276,7 @@ def gamma0_matrix(c: int, d: int) -> tuple[int, int, int, int]:
     gcd(c, d) = 1: it lies in Gamma_0(D) when D | c."""
     g, a, mb = xgcd(d, c)  # a*d + mb*c = g
     if g != 1:
-        raise ValueError(f"no matrix of determinant 1 has bottom row ({c}, {d})")
+        raise InvalidInputError(f"no matrix of determinant 1 has bottom row ({c}, {d})")
     return a, -mb, c, d
 
 

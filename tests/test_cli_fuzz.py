@@ -52,8 +52,6 @@ def argvs(draw):
         # a matrix by its bottom row, or half of one
         c, d = str(draw(st.integers(-3, 3))), str(draw(st.integers(-3, 3)))
         argv += draw(st.sampled_from([[], ["--c", c, "--d", d], ["--c", c], ["--d", d]]))
-    elif command == "lvalue":
-        argv += optional(draw, "--s", draw(numbers))
     elif command == "gauss-check":
         argv += ["--p", str(draw(st.integers(-5, 200)))]
     return argv
@@ -96,7 +94,6 @@ MAX = "1.7976931348623157e308"
 @example(["theta-eval", "--disc", "229", "--index", "1", "--x", MAX, "--y", "0.5"])
 @example(["theta-eval", "--disc", "229", "--index", "1", "--x", "0.5", "--y", MAX])
 @example(["check-automorphy", "--disc", "229", "--samples", "1", "--tol", MAX])
-@example(["lvalue", "--disc", "229", "--s", MAX])
 def test_cli_exit_code_contract(argv):
     check_contract(argv)
 
